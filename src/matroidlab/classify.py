@@ -2,18 +2,17 @@
 
 Every classifier returns a ClassificationResult; a false verdict always
 carries the canonically least counterexample, so failure output is identical
-across runs and across worker counts.  The minimality checks are exhaustive
-searches over subfamilies of the base family and are therefore guarded by a
-configurable cap.
+across runs.  Every search runs sequentially in canonical order; the
+`workers` argument of the classifiers is accepted and ignored.  The
+minimality checks are exhaustive searches over subfamilies of the base family
+and are therefore guarded by a configurable cap.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from itertools import combinations, islice
-from math import comb
-from typing import Callable, Iterable, Sequence
+from itertools import combinations
+from typing import Callable, Iterable
 
 from .errors import RankZero, SearchCapExceeded, SupportMismatch
 from .forming import forming_family, secondary_bases
@@ -28,9 +27,6 @@ from .setalgebra import (
 )
 
 DEFAULT_SEARCH_CAP = 20
-
-# below this many subfamilies in a size layer, threads cost more than they save
-_PARALLEL_MIN = 64
 
 
 @dataclass(frozen=True)
@@ -67,26 +63,13 @@ class ClassificationResult:
     witness: ExpansionWitness | ExchangeWitness | SubfamilyWitness | None = None
 
     def __post_init__(self):
-        assert self.verdict == (self.witness is None)
+        if self.verdict != (self.witness is None):
+            raise ValueError(
+                f"verdict {self.verdict} is inconsistent with witness {self.witness!r}"
+            )
 
     def __bool__(self) -> bool:
         return self.verdict
-
-
-def _first_hit(items: Sequence, scan: Callable, workers: int):
-    # `scan` returns a witness or None per item; the first non-None in item
-    # order wins, which matches a sequential left-to-right search exactly.
-    if workers <= 1 or len(items) <= 1:
-        for item in items:
-            found = scan(item)
-            if found is not None:
-                return found
-        return None
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        for found in pool.map(scan, items):
-            if found is not None:
-                return found
-    return None
 
 
 def is_unique_expansion(m: Matroid, workers: int = 1) -> ClassificationResult:
@@ -94,27 +77,23 @@ def is_unique_expansion(m: Matroid, workers: int = 1) -> ClassificationResult:
 
     False as soon as some secondary base A and base B admit two distinct
     elements of B whose addition to A gives a base; the witness is the least
-    such (A, B, e1, e2) in canonical order.
+    such (A, B, e1, e2) in canonical order.  `workers` is accepted and ignored.
     """
     if m.rank == 0:
         raise RankZero("unique expansion is undefined at rank zero")
     base_masks = m.bases.masks()
     ground = m.ground
-
-    def scan(a: Subset) -> ExpansionWitness | None:
+    for a in secondary_bases(m):
         for b in m.bases:
             first = -1
             for e in b.indices():
                 if (a.mask | (1 << e)) in base_masks:
                     if first >= 0:
-                        return ExpansionWitness(
+                        return ClassificationResult(False, ExpansionWitness(
                             a, b, ground.label(first), ground.label(e)
-                        )
+                        ))
                     first = e
-        return None
-
-    witness = _first_hit(secondary_bases(m).sets, scan, workers)
-    return ClassificationResult(witness is None, witness)
+    return ClassificationResult(True, None)
 
 
 def is_unique_exchange(m: Matroid, workers: int = 1) -> ClassificationResult:
@@ -122,11 +101,11 @@ def is_unique_exchange(m: Matroid, workers: int = 1) -> ClassificationResult:
 
     Vacuously true when no pair of bases offers two repairs (in particular for
     rank zero); the witness is the least (B1, B2, x, y1, y2) otherwise.
+    `workers` is accepted and ignored.
     """
     base_masks = m.bases.masks()
     ground = m.ground
-
-    def scan(b1: Subset) -> ExchangeWitness | None:
+    for b1 in m.bases:
         for b2 in m.bases:
             if b1 == b2:
                 continue
@@ -137,56 +116,33 @@ def is_unique_exchange(m: Matroid, workers: int = 1) -> ClassificationResult:
                 for y in incoming:
                     if (stripped | (1 << y)) in base_masks:
                         if first >= 0:
-                            return ExchangeWitness(
+                            return ClassificationResult(False, ExchangeWitness(
                                 b1, b2, ground.label(x),
                                 ground.label(first), ground.label(y),
-                            )
+                            ))
                         first = y
-        return None
-
-    witness = _first_hit(m.bases.sets, scan, workers)
-    return ClassificationResult(witness is None, witness)
+    return ClassificationResult(True, None)
 
 
 def _minimality_search(
-    m: Matroid, same_boundary: Callable[[Iterable[int]], bool],
-    cap: int, workers: int,
+    m: Matroid, same_boundary: Callable[[Iterable[int]], bool], cap: int
 ) -> ClassificationResult:
     bases = m.bases.sets
     if len(bases) > cap:
         raise SearchCapExceeded(
             f"{len(bases)} bases exceed the exhaustive search cap {cap}"
         )
-
-    def valid(combo: tuple[Subset, ...]) -> bool:
-        masks = [s.mask for s in combo]
-        if not same_boundary(masks):
-            return False
-        return first_exchange_violation(masks, frozenset(masks)) is None
-
     # Decreasing size, canonical order within a size; the first valid
-    # subfamily found is the canonical witness.  With workers the size range
-    # is split into contiguous chunks and the earliest chunk's hit wins.
+    # subfamily found is the canonical witness.
     for k in range(len(bases) - 1, 0, -1):
-        total = comb(len(bases), k)
-
-        def scan_range(bounds: tuple[int, int], _k=k) -> tuple[Subset, ...] | None:
-            start, stop = bounds
-            for combo in islice(combinations(bases, _k), start, stop):
-                if valid(combo):
-                    return combo
-            return None
-
-        if workers <= 1 or total < _PARALLEL_MIN:
-            hit = scan_range((0, total))
-        else:
-            step = -(-total // workers)
-            chunks = [(i, min(i + step, total)) for i in range(0, total, step)]
-            hit = _first_hit(chunks, scan_range, workers)
-        if hit is not None:
-            return ClassificationResult(
-                False, SubfamilyWitness(SetFamily(m.ground, hit))
-            )
+        for combo in combinations(bases, k):
+            masks = [s.mask for s in combo]
+            if same_boundary(masks) and (
+                first_exchange_violation(masks, frozenset(masks)) is None
+            ):
+                return ClassificationResult(
+                    False, SubfamilyWitness(SetFamily(m.ground, combo))
+                )
     return ClassificationResult(True, None)
 
 
@@ -196,7 +152,8 @@ def is_union_minimal(
     """Is no proper subfamily of the bases a base family with the same union?
 
     Exhaustive over all proper nonempty subfamilies, so the base family size
-    is capped (default 20, about a million subfamilies).
+    is capped (default 20, about a million subfamilies).  `workers` is
+    accepted and ignored.
     """
     support = m.support().mask
 
@@ -206,13 +163,16 @@ def is_union_minimal(
             u |= x
         return u == support
 
-    return _minimality_search(m, same_union, cap, workers)
+    return _minimality_search(m, same_union, cap)
 
 
 def is_intersection_minimal(
     m: Matroid, cap: int = DEFAULT_SEARCH_CAP, workers: int = 1
 ) -> ClassificationResult:
-    """Is no proper subfamily of the bases a base family with the same intersection?"""
+    """Is no proper subfamily of the bases a base family with the same intersection?
+
+    Capped like `is_union_minimal`; `workers` is accepted and ignored.
+    """
     common = m.base_intersection().mask
     full = (1 << m.ground.size) - 1
 
@@ -222,7 +182,7 @@ def is_intersection_minimal(
             c &= x
         return c == common
 
-    return _minimality_search(m, same_intersection, cap, workers)
+    return _minimality_search(m, same_intersection, cap)
 
 
 def recover_partition(m: Matroid) -> Partition | None:
@@ -243,7 +203,7 @@ def is_transversal_of(m: Matroid, p: Partition) -> bool:
     `p` must partition the union of the bases.  A true verdict is re-verified
     against its two consequences: the base family equals the one-per-block
     transversal product of `p`, and the base count equals the product of the
-    block sizes.
+    block sizes; RuntimeError if either does not hold.
     """
     if p.ground != m.ground:
         raise SupportMismatch("partition lives on a different ground set")
@@ -255,6 +215,12 @@ def is_transversal_of(m: Matroid, p: Partition) -> bool:
         (b.mask & k.mask).bit_count() == 1 for b in m.bases for k in p
     )
     if verdict:
-        assert m.bases == transversals(p)
-        assert len(m.bases) == combination_number(p)
+        if m.bases != transversals(p):
+            raise RuntimeError(
+                f"bases of a one-per-block matroid differ from the transversal product of {p}"
+            )
+        if len(m.bases) != combination_number(p):
+            raise RuntimeError(
+                f"{len(m.bases)} bases but block size product {combination_number(p)}"
+            )
     return verdict

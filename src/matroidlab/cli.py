@@ -33,9 +33,8 @@ from .matroid import (
     Matroid,
     PartitionMatroidSpec,
     make_partition_matroid,
-    make_unique_partition_matroid,
 )
-from .setalgebra import GroundSet, Partition, SetFamily
+from .setalgebra import GroundSet, SetFamily
 
 SEARCH_CAP_ENV = "MATROIDLAB_SEARCH_CAP"
 
@@ -179,13 +178,8 @@ def _split_labels(raw: str) -> list[str]:
 def cmd_make_upm(args: argparse.Namespace) -> int:
     ground = GroundSet(_split_labels(args.ground))
     blocks = [ground.subset(*_split_labels(b)) for b in args.block]
-    try:
-        partition = Partition(SetFamily(ground, blocks))
-        if len(partition) != len(blocks):
-            raise ValueError("duplicate blocks")
-        m = make_unique_partition_matroid(ground, partition)
-    except (ValueError, KeyError) as exc:
-        raise ParseError(str(exc)) from None
+    spec = PartitionMatroidSpec.paired(blocks, [1] * len(blocks))
+    m = make_partition_matroid(ground, spec)
     _emit_doc(m.to_doc(), compact=True)
     return 0
 
@@ -193,10 +187,6 @@ def cmd_make_upm(args: argparse.Namespace) -> int:
 def cmd_make_pm(args: argparse.Namespace) -> int:
     ground = GroundSet(_split_labels(args.ground))
     blocks = [ground.subset(*_split_labels(b)) for b in args.block]
-    if len(args.cap) != len(blocks):
-        raise ParseError(
-            f"{len(args.cap)} caps given for {len(blocks)} blocks"
-        )
     spec = PartitionMatroidSpec.paired(blocks, args.cap)
     m = make_partition_matroid(ground, spec)
     _emit_doc(m.to_doc(), compact=True)

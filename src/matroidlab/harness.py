@@ -14,7 +14,6 @@ the exact canonical witness).
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from time import perf_counter
 from typing import Callable, Iterable
@@ -78,8 +77,19 @@ def _one_per_block(bases: Iterable[Subset], blocks: Iterable[Subset]) -> bool:
 
 def _recovered(m: Matroid) -> Partition:
     p = recover_partition(m)
-    assert p is not None
+    if p is None:
+        raise RuntimeError(f"{m!r} has no recovered partition")
     return p
+
+
+def _first_mismatch(
+    ground: GroundSet, members: frozenset[int], described: Callable[[int], bool]
+) -> Subset | None:
+    """The least subset whose membership in `members` differs from `described`."""
+    for mask in range(1 << ground.size):
+        if (mask in members) != described(mask):
+            return Subset(ground, mask)
+    return None
 
 
 def _check_prop_100(m: Matroid) -> str | None:
@@ -185,14 +195,14 @@ def _check_prop_51_j(m: Matroid) -> str | None:
     fam = forming_family(m).family
     support = m.support().mask
     base_masks = m.bases.masks()
-    for mask in range(1 << m.ground.size):
-        member = mask in base_masks
-        described = mask & ~support == 0 and all(
-            (mask & k.mask).bit_count() == 1 for k in fam
-        )
-        if member != described:
-            x = Subset(m.ground, mask)
-            return f"{x}: base membership {member} but one-per-block description {described}"
+    x = _first_mismatch(
+        m.ground, base_masks,
+        lambda mask: mask & ~support == 0
+        and all((mask & k.mask).bit_count() == 1 for k in fam),
+    )
+    if x is not None:
+        member = x.mask in base_masks
+        return f"{x}: base membership {member} but one-per-block description {not member}"
     return None
 
 
@@ -219,16 +229,15 @@ def _check_prop_303(m: Matroid) -> str | None:
     support = p.support().mask
     for caps in ((1,) * len(p), tuple(len(b) for b in p)):
         built = make_partition_matroid(m.ground, PartitionMatroidSpec(p, caps))
-        brute = {
-            mask
-            for mask in range(1 << m.ground.size)
-            if mask & ~support == 0
+        x = _first_mismatch(
+            m.ground, built.bases.masks(),
+            lambda mask: mask & ~support == 0
             and all(
                 (mask & blk.mask).bit_count() == cap
                 for blk, cap in zip(p, caps)
-            )
-        }
-        if built.bases.masks() != brute:
+            ),
+        )
+        if x is not None:
             return f"cap vector {caps}: built bases differ from the definitional filter"
     return None
 
@@ -240,13 +249,14 @@ def _check_prop_305_306(m: Matroid) -> str | None:
         return "bases differ from the transversal product"
     support = p.support().mask
     base_masks = upm.bases.masks()
-    for mask in range(1 << m.ground.size):
-        member = mask in base_masks
-        described = mask & ~support == 0 and all(
-            (mask & k.mask).bit_count() == 1 for k in p
-        )
-        if member != described:
-            return f"{Subset(m.ground, mask)}: membership {member} vs description {described}"
+    x = _first_mismatch(
+        m.ground, base_masks,
+        lambda mask: mask & ~support == 0
+        and all((mask & k.mask).bit_count() == 1 for k in p),
+    )
+    if x is not None:
+        member = x.mask in base_masks
+        return f"{x}: membership {member} vs description {not member}"
     return None
 
 
@@ -255,13 +265,14 @@ def _check_prop_339(m: Matroid) -> str | None:
     dual = make_unique_partition_matroid(m.ground, p).dual()
     rest = p.support().complement().mask
     dual_masks = dual.bases.masks()
-    for mask in range(1 << m.ground.size):
-        member = mask in dual_masks
-        described = rest & ~mask == 0 and all(
-            (k.mask & ~mask).bit_count() == 1 for k in p
-        )
-        if member != described:
-            return f"{Subset(m.ground, mask)}: dual membership {member} vs description {described}"
+    x = _first_mismatch(
+        m.ground, dual_masks,
+        lambda mask: rest & ~mask == 0
+        and all((k.mask & ~mask).bit_count() == 1 for k in p),
+    )
+    if x is not None:
+        member = x.mask in dual_masks
+        return f"{x}: dual membership {member} vs description {not member}"
     return None
 
 
@@ -597,9 +608,10 @@ def verify(
 ) -> VerificationReport:
     """Run every applicable check on every matroid of the population.
 
-    Population items may be Matroid values or WorkedExample bundles.  Tallies
-    merge associatively, so the report is identical for any worker count and
-    any population order (witnesses are tied to their matroid's document).
+    Population items may be Matroid values or WorkedExample bundles.  Checks
+    run sequentially in population order; `workers` is accepted and ignored.
+    Witnesses are tied to their matroid's document, so the report is
+    deterministic for a fixed population and registry.
     """
     matroids: list[Matroid] = []
     for item in population:
@@ -610,31 +622,16 @@ def verify(
     checks = theorem_registry() if registry is None else list(registry)
 
     start = perf_counter()
-
-    def run_one(m: Matroid) -> list[str | None | bool]:
-        row: list[str | None | bool] = []
-        for check in checks:
-            if not check.applies(m):
-                row.append(False)  # skipped
-            else:
-                row.append(check.run(m))
-        return row
-
-    if workers <= 1:
-        rows = [run_one(m) for m in matroids]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(run_one, matroids))
-
     outcomes = [CheckOutcome(c.check_id, c.statement) for c in checks]
     by_size: dict[int, int] = {}
     by_rank: dict[int, int] = {}
-    for m, row in zip(matroids, rows):
+    for m in matroids:
         by_size[m.ground.size] = by_size.get(m.ground.size, 0) + 1
         by_rank[m.rank] = by_rank.get(m.rank, 0) + 1
-        for outcome, result in zip(outcomes, row):
-            if result is False:
-                continue  # not applicable
+        for check, outcome in zip(checks, outcomes):
+            if not check.applies(m):
+                continue
+            result = check.run(m)
             outcome.applicable += 1
             if result is None:
                 outcome.passed += 1

@@ -1,6 +1,7 @@
 import pytest
 
 from matroidlab import (
+    ClassificationResult,
     ExchangeWitness,
     ExpansionWitness,
     GroundSet,
@@ -35,6 +36,16 @@ def mk(labels, *bases):
 @pytest.fixture
 def uniform3():
     return mk("123", "12", "13", "23")
+
+
+class TestClassificationResult:
+    def test_verdict_must_match_witness(self):
+        g = GroundSet("123")
+        witness = ExpansionWitness(g.subset("1"), g.subset("2", "3"), "2", "3")
+        with pytest.raises(ValueError):
+            ClassificationResult(True, witness)
+        with pytest.raises(ValueError):
+            ClassificationResult(False, None)
 
 
 class TestUniqueExpansion:
@@ -169,8 +180,8 @@ class TestDeterminism:
             assert self._witnesses(workers=workers) == reference
 
     def test_chunked_search_layers_agree_with_sequential(self):
-        # 8 bases put 70 subfamilies in the middle size layer, enough to
-        # engage the chunked threaded scan
+        # 8 bases put 70 subfamilies in the middle size layer; every worker
+        # count runs the same sequential scan
         m = mk("123456", *("".join(t) for t in
                            [(a, b, c) for a in "12" for b in "34" for c in "56"]))
         assert len(m.bases) == 8

@@ -112,6 +112,16 @@ class TestVerify:
             replayed = Matroid.from_doc(witness["matroid"])
             assert rigged.run(replayed) == witness["detail"]
 
+    def test_checker_returning_false_counts_as_failure(self):
+        # a falsy detail is still a failure, not a sign the check was skipped
+        rigged = TheoremCheck(
+            "rigged_false", "returns False on its only matroid",
+            lambda m: True, lambda m: False,
+        )
+        report = verify(population(1)[:1], [rigged])
+        outcome = report.outcomes[0]
+        assert (outcome.applicable, outcome.passed, outcome.failed) == (1, 0, 1)
+
     def test_invalid_family_never_reaches_verification(self):
         g = GroundSet("123")
         with pytest.raises(UnequalCardinality):
