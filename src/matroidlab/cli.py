@@ -194,6 +194,8 @@ def cmd_make_pm(args: argparse.Namespace) -> int:
 
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
+    if args.rank is not None and not 0 <= args.rank <= args.n:
+        raise ParseError(f"--rank must lie in 0..{args.n}, got {args.rank}")
     stream = enumerate_matroids(args.n, args.rank)
     if args.count_only:
         print(sum(1 for _ in stream))
@@ -204,6 +206,8 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    if args.n < 1:
+        raise ParseError(f"--n must be at least 1, got {args.n}")
     registry = theorem_registry()
     if args.checks:
         wanted = [c.strip() for c in args.checks.split(",") if c.strip()]

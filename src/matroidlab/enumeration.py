@@ -1,24 +1,29 @@
 """Exhaustive enumeration of every labeled matroid on a small ground set.
 
-For each rank r the enumerator scans every nonempty family of r-element
-subsets and keeps the ones satisfying the base exchange requirement; a family
-of equal-size sets is automatically an antichain.  The scan is organized by
-the canonically least member: fix it, then extend with canonically greater
-r-subsets only, so each family is visited exactly once.
+The population on {1..n} is grown one element at a time by single-element
+extension (Crapo, "Single-element extensions of matroids", J. Res. NBS 69B,
+1965; Mayhew & Royle, "Matroids with nine elements", JCTB 98, 2008).  Every
+matroid N on n elements has a unique deletion M = N \\ n on n - 1 elements,
+and N is either M with n added as a coloop, or the extension of M cut out by
+one linear subclass of M's hyperplanes: a set L of hyperplanes such that
+whenever two members of L meet in a coline (a flat of rank r - 2), every
+hyperplane through that coline is in L.  The extension by L keeps M's bases
+and adds s + n for each secondary base s whose closure is not in L; L = all
+hyperplanes makes n a loop, L = {} puts n in general position.  Extending
+every matroid on n - 1 elements by its coloop and by each of its linear
+subclasses therefore yields every matroid on n elements exactly once.
 
-The exchange test here is a standalone bitmask routine kept deliberately
-independent of the validating constructor, so the two routes can cross-check
-each other (the test suite compares this enumeration against an oracle that
-pushes every candidate family through Matroid.from_bases).
+Everything here works on bitmasks and never calls the validating constructor
+(Matroid.from_bases) or its exchange test, so the two routes stay independent
+and can cross-check each other: the test suite compares this enumeration
+against oracles that push every candidate family through Matroid.from_bases.
 
-Matroid counts grow super-exponentially, so the ground size is hard-capped at
-6; sizes up to 5 are instant, size 6 is a slow opt-in scan.
+Matroid counts grow super-exponentially, so the ground size is capped at 6.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import combinations
 from typing import Iterator
 
 from .errors import GroundSetTooLarge
@@ -37,43 +42,92 @@ def enumeration_ground(n: int) -> GroundSet:
     return _GROUNDS[n]
 
 
-def _exchange_closed(fam: tuple[int, ...], bits_of: list[tuple[int, ...]]) -> bool:
-    # bitmask-level base exchange test over an equal-cardinality family
-    members = set(fam)
-    for b1 in fam:
-        for b2 in fam:
-            if b1 == b2:
+def _linear_subclasses(hyperplanes: list[int], r: int, bases: tuple[int, ...]) -> list[int]:
+    """Every linear subclass, as a bitmask over indices into `hyperplanes`."""
+    colines: dict[int, int] = {}
+    for i, h in enumerate(hyperplanes):
+        for j in range(i + 1, len(hyperplanes)):
+            meet = h & hyperplanes[j]
+            if meet in colines:
                 continue
-            incoming = bits_of[b2 & ~b1]
-            for x in bits_of[b1 & ~b2]:
-                stripped = b1 ^ (1 << x)
-                for y in incoming:
-                    if stripped | (1 << y) in members:
-                        break
-                else:
-                    return False
-    return True
+            if max((b & meet).bit_count() for b in bases) == r - 2:
+                colines[meet] = sum(
+                    1 << k for k, g in enumerate(hyperplanes) if meet & ~g == 0
+                )
+    # a coline on exactly two hyperplanes constrains nothing; the others are
+    # checked as soon as their last hyperplane is decided
+    checks: list[list[int]] = [[] for _ in hyperplanes]
+    for through in colines.values():
+        if through.bit_count() > 2:
+            checks[through.bit_length() - 1].append(through)
+    found = []
+    stack = [(0, 0)]
+    while stack:
+        i, chosen = stack.pop()
+        if i == len(hyperplanes):
+            found.append(chosen)
+            continue
+        for pick in (chosen, chosen | 1 << i):
+            if all(
+                (pick & through).bit_count() <= 1 or pick & through == through
+                for through in checks[i]
+            ):
+                stack.append((i + 1, pick))
+    return found
+
+
+def _extensions(bases: tuple[int, ...], r: int, n: int) -> Iterator[list[int]]:
+    """Base families of every matroid on n elements whose deletion of the
+    element n - 1 has the given bases (on n - 1 elements) and rank r."""
+    e = 1 << (n - 1)
+    yield [b | e for b in bases]
+    if r == 0:
+        yield list(bases)
+        return
+    present = set(bases)
+    secondary = sorted(
+        {b & ~(1 << i) for b in bases for i in range(n - 1) if b >> i & 1}
+    )
+    hyperplanes: list[int] = []
+    where: dict[int, int] = {}
+    closure_of = []
+    for s in secondary:
+        # i lies outside cl(s) exactly when s + i is a base
+        h = (e - 1) & ~sum(1 << i for i in range(n - 1) if s | 1 << i in present)
+        if h not in where:
+            where[h] = len(hyperplanes)
+            hyperplanes.append(h)
+        closure_of.append(where[h])
+    for subclass in _linear_subclasses(hyperplanes, r, bases):
+        yield [*bases, *(
+            s | e for s, h in zip(secondary, closure_of) if not subclass >> h & 1
+        )]
 
 
 @lru_cache(maxsize=None)
-def _rank_families(n: int, r: int) -> tuple[tuple[int, ...], ...]:
-    rsets = [sum(1 << i for i in c) for c in combinations(range(n), r)]
-    bits_of = [
-        tuple(i for i in range(n) if (m >> i) & 1) for m in range(1 << n)
-    ]
-    found: list[tuple[int, ...]] = []
-    for least in range(len(rsets)):
-        head = rsets[least]
-        tail = rsets[least + 1:]
-        for size in range(len(tail) + 1):
-            for extra in combinations(tail, size):
-                fam = (head, *extra)
-                if _exchange_closed(fam, bits_of):
-                    found.append(fam)
-    # members are already canonically sorted within each family; order the
-    # families themselves canonically as well
-    found.sort(key=lambda fam: tuple(bits_of[m] for m in fam))
-    return tuple(found)
+def _families(n: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """Per rank 0..n, the canonically sorted base-mask families on n elements."""
+    if n == 0:
+        return (((0,),),)
+    # position of each mask in the canonical subset order (cardinality, then
+    # index list), so member and family sort keys are small int tuples
+    order = sorted(
+        range(1 << n),
+        key=lambda m: (m.bit_count(), [i for i in range(n) if m >> i & 1]),
+    )
+    position = [0] * (1 << n)
+    for p, m in enumerate(order):
+        position[m] = p
+    by_rank: list[list[tuple[int, ...]]] = [[] for _ in range(n + 1)]
+    for r, families in enumerate(_families(n - 1)):
+        for bases in families:
+            for fam in _extensions(bases, r, n):
+                by_rank[fam[0].bit_count()].append(
+                    tuple(sorted(fam, key=position.__getitem__))
+                )
+    for families in by_rank:
+        families.sort(key=lambda fam: tuple(map(position.__getitem__, fam)))
+    return tuple(tuple(families) for families in by_rank)
 
 
 def enumerate_matroids(n: int, rank: int | None = None) -> Iterator[Matroid]:
@@ -91,7 +145,7 @@ def enumerate_matroids(n: int, rank: int | None = None) -> Iterator[Matroid]:
     for r in ranks:
         if not 0 <= r <= n:
             continue
-        for fam in _rank_families(n, r):
+        for fam in _families(n)[r]:
             family = SetFamily(ground, (Subset(ground, m) for m in fam))
             yield Matroid._trusted(ground, family)
 

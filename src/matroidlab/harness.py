@@ -27,6 +27,7 @@ from .classify import (
     is_unique_expansion,
     recover_partition,
 )
+from .errors import SearchCapExceeded
 from .forming import forming_family, forming_family_wrt
 from .matroid import (
     Matroid,
@@ -537,6 +538,10 @@ class CheckOutcome:
     passed: int = 0
     failed: int = 0
     witnesses: list[dict] = field(default_factory=list)
+    # matroids whose check hit an exhaustive search cap: applicable, but
+    # neither passed nor failed
+    capped: int = 0
+    cap_hits: list[dict] = field(default_factory=list)
 
     def to_dict(self) -> dict:
         return {
@@ -546,6 +551,8 @@ class CheckOutcome:
             "passed": self.passed,
             "failed": self.failed,
             "witnesses": self.witnesses,
+            "capped": self.capped,
+            "cap_hits": self.cap_hits,
         }
 
 
@@ -562,6 +569,10 @@ class VerificationReport:
     @property
     def failures(self) -> int:
         return sum(o.failed for o in self.outcomes)
+
+    @property
+    def capped(self) -> int:
+        return sum(o.capped for o in self.outcomes)
 
     def to_dict(self) -> dict:
         return {
@@ -585,18 +596,23 @@ class VerificationReport:
             "  by rank: "
             + ", ".join(f"{k}: {self.by_rank[k]}" for k in sorted(self.by_rank)),
             "",
-            f"{'check':<16}{'applicable':>11}{'passed':>8}{'failed':>8}",
+            f"{'check':<16}{'applicable':>11}{'passed':>8}{'failed':>8}{'capped':>8}",
         ]
         for o in self.outcomes:
             lines.append(
                 f"{o.check_id:<16}{o.applicable:>11}{o.passed:>8}{o.failed:>8}"
+                f"{o.capped:>8}"
             )
             for w in o.witnesses:
                 lines.append(f"    witness: {w['detail']} on {w['matroid']}")
+            for w in o.cap_hits:
+                lines.append(f"    capped: {w['detail']} on {w['matroid']}")
         verdict = "PASS" if self.failures == 0 else f"FAIL ({self.failures} failures)"
+        capped = f", {self.capped} capped" if self.capped else ""
         lines.append("")
         lines.append(
-            f"result: {verdict} ({len(self.outcomes)} checks) in {self.duration_ms} ms"
+            f"result: {verdict} ({len(self.outcomes)} checks{capped})"
+            f" in {self.duration_ms} ms"
         )
         return "\n".join(lines)
 
@@ -610,8 +626,10 @@ def verify(
 
     Population items may be Matroid values or WorkedExample bundles.  Checks
     run sequentially in population order; `workers` is accepted and ignored.
-    Witnesses are tied to their matroid's document, so the report is
-    deterministic for a fixed population and registry.
+    A check that exceeds an exhaustive search cap is tallied as capped on
+    that matroid, and the sweep goes on.  Witnesses and cap hits are tied to
+    their matroid's document, so the report is deterministic for a fixed
+    population and registry.
     """
     matroids: list[Matroid] = []
     for item in population:
@@ -631,8 +649,13 @@ def verify(
         for check, outcome in zip(checks, outcomes):
             if not check.applies(m):
                 continue
-            result = check.run(m)
             outcome.applicable += 1
+            try:
+                result = check.run(m)
+            except SearchCapExceeded as exc:
+                outcome.capped += 1
+                outcome.cap_hits.append({"matroid": m.to_doc(), "detail": str(exc)})
+                continue
             if result is None:
                 outcome.passed += 1
             else:

@@ -3,7 +3,8 @@
 Everything here deliberately goes through definitions rather than through the
 code paths under test: ranks by scanning all subsets for independence,
 enumeration by pushing every candidate family through the validating
-constructor, expansion sets by comparing maximal independent subsets.
+constructor or by scanning every family with a literal exchange test,
+expansion sets by comparing maximal independent subsets.
 """
 
 from __future__ import annotations
@@ -27,6 +28,43 @@ def all_antichain_matroids(n: int) -> list[Matroid]:
                     found.append(Matroid.from_bases(ground, SetFamily(ground, combo)))
                 except AxiomError:
                     pass
+    return found
+
+
+def exchange_scan_families(n: int, r: int) -> list[tuple[int, ...]]:
+    """Every base family of rank r on {1..n} as a mask tuple, in canonical
+    order: scan each family of r-subsets, keeping those closed under base
+    exchange (equal-size sets always form an antichain)."""
+    rsets = [sum(1 << i for i in c) for c in combinations(range(n), r)]
+    bits_of = [tuple(i for i in range(n) if m >> i & 1) for m in range(1 << n)]
+
+    def exchange_closed(fam: tuple[int, ...]) -> bool:
+        members = set(fam)
+        for b1 in fam:
+            for b2 in fam:
+                if b1 == b2:
+                    continue
+                incoming = bits_of[b2 & ~b1]
+                for x in bits_of[b1 & ~b2]:
+                    stripped = b1 ^ (1 << x)
+                    for y in incoming:
+                        if stripped | (1 << y) in members:
+                            break
+                    else:
+                        return False
+        return True
+
+    # fixing the least member and extending with greater r-subsets visits
+    # each family once; members come out in canonical order already
+    found = []
+    for least, head in enumerate(rsets):
+        tail = rsets[least + 1:]
+        for size in range(len(tail) + 1):
+            for extra in combinations(tail, size):
+                fam = (head, *extra)
+                if exchange_closed(fam):
+                    found.append(fam)
+    found.sort(key=lambda fam: tuple(bits_of[m] for m in fam))
     return found
 
 

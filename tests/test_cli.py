@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -231,6 +232,28 @@ class TestEnumerate:
         code, _, err = run(capsys, "enumerate", "--n", "9")
         assert code == 2
 
+    @pytest.mark.parametrize("rank", ["-1", "4"])
+    def test_rank_out_of_range_exit_2(self, capsys, rank):
+        code, out, err = run(capsys, "enumerate", "--n", "3", "--rank", rank)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")
+
+    # sha256 of each stream, the same digests the benchmark gates on; they pin
+    # the canonical order as well as the population
+    @pytest.mark.parametrize("n,digest", [
+        (1, "d520aa39c3500e69b31279110e3429e0c344619c4626f01c41bf8d98f60e1bcb"),
+        (2, "0112775c0c4dc304165268bf46ea74a296237f80422f1667851513d5910d48c1"),
+        (3, "39b6963ac6040ec592498cfa1c6734d64057d8dab5810c759222ce64ca14a1fe"),
+        (4, "d28550e170b50fed783f4c97dbfaf379332ed4d953d638605a15e3570240d19c"),
+        (5, "37a8e6cb2005a4b48fb9def118344100b7d5b890d2a55149d06080ff5c3ab608"),
+        (6, "6d0ed340426aec57903712c57e7a049c9d9c3bcd29e415b04a3a98b909b9c0a4"),
+    ])
+    def test_golden_stream(self, capsys, n, digest):
+        code, out, _ = run(capsys, "enumerate", "--n", str(n))
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
 
 class TestVerify:
     def test_small_sweep_passes(self, capsys):
@@ -252,6 +275,13 @@ class TestVerify:
         )
         assert code == 0
         assert [c["id"] for c in json.loads(out)["checks"]] == ["prop_100", "thm_334"]
+
+    @pytest.mark.parametrize("n", ["0", "-1"])
+    def test_empty_population_exit_2(self, capsys, n):
+        code, out, err = run(capsys, "verify", "--n", n)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")
 
     def test_unknown_check_exit_2(self, capsys):
         code, _, err = run(capsys, "verify", "--n", "2", "--checks", "nope")

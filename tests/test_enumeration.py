@@ -3,10 +3,11 @@ import pytest
 from matroidlab import Matroid, count_matroids, enumerate_matroids, enumeration_ground
 from matroidlab.errors import GroundSetTooLarge
 
-from oracles import all_antichain_matroids
+from oracles import all_antichain_matroids, exchange_scan_families
 
-# totals produced by the all-antichains oracle (cross-checked live at n <= 3;
-# the n=6 figure was confirmed once against the oracle route, which takes ~30s)
+# labeled matroids on n elements (OEIS A058673); TestAgainstOracle rederives
+# them live, through the all-antichains oracle for n <= 5 and the exchange
+# scan oracle for n <= 6
 KNOWN_COUNTS = {1: 2, 2: 5, 3: 16, 4: 68, 5: 406, 6: 3807}
 
 # per-rank breakdown, same provenance
@@ -48,6 +49,13 @@ class TestAgainstOracle:
         assert ours == oracle
         assert len(ours) == KNOWN_COUNTS[n]
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_matches_exchange_scan_oracle_in_order(self, n):
+        # the same mask tuples in the same canonical order, rank by rank
+        for r in range(n + 1):
+            ours = [tuple(s.mask for s in m.bases) for m in enumerate_matroids(n, r)]
+            assert ours == exchange_scan_families(n, r)
+
 
 class TestStreamProperties:
     def test_no_duplicates(self):
@@ -56,7 +64,7 @@ class TestStreamProperties:
             assert len(seen) == len(set(seen))
 
     def test_canonical_order(self):
-        for n in (1, 2, 3, 4):
+        for n in (1, 2, 3, 4, 5, 6):
             keys = [(m.rank, m.bases.sort_key) for m in enumerate_matroids(n)]
             assert keys == sorted(keys)
 
@@ -76,15 +84,16 @@ class TestStreamProperties:
         assert enumeration_ground(3).labels == ("1", "2", "3")
 
     def test_population_is_closed_under_duality(self):
-        for n in (1, 2, 3, 4):
+        for n in (1, 2, 3, 4, 5, 6):
             population = {m.bases.masks() for m in enumerate_matroids(n)}
             for m in enumerate_matroids(n):
                 assert m.dual().bases.masks() in population
 
     def test_every_yielded_family_validates(self):
         # the trusted fast path must only emit families from_bases would accept
-        for m in enumerate_matroids(4):
-            assert Matroid.from_bases(m.ground, m.bases) == m
+        for n in (1, 2, 3, 4, 5, 6):
+            for m in enumerate_matroids(n):
+                assert Matroid.from_bases(m.ground, m.bases) == m
 
     @pytest.mark.parametrize("n", [0, 7, -1])
     def test_size_guard(self, n):

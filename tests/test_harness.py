@@ -1,4 +1,5 @@
 import json
+from itertools import combinations
 
 import pytest
 
@@ -14,7 +15,7 @@ from matroidlab import (
     theorem_registry,
     verify,
 )
-from matroidlab.errors import UnequalCardinality
+from matroidlab.errors import SearchCapExceeded, UnequalCardinality
 
 
 def population(max_n):
@@ -122,6 +123,30 @@ class TestVerify:
         outcome = report.outcomes[0]
         assert (outcome.applicable, outcome.passed, outcome.failed) == (1, 0, 1)
 
+    def test_search_cap_is_tallied_not_raised(self):
+        # U(3,7) has 35 bases, above the minimality search cap of 20
+        g = GroundSet("1234567")
+        u37 = Matroid.from_bases(
+            g, SetFamily(g, [g.subset_of(c) for c in combinations(range(7), 3)])
+        )
+        report = verify([u37, *population(2)])
+        assert report.failures == 0
+        assert report.capped > 0
+        for outcome in report.outcomes:
+            assert outcome.applicable == outcome.passed + outcome.failed + outcome.capped
+            hits = [hit["matroid"] for hit in outcome.cap_hits]
+            assert hits == [u37.to_doc()] * outcome.capped
+        thm_334 = lookup_check("thm_334")
+        row = next(r for r in report.to_dict()["checks"] if r["id"] == "thm_334")
+        assert (row["applicable"], row["passed"], row["capped"]) == (8, 7, 1)
+        assert "exceed" in row["cap_hits"][0]["detail"]
+        assert Matroid.from_doc(row["cap_hits"][0]["matroid"]) == u37
+        with pytest.raises(SearchCapExceeded):
+            thm_334.run(u37)
+        text = report.to_text()
+        assert "capped:" in text
+        assert f"{report.capped} capped" in text
+
     def test_invalid_family_never_reaches_verification(self):
         g = GroundSet("123")
         with pytest.raises(UnequalCardinality):
@@ -139,6 +164,7 @@ class TestVerify:
         for row in doc["checks"]:
             assert set(row) == {
                 "id", "paper_ref", "applicable", "passed", "failed", "witnesses",
+                "capped", "cap_hits",
             }
 
     def test_text_report_mentions_every_check(self):
