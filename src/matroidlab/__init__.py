@@ -27,7 +27,6 @@ from .enumeration import (
     enumeration_ground,
 )
 from .forming import (
-    FormingFamily,
     expansion,
     forming_family,
     forming_family_wrt,
@@ -65,6 +64,7 @@ from .setalgebra import (
     is_partition,
     low,
     maximal,
+    one_per_block,
     transversals,
 )
 
@@ -83,6 +83,7 @@ __all__ = [
     "is_partition",
     "combination_number",
     "transversals",
+    "one_per_block",
     "all_partitions",
     "MAX_GROUND_SIZE",
     "Matroid",
@@ -92,7 +93,6 @@ __all__ = [
     "are_isomorphic",
     "secondary_bases",
     "expansion",
-    "FormingFamily",
     "forming_family",
     "forming_family_wrt",
     "ClassificationResult",

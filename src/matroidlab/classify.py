@@ -23,6 +23,7 @@ from .setalgebra import (
     Subset,
     combination_number,
     is_partition,
+    one_per_block,
     transversals,
 )
 
@@ -191,7 +192,7 @@ def recover_partition(m: Matroid) -> Partition | None:
     When present this is the unique partition of the support that every base
     meets exactly once per block.
     """
-    fam = forming_family(m).family
+    fam = forming_family(m)
     if is_partition(fam, m.support()):
         return Partition(fam)
     return None
@@ -211,9 +212,7 @@ def is_transversal_of(m: Matroid, p: Partition) -> bool:
         raise SupportMismatch(
             f"partition support {p.support()} differs from base support {m.support()}"
         )
-    verdict = all(
-        (b.mask & k.mask).bit_count() == 1 for b in m.bases for k in p
-    )
+    verdict = one_per_block(m.bases.masks(), p)
     if verdict:
         if m.bases != transversals(p):
             raise RuntimeError(

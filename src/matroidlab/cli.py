@@ -78,7 +78,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     out["rank"] = m.rank
     out["support"] = list(m.support().labels())
 
-    fam = forming_family(m).family if m.rank > 0 else None
+    fam = forming_family(m) if m.rank > 0 else None
     recovered = recover_partition(m) if m.rank > 0 else None
     results = {
         "unique_expansion": is_unique_expansion(m) if m.rank > 0 else None,
@@ -142,8 +142,8 @@ def cmd_forming(args: argparse.Namespace) -> int:
     m = parse_matroid_file(args.file)
     try:
         secondaries = secondary_bases(m)
-        global_family = forming_family(m).family
-        per_base = [(b, forming_family_wrt(m, b).family) for b in m.bases]
+        global_family = forming_family(m)
+        per_base = [(b, forming_family_wrt(m, b)) for b in m.bases]
     except RankZero as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -175,19 +175,12 @@ def _split_labels(raw: str) -> list[str]:
     return labels
 
 
-def cmd_make_upm(args: argparse.Namespace) -> int:
+def cmd_make_partition(args: argparse.Namespace) -> int:
+    """`make-pm` with its `--cap` list, or `make-upm` with every cap 1."""
     ground = GroundSet(_split_labels(args.ground))
     blocks = [ground.subset(*_split_labels(b)) for b in args.block]
-    spec = PartitionMatroidSpec.paired(blocks, [1] * len(blocks))
-    m = make_partition_matroid(ground, spec)
-    _emit_doc(m.to_doc(), compact=True)
-    return 0
-
-
-def cmd_make_pm(args: argparse.Namespace) -> int:
-    ground = GroundSet(_split_labels(args.ground))
-    blocks = [ground.subset(*_split_labels(b)) for b in args.block]
-    spec = PartitionMatroidSpec.paired(blocks, args.cap)
+    caps = [1] * len(blocks) if args.cap is None else args.cap
+    spec = PartitionMatroidSpec.paired(blocks, caps)
     m = make_partition_matroid(ground, spec)
     _emit_doc(m.to_doc(), compact=True)
     return 0
@@ -246,7 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ground", required=True, help="comma-separated labels")
     p.add_argument("--block", action="append", required=True,
                    help="comma-separated labels, repeatable")
-    p.set_defaults(func=cmd_make_upm)
+    p.set_defaults(func=cmd_make_partition, cap=None)
 
     p = sub.add_parser("make-pm", help="build a capped partition matroid")
     p.add_argument("--ground", required=True, help="comma-separated labels")
@@ -254,7 +247,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated labels, repeatable")
     p.add_argument("--cap", action="append", required=True, type=int,
                    help="cap for the matching --block, repeatable")
-    p.set_defaults(func=cmd_make_pm)
+    p.set_defaults(func=cmd_make_partition)
 
     p = sub.add_parser("enumerate", help="enumerate all matroids on n elements")
     p.add_argument("--n", type=int, required=True)
@@ -275,19 +268,13 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except AxiomError as exc:
         print(f"invalid matroid: {exc}", file=sys.stderr)
         return 1
     except KeyError as exc:
         print(f"error: {exc.args[0] if exc.args else exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:  # ParseError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

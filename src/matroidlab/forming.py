@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import NotABase, RankZero
 from .matroid import Matroid
 from .setalgebra import SetFamily, Subset
@@ -46,42 +44,20 @@ def expansion(m: Matroid, x: Subset) -> Subset:
     return Subset(m.ground, out)
 
 
-@dataclass(frozen=True)
-class FormingFamily:
-    """Deduplicated family of expansion sets of secondary bases.
+def forming_family(m: Matroid) -> SetFamily:
+    """The forming family: expansion sets of all secondary bases, deduplicated.
 
-    `base` records the base the family is relative to, or None for the global
-    family built from every secondary base.
+    Returned as a plain canonically ordered `SetFamily`; `recover_partition`
+    turns it into a `Partition` when its blocks partition the base support.
     """
-
-    family: SetFamily
-    base: Subset | None = None
-
-    @property
-    def is_global(self) -> bool:
-        return self.base is None
-
-    def __iter__(self):
-        return iter(self.family)
-
-    def __len__(self) -> int:
-        return len(self.family)
+    return SetFamily(m.ground, {expansion(m, a) for a in secondary_bases(m)})
 
 
-def forming_family(m: Matroid) -> FormingFamily:
-    """Expansion sets of all secondary bases, deduplicated.
+def forming_family_wrt(m: Matroid, b: Subset) -> SetFamily:
+    """The forming family relative to the base `b`, as a `SetFamily`.
 
-    Block order is deterministic because secondary bases are scanned in
-    canonical order and the result is itself canonically ordered.
-    """
-    blocks = {expansion(m, a) for a in secondary_bases(m)}
-    return FormingFamily(SetFamily(m.ground, blocks))
-
-
-def forming_family_wrt(m: Matroid, b: Subset) -> FormingFamily:
-    """Expansion sets of the secondary bases contained in the base `b`.
-
-    The secondary bases inside a base are exactly its one-element deletions.
+    Its blocks are the expansion sets of the secondary bases inside `b`,
+    which are exactly the one-element deletions of `b`.
     """
     if m.rank == 0:
         raise RankZero("forming families are undefined at rank zero")
@@ -93,4 +69,4 @@ def forming_family_wrt(m: Matroid, b: Subset) -> FormingFamily:
         bit = rest & -rest
         rest ^= bit
         blocks.add(expansion(m, Subset(m.ground, b.mask ^ bit)))
-    return FormingFamily(SetFamily(m.ground, blocks), base=b)
+    return SetFamily(m.ground, blocks)

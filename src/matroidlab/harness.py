@@ -46,6 +46,7 @@ from .setalgebra import (
     is_covering,
     is_partition,
     low,
+    one_per_block,
     transversals,
 )
 
@@ -72,14 +73,14 @@ def _expansion_unique(m: Matroid) -> bool:
     return m.rank > 0 and is_unique_expansion(m).verdict
 
 
-def _one_per_block(bases: Iterable[Subset], blocks: Iterable[Subset]) -> bool:
-    return all((b.mask & k.mask).bit_count() == 1 for b in bases for k in blocks)
+class _MissingFact(Exception):
+    """A fact the check's hypothesis implies is absent: a failure of that matroid."""
 
 
 def _recovered(m: Matroid) -> Partition:
     p = recover_partition(m)
     if p is None:
-        raise RuntimeError(f"{m!r} has no recovered partition")
+        raise _MissingFact("the forming family does not partition the base support")
     return p
 
 
@@ -119,21 +120,21 @@ def _check_thm_123(m: Matroid) -> str | None:
 
 def _check_prop_341(m: Matroid) -> str | None:
     for b in m.bases:
-        fam = forming_family_wrt(m, b).family
+        fam = forming_family_wrt(m, b)
         if len(fam) != m.rank:
             return f"|forming family wrt {b}| = {len(fam)} != rank {m.rank}"
     return None
 
 
 def _check_cor_423(m: Matroid) -> str | None:
-    fam = forming_family(m).family
+    fam = forming_family(m)
     if len(fam) < m.rank:
         return f"|forming family| = {len(fam)} < rank {m.rank}"
     return None
 
 
 def _check_prop_46(m: Matroid) -> str | None:
-    u = forming_family(m).family.union()
+    u = forming_family(m).union()
     if u != m.support():
         return f"union of forming family {u} != base support {m.support()}"
     return None
@@ -141,7 +142,7 @@ def _check_prop_46(m: Matroid) -> str | None:
 
 def _check_prop_124(m: Matroid) -> str | None:
     for b in m.bases:
-        u = forming_family_wrt(m, b).family.union()
+        u = forming_family_wrt(m, b).union()
         if u != m.support():
             return f"union of forming family wrt {b} is {u} != {m.support()}"
     return None
@@ -149,7 +150,7 @@ def _check_prop_124(m: Matroid) -> str | None:
 
 def _check_lemma_e(m: Matroid) -> str | None:
     for b in m.bases:
-        fam = forming_family_wrt(m, b).family
+        fam = forming_family_wrt(m, b)
         for i in b.indices():
             hits = sum(1 for k in fam if (k.mask >> i) & 1)
             if hits != 1:
@@ -163,7 +164,7 @@ def _check_lemma_e(m: Matroid) -> str | None:
 def _check_lemma_66(m: Matroid) -> str | None:
     target = SetFamily(m.ground, [m.support()])
     for b in m.bases:
-        fam = forming_family_wrt(m, b).family
+        fam = forming_family_wrt(m, b)
         if fam != target:
             return f"rank-one forming family wrt {b} is {fam}, not {target}"
     return None
@@ -171,35 +172,34 @@ def _check_lemma_66(m: Matroid) -> str | None:
 
 def _check_thm_50(m: Matroid) -> str | None:
     ue = is_unique_expansion(m).verdict
-    part = is_partition(forming_family(m).family, m.support())
+    part = is_partition(forming_family(m), m.support())
     if ue != part:
         return f"unique expansion {ue} but forming family partitions support {part}"
     return None
 
 
 def _check_prop_h(m: Matroid) -> str | None:
-    fam = forming_family(m).family
-    if not _one_per_block(m.bases, fam):
+    fam = forming_family(m)
+    if not one_per_block(m.bases.masks(), fam):
         return f"some base does not meet every block of {fam} exactly once"
     return None
 
 
 def _check_thm_126(m: Matroid) -> str | None:
     ue = is_unique_expansion(m).verdict
-    count = len(forming_family(m).family)
+    count = len(forming_family(m))
     if ue != (count == m.rank):
         return f"unique expansion {ue} but |forming family| = {count}, rank {m.rank}"
     return None
 
 
 def _check_prop_51_j(m: Matroid) -> str | None:
-    fam = forming_family(m).family
+    fam = forming_family(m)
     support = m.support().mask
     base_masks = m.bases.masks()
     x = _first_mismatch(
         m.ground, base_masks,
-        lambda mask: mask & ~support == 0
-        and all((mask & k.mask).bit_count() == 1 for k in fam),
+        lambda mask: mask & ~support == 0 and one_per_block((mask,), fam),
     )
     if x is not None:
         member = x.mask in base_masks
@@ -208,7 +208,7 @@ def _check_prop_51_j(m: Matroid) -> str | None:
 
 
 def _check_prop_125(m: Matroid) -> str | None:
-    prod = transversals(Partition(forming_family(m).family))
+    prod = transversals(Partition(forming_family(m)))
     if m.bases != prod:
         return f"bases {m.bases} != transversal product {prod}"
     return None
@@ -245,15 +245,11 @@ def _check_prop_303(m: Matroid) -> str | None:
 
 def _check_prop_305_306(m: Matroid) -> str | None:
     p = _recovered(m)
-    upm = make_unique_partition_matroid(m.ground, p)
-    if upm.bases != transversals(p):
-        return "bases differ from the transversal product"
+    base_masks = make_unique_partition_matroid(m.ground, p).bases.masks()
     support = p.support().mask
-    base_masks = upm.bases.masks()
     x = _first_mismatch(
         m.ground, base_masks,
-        lambda mask: mask & ~support == 0
-        and all((mask & k.mask).bit_count() == 1 for k in p),
+        lambda mask: mask & ~support == 0 and one_per_block((mask,), p),
     )
     if x is not None:
         member = x.mask in base_masks
@@ -264,12 +260,12 @@ def _check_prop_305_306(m: Matroid) -> str | None:
 def _check_prop_339(m: Matroid) -> str | None:
     p = _recovered(m)
     dual = make_unique_partition_matroid(m.ground, p).dual()
+    full = m.ground.full().mask
     rest = p.support().complement().mask
     dual_masks = dual.bases.masks()
     x = _first_mismatch(
         m.ground, dual_masks,
-        lambda mask: rest & ~mask == 0
-        and all((k.mask & ~mask).bit_count() == 1 for k in p),
+        lambda mask: rest & ~mask == 0 and one_per_block((full ^ mask,), p),
     )
     if x is not None:
         member = x.mask in dual_masks
@@ -288,7 +284,7 @@ def _check_cor_336(m: Matroid) -> str | None:
 def _check_thm_321(m: Matroid) -> str | None:
     p = _recovered(m)
     upm = make_unique_partition_matroid(m.ground, p)
-    back = forming_family(upm).family
+    back = forming_family(upm)
     if back != p.family:
         return f"forming family {back} != defining partition {p.family}"
     return None
@@ -307,8 +303,9 @@ def _check_thm_52(m: Matroid) -> str | None:
 
 
 def _check_thm_33(m: Matroid) -> str | None:
+    base_masks = m.bases.masks()
     for p in all_partitions(m.support()):
-        once = _one_per_block(m.bases, p)
+        once = one_per_block(base_masks, p)
         prod = m.bases == transversals(p)
         if once != prod:
             return f"partition {p.family}: one-per-block {once} but product match {prod}"
@@ -330,9 +327,8 @@ def _check_cor_109(m: Matroid) -> str | None:
 
 
 def _check_prop_103(m: Matroid) -> str | None:
-    hits = [
-        p for p in all_partitions(m.support()) if _one_per_block(m.bases, p)
-    ]
+    base_masks = m.bases.masks()
+    hits = [p for p in all_partitions(m.support()) if one_per_block(base_masks, p)]
     recovered = recover_partition(m)
     if recovered is None:
         if hits:
@@ -627,7 +623,8 @@ def verify(
     Population items may be Matroid values or WorkedExample bundles.  Checks
     run sequentially in population order; `workers` is accepted and ignored.
     A check that exceeds an exhaustive search cap is tallied as capped on
-    that matroid, and the sweep goes on.  Witnesses and cap hits are tied to
+    that matroid; a check missing a fact its hypothesis implies is tallied as
+    failed; either way the sweep goes on.  Witnesses and cap hits are tied to
     their matroid's document, so the report is deterministic for a fixed
     population and registry.
     """
@@ -656,6 +653,8 @@ def verify(
                 outcome.capped += 1
                 outcome.cap_hits.append({"matroid": m.to_doc(), "detail": str(exc)})
                 continue
+            except _MissingFact as exc:
+                result = str(exc)
             if result is None:
                 outcome.passed += 1
             else:
@@ -720,15 +719,15 @@ def worked_examples() -> list[WorkedExample]:
                 ExampleFact(
                     "forming_family_nested",
                     "forming family is {{1},{2,3}} with as many blocks as the rank",
-                    lambda: forming_family(m_nested).family
+                    lambda: forming_family(m_nested)
                     == SetFamily(g3, [g3.subset("1"), g3.subset("2", "3")])
-                    and len(forming_family(m_nested).family) == 2 == m_nested.rank,
+                    and len(forming_family(m_nested)) == 2 == m_nested.rank,
                 ),
                 ExampleFact(
                     "forming_family_uniform",
                     "forming family is all 2-subsets, one block more than the rank",
-                    lambda: forming_family(m_uniform).family == m_uniform.bases
-                    and len(forming_family(m_uniform).family) == 3 > 2 == m_uniform.rank,
+                    lambda: forming_family(m_uniform) == m_uniform.bases
+                    and len(forming_family(m_uniform)) == 3 > 2 == m_uniform.rank,
                 ),
             ),
         ),
@@ -740,10 +739,10 @@ def worked_examples() -> list[WorkedExample]:
                     "covering_not_partition",
                     "forming family covers the base support but is not a partition",
                     lambda: is_covering(
-                        forming_family(m_uniform).family, m_uniform.support()
+                        forming_family(m_uniform), m_uniform.support()
                     )
                     and not is_partition(
-                        forming_family(m_uniform).family, m_uniform.support()
+                        forming_family(m_uniform), m_uniform.support()
                     ),
                 ),
             ),

@@ -31,6 +31,7 @@ from .setalgebra import (
     complements,
     low,
     maximal,
+    transversals,
 )
 
 
@@ -290,8 +291,13 @@ def make_partition_matroid(ground: GroundSet, spec: PartitionMatroidSpec) -> Mat
 
 
 def make_unique_partition_matroid(ground: GroundSet, p: Partition) -> Matroid:
-    """Matroid whose independents pick at most one element per block of `p`."""
-    return make_partition_matroid(ground, PartitionMatroidSpec(p, (1,) * len(p)))
+    """Matroid whose bases are the transversals of `p`, one element per block.
+
+    Built from the `transversals` product and validated by `from_bases`, not
+    through `make_partition_matroid` with unit caps, so the harness can check
+    that the two routes agree.
+    """
+    return Matroid.from_bases(ground, transversals(p))
 
 
 def are_isomorphic(a: Matroid, b: Matroid) -> bool:

@@ -361,6 +361,16 @@ def transversals(p: Partition) -> SetFamily:
     return SetFamily(p.ground, (Subset(p.ground, m) for m in masks))
 
 
+def one_per_block(masks: Iterable[int], blocks: Iterable[Subset]) -> bool:
+    """Does every mask meet every block in exactly one element?
+
+    The definitional twin of `transversals`: the subsets of `p.support()`
+    passing this test for the partition `p` are exactly `transversals(p)`.
+    `blocks` is iterated once per mask, so pass a family, not an iterator.
+    """
+    return all((x & k.mask).bit_count() == 1 for x in masks for k in blocks)
+
+
 def all_partitions(support: Subset) -> Iterator[Partition]:
     """Every partition of `support`, as Partition values over its ground set.
 

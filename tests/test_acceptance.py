@@ -111,7 +111,7 @@ def test_criterion_4_constructor_round_trip():
             if len(m.bases) != combination_number(p):
                 ok = False
             if len(p) > 0:
-                if forming_family(m).family != p.family:
+                if forming_family(m) != p.family:
                     ok = False
                 if recover_partition(m) != p:
                     ok = False

@@ -211,7 +211,7 @@ class TestRecoverPartition:
 
     def test_agrees_with_forming_family_partition_test(self):
         for m in _rank_positive(4):
-            f = forming_family(m).family
+            f = forming_family(m)
             expected = Partition(f) if is_partition(f, m.support()) else None
             assert recover_partition(m) == expected
 

@@ -15,6 +15,8 @@ from matroidlab import (
     theorem_registry,
     verify,
 )
+from matroidlab import harness
+from matroidlab import matroid as matroid_module
 from matroidlab.errors import SearchCapExceeded, UnequalCardinality
 
 
@@ -146,6 +148,44 @@ class TestVerify:
         text = report.to_text()
         assert "capped:" in text
         assert f"{report.capped} capped" in text
+
+    def test_missing_recovered_partition_fails_the_matroid(self, monkeypatch):
+        # the one-per-block checks rely on the partition that unique expansion
+        # implies; when it is absent they fail on that matroid and the sweep
+        # goes on
+        monkeypatch.setattr(harness, "recover_partition", lambda m: None)
+        report = verify(population(3))
+        assert report.total == 23
+        by_id = {o.check_id: o for o in report.outcomes}
+        for check_id in (
+            "prop_302_304", "prop_303", "prop_305_306", "prop_339", "cor_336",
+            "thm_321",
+        ):
+            outcome = by_id[check_id]
+            assert outcome.applicable > 0
+            assert outcome.failed == outcome.applicable
+            assert outcome.witnesses[0]["detail"] == (
+                "the forming family does not partition the base support"
+            )
+        assert by_id["prop_100"].failed == 0
+
+    def test_prop_302_304_catches_broken_cap_one_picks(self, monkeypatch):
+        # drop the last one-element pick of every block with several elements:
+        # the capped constructor loses bases, the one-per-block one does not
+        real = matroid_module.combinations
+
+        def lossy(items, k):
+            picks = list(real(items, k))
+            return picks[:-1] if k == 1 and len(picks) > 1 else picks
+
+        monkeypatch.setattr(matroid_module, "combinations", lossy)
+        report = verify(population(4), [lookup_check("prop_302_304")])
+        outcome = report.outcomes[0]
+        assert outcome.applicable == 70
+        assert outcome.failed > 0
+        assert outcome.witnesses[0]["detail"] == (
+            "one-per-block and cap-1 constructions disagree"
+        )
 
     def test_invalid_family_never_reaches_verification(self):
         g = GroundSet("123")

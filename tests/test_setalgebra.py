@@ -14,6 +14,7 @@ from matroidlab import (
     is_partition,
     low,
     maximal,
+    one_per_block,
     transversals,
 )
 from matroidlab.errors import GroundSetTooLarge
@@ -202,6 +203,23 @@ class TestAllPartitions:
         assert len(set(parts)) == bell
         for p in parts:
             assert p.support() == support
+
+
+class TestOnePerBlock:
+    def test_is_the_definitional_twin_of_transversals(self):
+        # the support subsets meeting every block once are exactly the product
+        g = GroundSet("12345")
+        support = g.subset("1", "2", "3", "4")
+        for p in list(all_partitions(support)) + [Partition(fam(g))]:
+            passing = {
+                x.mask for x in p.support().subsets() if one_per_block((x.mask,), p)
+            }
+            assert passing == transversals(p).masks()
+            assert one_per_block(transversals(p).masks(), p)
+
+    def test_one_miss_fails(self, g3):
+        p = Partition(fam(g3, "1", "23"))
+        assert not one_per_block([0b011, 0b110], p)
 
 
 # hypothesis strategies over small universes
