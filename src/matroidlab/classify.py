@@ -15,12 +15,13 @@ from itertools import combinations
 from typing import Callable, Iterable
 
 from .errors import RankZero, SearchCapExceeded, SupportMismatch
-from .forming import forming_family, secondary_bases
+from .forming import expansion_masks, forming_family
 from .matroid import Matroid, first_exchange_violation
 from .setalgebra import (
     Partition,
     SetFamily,
     Subset,
+    canonical_key,
     combination_number,
     is_partition,
     one_per_block,
@@ -82,18 +83,17 @@ def is_unique_expansion(m: Matroid, workers: int = 1) -> ClassificationResult:
     """
     if m.rank == 0:
         raise RankZero("unique expansion is undefined at rank zero")
-    base_masks = m.bases.masks()
+    exp = expansion_masks(m.bases.masks())
     ground = m.ground
-    for a in secondary_bases(m):
+    for a in sorted(exp, key=canonical_key):
         for b in m.bases:
-            first = -1
-            for e in b.indices():
-                if (a.mask | (1 << e)) in base_masks:
-                    if first >= 0:
-                        return ClassificationResult(False, ExpansionWitness(
-                            a, b, ground.label(first), ground.label(e)
-                        ))
-                    first = e
+            # the elements e of b with a + e a base
+            both = exp[a] & b.mask
+            if both & (both - 1):
+                e1, e2 = Subset(ground, both).indices()[:2]
+                return ClassificationResult(False, ExpansionWitness(
+                    Subset(ground, a), b, ground.label(e1), ground.label(e2)
+                ))
     return ClassificationResult(True, None)
 
 

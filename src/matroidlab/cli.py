@@ -26,7 +26,7 @@ from .classify import (
     recover_partition,
 )
 from .enumeration import enumerate_matroids
-from .errors import AxiomError, ParseError, RankZero
+from .errors import AxiomError, ParseError, RankZero, SearchCapExceeded
 from .forming import forming_family, forming_family_wrt, secondary_bases
 from .harness import lookup_check, theorem_registry, verify
 from .matroid import (
@@ -44,7 +44,8 @@ def parse_matroid_file(path: str) -> Matroid:
     try:
         with open(path, "r", encoding="utf-8") as handle:
             doc = json.load(handle)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
+        # RecursionError: nesting deeper than the interpreter's stack allows
         raise ParseError(f"{path}: {exc}") from None
     return Matroid.from_doc(doc)
 
@@ -84,15 +85,15 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         "unique_expansion": is_unique_expansion(m) if m.rank > 0 else None,
         "unique_exchange": is_unique_exchange(m),
     }
-    if len(m.bases) > cap:
+    try:
+        results["union_minimal"] = is_union_minimal(m, cap=cap)
+        results["intersection_minimal"] = is_intersection_minimal(m, cap=cap)
+    except SearchCapExceeded:
         results["union_minimal"] = None
         results["intersection_minimal"] = None
         out["minimality_skipped"] = (
             f"base family of size {len(m.bases)} exceeds search cap {cap}"
         )
-    else:
-        results["union_minimal"] = is_union_minimal(m, cap=cap)
-        results["intersection_minimal"] = is_intersection_minimal(m, cap=cap)
 
     out["forming_family"] = _family_doc(fam) if fam is not None else None
     out["recovered_partition"] = (

@@ -11,7 +11,10 @@ hyperplane through that coline is in L.  The extension by L keeps M's bases
 and adds s + n for each secondary base s whose closure is not in L; L = all
 hyperplanes makes n a loop, L = {} puts n in general position.  Extending
 every matroid on n - 1 elements by its coloop and by each of its linear
-subclasses therefore yields every matroid on n elements exactly once.
+subclasses therefore yields every matroid on n elements exactly once.  The
+hyperplanes are the complements of the expansion sets of the secondary bases
+(s + i is a base exactly when i lies outside cl(s)), read from the same map
+as the forming family (`forming.expansion_masks`).
 
 Everything here works on bitmasks and never calls the validating constructor
 (Matroid.from_bases) or its exchange test, so the two routes stay independent
@@ -27,8 +30,9 @@ from functools import lru_cache
 from typing import Iterator
 
 from .errors import GroundSetTooLarge
+from .forming import expansion_masks
 from .matroid import Matroid
-from .setalgebra import GroundSet, SetFamily, Subset
+from .setalgebra import GroundSet, SetFamily, Subset, canonical_key
 
 MAX_ENUMERATION_SIZE = 6
 
@@ -84,23 +88,20 @@ def _extensions(bases: tuple[int, ...], r: int, n: int) -> Iterator[list[int]]:
     if r == 0:
         yield list(bases)
         return
-    present = set(bases)
-    secondary = sorted(
-        {b & ~(1 << i) for b in bases for i in range(n - 1) if b >> i & 1}
-    )
+    exp = expansion_masks(bases)
     hyperplanes: list[int] = []
     where: dict[int, int] = {}
     closure_of = []
-    for s in secondary:
-        # i lies outside cl(s) exactly when s + i is a base
-        h = (e - 1) & ~sum(1 << i for i in range(n - 1) if s | 1 << i in present)
+    for grows in exp.values():
+        # the closure of a secondary base is the complement of its expansion set
+        h = (e - 1) & ~grows
         if h not in where:
             where[h] = len(hyperplanes)
             hyperplanes.append(h)
         closure_of.append(where[h])
     for subclass in _linear_subclasses(hyperplanes, r, bases):
         yield [*bases, *(
-            s | e for s, h in zip(secondary, closure_of) if not subclass >> h & 1
+            s | e for s, h in zip(exp, closure_of) if not subclass >> h & 1
         )]
 
 
@@ -109,12 +110,9 @@ def _families(n: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
     """Per rank 0..n, the canonically sorted base-mask families on n elements."""
     if n == 0:
         return (((0,),),)
-    # position of each mask in the canonical subset order (cardinality, then
-    # index list), so member and family sort keys are small int tuples
-    order = sorted(
-        range(1 << n),
-        key=lambda m: (m.bit_count(), [i for i in range(n) if m >> i & 1]),
-    )
+    # position of each mask in the canonical subset order, so member and
+    # family sort keys are small int tuples
+    order = sorted(range(1 << n), key=canonical_key)
     position = [0] * (1 << n)
     for p, m in enumerate(order):
         position[m] = p

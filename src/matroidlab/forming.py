@@ -1,35 +1,53 @@
-"""Secondary bases, the rank-raising expansion operator, and forming families."""
+"""Secondary bases, the rank-raising expansion operator, and forming families.
+
+A secondary base A has rank r - 1, so A + e has rank r exactly when A + e is
+a base.  One pass that deletes each element e from each base B therefore
+yields every secondary base B - e with its expansion set (`expansion_masks`),
+with no rank computation; `expansion` is the general operator for any subset.
+"""
 
 from __future__ import annotations
+
+from typing import Iterable
 
 from .errors import NotABase, RankZero
 from .matroid import Matroid
 from .setalgebra import SetFamily, Subset
 
 
-def secondary_bases(m: Matroid) -> SetFamily:
-    """All independent sets one element smaller than a base.
-
-    Undefined for rank-zero matroids.  Every such set arises by deleting one
-    element from some base, so no independence scan is needed.
-    """
-    if m.rank == 0:
-        raise RankZero("secondary bases are undefined at rank zero")
-    seen: set[int] = set()
-    for base in m.bases.masks():
+def expansion_masks(base_masks: Iterable[int]) -> dict[int, int]:
+    """Map each secondary-base mask B - e to its expansion mask, the union of
+    every such e over the bases B; empty at rank zero."""
+    exp: dict[int, int] = {}
+    for base in base_masks:
         rest = base
         while rest:
             bit = rest & -rest
             rest ^= bit
-            seen.add(base ^ bit)
-    return SetFamily(m.ground, (Subset(m.ground, s) for s in seen))
+            exp[base ^ bit] = exp.get(base ^ bit, 0) | bit
+    return exp
+
+
+def _expansions(m: Matroid, what: str = "secondary bases") -> dict[int, int]:
+    if m.rank == 0:
+        raise RankZero(f"{what} are undefined at rank zero")
+    return expansion_masks(m.bases.masks())
+
+
+def secondary_bases(m: Matroid) -> SetFamily:
+    """All independent sets one element smaller than a base.
+
+    Undefined for rank-zero matroids.  These are the keys of
+    `expansion_masks`, so no independence scan is needed.
+    """
+    return SetFamily(m.ground, map(m.ground.from_mask, _expansions(m)))
 
 
 def expansion(m: Matroid, x: Subset) -> Subset:
-    """Elements whose addition raises the rank of `x` by one.
+    """Elements whose addition raises the rank of `x` by one, for any subset.
 
     Always disjoint from `x` itself, since adding a present element leaves the
-    rank unchanged.
+    rank unchanged.  On a secondary base it agrees with `expansion_masks`.
     """
     if x.ground != m.ground:
         raise ValueError("subset lives on a different ground set")
@@ -50,7 +68,7 @@ def forming_family(m: Matroid) -> SetFamily:
     Returned as a plain canonically ordered `SetFamily`; `recover_partition`
     turns it into a `Partition` when its blocks partition the base support.
     """
-    return SetFamily(m.ground, {expansion(m, a) for a in secondary_bases(m)})
+    return SetFamily(m.ground, map(m.ground.from_mask, _expansions(m).values()))
 
 
 def forming_family_wrt(m: Matroid, b: Subset) -> SetFamily:
@@ -59,14 +77,8 @@ def forming_family_wrt(m: Matroid, b: Subset) -> SetFamily:
     Its blocks are the expansion sets of the secondary bases inside `b`,
     which are exactly the one-element deletions of `b`.
     """
-    if m.rank == 0:
-        raise RankZero("forming families are undefined at rank zero")
+    exp = _expansions(m, "forming families")
     if b not in m.bases:
         raise NotABase(f"{b} is not a base")
-    blocks = set()
-    rest = b.mask
-    while rest:
-        bit = rest & -rest
-        rest ^= bit
-        blocks.add(expansion(m, Subset(m.ground, b.mask ^ bit)))
-    return SetFamily(m.ground, blocks)
+    blocks = (exp[b.mask ^ (1 << i)] for i in b.indices())
+    return SetFamily(m.ground, map(m.ground.from_mask, blocks))

@@ -28,6 +28,11 @@ def _bit_indices(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+def canonical_key(mask: int) -> tuple:
+    """Sort key of a subset mask in canonical order: (cardinality, index list)."""
+    return (mask.bit_count(), _bit_indices(mask))
+
+
 class GroundSet:
     """An ordered universe of distinct element labels."""
 
@@ -122,7 +127,7 @@ class Subset:
 
     @property
     def sort_key(self) -> tuple:
-        return (self.mask.bit_count(), self.indices())
+        return canonical_key(self.mask)
 
     def issubset(self, other: Subset) -> bool:
         _same_ground(self.ground, other.ground)
@@ -197,9 +202,9 @@ class SetFamily:
             _same_ground(ground, s.ground)
             masks.add(s.mask)
         self.ground = ground
-        self.sets = tuple(
-            sorted((Subset(ground, m) for m in masks), key=lambda s: s.sort_key)
-        )
+        # built from a list: a tuple grown from a generator keeps its
+        # over-allocated block, which adds up over an enumerated population
+        self.sets = tuple([Subset(ground, m) for m in sorted(masks, key=canonical_key)])
         self._masks = frozenset(masks)
 
     def masks(self) -> frozenset[int]:

@@ -90,6 +90,22 @@ def expansion_oracle(m: Matroid, x: Subset) -> Subset:
     return Subset(m.ground, out)
 
 
+def unique_expansion_oracle(m: Matroid) -> tuple[Subset, Subset, str, str] | None:
+    """The least (A, B, e1, e2) with A an independent set of size rank - 1, B
+    an independent set of size rank, and e1 < e2 two elements of B that each
+    grow the largest independent subset of A; None when there is none."""
+    indep = m.independents()
+    secondaries = [s for s in indep if len(s) == m.rank - 1]
+    bases = [s for s in indep if len(s) == m.rank]
+    for a in secondaries:
+        grow = expansion_oracle(m, a)
+        for b in bases:
+            both = (grow & b).labels()
+            if len(both) >= 2:
+                return a, b, both[0], both[1]
+    return None
+
+
 def transversal_count_oracle(blocks: list[Subset]) -> int:
     """Number of one-per-block picks, counted by explicit enumeration."""
     picks = [frozenset()]

@@ -248,6 +248,18 @@ class TestAgainstDefinitionOracles:
             assert is_union_minimal(m).verdict == union_minimal_oracle(m)
             assert is_intersection_minimal(m).verdict == intersection_minimal_oracle(m)
 
+    def test_unique_expansion_matches_oracle_witness(self):
+        from oracles import unique_expansion_oracle
+
+        for m in _rank_positive(5):
+            for x in (m, m.dual()):
+                if x.rank == 0:
+                    continue
+                res = is_unique_expansion(x)
+                w = res.witness
+                got = None if w is None else (w.secondary, w.base, w.e1, w.e2)
+                assert got == unique_expansion_oracle(x)
+
 
 class TestClassImplicationsOverPopulation:
     def test_unique_expansion_closes_downward(self):

@@ -1,7 +1,13 @@
+import contextlib
 import hashlib
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from matroidlab import harness
 from matroidlab.cli import main, parse_matroid_file
@@ -27,6 +33,38 @@ def doc121(tmp_path):
     return str(path)
 
 
+# random documents: near-miss matroid objects on at most four labels (so a
+# valid one analyzes quickly), arbitrary JSON values, and truncations of both
+_scalars = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 5), st.floats(), st.text(max_size=3),
+)
+_values = st.recursive(
+    _scalars,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=12,
+)
+_digits = st.sampled_from(["1", "2", "3", "4"])
+_labels = st.one_of(_digits, st.integers(1, 4), _scalars)
+
+
+@st.composite
+def _near_miss(draw):
+    doc = {"ground_set": draw(
+        st.lists(_digits, min_size=1, max_size=4, unique=True)
+        | st.lists(_labels, max_size=4)
+    )}
+    key = draw(st.sampled_from(["bases", "independents"]))
+    doc[key] = draw(st.lists(st.lists(_digits | _labels, max_size=3), max_size=6))
+    doc.update(draw(st.dictionaries(
+        st.sampled_from(["ground_set", "bases", "independents"]), _values, max_size=1,
+    )))
+    return doc
+
+
+_json_text = (_near_miss() | _values).map(json.dumps)
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -46,6 +84,12 @@ class TestParseMatroidFile:
     def test_malformed_json(self, tmp_path):
         path = tmp_path / "m.json"
         path.write_text("{nope")
+        with pytest.raises(ParseError):
+            parse_matroid_file(str(path))
+
+    def test_deeply_nested_document(self, tmp_path):
+        path = tmp_path / "m.json"
+        path.write_text("[" * 100000 + "]" * 100000)
         with pytest.raises(ParseError):
             parse_matroid_file(str(path))
 
@@ -120,6 +164,31 @@ class TestAnalyze:
     def test_missing_file_exit_2(self, capsys, tmp_path):
         code, _, err = run(capsys, "analyze", str(tmp_path / "absent.json"))
         assert code == 2
+
+    def test_deeply_nested_document_exit_2(self, capsys, tmp_path):
+        path = tmp_path / "m.json"
+        path.write_text("[" * 100000 + "]" * 100000)
+        code, out, err = run(capsys, "analyze", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(
+        _json_text,
+        st.tuples(_json_text, st.integers(min_value=0, max_value=60)).map(
+            lambda t: t[0][:t[1]]
+        ),
+        st.text(max_size=30),
+    ))
+    def test_malformed_documents_never_raise(self, text):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "m.json"
+            path.write_text(text, encoding="utf-8")
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()):
+                code = main(["analyze", str(path)])
+        assert code in (0, 1, 2)
 
 
 class TestDual:

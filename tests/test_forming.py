@@ -13,6 +13,7 @@ from matroidlab import (
     secondary_bases,
 )
 from matroidlab.errors import NotABase, RankZero
+from matroidlab.forming import expansion_masks
 
 from oracles import expansion_oracle
 
@@ -127,6 +128,32 @@ class TestFormingFamilyWrt:
         m = Matroid.from_bases(g3, fam(g3, ""))
         with pytest.raises(RankZero):
             forming_family_wrt(m, g3.empty())
+
+
+class TestAgainstExpansionOperator:
+    # the forming structures read expansion sets off the bases; `expansion`
+    # derives them from ranks, so the two routes cross-check each other
+
+    def test_expansion_masks_match_the_operator(self):
+        for m in _rank_positive(5):
+            exp = expansion_masks(m.bases.masks())
+            secondaries = [s for s in m.independents() if len(s) == m.rank - 1]
+            assert set(exp) == {a.mask for a in secondaries}
+            for a in secondaries:
+                assert exp[a.mask] == expansion(m, a).mask
+
+    def test_forming_family_matches_the_operator(self):
+        for m in _rank_positive(5):
+            expected = SetFamily(m.ground, (expansion(m, a) for a in secondary_bases(m)))
+            assert forming_family(m) == expected
+
+    def test_relative_family_matches_the_operator(self):
+        for m in _rank_positive(5):
+            for b in m.bases:
+                expected = SetFamily(m.ground, (
+                    expansion(m, b - m.ground.subset(e)) for e in b
+                ))
+                assert forming_family_wrt(m, b) == expected
 
 
 class TestInvariantsOverPopulation:
