@@ -15,7 +15,7 @@ from itertools import combinations
 from typing import Callable, Iterable
 
 from .errors import RankZero, SearchCapExceeded, SupportMismatch
-from .forming import expansion_masks, forming_family
+from .forming import _expansions, forming_family
 from .matroid import Matroid, first_exchange_violation
 from .setalgebra import (
     Partition,
@@ -79,11 +79,16 @@ def is_unique_expansion(m: Matroid, workers: int = 1) -> ClassificationResult:
 
     False as soon as some secondary base A and base B admit two distinct
     elements of B whose addition to A gives a base; the witness is the least
-    such (A, B, e1, e2) in canonical order.  `workers` is accepted and ignored.
+    such (A, B, e1, e2) in canonical order, computed once per matroid.
+    `workers` is accepted and ignored.
     """
     if m.rank == 0:
         raise RankZero("unique expansion is undefined at rank zero")
-    exp = expansion_masks(m.bases.masks())
+    return m._fact("unique_expansion", lambda: _unique_expansion(m))
+
+
+def _unique_expansion(m: Matroid) -> ClassificationResult:
+    exp = _expansions(m)
     ground = m.ground
     for a in sorted(exp, key=canonical_key):
         for b in m.bases:
@@ -190,12 +195,13 @@ def recover_partition(m: Matroid) -> Partition | None:
     """The forming family as a partition of the base support, when it is one.
 
     When present this is the unique partition of the support that every base
-    meets exactly once per block.
+    meets exactly once per block.  Computed once per matroid, `None` included.
     """
     fam = forming_family(m)
-    if is_partition(fam, m.support()):
-        return Partition(fam)
-    return None
+    return m._fact(
+        "partition",
+        lambda: Partition(fam) if is_partition(fam, m.support()) else None,
+    )
 
 
 def is_transversal_of(m: Matroid, p: Partition) -> bool:

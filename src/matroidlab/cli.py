@@ -203,8 +203,13 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if args.n < 1:
         raise ParseError(f"--n must be at least 1, got {args.n}")
     registry = theorem_registry()
-    if args.checks:
+    if args.checks is not None:
         wanted = [c.strip() for c in args.checks.split(",") if c.strip()]
+        if not wanted:
+            raise ParseError(f"--checks names no check id: {args.checks!r}")
+        repeated = sorted({c for c in wanted if wanted.count(c) > 1})
+        if repeated:
+            raise ParseError(f"--checks repeats {', '.join(repeated)}")
         registry = [lookup_check(check_id, registry) for check_id in wanted]
     population = []
     for n in range(1, args.n + 1):

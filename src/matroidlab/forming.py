@@ -4,6 +4,9 @@ A secondary base A has rank r - 1, so A + e has rank r exactly when A + e is
 a base.  One pass that deletes each element e from each base B therefore
 yields every secondary base B - e with its expansion set (`expansion_masks`),
 with no rank computation; `expansion` is the general operator for any subset.
+A matroid's expansion map and forming family are computed once and kept in
+its memo (`Matroid._fact`), so the per-base forming families are read off
+the same map.
 """
 
 from __future__ import annotations
@@ -31,7 +34,8 @@ def expansion_masks(base_masks: Iterable[int]) -> dict[int, int]:
 def _expansions(m: Matroid, what: str = "secondary bases") -> dict[int, int]:
     if m.rank == 0:
         raise RankZero(f"{what} are undefined at rank zero")
-    return expansion_masks(m.bases.masks())
+    # shared with every caller through the memo: read it, never mutate it
+    return m._fact("expansions", lambda: expansion_masks(m.bases.masks()))
 
 
 def secondary_bases(m: Matroid) -> SetFamily:
@@ -68,14 +72,19 @@ def forming_family(m: Matroid) -> SetFamily:
     Returned as a plain canonically ordered `SetFamily`; `recover_partition`
     turns it into a `Partition` when its blocks partition the base support.
     """
-    return SetFamily(m.ground, map(m.ground.from_mask, _expansions(m).values()))
+    exp = _expansions(m)
+    return m._fact(
+        "forming_family",
+        lambda: SetFamily(m.ground, map(m.ground.from_mask, exp.values())),
+    )
 
 
 def forming_family_wrt(m: Matroid, b: Subset) -> SetFamily:
     """The forming family relative to the base `b`, as a `SetFamily`.
 
     Its blocks are the expansion sets of the secondary bases inside `b`,
-    which are exactly the one-element deletions of `b`.
+    which are exactly the one-element deletions of `b`, read off the
+    matroid's cached expansion map.
     """
     exp = _expansions(m, "forming families")
     if b not in m.bases:

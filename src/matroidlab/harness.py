@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from math import prod
 from time import perf_counter
 from typing import Callable, Iterable
 
@@ -41,7 +42,9 @@ from .setalgebra import (
     Partition,
     SetFamily,
     Subset,
-    all_partitions,
+    _one_per_block,
+    _partition_masks,
+    _transversal_masks,
     combination_number,
     is_covering,
     is_partition,
@@ -194,12 +197,12 @@ def _check_thm_126(m: Matroid) -> str | None:
 
 
 def _check_prop_51_j(m: Matroid) -> str | None:
-    fam = forming_family(m)
+    blocks = [k.mask for k in forming_family(m)]
     support = m.support().mask
     base_masks = m.bases.masks()
     x = _first_mismatch(
         m.ground, base_masks,
-        lambda mask: mask & ~support == 0 and one_per_block((mask,), fam),
+        lambda mask: mask & ~support == 0 and _one_per_block((mask,), blocks),
     )
     if x is not None:
         member = x.mask in base_masks
@@ -208,9 +211,9 @@ def _check_prop_51_j(m: Matroid) -> str | None:
 
 
 def _check_prop_125(m: Matroid) -> str | None:
-    prod = transversals(Partition(forming_family(m)))
-    if m.bases != prod:
-        return f"bases {m.bases} != transversal product {prod}"
+    product = transversals(Partition(forming_family(m)))
+    if m.bases != product:
+        return f"bases {m.bases} != transversal product {product}"
     return None
 
 
@@ -247,9 +250,10 @@ def _check_prop_305_306(m: Matroid) -> str | None:
     p = _recovered(m)
     base_masks = make_unique_partition_matroid(m.ground, p).bases.masks()
     support = p.support().mask
+    blocks = [k.mask for k in p]
     x = _first_mismatch(
         m.ground, base_masks,
-        lambda mask: mask & ~support == 0 and one_per_block((mask,), p),
+        lambda mask: mask & ~support == 0 and _one_per_block((mask,), blocks),
     )
     if x is not None:
         member = x.mask in base_masks
@@ -263,9 +267,10 @@ def _check_prop_339(m: Matroid) -> str | None:
     full = m.ground.full().mask
     rest = p.support().complement().mask
     dual_masks = dual.bases.masks()
+    blocks = [k.mask for k in p]
     x = _first_mismatch(
         m.ground, dual_masks,
-        lambda mask: rest & ~mask == 0 and one_per_block((full ^ mask,), p),
+        lambda mask: rest & ~mask == 0 and _one_per_block((full ^ mask,), blocks),
     )
     if x is not None:
         member = x.mask in dual_masks
@@ -302,13 +307,24 @@ def _check_thm_52(m: Matroid) -> str | None:
     return None
 
 
+def _block_family(ground: GroundSet, blocks: Iterable[int]) -> SetFamily:
+    return SetFamily(ground, map(ground.from_mask, blocks))
+
+
 def _check_thm_33(m: Matroid) -> str | None:
     base_masks = m.bases.masks()
-    for p in all_partitions(m.support()):
-        once = one_per_block(base_masks, p)
-        prod = m.bases == transversals(p)
-        if once != prod:
-            return f"partition {p.family}: one-per-block {once} but product match {prod}"
+    for blocks in _partition_masks(m.support().mask):
+        once = _one_per_block(base_masks, blocks)
+        # disjoint blocks give distinct picks, so a count mismatch already
+        # rules out equality and the product is built only on a count match
+        matched = len(base_masks) == prod(b.bit_count() for b in blocks) and (
+            base_masks == frozenset(_transversal_masks(blocks))
+        )
+        if once != matched:
+            return (
+                f"partition {_block_family(m.ground, blocks)}: "
+                f"one-per-block {once} but product match {matched}"
+            )
     return None
 
 
@@ -328,14 +344,18 @@ def _check_cor_109(m: Matroid) -> str | None:
 
 def _check_prop_103(m: Matroid) -> str | None:
     base_masks = m.bases.masks()
-    hits = [p for p in all_partitions(m.support()) if one_per_block(base_masks, p)]
+    hits = [
+        blocks for blocks in _partition_masks(m.support().mask)
+        if _one_per_block(base_masks, blocks)
+    ]
     recovered = recover_partition(m)
     if recovered is None:
         if hits:
             return f"no recovered partition but {len(hits)} one-per-block partitions exist"
     else:
-        if len(hits) != 1 or hits[0] != recovered:
-            return f"recovered {recovered.family} but one-per-block partitions are {[h.family for h in hits]}"
+        if len(hits) != 1 or frozenset(hits[0]) != recovered.family.masks():
+            families = [_block_family(m.ground, h) for h in hits]
+            return f"recovered {recovered.family} but one-per-block partitions are {families}"
     return None
 
 

@@ -5,13 +5,19 @@ family is the single source of truth, and the independent sets are derived
 from it on demand.  Construction always validates the defining axioms and
 reports the canonically least witness on failure, so invalid values cannot
 exist.
+
+Facts derived from the bases (the independent sets, the expansion map, the
+forming family, the unique-expansion verdict, the recovered partition) are
+computed at most once per matroid value and kept in its memo slot; since a
+matroid is immutable they can never go stale.  A matroid built by `dual()` is
+a new value with an empty memo.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations, permutations, product
-from typing import Sequence
+from typing import Callable, Sequence, TypeVar
 
 from .errors import (
     AugmentationFailure,
@@ -33,6 +39,8 @@ from .setalgebra import (
     maximal,
     transversals,
 )
+
+T = TypeVar("T")
 
 
 def first_exchange_violation(
@@ -69,7 +77,7 @@ def first_exchange_violation(
 class Matroid:
     """A validated (ground set, base family) pair."""
 
-    __slots__ = ("ground", "bases", "rank", "_indep")
+    __slots__ = ("ground", "bases", "rank", "_facts")
 
     def __init__(self, *args, **kwargs):
         raise TypeError("use Matroid.from_bases or Matroid.from_independents")
@@ -81,8 +89,21 @@ class Matroid:
         self.ground = ground
         self.bases = bases
         self.rank = len(bases.sets[0])
-        self._indep = None
+        self._facts = None
         return self
+
+    def _fact(self, name: str, compute: Callable[[], T]) -> T:
+        """The fact `name` of this matroid, computed by `compute` on first use.
+
+        Values are kept for the life of the matroid, so they must not be
+        mutated; `None` is kept like any other value.
+        """
+        facts = self._facts
+        if facts is None:
+            facts = self._facts = {}
+        if name not in facts:
+            facts[name] = compute()
+        return facts[name]
 
     @classmethod
     def from_bases(cls, ground: GroundSet, candidate: SetFamily) -> Matroid:
@@ -144,9 +165,7 @@ class Matroid:
 
     def independents(self) -> SetFamily:
         """The full independence family (downward closure of the bases), cached."""
-        if self._indep is None:
-            self._indep = low(self.bases)
-        return self._indep
+        return self._fact("independents", lambda: low(self.bases))
 
     def is_independent(self, x: Subset) -> bool:
         """True iff `x` is contained in some base."""

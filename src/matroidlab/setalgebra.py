@@ -355,15 +355,31 @@ def combination_number(p: Partition) -> int:
     return prod(len(b) for b in p)
 
 
+def _transversal_masks(blocks: Sequence[int]) -> list[int]:
+    """Masks picking exactly one bit from every block mask; [0] for no blocks.
+
+    For disjoint blocks the picks are distinct and their number is the
+    product of the block sizes.
+    """
+    masks = [0]
+    for block in blocks:
+        bits = [1 << i for i in _bit_indices(block)]
+        masks = [m | bit for m in masks for bit in bits]
+    return masks
+
+
 def transversals(p: Partition) -> SetFamily:
     """All sets picking exactly one element from every block of `p`.
 
     For the empty partition this is the single empty set.
     """
-    masks = [0]
-    for block in p:
-        masks = [m | (1 << i) for m in masks for i in block.indices()]
-    return SetFamily(p.ground, (Subset(p.ground, m) for m in masks))
+    picks = _transversal_masks([b.mask for b in p])
+    return SetFamily(p.ground, map(p.ground.from_mask, picks))
+
+
+def _one_per_block(masks: Iterable[int], blocks: Sequence[int]) -> bool:
+    """Does every mask meet every block mask in exactly one element?"""
+    return all((x & k).bit_count() == 1 for x in masks for k in blocks)
 
 
 def one_per_block(masks: Iterable[int], blocks: Iterable[Subset]) -> bool:
@@ -371,31 +387,35 @@ def one_per_block(masks: Iterable[int], blocks: Iterable[Subset]) -> bool:
 
     The definitional twin of `transversals`: the subsets of `p.support()`
     passing this test for the partition `p` are exactly `transversals(p)`.
-    `blocks` is iterated once per mask, so pass a family, not an iterator.
     """
-    return all((x & k.mask).bit_count() == 1 for x in masks for k in blocks)
+    return _one_per_block(masks, [k.mask for k in blocks])
+
+
+def _partition_masks(support: int) -> Iterator[list[int]]:
+    """Every partition of the bits of `support`, as a list of block masks.
+
+    The lowest bit joins each block of a partition of the other bits in turn,
+    then opens a block of its own; blocks are listed in the order they open,
+    not in canonical order.
+    """
+    if not support:
+        yield []
+        return
+    bit = support & -support
+    for sub in _partition_masks(support ^ bit):
+        for i in range(len(sub)):
+            yield sub[:i] + [sub[i] | bit] + sub[i + 1:]
+        yield sub + [bit]
 
 
 def all_partitions(support: Subset) -> Iterator[Partition]:
     """Every partition of `support`, as Partition values over its ground set.
 
     The number of results is the Bell number of len(support), so keep the
-    support small (the verification harness never exceeds 6 elements).
+    support small.  The verification harness does not call this: its
+    partition checks walk `_partition_masks` directly, in the same order, and
+    build a family only for a failure message.
     """
     ground = support.ground
-    idxs = support.indices()
-
-    def rec(remaining: Sequence[int]) -> Iterator[list[int]]:
-        if not remaining:
-            yield []
-            return
-        first, rest = remaining[0], remaining[1:]
-        # first element joins an existing block or opens a new one
-        for sub in rec(rest):
-            for i in range(len(sub)):
-                yield sub[:i] + [sub[i] | (1 << first)] + sub[i + 1:]
-            yield sub + [1 << first]
-
-    for block_masks in rec(idxs):
-        yield Partition(SetFamily(ground, (Subset(ground, m) for m in block_masks)))
-
+    for blocks in _partition_masks(support.mask):
+        yield Partition(SetFamily(ground, map(ground.from_mask, blocks)))

@@ -4,14 +4,24 @@ Everything here deliberately goes through definitions rather than through the
 code paths under test: ranks by scanning all subsets for independence,
 enumeration by pushing every candidate family through the validating
 constructor or by scanning every family with a literal exchange test,
-expansion sets by comparing maximal independent subsets.
+expansion sets by comparing maximal independent subsets, and the support
+partition checks by walking `Partition` values with the public set algebra.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
 
-from matroidlab import GroundSet, Matroid, SetFamily, Subset
+from matroidlab import (
+    GroundSet,
+    Matroid,
+    SetFamily,
+    Subset,
+    all_partitions,
+    one_per_block,
+    recover_partition,
+    transversals,
+)
 from matroidlab.errors import AxiomError
 
 
@@ -159,3 +169,30 @@ def _reducible(m: Matroid, keeps_boundary) -> bool:
                 continue
             return True
     return False
+
+
+def thm_33_oracle(m: Matroid) -> str | None:
+    """The `thm_33` check on `Partition` values: for every partition of the
+    base support, one-per-block must agree with equality to the product."""
+    base_masks = m.bases.masks()
+    for p in all_partitions(m.support()):
+        once = one_per_block(base_masks, p)
+        prod = m.bases == transversals(p)
+        if once != prod:
+            return f"partition {p.family}: one-per-block {once} but product match {prod}"
+    return None
+
+
+def prop_103_oracle(m: Matroid) -> str | None:
+    """The `prop_103` check on `Partition` values: the one-per-block support
+    partitions are exactly the recovered partition, or none without one."""
+    base_masks = m.bases.masks()
+    hits = [p for p in all_partitions(m.support()) if one_per_block(base_masks, p)]
+    recovered = recover_partition(m)
+    if recovered is None:
+        if hits:
+            return f"no recovered partition but {len(hits)} one-per-block partitions exist"
+    else:
+        if len(hits) != 1 or hits[0] != recovered:
+            return f"recovered {recovered.family} but one-per-block partitions are {[h.family for h in hits]}"
+    return None

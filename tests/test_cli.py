@@ -356,6 +356,21 @@ class TestVerify:
         code, _, err = run(capsys, "verify", "--n", "2", "--checks", "nope")
         assert code == 2
 
+    @pytest.mark.parametrize("checks", [",", " ", "", " , ,"])
+    def test_no_check_ids_exit_2(self, capsys, checks):
+        # a list naming no check must not pass vacuously with 0 checks
+        code, out, err = run(capsys, "verify", "--n", "2", "--checks", checks)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")
+
+    @pytest.mark.parametrize("checks", ["thm_33,thm_33", "prop_100, thm_33 ,thm_33"])
+    def test_repeated_check_id_exit_2(self, capsys, checks):
+        code, out, err = run(capsys, "verify", "--n", "2", "--checks", checks)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "thm_33" in err
+
     def test_failing_sweep_exit_3(self, capsys, monkeypatch):
         rigged = TheoremCheck(
             "rigged", "no matroid exists", lambda m: True, lambda m: "always fails"

@@ -15,9 +15,13 @@ from matroidlab import (
     theorem_registry,
     verify,
 )
-from matroidlab import harness
+from matroidlab import classify as classify_module
+from matroidlab import forming as forming_module
+from matroidlab import forming_family, harness, recover_partition
 from matroidlab import matroid as matroid_module
 from matroidlab.errors import SearchCapExceeded, UnequalCardinality
+
+from oracles import prop_103_oracle, thm_33_oracle
 
 
 def population(max_n):
@@ -212,6 +216,110 @@ class TestVerify:
         for check in theorem_registry():
             assert check.check_id in text
         assert "PASS" in text
+
+
+def _trusted_family(rows):
+    # not a matroid: drives the failure branches the registry never reaches
+    g = GroundSet("1234")
+    return Matroid._trusted(g, SetFamily(g, [g.subset(*r) for r in rows]))
+
+
+class TestPartitionChecksAgainstOracles:
+    """`thm_33` and `prop_103` walk block masks; the oracles walk `Partition`
+    values through the public set algebra and must give the same text."""
+
+    CASES = [("thm_33", thm_33_oracle), ("prop_103", prop_103_oracle)]
+
+    @pytest.mark.parametrize("check_id,oracle", CASES)
+    def test_every_matroid_up_to_five(self, check_id, oracle):
+        check = lookup_check(check_id)
+        for m in population(5):
+            if check.applies(m):
+                assert check.run(m) == oracle(m)
+
+    @pytest.mark.parametrize("check_id,oracle", CASES)
+    @pytest.mark.parametrize("rows", [["13", "14", "23"], ["13", "24"]])
+    def test_failure_branches(self, check_id, oracle, rows):
+        m = _trusted_family(rows)
+        detail = lookup_check(check_id).run(m)
+        assert detail is not None
+        assert detail == oracle(m)
+
+    def test_two_hits_are_listed(self):
+        detail = lookup_check("prop_103").run(_trusted_family(["13", "24"]))
+        assert detail == (
+            "recovered {{1},{2},{3},{4}} but one-per-block partitions are "
+            "[{{1,2},{3,4}}, {{1,4},{2,3}}]"
+        )
+
+
+class TestFactsMemo:
+    """Each matroid's forming facts are computed once and reused by every
+    check; the report must not depend on whether they were already there."""
+
+    @staticmethod
+    def _report(pop):
+        doc = verify(pop).to_dict()
+        doc.pop("duration_ms")
+        return doc
+
+    def test_cold_warm_and_rebuilt_reports_agree(self):
+        pop = population(4) + list(enumerate_matroids(5))[::5]
+        cold = self._report(pop)
+        warm = self._report(pop)
+        rebuilt = self._report([Matroid.from_doc(m.to_doc()) for m in pop])
+        assert cold == warm == rebuilt
+
+    def test_expansion_map_is_built_once_per_matroid(self, monkeypatch):
+        calls = []
+        real = forming_module.expansion_masks
+
+        def counted(base_masks):
+            calls.append(1)
+            return real(base_masks)
+
+        monkeypatch.setattr(forming_module, "expansion_masks", counted)
+        pop = [m for m in enumerate_matroids(4) if m.rank > 0]
+        # thm_321 takes the forming family of a matroid it builds itself
+        registry = [c for c in theorem_registry() if c.check_id != "thm_321"]
+        assert verify(pop, registry).failures == 0
+        assert len(calls) == len(pop)
+
+    def test_missing_partition_is_computed_once(self, monkeypatch):
+        calls = []
+        real = classify_module.is_partition
+
+        def counted(family, support):
+            calls.append(1)
+            return real(family, support)
+
+        monkeypatch.setattr(classify_module, "is_partition", counted)
+        g = GroundSet("123")
+        uniform = Matroid.from_bases(
+            g, SetFamily(g, [g.subset(*b) for b in ("12", "13", "23")])
+        )
+        assert recover_partition(uniform) is None
+        assert recover_partition(uniform) is None
+        assert len(calls) == 1
+
+    def test_dual_never_shares_cached_facts(self):
+        for i, m in enumerate(population(4)):
+            if m.rank in (0, m.ground.size):
+                continue  # one side has rank zero and no forming family
+            dual = m.dual()
+            # warm either side first: neither may see the other's facts
+            pair = (m, dual) if i % 2 else (dual, m)
+            facts = {id(x): (forming_family(x), recover_partition(x)) for x in pair}
+            for x in pair:
+                fam, part = facts[id(x)]
+                fresh = Matroid.from_doc(x.to_doc())
+                assert fam == forming_family(fresh)
+                assert part == recover_partition(fresh)
+                assert forming_family(x) is fam
+                assert recover_partition(x) is part
+            (fam_m, part_m), (fam_d, part_d) = facts[id(m)], facts[id(dual)]
+            assert fam_m is not fam_d
+            assert part_m is None or part_m is not part_d
 
 
 class TestWorkedExamples:

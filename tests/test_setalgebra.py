@@ -204,6 +204,26 @@ class TestAllPartitions:
         for p in parts:
             assert p.support() == support
 
+    def test_walk_order_is_pinned(self):
+        # the lowest element joins each block in turn, then opens its own; the
+        # harness reports the first failing partition in this order
+        g = GroundSet("abcd")
+        assert [repr(p.family) for p in all_partitions(g.full())] == [
+            "{{a,b,c,d}}", "{{a},{b,c,d}}", "{{b},{a,c,d}}", "{{a,b},{c,d}}",
+            "{{a},{b},{c,d}}", "{{c},{a,b,d}}", "{{a,c},{b,d}}",
+            "{{a},{c},{b,d}}", "{{a,d},{b,c}}", "{{d},{a,b,c}}",
+            "{{a},{d},{b,c}}", "{{b},{c},{a,d}}", "{{b},{d},{a,c}}",
+            "{{c},{d},{a,b}}", "{{a},{b},{c},{d}}",
+        ]
+
+    def test_sparse_support(self):
+        # bits outside the support never enter a block
+        g = GroundSet("12345")
+        support = g.subset("2", "4", "5")
+        parts = list(all_partitions(support))
+        assert len(parts) == 5
+        assert all(p.support() == support for p in parts)
+
 
 class TestOnePerBlock:
     def test_is_the_definitional_twin_of_transversals(self):
