@@ -2,8 +2,7 @@
 
 Every classifier returns a ClassificationResult; a false verdict always
 carries the canonically least counterexample, so failure output is identical
-across runs.  Every search runs sequentially in canonical order; the
-`workers` argument of the classifiers is accepted and ignored.  The
+across runs.  Every search runs sequentially in canonical order.  The
 minimality checks are exhaustive searches over subfamilies of the base family
 and are therefore guarded by a configurable cap.
 """
@@ -74,13 +73,12 @@ class ClassificationResult:
         return self.verdict
 
 
-def is_unique_expansion(m: Matroid, workers: int = 1) -> ClassificationResult:
+def is_unique_expansion(m: Matroid) -> ClassificationResult:
     """Does every secondary base extend into each base in at most one way?
 
     False as soon as some secondary base A and base B admit two distinct
     elements of B whose addition to A gives a base; the witness is the least
     such (A, B, e1, e2) in canonical order, computed once per matroid.
-    `workers` is accepted and ignored.
     """
     if m.rank == 0:
         raise RankZero("unique expansion is undefined at rank zero")
@@ -102,12 +100,11 @@ def _unique_expansion(m: Matroid) -> ClassificationResult:
     return ClassificationResult(True, None)
 
 
-def is_unique_exchange(m: Matroid, workers: int = 1) -> ClassificationResult:
+def is_unique_exchange(m: Matroid) -> ClassificationResult:
     """After removing x from base1, is the repairing element of base2 unique?
 
     Vacuously true when no pair of bases offers two repairs (in particular for
     rank zero); the witness is the least (B1, B2, x, y1, y2) otherwise.
-    `workers` is accepted and ignored.
     """
     base_masks = m.bases.masks()
     ground = m.ground
@@ -152,14 +149,11 @@ def _minimality_search(
     return ClassificationResult(True, None)
 
 
-def is_union_minimal(
-    m: Matroid, cap: int = DEFAULT_SEARCH_CAP, workers: int = 1
-) -> ClassificationResult:
+def is_union_minimal(m: Matroid, cap: int = DEFAULT_SEARCH_CAP) -> ClassificationResult:
     """Is no proper subfamily of the bases a base family with the same union?
 
     Exhaustive over all proper nonempty subfamilies, so the base family size
-    is capped (default 20, about a million subfamilies).  `workers` is
-    accepted and ignored.
+    is capped (default 20, about a million subfamilies).
     """
     support = m.support().mask
 
@@ -173,11 +167,11 @@ def is_union_minimal(
 
 
 def is_intersection_minimal(
-    m: Matroid, cap: int = DEFAULT_SEARCH_CAP, workers: int = 1
+    m: Matroid, cap: int = DEFAULT_SEARCH_CAP
 ) -> ClassificationResult:
     """Is no proper subfamily of the bases a base family with the same intersection?
 
-    Capped like `is_union_minimal`; `workers` is accepted and ignored.
+    Capped like `is_union_minimal`.
     """
     common = m.base_intersection().mask
     full = (1 << m.ground.size) - 1

@@ -188,9 +188,9 @@ def cmd_make_partition(args: argparse.Namespace) -> int:
 
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
+    stream = enumerate_matroids(args.n, args.rank)  # rejects a bad --n first
     if args.rank is not None and not 0 <= args.rank <= args.n:
         raise ParseError(f"--rank must lie in 0..{args.n}, got {args.rank}")
-    stream = enumerate_matroids(args.n, args.rank)
     if args.count_only:
         print(sum(1 for _ in stream))
         return 0

@@ -131,8 +131,9 @@ def _families(n: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
 def enumerate_matroids(n: int, rank: int | None = None) -> Iterator[Matroid]:
     """Every labeled matroid on the ground set {1..n}, exactly once.
 
-    Yields in canonical order: rank ascending, then the canonical order of the
-    base families.  `rank` restricts the stream to a single rank.
+    Streams in canonical order: rank ascending, then the canonical order of
+    the base families.  `rank` restricts the stream to a single rank.  `n` is
+    checked at the call, before the first matroid is asked for.
     """
     if not 1 <= n <= MAX_ENUMERATION_SIZE:
         raise GroundSetTooLarge(
@@ -140,12 +141,12 @@ def enumerate_matroids(n: int, rank: int | None = None) -> Iterator[Matroid]:
         )
     ground = enumeration_ground(n)
     ranks = range(n + 1) if rank is None else [rank]
-    for r in ranks:
-        if not 0 <= r <= n:
-            continue
-        for fam in _families(n)[r]:
-            family = SetFamily(ground, (Subset(ground, m) for m in fam))
-            yield Matroid._trusted(ground, family)
+    return (
+        Matroid._trusted(ground, SetFamily(ground, (Subset(ground, m) for m in fam)))
+        for r in ranks
+        if 0 <= r <= n
+        for fam in _families(n)[r]
+    )
 
 
 def count_matroids(n: int, rank: int | None = None) -> int:

@@ -601,8 +601,8 @@ class VerificationReport:
             "duration_ms": self.duration_ms,
         }
 
-    def to_json(self, indent: int | None = None) -> str:
-        return json.dumps(self.to_dict(), indent=indent)
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict())
 
     def to_text(self) -> str:
         lines = [
@@ -634,26 +634,19 @@ class VerificationReport:
 
 
 def verify(
-    population: Iterable,
+    population: Iterable[Matroid],
     registry: list[TheoremCheck] | None = None,
-    workers: int = 1,
 ) -> VerificationReport:
     """Run every applicable check on every matroid of the population.
 
-    Population items may be Matroid values or WorkedExample bundles.  Checks
-    run sequentially in population order; `workers` is accepted and ignored.
-    A check that exceeds an exhaustive search cap is tallied as capped on
-    that matroid; a check missing a fact its hypothesis implies is tallied as
-    failed; either way the sweep goes on.  Witnesses and cap hits are tied to
-    their matroid's document, so the report is deterministic for a fixed
-    population and registry.
+    Checks run sequentially in population order.  A check that exceeds an
+    exhaustive search cap is tallied as capped on that matroid; a check
+    missing a fact its hypothesis implies is tallied as failed; either way the
+    sweep goes on.  Witnesses and cap hits are tied to their matroid's
+    document, so the report is deterministic for a fixed population and
+    registry.
     """
-    matroids: list[Matroid] = []
-    for item in population:
-        if isinstance(item, WorkedExample):
-            matroids.extend(item.matroids)
-        else:
-            matroids.append(item)
+    matroids = list(population)
     checks = theorem_registry() if registry is None else list(registry)
 
     start = perf_counter()
@@ -905,12 +898,10 @@ def worked_examples() -> list[WorkedExample]:
     return examples
 
 
-def check_examples(
-    examples: list[WorkedExample] | None = None,
-) -> list[tuple[str, str, bool]]:
+def check_examples() -> list[tuple[str, str, bool]]:
     """Evaluate every fact of every worked example; rows are (example, fact, ok)."""
     rows = []
-    for example in examples if examples is not None else worked_examples():
+    for example in worked_examples():
         for fact in example.facts:
             rows.append((example.name, fact.fact_id, bool(fact.holds())))
     return rows

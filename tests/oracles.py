@@ -78,6 +78,26 @@ def exchange_scan_families(n: int, r: int) -> list[tuple[int, ...]]:
     return found
 
 
+def exchange_violation_oracle(family: SetFamily) -> tuple[Subset, Subset, str] | None:
+    """The least (B1, B2, x) breaking the base exchange axiom as stated: for
+    members B1 != B2 and x in B1 - B2, some y in B2 - B1 makes (B1 - {x}) + {y}
+    a member.  B1, then B2, in canonical subset order, then x by ascending
+    index; None when the axiom holds."""
+    ground = family.ground
+    members = sorted(family)
+    for b1 in members:
+        for b2 in members:
+            if b1 == b2:
+                continue
+            for x in (b1 - b2).labels():
+                stripped = b1 - ground.subset(x)
+                if not any(
+                    stripped | ground.subset(y) in family for y in (b2 - b1).labels()
+                ):
+                    return b1, b2, x
+    return None
+
+
 def rank_oracle(m: Matroid, x: Subset) -> int:
     """Largest independent subset of x, found by scanning all subsets of x."""
     best = 0

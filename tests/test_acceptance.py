@@ -141,20 +141,18 @@ def test_criterion_6_negative_path_determinism():
     uniform = mk("123", "12", "13", "23")
     five = mk("12345", "123", "124", "134", "125", "145")
 
-    def witnesses(workers: int):
+    def witnesses():
         return (
-            is_unique_expansion(uniform, workers=workers).witness,
-            is_unique_exchange(five, workers=workers).witness,
-            is_union_minimal(uniform, workers=workers).witness,
-            is_intersection_minimal(uniform.dual(), workers=workers).witness,
+            is_unique_expansion(uniform).witness,
+            is_unique_exchange(five).witness,
+            is_union_minimal(uniform).witness,
+            is_intersection_minimal(uniform.dual()).witness,
         )
 
-    reference = witnesses(1)
+    reference = witnesses()
     ok = all(w is not None for w in reference)
     for _ in range(10):
-        ok = ok and witnesses(1) == reference
-    for workers in (2, 4, 8):
-        ok = ok and witnesses(workers) == reference
+        ok = ok and witnesses() == reference
     report("6 negative-path determinism", ok)
 
 

@@ -117,6 +117,14 @@ class TestUniqueExchange:
 
 
 class TestUnionMinimal:
+    def test_eight_base_partition_matroid_is_minimal(self):
+        # 8 bases put 70 subfamilies in the middle size layer, all scanned
+        m = mk("123456", *("".join(t) for t in
+                           [(a, b, c) for a in "12" for b in "34" for c in "56"]))
+        assert len(m.bases) == 8
+        assert is_union_minimal(m).verdict
+        assert is_intersection_minimal(m).verdict
+
     def test_uniform_is_reducible(self, uniform3):
         res = is_union_minimal(uniform3)
         assert not res.verdict
@@ -162,32 +170,20 @@ class TestIntersectionMinimal:
 
 
 class TestDeterminism:
-    def _witnesses(self, workers):
+    def _witnesses(self):
         u3 = mk("123", "12", "13", "23")
         m338 = mk("12345", "123", "124", "134", "125", "145")
         return (
-            is_unique_expansion(u3, workers=workers).witness,
-            is_unique_exchange(m338, workers=workers).witness,
-            is_union_minimal(u3, workers=workers).witness,
-            is_intersection_minimal(u3.dual(), workers=workers).witness,
+            is_unique_expansion(u3).witness,
+            is_unique_exchange(m338).witness,
+            is_union_minimal(u3).witness,
+            is_intersection_minimal(u3.dual()).witness,
         )
 
     def test_fixed_witness_across_runs_and_workers(self):
-        reference = self._witnesses(workers=1)
+        reference = self._witnesses()
         for _ in range(10):
-            assert self._witnesses(workers=1) == reference
-        for workers in (2, 4):
-            assert self._witnesses(workers=workers) == reference
-
-    def test_chunked_search_layers_agree_with_sequential(self):
-        # 8 bases put 70 subfamilies in the middle size layer; every worker
-        # count runs the same sequential scan
-        m = mk("123456", *("".join(t) for t in
-                           [(a, b, c) for a in "12" for b in "34" for c in "56"]))
-        assert len(m.bases) == 8
-        for workers in (1, 3, 7):
-            assert is_union_minimal(m, workers=workers).verdict
-            assert is_intersection_minimal(m, workers=workers).verdict
+            assert self._witnesses() == reference
 
 
 class TestRecoverPartition:

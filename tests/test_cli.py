@@ -298,8 +298,13 @@ class TestEnumerate:
             assert json.dumps(m.to_doc()) == line
 
     def test_size_guard_exit_2(self, capsys):
-        code, _, err = run(capsys, "enumerate", "--n", "9")
-        assert code == 2
+        # a bad --n is reported before --rank is judged against it
+        for argv, n in ((["--n", "9"], "9"), (["--n", "-1", "--rank", "0"], "-1"),
+                        (["--n", "7", "--rank", "9"], "7")):
+            code, out, err = run(capsys, "enumerate", *argv)
+            assert code == 2
+            assert out == ""
+            assert err == f"error: enumeration supports 1..6 elements, got {n}\n"
 
     @pytest.mark.parametrize("rank", ["-1", "4"])
     def test_rank_out_of_range_exit_2(self, capsys, rank):

@@ -92,11 +92,7 @@ class TestVerify:
         pop = population(3)
         ref = verify(pop).to_dict()
         again = verify(pop).to_dict()
-        threaded = verify(pop, workers=4).to_dict()
-        for other in (again, threaded):
-            ref_wo = dict(ref, duration_ms=None)
-            other_wo = dict(other, duration_ms=None)
-            assert ref_wo == other_wo
+        assert dict(ref, duration_ms=None) == dict(again, duration_ms=None)
 
     def test_check_filter(self):
         registry = [lookup_check("prop_100"), lookup_check("dual_involution")]
@@ -337,9 +333,10 @@ class TestWorkedExamples:
         ]
 
     def test_examples_pass_the_full_registry(self):
-        report = verify(worked_examples())
+        matroids = [m for e in worked_examples() for m in e.matroids]
+        report = verify(matroids)
         assert report.failures == 0
-        assert report.total == sum(len(e.matroids) for e in worked_examples())
+        assert report.total == len(matroids)
 
     def test_facts_are_nonempty_everywhere(self):
         for example in worked_examples():

@@ -11,10 +11,14 @@ from matroidlab import (
     are_isomorphic,
     complements,
     enumerate_matroids,
+    forming_family,
+    is_unique_exchange,
+    is_unique_expansion,
     low,
     make_partition_matroid,
     make_unique_partition_matroid,
     maximal,
+    recover_partition,
 )
 from matroidlab.errors import (
     AugmentationFailure,
@@ -27,7 +31,7 @@ from matroidlab.errors import (
     UnequalCardinality,
 )
 
-from oracles import rank_oracle
+from oracles import exchange_violation_oracle, rank_oracle
 
 
 def fam(ground, *label_sets):
@@ -81,8 +85,9 @@ class TestFromBases:
     @settings(max_examples=200, deadline=None)
     @given(st.data())
     def test_random_candidates_validate_or_witness(self, data):
-        # a random equal-cardinality family either validates or the exchange
-        # witness replays against the definition: no replacement works
+        # a random equal-cardinality family validates exactly when the literal
+        # axiom holds; otherwise the exchange witness is the canonically least
+        # violation and replays against the definition: no replacement works
         n = data.draw(st.integers(min_value=2, max_value=5))
         r = data.draw(st.integers(min_value=1, max_value=n))
         ground = GroundSet(str(i) for i in range(1, n + 1))
@@ -92,9 +97,11 @@ class TestFromBases:
             st.lists(st.sampled_from(rsets), min_size=1, unique=True)
         )
         candidate = SetFamily(ground, members)
+        least = exchange_violation_oracle(candidate)
         try:
             m = Matroid.from_bases(ground, candidate)
         except ExchangeFailure as exc:
+            assert (exc.base1, exc.base2, exc.element) == least
             stripped = exc.base1 - ground.subset(exc.element)
             repaired = [
                 y for y in (exc.base2 - exc.base1).labels()
@@ -104,6 +111,7 @@ class TestFromBases:
             assert exc.element not in exc.base2
             assert repaired == []
         else:
+            assert least is None
             assert m.bases == candidate
 
 
@@ -203,6 +211,21 @@ class TestDual:
         for m in _population(3):
             rebuilt = Matroid.from_independents(m.ground, low(complements(m.bases)))
             assert rebuilt == m.dual()
+
+
+class TestSixtyFourLabels:
+    # one label per bit of a machine word: U(1,64) and its dual U(63,64)
+    def test_uniform_pair_at_the_word_edge(self):
+        g = GroundSet(str(i) for i in range(64))
+        u1 = Matroid.from_bases(g, SetFamily(g, (g.subset_of([i]) for i in range(64))))
+        u63 = Matroid.from_bases(g, complements(u1.bases))
+        assert u1.dual() == u63 and u63.dual() == u1
+        assert u1.dual().dual() == u1 and u63.dual().dual() == u63
+        assert len(forming_family(u1)) == 1
+        assert len(forming_family(u63)) == 64 * 63 // 2
+        assert recover_partition(u1) == Partition(SetFamily(g, [g.full()]))
+        assert is_unique_exchange(u63).verdict
+        assert not is_unique_expansion(u63).verdict
 
 
 class TestPartitionMatroids:
