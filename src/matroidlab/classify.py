@@ -3,19 +3,18 @@
 Every classifier returns a ClassificationResult; a false verdict always
 carries the canonically least counterexample, so failure output is identical
 across runs.  Every search runs sequentially in canonical order.  The
-minimality checks are exhaustive searches over subfamilies of the base family
-and are therefore guarded by a configurable cap.
+minimality checks are exhaustive searches over subfamilies of the base family,
+pruned by prefix, and are therefore guarded by a configurable cap.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
-from typing import Callable, Iterable
+from typing import Callable, Sequence
 
 from .errors import RankZero, SearchCapExceeded, SupportMismatch
 from .forming import _expansions, forming_family
-from .matroid import Matroid, first_exchange_violation
+from .matroid import Matroid
 from .setalgebra import (
     Partition,
     SetFamily,
@@ -128,42 +127,182 @@ def is_unique_exchange(m: Matroid) -> ClassificationResult:
 
 
 def _minimality_search(
-    m: Matroid, same_boundary: Callable[[Iterable[int]], bool], cap: int
+    m: Matroid, kind: str, boundary: int, cap: int
 ) -> ClassificationResult:
-    bases = m.bases.sets
-    if len(bases) > cap:
+    n = len(m.bases.sets)
+    if n > cap:
         raise SearchCapExceeded(
-            f"{len(bases)} bases exceed the exhaustive search cap {cap}"
+            f"{n} bases exceed the exhaustive search cap {cap}"
         )
-    # Decreasing size, canonical order within a size; the first valid
-    # subfamily found is the canonical witness.
-    for k in range(len(bases) - 1, 0, -1):
-        for combo in combinations(bases, k):
-            masks = [s.mask for s in combo]
-            if same_boundary(masks) and (
-                first_exchange_violation(masks, frozenset(masks)) is None
-            ):
-                return ClassificationResult(
-                    False, SubfamilyWitness(SetFamily(m.ground, combo))
-                )
+    if n == 1:
+        return ClassificationResult(True, None)  # no proper nonempty subfamily
+    return m._fact(f"{kind}_minimal", lambda: _least_reduction(m, kind, boundary))
+
+
+def _requirements(b1: int, b2: int, position: Callable[[int, int], int]) -> Sequence[int]:
+    """One mask of repair positions per exchange requirement of two bases.
+
+    A requirement is (B1, B2, x) with x in B1 - B2, or the same with the two
+    bases swapped; its repairs are the bases B1 - x + y, y in B2 - B1, and
+    `position(mask, 0)` gives a base's position bit (0 for a non-base).
+    """
+    out = b1 & ~b2
+    x1 = out & -out
+    x2 = out ^ x1
+    if not x2:
+        return ()  # one swap apart: each repairs the other
+    inn = b2 & ~b1
+    if not x2 & (x2 - 1):
+        # two swaps apart: B2 - y + x is B1 - x' + y' for the other x' and
+        # y', so four lookups serve both ways round
+        y1 = inn & -inn
+        y2 = inn ^ y1
+        r11 = position(b1 ^ x1 ^ y1, 0)
+        r12 = position(b1 ^ x1 ^ y2, 0)
+        r21 = position(b1 ^ x2 ^ y1, 0)
+        r22 = position(b1 ^ x2 ^ y2, 0)
+        return (r11 | r12, r21 | r22, r12 | r22, r11 | r21)
+    reqs = []
+    for base, rest, incoming in ((b1, out, inn), (b2, inn, out)):
+        while rest:
+            xbit = rest & -rest
+            rest ^= xbit
+            stripped = base ^ xbit
+            r = 0
+            cand = incoming
+            while cand:
+                ybit = cand & -cand
+                cand ^= ybit
+                r |= position(stripped | ybit, 0)
+            reqs.append(r)
+    return reqs
+
+
+def _least_reduction(m: Matroid, kind: str, boundary: int) -> ClassificationResult:
+    """The first proper subfamily that is a base family with the same boundary.
+
+    Subfamilies are visited in decreasing size, then in `combinations` order
+    of base positions within a size, so the first one found is the canonical
+    witness.  The visit is a depth-first walk over positions that drops a
+    prefix (its chosen bases, and the skipped ones below its last position)
+    once no completion can succeed:
+
+    - boundary: the chosen bases and every later one together miss part of
+      the boundary (a support element for `union`; for `intersection`, an
+      element outside the common intersection that no such base omits);
+    - exchange: for chosen B1, B2 and x in B1 - B2, every repair
+      B1 - x + y (y in B2 - B1) that is a base has been skipped.
+
+    A complete subfamily whose every requirement has a chosen repair is
+    exchange-closed by definition, so it needs no separate validation.  Sizes
+    too small to cover the boundary are skipped by counting alone.  Nothing
+    here relies on a theorem about the classes being decided.
+    """
+    masks = [s.mask for s in m.bases.sets]
+    n = len(masks)
+    if kind == "union":
+        covers, target = masks, boundary
+    else:
+        # the intersection is the boundary iff the complements cover the rest
+        full = (1 << m.ground.size) - 1
+        covers, target = [full ^ b for b in masks], full ^ boundary
+    # every cover has the same size, so fewer bases cannot cover the target
+    fewest = max(1, -(-target.bit_count() // covers[0].bit_count()))
+    if fewest >= n:
+        return ClassificationResult(True, None)
+    reach = covers + [0]  # reach[t]: what the bases from position t on cover
+    for t in range(n - 2, -1, -1):
+        reach[t] |= reach[t + 1]
+    where = None  # base mask -> position bit, built on first need
+    # t * n + j (j < t) -> the pair's requirements, on its first visit
+    repairs: list[Sequence[int] | None] = [None] * (n * n)
+    picks: list[int] = []  # chosen positions, ascending
+    stack = []  # (covered, pending, chosen) below each pick
+    for size in range(n - 1, fewest - 1, -1):
+        depth, t, covered, pending, chosen = 0, 0, 0, (), 0
+        while True:
+            last = n - size + depth  # highest position this depth may take
+            leaf = depth + 1 == size
+            if leaf:
+                # the last pick must meet every waiting requirement at once
+                need = -1
+                for r in pending:
+                    need &= r
+            found = False
+            while t <= last:
+                if covered | reach[t] != target:
+                    break  # later positions reach even less
+                bit = 1 << t
+                if leaf:
+                    if not need & bit or covered | covers[t] != target:
+                        t += 1
+                        continue
+                    still = None
+                else:
+                    # a waiting requirement is met by t, or dies for good
+                    # once no repair lies past t
+                    above = bit << 1
+                    still = []
+                    dead = False
+                    for r in pending:
+                        if r & bit:
+                            continue
+                        if r < above:
+                            dead = True
+                            break
+                        still.append(r)
+                    if dead:
+                        break
+                now = chosen | bit
+                ok = True
+                for j in picks:
+                    reqs = repairs[t * n + j]
+                    if reqs is None:
+                        if where is None:
+                            where = {b: 1 << i for i, b in enumerate(masks)}.get
+                        reqs = repairs[t * n + j] = _requirements(masks[t], masks[j], where)
+                    for r in reqs:
+                        if r & now:
+                            continue
+                        if leaf or r < above:
+                            ok = False
+                            break
+                        still.append(r)
+                    if not ok:
+                        break
+                if ok:
+                    found = True
+                    break
+                t += 1
+            if found:
+                picks.append(t)
+                if leaf:
+                    return ClassificationResult(False, SubfamilyWitness(
+                        SetFamily(m.ground, (m.bases.sets[i] for i in picks))
+                    ))
+                stack.append((covered, pending, chosen))
+                covered |= covers[t]
+                pending = still
+                chosen = now
+                depth += 1
+                t += 1
+            elif depth:
+                depth -= 1
+                covered, pending, chosen = stack.pop()
+                t = picks.pop() + 1
+            else:
+                break
     return ClassificationResult(True, None)
 
 
 def is_union_minimal(m: Matroid, cap: int = DEFAULT_SEARCH_CAP) -> ClassificationResult:
     """Is no proper subfamily of the bases a base family with the same union?
 
-    Exhaustive over all proper nonempty subfamilies, so the base family size
-    is capped (default 20, about a million subfamilies).
+    Exhaustive over the proper nonempty subfamilies, pruned by prefix, so the
+    base family size is capped (default 20).  The result is kept in the
+    matroid's facts memo once the cap check passes.
     """
-    support = m.support().mask
-
-    def same_union(masks: Iterable[int]) -> bool:
-        u = 0
-        for x in masks:
-            u |= x
-        return u == support
-
-    return _minimality_search(m, same_union, cap)
+    return _minimality_search(m, "union", m.support().mask, cap)
 
 
 def is_intersection_minimal(
@@ -171,18 +310,9 @@ def is_intersection_minimal(
 ) -> ClassificationResult:
     """Is no proper subfamily of the bases a base family with the same intersection?
 
-    Capped like `is_union_minimal`.
+    Capped and memoized like `is_union_minimal`.
     """
-    common = m.base_intersection().mask
-    full = (1 << m.ground.size) - 1
-
-    def same_intersection(masks: Iterable[int]) -> bool:
-        c = full
-        for x in masks:
-            c &= x
-        return c == common
-
-    return _minimality_search(m, same_intersection, cap)
+    return _minimality_search(m, "intersection", m.base_intersection().mask, cap)
 
 
 def recover_partition(m: Matroid) -> Partition | None:

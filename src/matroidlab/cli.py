@@ -55,9 +55,12 @@ def _search_cap() -> int:
     if raw is None:
         return DEFAULT_SEARCH_CAP
     try:
-        return int(raw)
+        cap = int(raw)
     except ValueError:
         raise ParseError(f"{SEARCH_CAP_ENV} must be an integer, got {raw!r}") from None
+    if cap < 0:
+        raise ParseError(f"{SEARCH_CAP_ENV} must not be negative, got {cap}")
+    return cap
 
 
 def _emit_doc(doc: dict, compact: bool) -> None:

@@ -23,6 +23,7 @@ from matroidlab import (
     transversals,
 )
 from matroidlab.errors import AxiomError
+from matroidlab.matroid import first_exchange_violation
 
 
 def all_antichain_matroids(n: int) -> list[Matroid]:
@@ -215,4 +216,39 @@ def prop_103_oracle(m: Matroid) -> str | None:
     else:
         if len(hits) != 1 or hits[0] != recovered:
             return f"recovered {recovered.family} but one-per-block partitions are {[h.family for h in hits]}"
+    return None
+
+
+def minimality_witness_oracle(m: Matroid, kind: str) -> SetFamily | None:
+    """The canonical union (`kind="union"`) or intersection minimality
+    witness by the plain scan: every proper subfamily in decreasing size, in
+    `combinations` order within a size, keeping the boundary and passing the
+    exchange scan that `from_bases` uses (itself pinned against
+    `exchange_violation_oracle`); None when the matroid is minimal."""
+    if kind == "union":
+        support = m.support().mask
+
+        def same_boundary(masks):
+            u = 0
+            for x in masks:
+                u |= x
+            return u == support
+    else:
+        common = m.base_intersection().mask
+        full = (1 << m.ground.size) - 1
+
+        def same_boundary(masks):
+            c = full
+            for x in masks:
+                c &= x
+            return c == common
+
+    bases = m.bases.sets
+    for k in range(len(bases) - 1, 0, -1):
+        for combo in combinations(bases, k):
+            masks = [s.mask for s in combo]
+            if same_boundary(masks) and (
+                first_exchange_violation(masks, frozenset(masks)) is None
+            ):
+                return SetFamily(m.ground, combo)
     return None

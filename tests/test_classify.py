@@ -144,6 +144,13 @@ class TestUnionMinimal:
         with pytest.raises(SearchCapExceeded):
             is_union_minimal(uniform3, cap=2)
 
+    def test_result_is_memoized_behind_the_cap(self, uniform3):
+        first = is_union_minimal(uniform3)
+        assert is_union_minimal(uniform3) is first
+        # a kept result never lets a smaller cap through
+        with pytest.raises(SearchCapExceeded):
+            is_union_minimal(uniform3, cap=2)
+
     def test_witness_replays_against_the_definition(self, uniform3):
         sub = is_union_minimal(uniform3).witness.subfamily
         assert sub.masks() < uniform3.bases.masks()
@@ -244,6 +251,23 @@ class TestAgainstDefinitionOracles:
             assert is_union_minimal(m).verdict == union_minimal_oracle(m)
             assert is_intersection_minimal(m).verdict == intersection_minimal_oracle(m)
 
+    def test_minimality_witness_matches_plain_scan(self):
+        for m in _population(5):
+            _assert_minimality_witnesses(m)
+
+    @pytest.mark.parametrize("sizes", [(2, 2, 4), (2, 8), (3, 4)])
+    def test_minimality_witness_on_partition_shapes(self, sizes):
+        # the unique partition matroids the analyze benchmark feeds in, with
+        # loops filling a 12-label ground; 12 or 16 bases, union minimal
+        g = GroundSet(str(i) for i in range(1, 13))
+        blocks, start = [], 0
+        for size in sizes:
+            blocks.append(g.subset_of(range(start, start + size)))
+            start += size
+        _assert_minimality_witnesses(
+            make_unique_partition_matroid(g, Partition(SetFamily(g, blocks)))
+        )
+
     def test_unique_expansion_matches_oracle_witness(self):
         from oracles import unique_expansion_oracle
 
@@ -272,6 +296,18 @@ class TestClassImplicationsOverPopulation:
                 is_union_minimal(m).verdict
                 == is_intersection_minimal(m.dual()).verdict
             )
+
+
+def _assert_minimality_witnesses(m):
+    """Both searches on m and its dual give the plain scan's canonical witness."""
+    from oracles import minimality_witness_oracle
+
+    for x in (m, m.dual()):
+        for kind, classify in (("union", is_union_minimal),
+                               ("intersection", is_intersection_minimal)):
+            res = classify(x)
+            got = None if res.verdict else res.witness.subfamily
+            assert got == minimality_witness_oracle(x, kind), (x, kind)
 
 
 _cache = {}

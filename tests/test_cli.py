@@ -128,8 +128,14 @@ class TestAnalyze:
         ))
         code, out, _ = run(capsys, "analyze", str(path))
         assert code == 0
-        assert "unique expansion: no (witness: ExpansionWitness" in out
-        assert "union minimal: no (witness: SubfamilyWitness" in out
+        # U(2,3): the four verdict lines, witnesses included, byte for byte
+        assert out.splitlines()[-4:] == [
+            "unique expansion: no (witness: ExpansionWitness(secondary={1}, "
+            "base={2,3}, e1='2', e2='3'))",
+            "unique exchange: yes",
+            "union minimal: no (witness: SubfamilyWitness(subfamily={{1,2},{1,3}}))",
+            "intersection minimal: yes",
+        ]
 
     def test_rank_zero_fields(self, capsys, tmp_path):
         path = tmp_path / "m.json"
@@ -147,6 +153,17 @@ class TestAnalyze:
         doc = json.loads(out)
         assert doc["union_minimal"] is None
         assert "exceeds search cap 2" in doc["minimality_skipped"]
+
+    @pytest.mark.parametrize("cap", ["-1", "-3"])
+    def test_negative_search_cap_exit_2(self, capsys, tmp_path, monkeypatch, cap):
+        # a negative cap is malformed input, not a cap every family exceeds
+        path = tmp_path / "m.json"
+        path.write_text('{"ground_set": ["1"], "bases": [["1"]]}')
+        monkeypatch.setenv("MATROIDLAB_SEARCH_CAP", cap)
+        code, out, err = run(capsys, "analyze", str(path))
+        assert code == 2
+        assert out == ""
+        assert err == f"error: MATROIDLAB_SEARCH_CAP must not be negative, got {cap}\n"
 
     def test_invalid_matroid_exit_1(self, capsys, tmp_path):
         path = tmp_path / "m.json"
