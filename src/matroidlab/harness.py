@@ -28,12 +28,13 @@ from .classify import (
     is_unique_expansion,
     recover_partition,
 )
-from .errors import SearchCapExceeded
+from .errors import AxiomError, SearchCapExceeded
 from .forming import forming_family, forming_family_wrt
 from .matroid import (
     Matroid,
     PartitionMatroidSpec,
     are_isomorphic,
+    first_exchange_violation,
     make_partition_matroid,
     make_unique_partition_matroid,
 )
@@ -46,6 +47,7 @@ from .setalgebra import (
     _partition_masks,
     _transversal_masks,
     combination_number,
+    complements,
     is_covering,
     is_partition,
     low,
@@ -105,20 +107,16 @@ def _check_prop_100(m: Matroid) -> str | None:
 
 
 def _check_thm_123(m: Matroid) -> str | None:
-    masks = m.bases.masks()
-    for b1 in m.bases:
-        for b2 in m.bases:
-            for x in (b1 - b2).indices():
-                xbit = 1 << x
-                if not any(
-                    ((b2.mask ^ (1 << y)) | xbit) in masks
-                    for y in (b2 - b1).indices()
-                ):
-                    return (
-                        f"no y in {b2}-{b1} with ({b2}-{{y}})+"
-                        f"{{{m.ground.label(x)}}} a base"
-                    )
-    return None
+    # (B2-{y})+{x} is a base exactly when (C2-{x})+{y} is a complement of one,
+    # for Ci the complement of Bi: base exchange on the complement family
+    cobases = complements(m.bases)
+    violation = first_exchange_violation([c.mask for c in cobases], cobases.masks())
+    if violation is None:
+        return None
+    c2, c1, x = violation
+    full = m.ground.full().mask
+    b1, b2 = m.ground.from_mask(full ^ c1), m.ground.from_mask(full ^ c2)
+    return f"no y in {b2}-{b1} with ({b2}-{{y}})+{{{m.ground.label(x)}}} a base"
 
 
 def _check_prop_341(m: Matroid) -> str | None:
@@ -175,7 +173,7 @@ def _check_lemma_66(m: Matroid) -> str | None:
 
 def _check_thm_50(m: Matroid) -> str | None:
     ue = is_unique_expansion(m).verdict
-    part = is_partition(forming_family(m), m.support())
+    part = recover_partition(m) is not None
     if ue != part:
         return f"unique expansion {ue} but forming family partitions support {part}"
     return None
@@ -211,7 +209,7 @@ def _check_prop_51_j(m: Matroid) -> str | None:
 
 
 def _check_prop_125(m: Matroid) -> str | None:
-    product = transversals(Partition(forming_family(m)))
+    product = transversals(_recovered(m))
     if m.bases != product:
         return f"bases {m.bases} != transversal product {product}"
     return None
@@ -311,19 +309,30 @@ def _block_family(ground: GroundSet, blocks: Iterable[int]) -> SetFamily:
     return SetFamily(ground, map(ground.from_mask, blocks))
 
 
+def _one_per_block_partitions(m: Matroid) -> list[list[int]]:
+    """The support partitions every base meets once per block, as block-mask
+    lists in `_partition_masks` order; walked once per matroid."""
+    base_masks = m.bases.masks()
+    return m._fact("one_per_block_partitions", lambda: [
+        blocks for blocks in _partition_masks(m.support().mask)
+        if _one_per_block(base_masks, blocks)
+    ])
+
+
 def _check_thm_33(m: Matroid) -> str | None:
     base_masks = m.bases.masks()
-    for blocks in _partition_masks(m.support().mask):
-        once = _one_per_block(base_masks, blocks)
-        # disjoint blocks give distinct picks, so a count mismatch already
-        # rules out equality and the product is built only on a count match
+    # every product pick meets each disjoint block once, so a partition the
+    # bases miss never matches its product; on the others, distinct picks make
+    # a count mismatch rule out equality, and the product is built only on a
+    # count match
+    for blocks in _one_per_block_partitions(m):
         matched = len(base_masks) == prod(b.bit_count() for b in blocks) and (
             base_masks == frozenset(_transversal_masks(blocks))
         )
-        if once != matched:
+        if not matched:
             return (
                 f"partition {_block_family(m.ground, blocks)}: "
-                f"one-per-block {once} but product match {matched}"
+                "one-per-block True but product match False"
             )
     return None
 
@@ -343,11 +352,7 @@ def _check_cor_109(m: Matroid) -> str | None:
 
 
 def _check_prop_103(m: Matroid) -> str | None:
-    base_masks = m.bases.masks()
-    hits = [
-        blocks for blocks in _partition_masks(m.support().mask)
-        if _one_per_block(base_masks, blocks)
-    ]
+    hits = _one_per_block_partitions(m)
     recovered = recover_partition(m)
     if recovered is None:
         if hits:
@@ -641,10 +646,11 @@ def verify(
 
     Checks run sequentially in population order.  A check that exceeds an
     exhaustive search cap is tallied as capped on that matroid; a check
-    missing a fact its hypothesis implies is tallied as failed; either way the
-    sweep goes on.  Witnesses and cap hits are tied to their matroid's
-    document, so the report is deterministic for a fixed population and
-    registry.
+    missing a fact its hypothesis implies, or raising `AxiomError` (say, on
+    the dual of a family that is not a matroid), is tallied as failed with
+    the error as its detail; either way the sweep goes on.  Witnesses and cap
+    hits are tied to their matroid's document, so the report is deterministic
+    for a fixed population and registry.
     """
     matroids = list(population)
     checks = theorem_registry() if registry is None else list(registry)
@@ -666,7 +672,7 @@ def verify(
                 outcome.capped += 1
                 outcome.cap_hits.append({"matroid": m.to_doc(), "detail": str(exc)})
                 continue
-            except _MissingFact as exc:
+            except (_MissingFact, AxiomError) as exc:
                 result = str(exc)
             if result is None:
                 outcome.passed += 1

@@ -412,9 +412,9 @@ def all_partitions(support: Subset) -> Iterator[Partition]:
     """Every partition of `support`, as Partition values over its ground set.
 
     The number of results is the Bell number of len(support), so keep the
-    support small.  The verification harness does not call this: its
-    partition checks walk `_partition_masks` directly, in the same order, and
-    build a family only for a failure message.
+    support small.  The verification harness does not call this: it walks
+    `_partition_masks` directly, in the same order, once per matroid for both
+    of its partition checks, and builds a family only for a failure message.
     """
     ground = support.ground
     for blocks in _partition_masks(support.mask):

@@ -4,8 +4,9 @@ Everything here deliberately goes through definitions rather than through the
 code paths under test: ranks by scanning all subsets for independence,
 enumeration by pushing every candidate family through the validating
 constructor or by scanning every family with a literal exchange test,
-expansion sets by comparing maximal independent subsets, and the support
-partition checks by walking `Partition` values with the public set algebra.
+expansion sets by comparing maximal independent subsets, the support
+partition checks by walking `Partition` values with the public set algebra,
+and the exchange check by scanning `Subset` values.
 """
 
 from __future__ import annotations
@@ -190,6 +191,26 @@ def _reducible(m: Matroid, keeps_boundary) -> bool:
                 continue
             return True
     return False
+
+
+def thm_123_oracle(m: Matroid) -> str | None:
+    """The `thm_123` check on `Subset` values: for bases B1, B2 in canonical
+    order and x in B1-B2 by ascending index, some y in B2-B1 must make
+    (B2-{y})+{x} a base."""
+    masks = m.bases.masks()
+    for b1 in m.bases:
+        for b2 in m.bases:
+            for x in (b1 - b2).indices():
+                xbit = 1 << x
+                if not any(
+                    ((b2.mask ^ (1 << y)) | xbit) in masks
+                    for y in (b2 - b1).indices()
+                ):
+                    return (
+                        f"no y in {b2}-{b1} with ({b2}-{{y}})+"
+                        f"{{{m.ground.label(x)}}} a base"
+                    )
+    return None
 
 
 def thm_33_oracle(m: Matroid) -> str | None:

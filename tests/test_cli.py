@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from matroidlab import harness
+from matroidlab import GroundSet, Matroid, SetFamily, harness
 from matroidlab.cli import main, parse_matroid_file
 from matroidlab.errors import ParseError, UnequalCardinality
 from matroidlab.harness import TheoremCheck
@@ -392,6 +392,18 @@ class TestVerify:
         assert code == 2
         assert out == ""
         assert err.startswith("error:") and "thm_33" in err
+
+    def test_non_matroid_population_exit_3(self, capsys, monkeypatch):
+        # an enumerator that let a non-matroid through gets a report and
+        # exit 3, not "invalid matroid" and exit 1
+        g = GroundSet("1234")
+        bad = Matroid._trusted(g, SetFamily(g, [g.subset("1", "3"), g.subset("2", "4")]))
+        monkeypatch.setattr("matroidlab.cli.enumerate_matroids", lambda n: [bad])
+        code, out, err = run(capsys, "verify", "--n", "1", "--json")
+        assert code == 3
+        assert err == ""
+        rows = {row["id"]: row for row in json.loads(out)["checks"]}
+        assert rows["thm_123"]["failed"] == rows["dual_involution"]["failed"] == 1
 
     def test_failing_sweep_exit_3(self, capsys, monkeypatch):
         rigged = TheoremCheck(

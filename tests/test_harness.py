@@ -19,9 +19,10 @@ from matroidlab import classify as classify_module
 from matroidlab import forming as forming_module
 from matroidlab import forming_family, harness, recover_partition
 from matroidlab import matroid as matroid_module
-from matroidlab.errors import SearchCapExceeded, UnequalCardinality
+from matroidlab import setalgebra as setalgebra_module
+from matroidlab.errors import AxiomError, SearchCapExceeded, UnequalCardinality
 
-from oracles import prop_103_oracle, thm_33_oracle
+from oracles import prop_103_oracle, thm_123_oracle, thm_33_oracle
 
 
 def population(max_n):
@@ -220,6 +221,77 @@ def _trusted_family(rows):
     return Matroid._trusted(g, SetFamily(g, [g.subset(*r) for r in rows]))
 
 
+def _equal_size_families(n, ranks):
+    """Every nonempty family of r-subsets of {1..n} for r in `ranks`, built
+    unvalidated, so matroids and non-matroids alike."""
+    g = GroundSet(str(i) for i in range(1, n + 1))
+    for r in ranks:
+        rsets = [g.subset_of(c) for c in combinations(range(n), r)]
+        for k in range(1, len(rsets) + 1):
+            for combo in combinations(rsets, k):
+                yield Matroid._trusted(g, SetFamily(g, combo))
+
+
+def _is_matroid(m):
+    try:
+        Matroid.from_bases(m.ground, m.bases)
+    except AxiomError:
+        return False
+    return True
+
+
+class TestNonMatroidFamilies:
+    """The registry cross-checks unvalidated families too: a family that is
+    not a matroid fails checks, it never aborts the sweep."""
+
+    def test_every_equal_size_family_on_four_elements_is_reported(self):
+        families = list(_equal_size_families(4, range(1, 4)))
+        assert len(families) == 93
+        bad = [m.to_doc() for m in families if not _is_matroid(m)]
+        assert len(bad) == 27
+        report = verify(families)
+        assert report.total == 93
+        by_id = {o.check_id: o for o in report.outcomes}
+        for outcome in report.outcomes:
+            assert outcome.applicable == outcome.passed + outcome.failed
+            # every failure belongs to a non-matroid: the 66 matroids pass
+            assert all(w["matroid"] in bad for w in outcome.witnesses)
+        for check_id in ("thm_123", "dual_involution"):
+            assert [w["matroid"] for w in by_id[check_id].witnesses] == bad
+        # the dual of a non-matroid fails validation; the error is the detail
+        assert all(
+            w["detail"].startswith("no y in ")
+            for w in by_id["dual_involution"].witnesses
+        )
+
+
+class TestThm123AgainstOracle:
+    """`thm_123` runs the base exchange scan on the complement family; the
+    oracle scans `Subset` values as the statement reads."""
+
+    def test_same_text_on_four_elements(self):
+        check = lookup_check("thm_123")
+        for m in _equal_size_families(4, range(1, 4)):
+            assert check.run(m) == thm_123_oracle(m)
+
+    def test_same_verdict_on_five_elements(self):
+        # the two scans visit base pairs in different orders, so on some
+        # non-matroids they name different violations; verdicts must agree
+        check = lookup_check("thm_123")
+        passed = 0
+        families = list(_equal_size_families(5, range(1, 5)))
+        assert len(families) == 2108
+        for m in families:
+            verdict = check.run(m) is None
+            assert verdict == (thm_123_oracle(m) is None)
+            passed += verdict
+        assert passed == 404
+
+    def test_failure_text_is_pinned(self):
+        detail = lookup_check("thm_123").run(_trusted_family(["13", "24"]))
+        assert detail == "no y in {2,4}-{1,3} with ({2,4}-{y})+{1} a base"
+
+
 class TestPartitionChecksAgainstOracles:
     """`thm_33` and `prop_103` walk block masks; the oracles walk `Partition`
     values through the public set algebra and must give the same text."""
@@ -280,6 +352,21 @@ class TestFactsMemo:
         registry = [c for c in theorem_registry() if c.check_id != "thm_321"]
         assert verify(pop, registry).failures == 0
         assert len(calls) == len(pop)
+
+    def test_support_partitions_are_walked_once_per_matroid(self, monkeypatch):
+        # thm_33 and prop_103 share one walk; only top-level calls are
+        # counted, the walk recurses through the setalgebra name
+        calls = []
+        real = setalgebra_module._partition_masks
+
+        def counted(support):
+            calls.append(support)
+            return real(support)
+
+        monkeypatch.setattr(harness, "_partition_masks", counted)
+        pop = population(4)
+        assert verify(pop).failures == 0
+        assert calls == [m.support().mask for m in pop]
 
     def test_missing_partition_is_computed_once(self, monkeypatch):
         calls = []

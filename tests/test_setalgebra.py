@@ -18,6 +18,7 @@ from matroidlab import (
     transversals,
 )
 from matroidlab.errors import GroundSetTooLarge
+from matroidlab.setalgebra import _one_per_block, _partition_masks, _transversal_masks
 
 from oracles import transversal_count_oracle
 
@@ -236,6 +237,15 @@ class TestOnePerBlock:
             }
             assert passing == transversals(p).masks()
             assert one_per_block(transversals(p).masks(), p)
+
+    def test_every_product_pick_meets_each_block_once(self):
+        # the fact `thm_33` rests on: a partition the bases miss never
+        # matches its product
+        support = GroundSet("12345").full().mask
+        partitions = list(_partition_masks(support))
+        assert len(partitions) == 52
+        for blocks in partitions:
+            assert _one_per_block(_transversal_masks(blocks), blocks)
 
     def test_one_miss_fails(self, g3):
         p = Partition(fam(g3, "1", "23"))
