@@ -14,7 +14,7 @@ from typing import Callable, Sequence
 
 from .errors import RankZero, SearchCapExceeded, SupportMismatch
 from .forming import _expansions, forming_family
-from .matroid import Matroid
+from .matroid import Matroid, expansion_masks
 from .setalgebra import (
     Partition,
     SetFamily,
@@ -102,27 +102,28 @@ def _unique_expansion(m: Matroid) -> ClassificationResult:
 def is_unique_exchange(m: Matroid) -> ClassificationResult:
     """After removing x from base1, is the repairing element of base2 unique?
 
-    Vacuously true when no pair of bases offers two repairs (in particular for
-    rank zero); the witness is the least (B1, B2, x, y1, y2) otherwise.
+    The repairs of (B1, B2, x) are the bits of B2 in the expansion mask of
+    B1 - x, read from the matroid's memoized map at positive rank; a family
+    whose first member is empty (rank zero) still gets its own map, since an
+    unvalidated one may hold larger sets.  Vacuously true when no pair of
+    bases offers two repairs (in particular for a rank-zero matroid); the
+    witness is the least (B1, B2, x, y1, y2) otherwise.
     """
-    base_masks = m.bases.masks()
+    exp = _expansions(m) if m.rank else expansion_masks(m.bases.masks())
     ground = m.ground
     for b1 in m.bases:
         for b2 in m.bases:
-            if b1 == b2:
-                continue
-            incoming = (b2 - b1).indices()
-            for x in (b1 - b2).indices():
-                stripped = b1.mask ^ (1 << x)
-                first = -1
-                for y in incoming:
-                    if (stripped | (1 << y)) in base_masks:
-                        if first >= 0:
-                            return ClassificationResult(False, ExchangeWitness(
-                                b1, b2, ground.label(x),
-                                ground.label(first), ground.label(y),
-                            ))
-                        first = y
+            rest = b1.mask & ~b2.mask
+            while rest:
+                xbit = rest & -rest
+                rest ^= xbit
+                both = exp[b1.mask ^ xbit] & b2.mask
+                if both & (both - 1):
+                    y1, y2 = Subset(ground, both).indices()[:2]
+                    return ClassificationResult(False, ExchangeWitness(
+                        b1, b2, ground.label(xbit.bit_length() - 1),
+                        ground.label(y1), ground.label(y2),
+                    ))
     return ClassificationResult(True, None)
 
 

@@ -14,7 +14,7 @@ every matroid on n - 1 elements by its coloop and by each of its linear
 subclasses therefore yields every matroid on n elements exactly once.  The
 hyperplanes are the complements of the expansion sets of the secondary bases
 (s + i is a base exactly when i lies outside cl(s)), read from the same map
-as the forming family (`forming.expansion_masks`).
+as the forming family (`matroid.expansion_masks`).
 
 Everything here works on bitmasks and never calls the validating constructor
 (Matroid.from_bases) or its exchange test, so the two routes stay independent
@@ -30,8 +30,7 @@ from functools import lru_cache
 from typing import Iterator
 
 from .errors import GroundSetTooLarge
-from .forming import expansion_masks
-from .matroid import Matroid
+from .matroid import Matroid, expansion_masks
 from .setalgebra import GroundSet, SetFamily, Subset, canonical_key
 
 MAX_ENUMERATION_SIZE = 6

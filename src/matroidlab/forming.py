@@ -2,33 +2,19 @@
 
 A secondary base A has rank r - 1, so A + e has rank r exactly when A + e is
 a base.  One pass that deletes each element e from each base B therefore
-yields every secondary base B - e with its expansion set (`expansion_masks`),
-with no rank computation; `expansion` is the general operator for any subset.
-A matroid's expansion map and forming family are computed once and kept in
-its memo (`Matroid._fact`), so the per-base forming families are read off
-the same map.
+yields every secondary base B - e with its expansion set
+(`matroid.expansion_masks`, the map that also validates bases), with no rank
+computation; `expansion` is the general operator for any subset.  A
+matroid's expansion map and forming family are computed once and kept in its
+memo (`Matroid._fact`), so the per-base forming families and the unique
+expansion and exchange classifiers read the same map.
 """
 
 from __future__ import annotations
 
-from typing import Iterable
-
 from .errors import NotABase, RankZero
-from .matroid import Matroid
+from .matroid import Matroid, expansion_masks
 from .setalgebra import SetFamily, Subset
-
-
-def expansion_masks(base_masks: Iterable[int]) -> dict[int, int]:
-    """Map each secondary-base mask B - e to its expansion mask, the union of
-    every such e over the bases B; empty at rank zero."""
-    exp: dict[int, int] = {}
-    for base in base_masks:
-        rest = base
-        while rest:
-            bit = rest & -rest
-            rest ^= bit
-            exp[base ^ bit] = exp.get(base ^ bit, 0) | bit
-    return exp
 
 
 def _expansions(m: Matroid, what: str = "secondary bases") -> dict[int, int]:

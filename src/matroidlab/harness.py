@@ -110,7 +110,7 @@ def _check_thm_123(m: Matroid) -> str | None:
     # (B2-{y})+{x} is a base exactly when (C2-{x})+{y} is a complement of one,
     # for Ci the complement of Bi: base exchange on the complement family
     cobases = complements(m.bases)
-    violation = first_exchange_violation([c.mask for c in cobases], cobases.masks())
+    violation = first_exchange_violation([c.mask for c in cobases])
     if violation is None:
         return None
     c2, c1, x = violation

@@ -6,6 +6,11 @@ from it on demand.  Construction always validates the defining axioms and
 reports the canonically least witness on failure, so invalid values cannot
 exist.
 
+The expansion map (`expansion_masks`) is the one place that decides whether
+a secondary base plus an element is a base: the exchange validator here, the
+forming families, both unique-expansion and unique-exchange classifiers and
+the enumerator's hyperplanes all read it.
+
 Facts derived from the bases (the independent sets, the expansion map, the
 forming family, the unique-expansion verdict, the recovered partition, the
 support partitions every base meets once per block, the union and
@@ -18,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations, permutations, product
-from typing import Callable, Sequence, TypeVar
+from typing import Callable, Iterable, Sequence, TypeVar
 
 from .errors import (
     AugmentationFailure,
@@ -44,33 +49,42 @@ from .setalgebra import (
 T = TypeVar("T")
 
 
-def first_exchange_violation(
-    masks: Sequence[int], members: frozenset[int]
-) -> tuple[int, int, int] | None:
+def expansion_masks(base_masks: Iterable[int]) -> dict[int, int]:
+    """Map each mask B - e to its expansion mask, the union of every such e
+    over the members B; empty when the only member is empty.
+
+    On a matroid the keys are the secondary bases, and A + e is a base exactly
+    when e lies in the expansion mask of A.  The same holds for a family of
+    any shape: for a key A, A + e is a member exactly when e is in its mask.
+    """
+    exp: dict[int, int] = {}
+    for base in base_masks:
+        rest = base
+        while rest:
+            bit = rest & -rest
+            rest ^= bit
+            exp[base ^ bit] = exp.get(base ^ bit, 0) | bit
+    return exp
+
+
+def first_exchange_violation(masks: Sequence[int]) -> tuple[int, int, int] | None:
     """First (base1, base2, x) violating the base exchange requirement.
 
     `masks` must be in canonical order; the scan visits ordered base pairs in
     that order and removal candidates in ascending index order, so the
-    returned triple is the canonically least violation.  Returns None when the
-    family satisfies the exchange requirement.
+    returned triple is the canonically least violation.  The repairs of
+    (base1, base2, x) are the bits of base2 in the expansion mask of
+    base1 - x, for a family of any shape.  Returns None when the family
+    satisfies the exchange requirement.
     """
+    exp = expansion_masks(masks)
     for b1 in masks:
         for b2 in masks:
-            if b1 == b2:
-                continue
-            incoming = b2 & ~b1
             rest = b1 & ~b2
             while rest:
                 xbit = rest & -rest
                 rest ^= xbit
-                stripped = b1 ^ xbit
-                cand = incoming
-                while cand:
-                    ybit = cand & -cand
-                    cand ^= ybit
-                    if (stripped | ybit) in members:
-                        break
-                else:
+                if not exp[b1 ^ xbit] & b2:
                     return b1, b2, xbit.bit_length() - 1
     return None
 
@@ -123,8 +137,7 @@ class Matroid:
         for other in sets[1:]:
             if len(other) != len(first):
                 raise UnequalCardinality(first, other)
-        masks = [s.mask for s in sets]
-        violation = first_exchange_violation(masks, candidate.masks())
+        violation = first_exchange_violation([s.mask for s in sets])
         if violation is not None:
             b1, b2, x = violation
             raise ExchangeFailure(

@@ -6,7 +6,8 @@ enumeration by pushing every candidate family through the validating
 constructor or by scanning every family with a literal exchange test,
 expansion sets by comparing maximal independent subsets, the support
 partition checks by walking `Partition` values with the public set algebra,
-and the exchange check by scanning `Subset` values.
+the exchange checks by scanning `Subset` values, and the exchange validator
+by probing base membership one repair at a time.
 """
 
 from __future__ import annotations
@@ -98,6 +99,77 @@ def exchange_violation_oracle(family: SetFamily) -> tuple[Subset, Subset, str] |
                 ):
                     return b1, b2, x
     return None
+
+
+def exchange_scan_oracle(
+    masks: list[int], members: frozenset[int]
+) -> tuple[int, int, int] | None:
+    """The least (B1, B2, x) by probing membership one repair at a time: for
+    B1 != B2 in the given order and x in B1 - B2 by ascending index, no y in
+    B2 - B1 makes (B1 - {x}) + {y} one of `members`.  Works on a family of
+    any shape; None when there is no such triple."""
+    for b1 in masks:
+        for b2 in masks:
+            if b1 == b2:
+                continue
+            incoming = b2 & ~b1
+            rest = b1 & ~b2
+            while rest:
+                xbit = rest & -rest
+                rest ^= xbit
+                stripped = b1 ^ xbit
+                cand = incoming
+                while cand:
+                    ybit = cand & -cand
+                    cand ^= ybit
+                    if (stripped | ybit) in members:
+                        break
+                else:
+                    return b1, b2, xbit.bit_length() - 1
+    return None
+
+
+def unique_exchange_oracle(m: Matroid) -> tuple[Subset, Subset, str, str, str] | None:
+    """The least (B1, B2, x, y1, y2) on `Subset` values: bases B1 != B2 in
+    canonical order, x in B1 - B2 by ascending index, and y1 < y2 the first
+    two elements of B2 - B1 that each make (B1 - {x}) + {y} a base; None when
+    every removal has at most one repair."""
+    base_masks = m.bases.masks()
+    ground = m.ground
+    for b1 in m.bases:
+        for b2 in m.bases:
+            if b1 == b2:
+                continue
+            incoming = (b2 - b1).indices()
+            for x in (b1 - b2).indices():
+                stripped = b1.mask ^ (1 << x)
+                first = -1
+                for y in incoming:
+                    if (stripped | (1 << y)) in base_masks:
+                        if first >= 0:
+                            return (
+                                b1, b2, ground.label(x),
+                                ground.label(first), ground.label(y),
+                            )
+                        first = y
+    return None
+
+
+def mixed_size_families() -> list[Matroid]:
+    """2,242 unvalidated families, matroids and not, of mixed set sizes:
+    every nonempty family of subsets of {1,2,3} (the empty set included),
+    every family of 1-5 sets of sizes 1-2 on {1..4}, and every family of
+    1-3 sets of sizes 2-3 on {1..5}."""
+    out = []
+    for n, sizes, counts in ((3, range(4), range(1, 9)),
+                             (4, (1, 2), range(1, 6)),
+                             (5, (2, 3), range(1, 4))):
+        ground = GroundSet(str(i) for i in range(1, n + 1))
+        sets = [ground.subset_of(c) for k in sizes for c in combinations(range(n), k)]
+        for k in counts:
+            for combo in combinations(sets, k):
+                out.append(Matroid._trusted(ground, SetFamily(ground, combo)))
+    return out
 
 
 def rank_oracle(m: Matroid, x: Subset) -> int:
@@ -269,7 +341,7 @@ def minimality_witness_oracle(m: Matroid, kind: str) -> SetFamily | None:
         for combo in combinations(bases, k):
             masks = [s.mask for s in combo]
             if same_boundary(masks) and (
-                first_exchange_violation(masks, frozenset(masks)) is None
+                first_exchange_violation(masks) is None
             ):
                 return SetFamily(m.ground, combo)
     return None

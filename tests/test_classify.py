@@ -104,6 +104,14 @@ class TestUniqueExchange:
     def test_rank_zero_vacuously_true(self):
         assert is_unique_exchange(mk("12", "")).verdict
 
+    def test_witness_takes_the_two_least_repairs(self):
+        # unvalidated: removing 1 from {1} has three repairs in {2,3,4}
+        g = GroundSet("1234")
+        m = Matroid._trusted(g, fam(g, "1", "2", "3", "4", "234"))
+        assert is_unique_exchange(m).witness == ExchangeWitness(
+            g.subset("1"), g.subset("2", "3", "4"), "1", "2", "3"
+        )
+
     def test_witness_replays_against_the_definition(self):
         m = mk("12345", "123", "124", "134", "125", "145")
         w = is_unique_exchange(m).witness
@@ -280,6 +288,21 @@ class TestAgainstDefinitionOracles:
                 got = None if w is None else (w.secondary, w.base, w.e1, w.e2)
                 assert got == unique_expansion_oracle(x)
 
+    def test_unique_exchange_matches_oracle_witness(self):
+        from oracles import unique_exchange_oracle
+
+        for m in _population(5):
+            for x in (m, m.dual()):
+                assert _exchange_witness(x) == unique_exchange_oracle(x)
+
+    def test_unique_exchange_matches_oracle_on_mixed_families(self):
+        # unvalidated families of mixed sizes, including those whose first
+        # member is the empty set next to larger ones (rank zero, own map)
+        from oracles import mixed_size_families, unique_exchange_oracle
+
+        for family in mixed_size_families():
+            assert _exchange_witness(family) == unique_exchange_oracle(family), family
+
 
 class TestClassImplicationsOverPopulation:
     def test_unique_expansion_closes_downward(self):
@@ -296,6 +319,12 @@ class TestClassImplicationsOverPopulation:
                 is_union_minimal(m).verdict
                 == is_intersection_minimal(m.dual()).verdict
             )
+
+
+def _exchange_witness(m):
+    res = is_unique_exchange(m)
+    w = res.witness
+    return None if w is None else (w.base1, w.base2, w.removed, w.y1, w.y2)
 
 
 def _assert_minimality_witnesses(m):

@@ -351,7 +351,12 @@ class TestFactsMemo:
         # thm_321 takes the forming family of a matroid it builds itself
         registry = [c for c in theorem_registry() if c.check_id != "thm_321"]
         assert verify(pop, registry).failures == 0
-        assert len(calls) == len(pop)
+        # thm_120 classifies each matroid's dual, a new value with its own
+        # map; a rank-zero dual builds a throwaway map outside the memo
+        thm_120 = lookup_check("thm_120")
+        duals = [m for m in pop if thm_120.applies(m) and m.rank < m.ground.size]
+        assert (len(pop), len(duals)) == (67, 50)
+        assert len(calls) == len(pop) + len(duals)
 
     def test_support_partitions_are_walked_once_per_matroid(self, monkeypatch):
         # thm_33 and prop_103 share one walk; only top-level calls are

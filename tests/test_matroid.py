@@ -30,8 +30,14 @@ from matroidlab.errors import (
     ParseError,
     UnequalCardinality,
 )
+from matroidlab.matroid import first_exchange_violation
 
-from oracles import exchange_violation_oracle, rank_oracle
+from oracles import (
+    exchange_scan_oracle,
+    exchange_violation_oracle,
+    mixed_size_families,
+    rank_oracle,
+)
 
 
 def fam(ground, *label_sets):
@@ -113,6 +119,15 @@ class TestFromBases:
         else:
             assert least is None
             assert m.bases == candidate
+
+    def test_validator_matches_probe_scan_on_mixed_families(self):
+        # thm_123 hands the validator unvalidated families of any shape;
+        # reading repairs off the expansion map must name the probe's triple
+        for m in mixed_size_families():
+            masks = [b.mask for b in m.bases.sets]
+            assert first_exchange_violation(masks) == exchange_scan_oracle(
+                masks, frozenset(masks)
+            ), m
 
 
 class TestFromIndependents:
