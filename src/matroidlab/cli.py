@@ -16,6 +16,7 @@ import argparse
 import json
 import os
 import sys
+from itertools import chain
 
 from .classify import (
     DEFAULT_SEARCH_CAP,
@@ -214,10 +215,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
         if repeated:
             raise ParseError(f"--checks repeats {', '.join(repeated)}")
         registry = [lookup_check(check_id, registry) for check_id in wanted]
-    population = []
-    for n in range(1, args.n + 1):
-        population.extend(enumerate_matroids(n))
-    report = verify(population, registry)
+    # each call rejects a bad n when made, before any matroid is drawn
+    streams = [enumerate_matroids(n) for n in range(1, args.n + 1)]
+    report = verify(chain.from_iterable(streams), registry)
     print(report.to_json() if args.json else report.to_text())
     return 0 if report.failures == 0 else 3
 

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from math import prod
 from time import perf_counter
 from typing import Callable, Iterable
 
@@ -311,25 +310,23 @@ def _block_family(ground: GroundSet, blocks: Iterable[int]) -> SetFamily:
 
 def _one_per_block_partitions(m: Matroid) -> list[list[int]]:
     """The support partitions every base meets once per block, as block-mask
-    lists in `_partition_masks` order; walked once per matroid."""
+    lists in `_partition_masks` order.
+
+    Such a partition has one block per base element and no block holding two
+    elements of one base, so the walk is bounded by both; each leaf is still
+    confirmed, since an unvalidated family's members may differ in size.
+    """
     base_masks = m.bases.masks()
-    return m._fact("one_per_block_partitions", lambda: [
-        blocks for blocks in _partition_masks(m.support().mask)
-        if _one_per_block(base_masks, blocks)
-    ])
+    walk = _partition_masks(m.support().mask, base_masks, m.rank)
+    return [blocks for blocks in walk if _one_per_block(base_masks, blocks)]
 
 
 def _check_thm_33(m: Matroid) -> str | None:
     base_masks = m.bases.masks()
     # every product pick meets each disjoint block once, so a partition the
-    # bases miss never matches its product; on the others, distinct picks make
-    # a count mismatch rule out equality, and the product is built only on a
-    # count match
+    # bases miss never matches its product
     for blocks in _one_per_block_partitions(m):
-        matched = len(base_masks) == prod(b.bit_count() for b in blocks) and (
-            base_masks == frozenset(_transversal_masks(blocks))
-        )
-        if not matched:
+        if base_masks != frozenset(_transversal_masks(blocks)):
             return (
                 f"partition {_block_family(m.ground, blocks)}: "
                 "one-per-block True but product match False"
@@ -581,11 +578,14 @@ class CheckOutcome:
 class VerificationReport:
     """Outcome of running a check registry over a matroid population."""
 
-    total: int
     by_size: dict[int, int]
     by_rank: dict[int, int]
     outcomes: list[CheckOutcome]
     duration_ms: int
+
+    @property
+    def total(self) -> int:
+        return sum(self.by_size.values())
 
     @property
     def failures(self) -> int:
@@ -644,22 +644,23 @@ def verify(
 ) -> VerificationReport:
     """Run every applicable check on every matroid of the population.
 
-    Checks run sequentially in population order.  A check that exceeds an
-    exhaustive search cap is tallied as capped on that matroid; a check
-    missing a fact its hypothesis implies, or raising `AxiomError` (say, on
-    the dual of a family that is not a matroid), is tallied as failed with
-    the error as its detail; either way the sweep goes on.  Witnesses and cap
-    hits are tied to their matroid's document, so the report is deterministic
-    for a fixed population and registry.
+    Checks run sequentially in population order.  The population is drawn
+    once and no matroid is kept after its checks, so it may be a lazy
+    stream; `duration_ms` then includes the time spent drawing it.  A check
+    that exceeds an exhaustive search cap is tallied as capped on that
+    matroid; a check missing a fact its hypothesis implies, or raising
+    `AxiomError` (say, on the dual of a family that is not a matroid), is
+    tallied as failed with the error as its detail; either way the sweep goes
+    on.  Witnesses and cap hits are tied to their matroid's document, so the
+    report is deterministic for a fixed population and registry.
     """
-    matroids = list(population)
     checks = theorem_registry() if registry is None else list(registry)
 
     start = perf_counter()
     outcomes = [CheckOutcome(c.check_id, c.statement) for c in checks]
     by_size: dict[int, int] = {}
     by_rank: dict[int, int] = {}
-    for m in matroids:
+    for m in population:
         by_size[m.ground.size] = by_size.get(m.ground.size, 0) + 1
         by_rank[m.rank] = by_rank.get(m.rank, 0) + 1
         for check, outcome in zip(checks, outcomes):
@@ -683,7 +684,6 @@ def verify(
                 )
     duration_ms = int((perf_counter() - start) * 1000)
     return VerificationReport(
-        total=len(matroids),
         by_size=by_size,
         by_rank=by_rank,
         outcomes=outcomes,

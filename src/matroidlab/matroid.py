@@ -13,10 +13,10 @@ the enumerator's hyperplanes all read it.
 
 Facts derived from the bases (the independent sets, the expansion map, the
 forming family, the unique-expansion verdict, the recovered partition, the
-support partitions every base meets once per block, the union and
-intersection minimality results) are computed at most once per matroid value
-and kept in its memo slot; since a matroid is immutable they can never go
-stale.  A matroid built by `dual()` is a new value with an empty memo.
+union and intersection minimality results) are computed at most once per
+matroid value and kept in its memo slot; since a matroid is immutable they
+can never go stale.  A matroid built by `dual()` is a new value with an
+empty memo.
 """
 
 from __future__ import annotations

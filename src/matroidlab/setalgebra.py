@@ -12,7 +12,7 @@ identically, which keeps every report and witness deterministic.
 from __future__ import annotations
 
 from math import prod
-from typing import Iterable, Iterator, Sequence
+from typing import Collection, Iterable, Iterator, Sequence
 
 from .errors import GroundSetTooLarge
 
@@ -391,21 +391,34 @@ def one_per_block(masks: Iterable[int], blocks: Iterable[Subset]) -> bool:
     return _one_per_block(masks, [k.mask for k in blocks])
 
 
-def _partition_masks(support: int) -> Iterator[list[int]]:
-    """Every partition of the bits of `support`, as a list of block masks.
+def _partition_masks(
+    support: int, members: Collection[int] = (), most: int = MAX_GROUND_SIZE
+) -> Iterator[list[int]]:
+    """Every partition of the bits of `support` into at most `most` blocks,
+    none holding two bits of one of `members`, as a list of block masks.
 
     The lowest bit joins each block of a partition of the other bits in turn,
     then opens a block of its own; blocks are listed in the order they open,
-    not in canonical order.
+    not in canonical order.  Adding the lower bits never closes a block or
+    moves a bit out of its block, so a partial partition breaking either
+    bound is not extended, and the bounded walk yields a subsequence of the
+    unbounded one, in its order.
     """
     if not support:
         yield []
         return
     bit = support & -support
-    for sub in _partition_masks(support ^ bit):
+    # the other bits of every member holding `bit`; `bit` itself is in no
+    # block of the rest
+    mates = 0
+    for x in members:
+        mates |= x if x & bit else 0
+    for sub in _partition_masks(support ^ bit, members, most):
         for i in range(len(sub)):
-            yield sub[:i] + [sub[i] | bit] + sub[i + 1:]
-        yield sub + [bit]
+            if not sub[i] & mates:
+                yield sub[:i] + [sub[i] | bit] + sub[i + 1:]
+        if len(sub) < most:
+            yield sub + [bit]
 
 
 def all_partitions(support: Subset) -> Iterator[Partition]:
@@ -413,8 +426,8 @@ def all_partitions(support: Subset) -> Iterator[Partition]:
 
     The number of results is the Bell number of len(support), so keep the
     support small.  The verification harness does not call this: it walks
-    `_partition_masks` directly, in the same order, once per matroid for both
-    of its partition checks, and builds a family only for a failure message.
+    `_partition_masks` with the bounds a one-per-block partition must meet,
+    once per check, and builds a family only for a failure message.
     """
     ground = support.ground
     for blocks in _partition_masks(support.mask):

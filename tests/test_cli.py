@@ -374,6 +374,18 @@ class TestVerify:
         assert out == ""
         assert err.startswith("error:")
 
+    def test_too_large_n_fails_before_the_sweep(self, capsys, monkeypatch):
+        # every size is checked when its stream is made, so n=7 is rejected
+        # before any smaller matroid is drawn or checked
+        def never(*args, **kwargs):
+            raise AssertionError("verify ran")
+
+        monkeypatch.setattr("matroidlab.cli.verify", never)
+        code, out, err = run(capsys, "verify", "--n", "7")
+        assert code == 2
+        assert out == ""
+        assert err == "error: enumeration supports 1..6 elements, got 7\n"
+
     def test_unknown_check_exit_2(self, capsys):
         code, _, err = run(capsys, "verify", "--n", "2", "--checks", "nope")
         assert code == 2

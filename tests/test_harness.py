@@ -1,5 +1,6 @@
+import gc
 import json
-from itertools import combinations
+from itertools import chain, combinations
 
 import pytest
 
@@ -19,10 +20,10 @@ from matroidlab import classify as classify_module
 from matroidlab import forming as forming_module
 from matroidlab import forming_family, harness, recover_partition
 from matroidlab import matroid as matroid_module
-from matroidlab import setalgebra as setalgebra_module
 from matroidlab.errors import AxiomError, SearchCapExceeded, UnequalCardinality
+from matroidlab.setalgebra import _one_per_block, _partition_masks
 
-from oracles import prop_103_oracle, thm_123_oracle, thm_33_oracle
+from oracles import mixed_size_families, prop_103_oracle, thm_123_oracle, thm_33_oracle
 
 
 def population(max_n):
@@ -89,11 +90,40 @@ class TestVerify:
             assert row_a["passed"] == row_b["passed"]
             assert row_a["failed"] == row_b["failed"]
 
-    def test_deterministic_across_runs_and_workers(self):
+    def test_deterministic_across_runs_and_inputs(self):
+        # a list, a repeat run on it and a one-shot generator agree
         pop = population(3)
         ref = verify(pop).to_dict()
         again = verify(pop).to_dict()
-        assert dict(ref, duration_ms=None) == dict(again, duration_ms=None)
+        streamed = verify(m for m in pop).to_dict()
+        assert (
+            dict(ref, duration_ms=None)
+            == dict(again, duration_ms=None)
+            == dict(streamed, duration_ms=None)
+        )
+
+    def test_streamed_population_is_not_kept(self):
+        # verify draws the population once and lets each matroid go after its
+        # checks: besides the one being drawn, at most the last one is alive
+        alive = []
+
+        def live_matroids():
+            gc.collect()
+            return sum(isinstance(o, Matroid) for o in gc.get_objects())
+
+        def stream():
+            for i, m in enumerate(
+                chain.from_iterable(enumerate_matroids(n) for n in range(1, 6))
+            ):
+                if i % 50 == 0:
+                    alive.append(live_matroids() - before)
+                yield m
+
+        before = live_matroids()
+        report = verify(stream())
+        assert (report.total, report.failures) == (497, 0)
+        assert len(alive) == 10
+        assert max(alive) <= 2
 
     def test_check_filter(self):
         registry = [lookup_check("prop_100"), lookup_check("dual_involution")]
@@ -313,6 +343,32 @@ class TestPartitionChecksAgainstOracles:
         assert detail is not None
         assert detail == oracle(m)
 
+    @pytest.mark.parametrize("source", ["matroids_up_to_six", "mixed_size_families"])
+    def test_bounded_walk_keeps_every_hit_in_order(self, source):
+        # the walk bounded by rank and base-mates finds the same one-per-block
+        # partitions, in the same order, as filtering the unbounded walk
+        pop = population(6) if source == "matroids_up_to_six" else mixed_size_families()
+        for m in pop:
+            bases = m.bases.masks()
+            assert harness._one_per_block_partitions(m) == [
+                blocks for blocks in _partition_masks(m.support().mask)
+                if _one_per_block(bases, blocks)
+            ]
+
+    def test_partitions_are_not_memoized(self, monkeypatch):
+        # thm_33 and prop_103 each walk on their own; no memo fact holds them
+        names = []
+        real = Matroid._fact
+
+        def spy(self, name, compute):
+            names.append(name)
+            return real(self, name, compute)
+
+        monkeypatch.setattr(Matroid, "_fact", spy)
+        registry = [lookup_check("thm_33"), lookup_check("prop_103")]
+        assert verify(population(4), registry).failures == 0
+        assert "one_per_block_partitions" not in names
+
     def test_two_hits_are_listed(self):
         detail = lookup_check("prop_103").run(_trusted_family(["13", "24"]))
         assert detail == (
@@ -357,21 +413,6 @@ class TestFactsMemo:
         duals = [m for m in pop if thm_120.applies(m) and m.rank < m.ground.size]
         assert (len(pop), len(duals)) == (67, 50)
         assert len(calls) == len(pop) + len(duals)
-
-    def test_support_partitions_are_walked_once_per_matroid(self, monkeypatch):
-        # thm_33 and prop_103 share one walk; only top-level calls are
-        # counted, the walk recurses through the setalgebra name
-        calls = []
-        real = setalgebra_module._partition_masks
-
-        def counted(support):
-            calls.append(support)
-            return real(support)
-
-        monkeypatch.setattr(harness, "_partition_masks", counted)
-        pop = population(4)
-        assert verify(pop).failures == 0
-        assert calls == [m.support().mask for m in pop]
 
     def test_missing_partition_is_computed_once(self, monkeypatch):
         calls = []

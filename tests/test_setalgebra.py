@@ -226,6 +226,36 @@ class TestAllPartitions:
         assert all(p.support() == support for p in parts)
 
 
+class TestBoundedPartitionWalk:
+    @staticmethod
+    def _filtered(support, members, most):
+        # the unbounded walk, keeping partitions within both bounds
+        return [
+            blocks for blocks in _partition_masks(support)
+            if len(blocks) <= most
+            and not any((x & k).bit_count() > 1 for x in members for k in blocks)
+        ]
+
+    @given(
+        st.integers(min_value=0, max_value=(1 << 6) - 1),
+        st.frozensets(st.integers(min_value=0, max_value=(1 << 7) - 1), max_size=5),
+        st.integers(min_value=0, max_value=7),
+    )
+    @settings(max_examples=200)
+    def test_yields_the_unbounded_partitions_within_the_bounds(self, support, members, most):
+        # members may hold bits outside the support; those bits never matter
+        bounded = list(_partition_masks(support, members, most))
+        assert bounded == self._filtered(support, members, most)
+
+    def test_pinned_example(self):
+        # bit 1 shares a member with bits 0 and 2, so it shares a block with
+        # neither; at most two blocks leaves {1} + {0,2,3} and {1,3} + {0,2}
+        support = 0b1111
+        assert list(_partition_masks(support, [0b0011, 0b0110], 2)) == [
+            [0b1101, 0b0010], [0b1010, 0b0101],
+        ]
+
+
 class TestOnePerBlock:
     def test_is_the_definitional_twin_of_transversals(self):
         # the support subsets meeting every block once are exactly the product
