@@ -65,15 +65,24 @@ def forming_family(m: Matroid) -> SetFamily:
     )
 
 
-def forming_family_wrt(m: Matroid, b: Subset) -> SetFamily:
-    """The forming family relative to the base `b`, as a `SetFamily`.
+def _forming_masks_wrt(m: Matroid, b: Subset) -> list[int]:
+    """The block masks of the forming family relative to the base `b`.
 
-    Its blocks are the expansion sets of the secondary bases inside `b`,
-    which are exactly the one-element deletions of `b`, read off the
-    matroid's cached expansion map.
+    One mask per element of `b`, in ascending index order: the expansion
+    mask of `b` minus that element, read off the matroid's cached expansion
+    map.  The masks are pairwise distinct, since each holds its own element
+    of `b` and no other.
     """
     exp = _expansions(m, "forming families")
     if b not in m.bases:
         raise NotABase(f"{b} is not a base")
-    blocks = (exp[b.mask ^ (1 << i)] for i in b.indices())
-    return SetFamily(m.ground, map(m.ground.from_mask, blocks))
+    return [exp[b.mask ^ (1 << i)] for i in b.indices()]
+
+
+def forming_family_wrt(m: Matroid, b: Subset) -> SetFamily:
+    """The forming family relative to the base `b`, as a `SetFamily`.
+
+    Its blocks are the expansion sets of the secondary bases inside `b`,
+    which are exactly the one-element deletions of `b`.
+    """
+    return SetFamily(m.ground, map(m.ground.from_mask, _forming_masks_wrt(m, b)))

@@ -28,7 +28,7 @@ from .classify import (
     recover_partition,
 )
 from .errors import AxiomError, SearchCapExceeded
-from .forming import forming_family, forming_family_wrt
+from .forming import _forming_masks_wrt, forming_family, forming_family_wrt
 from .matroid import (
     Matroid,
     PartitionMatroidSpec,
@@ -120,9 +120,9 @@ def _check_thm_123(m: Matroid) -> str | None:
 
 def _check_prop_341(m: Matroid) -> str | None:
     for b in m.bases:
-        fam = forming_family_wrt(m, b)
-        if len(fam) != m.rank:
-            return f"|forming family wrt {b}| = {len(fam)} != rank {m.rank}"
+        count = len(_forming_masks_wrt(m, b))
+        if count != m.rank:
+            return f"|forming family wrt {b}| = {count} != rank {m.rank}"
     return None
 
 
@@ -141,22 +141,28 @@ def _check_prop_46(m: Matroid) -> str | None:
 
 
 def _check_prop_124(m: Matroid) -> str | None:
+    support = m.support()
     for b in m.bases:
-        u = forming_family_wrt(m, b).union()
-        if u != m.support():
-            return f"union of forming family wrt {b} is {u} != {m.support()}"
+        u = 0
+        for k in _forming_masks_wrt(m, b):
+            u |= k
+        if u != support.mask:
+            return (
+                f"union of forming family wrt {b} is "
+                f"{m.ground.from_mask(u)} != {support}"
+            )
     return None
 
 
 def _check_lemma_e(m: Matroid) -> str | None:
     for b in m.bases:
-        fam = forming_family_wrt(m, b)
+        blocks = _forming_masks_wrt(m, b)
         for i in b.indices():
-            hits = sum(1 for k in fam if (k.mask >> i) & 1)
+            hits = sum(k >> i & 1 for k in blocks)
             if hits != 1:
                 return (
                     f"element {m.ground.label(i)} of base {b} lies in "
-                    f"{hits} blocks of {fam}"
+                    f"{hits} blocks of {forming_family_wrt(m, b)}"
                 )
     return None
 

@@ -19,7 +19,16 @@ from .errors import GroundSetTooLarge
 MAX_GROUND_SIZE = 64
 
 
+# the indices of every byte-sized mask: each subset of a ground set of at
+# most 8 elements is read from here instead of bit by bit
+_BYTE_BITS = tuple(
+    tuple(i for i in range(8) if mask >> i & 1) for mask in range(256)
+)
+
+
 def _bit_indices(mask: int) -> tuple[int, ...]:
+    if mask < 256:
+        return _BYTE_BITS[mask]
     out = []
     while mask:
         low = mask & -mask
@@ -36,7 +45,7 @@ def canonical_key(mask: int) -> tuple:
 class GroundSet:
     """An ordered universe of distinct element labels."""
 
-    __slots__ = ("labels", "_index", "_hash")
+    __slots__ = ("labels", "size", "_index", "_hash")
 
     def __init__(self, labels: Iterable[str]):
         labels = tuple(str(x) for x in labels)
@@ -50,12 +59,9 @@ class GroundSet:
         if len(index) != len(labels):
             raise ValueError("ground set labels must be distinct")
         self.labels = labels
+        self.size = len(labels)
         self._index = index
         self._hash = hash(labels)
-
-    @property
-    def size(self) -> int:
-        return len(self.labels)
 
     def index(self, label: str) -> int:
         try:
@@ -94,7 +100,9 @@ class GroundSet:
             yield Subset(self, mask)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, GroundSet) and self.labels == other.labels
+        return self is other or (
+            isinstance(other, GroundSet) and self.labels == other.labels
+        )
 
     def __hash__(self) -> int:
         return self._hash
@@ -104,7 +112,7 @@ class GroundSet:
 
 
 def _same_ground(a: GroundSet, b: GroundSet) -> None:
-    if a != b:
+    if a is not b and a != b:
         raise ValueError("operands live on different ground sets")
 
 

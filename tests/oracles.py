@@ -6,8 +6,10 @@ enumeration by pushing every candidate family through the validating
 constructor or by scanning every family with a literal exchange test,
 expansion sets by comparing maximal independent subsets, the support
 partition checks by walking `Partition` values with the public set algebra,
-the exchange checks by scanning `Subset` values, and the exchange validator
-by probing base membership one repair at a time.
+the exchange checks by scanning `Subset` values, the base-relative forming
+checks on `SetFamily` values, the exchange validator by probing base
+membership one repair at a time, and bit indices one bit position at a
+time.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from matroidlab import (
     SetFamily,
     Subset,
     all_partitions,
+    forming_family_wrt,
     one_per_block,
     recover_partition,
     transversals,
@@ -170,6 +173,46 @@ def mixed_size_families() -> list[Matroid]:
             for combo in combinations(sets, k):
                 out.append(Matroid._trusted(ground, SetFamily(ground, combo)))
     return out
+
+
+def bit_indices_oracle(mask: int) -> tuple[int, ...]:
+    """The set bit positions of `mask`, testing every position in turn."""
+    return tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
+
+
+def prop_341_oracle(m: Matroid) -> str | None:
+    """The `prop_341` check on `SetFamily` values: every base's forming family
+    has as many blocks as the rank."""
+    for b in m.bases:
+        fam = forming_family_wrt(m, b)
+        if len(fam) != m.rank:
+            return f"|forming family wrt {b}| = {len(fam)} != rank {m.rank}"
+    return None
+
+
+def prop_124_oracle(m: Matroid) -> str | None:
+    """The `prop_124` check on `SetFamily` values: every base's forming family
+    covers the base support."""
+    for b in m.bases:
+        u = forming_family_wrt(m, b).union()
+        if u != m.support():
+            return f"union of forming family wrt {b} is {u} != {m.support()}"
+    return None
+
+
+def lemma_e_oracle(m: Matroid) -> str | None:
+    """The `lemma_e` check on `SetFamily` values: every element of a base lies
+    in exactly one block of that base's forming family."""
+    for b in m.bases:
+        fam = forming_family_wrt(m, b)
+        for i in b.indices():
+            hits = sum(1 for k in fam if (k.mask >> i) & 1)
+            if hits != 1:
+                return (
+                    f"element {m.ground.label(i)} of base {b} lies in "
+                    f"{hits} blocks of {fam}"
+                )
+    return None
 
 
 def rank_oracle(m: Matroid, x: Subset) -> int:

@@ -195,7 +195,7 @@ class TestDeterminism:
             is_intersection_minimal(u3.dual()).witness,
         )
 
-    def test_fixed_witness_across_runs_and_workers(self):
+    def test_fixed_witness_across_runs(self):
         reference = self._witnesses()
         for _ in range(10):
             assert self._witnesses() == reference

@@ -23,7 +23,15 @@ from matroidlab import matroid as matroid_module
 from matroidlab.errors import AxiomError, SearchCapExceeded, UnequalCardinality
 from matroidlab.setalgebra import _one_per_block, _partition_masks
 
-from oracles import mixed_size_families, prop_103_oracle, thm_123_oracle, thm_33_oracle
+from oracles import (
+    lemma_e_oracle,
+    mixed_size_families,
+    prop_103_oracle,
+    prop_124_oracle,
+    prop_341_oracle,
+    thm_123_oracle,
+    thm_33_oracle,
+)
 
 
 def population(max_n):
@@ -320,6 +328,50 @@ class TestThm123AgainstOracle:
     def test_failure_text_is_pinned(self):
         detail = lookup_check("thm_123").run(_trusted_family(["13", "24"]))
         assert detail == "no y in {2,4}-{1,3} with ({2,4}-{y})+{1} a base"
+
+
+class TestFormingChecksAgainstOracles:
+    """`prop_341`, `prop_124` and `lemma_e` read the base-relative block masks;
+    the oracles build each base's forming family as a `SetFamily` and must
+    give the same text."""
+
+    CASES = [
+        ("prop_341", prop_341_oracle),
+        ("prop_124", prop_124_oracle),
+        ("lemma_e", lemma_e_oracle),
+    ]
+    # lemma_e cannot fail: the block of each base element holds that element
+    # and no other element of the base
+    EQUAL_SIZE_FAILURES = {"prop_341": 0, "prop_124": 27, "lemma_e": 0}
+    MIXED_FAILURES = {"prop_341": 1672, "prop_124": 1845, "lemma_e": 0}
+
+    @staticmethod
+    def _failures(check_id, oracle, families):
+        check = lookup_check(check_id)
+        failed = 0
+        for m in families:
+            if check.applies(m):
+                detail = check.run(m)
+                assert detail == oracle(m)
+                failed += detail is not None
+        return failed
+
+    @pytest.mark.parametrize("check_id,oracle", CASES)
+    def test_every_matroid_up_to_five(self, check_id, oracle):
+        assert self._failures(check_id, oracle, population(5)) == 0
+
+    @pytest.mark.parametrize("check_id,oracle", CASES)
+    def test_equal_size_families_on_four_elements(self, check_id, oracle):
+        # the 27 non-matroids among them are the ones prop_124 fails
+        families = list(_equal_size_families(4, range(1, 4)))
+        assert len(families) == 93
+        failed = self._failures(check_id, oracle, families)
+        assert failed == self.EQUAL_SIZE_FAILURES[check_id]
+
+    @pytest.mark.parametrize("check_id,oracle", CASES)
+    def test_mixed_size_families(self, check_id, oracle):
+        failed = self._failures(check_id, oracle, mixed_size_families())
+        assert failed == self.MIXED_FAILURES[check_id]
 
 
 class TestPartitionChecksAgainstOracles:

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,9 +20,15 @@ from matroidlab import (
     transversals,
 )
 from matroidlab.errors import GroundSetTooLarge
-from matroidlab.setalgebra import _one_per_block, _partition_masks, _transversal_masks
+from matroidlab.setalgebra import (
+    _bit_indices,
+    _one_per_block,
+    _partition_masks,
+    _transversal_masks,
+    canonical_key,
+)
 
-from oracles import transversal_count_oracle
+from oracles import bit_indices_oracle, transversal_count_oracle
 
 
 @pytest.fixture
@@ -82,6 +90,34 @@ class TestSubset:
         other = GroundSet("12")
         with pytest.raises(ValueError):
             g3.subset("1") | other.subset("1")
+
+
+def _random_masks(seed, count):
+    rng = random.Random(seed)
+    return [rng.getrandbits(64) for _ in range(count)]
+
+
+class TestBitIndices:
+    """Masks below 256 are read from a table, larger ones bit by bit; both
+    must agree with testing every bit position."""
+
+    @pytest.mark.parametrize(
+        "masks",
+        [
+            pytest.param(range(1 << 12), id="below-2^12"),
+            pytest.param([1 << 63, (1 << 64) - 1], id="top-64-bit"),
+            pytest.param(_random_masks(12, 1000), id="random-64-bit"),
+        ],
+    )
+    def test_matches_the_per_bit_reference(self, masks):
+        for mask in masks:
+            assert _bit_indices(mask) == bit_indices_oracle(mask)
+
+    def test_canonical_key_orders_like_the_reference_key(self):
+        masks = range(1 << 10)
+        assert sorted(masks, key=canonical_key) == sorted(
+            masks, key=lambda m: (m.bit_count(), bit_indices_oracle(m))
+        )
 
 
 class TestFamily:
