@@ -7,7 +7,9 @@ parse -> emit -> parse round-trips to an identical matroid.
 
 Exit codes: 0 success, 1 the document describes an invalid matroid, 2 I/O or
 parse failure (argparse uses 2 for usage errors as well), 3 the verification
-sweep found a failing check.
+sweep found a failing check.  `forming` on a rank-0 matroid also exits 1, with
+"error: secondary bases are undefined at rank zero", although the document is
+a valid matroid.
 """
 
 from __future__ import annotations

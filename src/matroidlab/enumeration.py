@@ -31,7 +31,7 @@ from typing import Iterator
 
 from .errors import GroundSetTooLarge
 from .matroid import Matroid, expansion_masks
-from .setalgebra import GroundSet, SetFamily, Subset, canonical_key
+from .setalgebra import GroundSet, SetFamily, canonical_key
 
 MAX_ENUMERATION_SIZE = 6
 
@@ -141,7 +141,7 @@ def enumerate_matroids(n: int, rank: int | None = None) -> Iterator[Matroid]:
     ground = enumeration_ground(n)
     ranks = range(n + 1) if rank is None else [rank]
     return (
-        Matroid._trusted(ground, SetFamily(ground, (Subset(ground, m) for m in fam)))
+        Matroid._trusted(ground, SetFamily.from_masks(ground, fam))
         for r in ranks
         if 0 <= r <= n
         for fam in _families(n)[r]

@@ -30,7 +30,7 @@ def secondary_bases(m: Matroid) -> SetFamily:
     Undefined for rank-zero matroids.  These are the keys of
     `expansion_masks`, so no independence scan is needed.
     """
-    return SetFamily(m.ground, map(m.ground.from_mask, _expansions(m)))
+    return SetFamily.from_masks(m.ground, _expansions(m))
 
 
 def expansion(m: Matroid, x: Subset) -> Subset:
@@ -61,7 +61,7 @@ def forming_family(m: Matroid) -> SetFamily:
     exp = _expansions(m)
     return m._fact(
         "forming_family",
-        lambda: SetFamily(m.ground, map(m.ground.from_mask, exp.values())),
+        lambda: SetFamily.from_masks(m.ground, exp.values()),
     )
 
 
@@ -85,4 +85,4 @@ def forming_family_wrt(m: Matroid, b: Subset) -> SetFamily:
     Its blocks are the expansion sets of the secondary bases inside `b`,
     which are exactly the one-element deletions of `b`.
     """
-    return SetFamily(m.ground, map(m.ground.from_mask, _forming_masks_wrt(m, b)))
+    return SetFamily.from_masks(m.ground, _forming_masks_wrt(m, b))

@@ -310,10 +310,6 @@ def _check_thm_52(m: Matroid) -> str | None:
     return None
 
 
-def _block_family(ground: GroundSet, blocks: Iterable[int]) -> SetFamily:
-    return SetFamily(ground, map(ground.from_mask, blocks))
-
-
 def _one_per_block_partitions(m: Matroid) -> list[list[int]]:
     """The support partitions every base meets once per block, as block-mask
     lists in `_partition_masks` order.
@@ -334,7 +330,7 @@ def _check_thm_33(m: Matroid) -> str | None:
     for blocks in _one_per_block_partitions(m):
         if base_masks != frozenset(_transversal_masks(blocks)):
             return (
-                f"partition {_block_family(m.ground, blocks)}: "
+                f"partition {SetFamily.from_masks(m.ground, blocks)}: "
                 "one-per-block True but product match False"
             )
     return None
@@ -362,7 +358,7 @@ def _check_prop_103(m: Matroid) -> str | None:
             return f"no recovered partition but {len(hits)} one-per-block partitions exist"
     else:
         if len(hits) != 1 or frozenset(hits[0]) != recovered.family.masks():
-            families = [_block_family(m.ground, h) for h in hits]
+            families = [SetFamily.from_masks(m.ground, h) for h in hits]
             return f"recovered {recovered.family} but one-per-block partitions are {families}"
     return None
 

@@ -319,8 +319,7 @@ def make_partition_matroid(ground: GroundSet, spec: PartitionMatroidSpec) -> Mat
                 m |= 1 << i
             picks.append(m)
         masks = [m | p for m in masks for p in picks]
-    family = SetFamily(ground, (Subset(ground, m) for m in masks))
-    return Matroid.from_bases(ground, family)
+    return Matroid.from_bases(ground, SetFamily.from_masks(ground, masks))
 
 
 def make_unique_partition_matroid(ground: GroundSet, p: Partition) -> Matroid:

@@ -12,6 +12,7 @@ identically, which keeps every report and witness deterministic.
 from __future__ import annotations
 
 from math import prod
+from operator import attrgetter
 from typing import Collection, Iterable, Iterator, Sequence
 
 from .errors import GroundSetTooLarge
@@ -209,10 +210,29 @@ class SetFamily:
         for s in subsets:
             _same_ground(ground, s.ground)
             masks.add(s.mask)
+        self._fill(ground, masks)
+
+    @classmethod
+    def from_masks(cls, ground: GroundSet, masks: Iterable[int]) -> SetFamily:
+        """The family of the subsets of `ground` with these masks.
+
+        Duplicates collapse and members sort canonically, as in the
+        constructor; a mask with a bit outside the ground set raises
+        ValueError.  Every family the library computes as masks is built here.
+        """
+        family = cls.__new__(cls)
+        family._fill(ground, set(masks))
+        return family
+
+    def _fill(self, ground: GroundSet, masks: set[int]) -> None:
+        # each member is range-checked before it is sorted, since a negative
+        # mask has no canonical key
+        members = [Subset(ground, m) for m in masks]
+        members.sort(key=attrgetter("sort_key"))
         self.ground = ground
-        # built from a list: a tuple grown from a generator keeps its
-        # over-allocated block, which adds up over an enumerated population
-        self.sets = tuple([Subset(ground, m) for m in sorted(masks, key=canonical_key)])
+        self.sets = tuple(members)
+        # copied from a set: a frozenset grown from any other iterable can
+        # keep a hash table twice the size
         self._masks = frozenset(masks)
 
     def masks(self) -> frozenset[int]:
@@ -273,7 +293,7 @@ def low(family: SetFamily) -> SetFamily:
             if sub == 0:
                 break
             sub = (sub - 1) & member.mask
-    return SetFamily(family.ground, (Subset(family.ground, m) for m in seen))
+    return SetFamily.from_masks(family.ground, seen)
 
 
 def maximal(family: SetFamily) -> SetFamily:
@@ -284,13 +304,13 @@ def maximal(family: SetFamily) -> SetFamily:
         for m in masks
         if not any(m != o and m & ~o == 0 for o in masks)
     ]
-    return SetFamily(family.ground, (Subset(family.ground, m) for m in keep))
+    return SetFamily.from_masks(family.ground, keep)
 
 
 def complements(family: SetFamily) -> SetFamily:
     """Complement of every member, taken in the ground set."""
     full = (1 << family.ground.size) - 1
-    return SetFamily(family.ground, (Subset(family.ground, full ^ m) for m in family.masks()))
+    return SetFamily.from_masks(family.ground, [full ^ m for m in family.masks()])
 
 
 def is_covering(family: SetFamily, support: Subset) -> bool:
@@ -382,7 +402,7 @@ def transversals(p: Partition) -> SetFamily:
     For the empty partition this is the single empty set.
     """
     picks = _transversal_masks([b.mask for b in p])
-    return SetFamily(p.ground, map(p.ground.from_mask, picks))
+    return SetFamily.from_masks(p.ground, picks)
 
 
 def _one_per_block(masks: Iterable[int], blocks: Sequence[int]) -> bool:
@@ -439,4 +459,4 @@ def all_partitions(support: Subset) -> Iterator[Partition]:
     """
     ground = support.ground
     for blocks in _partition_masks(support.mask):
-        yield Partition(SetFamily(ground, map(ground.from_mask, blocks)))
+        yield Partition(SetFamily.from_masks(ground, blocks))

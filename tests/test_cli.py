@@ -153,17 +153,29 @@ class TestAnalyze:
         doc = json.loads(out)
         assert doc["union_minimal"] is None
         assert "exceeds search cap 2" in doc["minimality_skipped"]
+        code, out, _ = run(capsys, "analyze", doc121)
+        assert code == 0
+        skipped = "skipped (base family of size 3 exceeds search cap 2)"
+        assert out.splitlines()[-2:] == [
+            f"union minimal: {skipped}",
+            f"intersection minimal: {skipped}",
+        ]
 
-    @pytest.mark.parametrize("cap", ["-1", "-3"])
-    def test_negative_search_cap_exit_2(self, capsys, tmp_path, monkeypatch, cap):
-        # a negative cap is malformed input, not a cap every family exceeds
+    @pytest.mark.parametrize("cap, message", [
+        pytest.param("-1", "must not be negative, got -1", id="-1"),
+        pytest.param("-3", "must not be negative, got -3", id="-3"),
+        pytest.param("abc", "must be an integer, got 'abc'", id="abc"),
+    ])
+    def test_negative_search_cap_exit_2(self, capsys, tmp_path, monkeypatch, cap, message):
+        # a negative or non-integer cap is malformed input, not a cap every
+        # family exceeds
         path = tmp_path / "m.json"
         path.write_text('{"ground_set": ["1"], "bases": [["1"]]}')
         monkeypatch.setenv("MATROIDLAB_SEARCH_CAP", cap)
         code, out, err = run(capsys, "analyze", str(path))
         assert code == 2
         assert out == ""
-        assert err == f"error: MATROIDLAB_SEARCH_CAP must not be negative, got {cap}\n"
+        assert err == f"error: MATROIDLAB_SEARCH_CAP {message}\n"
 
     def test_invalid_matroid_exit_1(self, capsys, tmp_path):
         path = tmp_path / "m.json"
@@ -282,6 +294,21 @@ class TestConstructors:
             capsys, "make-pm", "--ground", "1,2", "--block", "1,2", "--cap", "5"
         )
         assert code == 2
+
+    def test_make_upm_block_without_labels(self, capsys):
+        code, out, err = run(capsys, "make-upm", "--ground", "1,2", "--block", ",")
+        assert code == 2
+        assert out == ""
+        assert err == "error: no labels in ','\n"
+
+    def test_make_pm_duplicate_blocks(self, capsys):
+        code, out, err = run(
+            capsys, "make-pm", "--ground", "1,2,3", "--block", "1,2", "--block", "1,2",
+            "--cap", "1", "--cap", "1",
+        )
+        assert code == 2
+        assert out == ""
+        assert err == "error: duplicate blocks\n"
 
     def test_constructed_document_round_trips(self, capsys, tmp_path):
         _, out, _ = run(

@@ -132,6 +132,24 @@ class TestFamily:
         assert a == b
         assert repr(a) == repr(b) == "{{1,2},{1,3}}"
 
+    @pytest.mark.parametrize("masks", [
+        [0b110, 0b001, 0b110, 0],
+        [7, 6, 5, 4, 3, 2, 1, 0],
+        [],
+    ])
+    def test_from_masks_matches_the_subset_constructor(self, g3, masks):
+        expected = SetFamily(g3, map(g3.from_mask, masks))
+        # the list, and a one-shot generator over it
+        for source in (masks, (m for m in masks)):
+            built = SetFamily.from_masks(g3, source)
+            assert built == expected
+            assert repr(built) == repr(expected)
+
+    @pytest.mark.parametrize("mask", [0b1000, 1 << 40, -1, -(1 << 12)])
+    def test_from_masks_rejects_bits_outside_the_ground_set(self, g3, mask):
+        with pytest.raises(ValueError, match="mask has bits outside the ground set"):
+            SetFamily.from_masks(g3, [0b001, mask])
+
 
 class TestLowMaxCom:
     def test_low_enumerated_by_containment(self, g3):

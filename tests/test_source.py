@@ -19,3 +19,41 @@ def test_no_assert_in_the_library():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def _wraps_masks(arg: ast.expr) -> bool:
+    """Is `arg` a `map(<x>.from_mask, ...)` call, or a generator or list whose
+    element is a `Subset(...)` call?"""
+    if isinstance(arg, ast.Call):
+        return (
+            isinstance(arg.func, ast.Name)
+            and arg.func.id == "map"
+            and bool(arg.args)
+            and isinstance(arg.args[0], ast.Attribute)
+            and arg.args[0].attr == "from_mask"
+        )
+    if isinstance(arg, (ast.GeneratorExp, ast.ListComp)):
+        elt = arg.elt
+        return (
+            isinstance(elt, ast.Call)
+            and isinstance(elt.func, ast.Name)
+            and elt.func.id == "Subset"
+        )
+    return False
+
+
+def test_masks_become_a_family_only_through_from_masks():
+    # `SetFamily.from_masks` range-checks and sorts the masks itself; a
+    # family built from hand-wrapped subsets builds each member twice
+    modules = sorted(PACKAGE.rglob("*.py"))
+    assert modules
+    found = [
+        f"{path.relative_to(PACKAGE)}:{node.lineno}"
+        for path in modules
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id == "SetFamily"
+        and any(_wraps_masks(arg) for arg in node.args)
+    ]
+    assert found == []
