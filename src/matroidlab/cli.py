@@ -10,11 +10,17 @@ parse failure (argparse uses 2 for usage errors as well), 3 the verification
 sweep found a failing check.  `forming` on a rank-0 matroid also exits 1, with
 "error: secondary bases are undefined at rank zero", although the document is
 a valid matroid.
+
+`main` may be called repeatedly in one process: it parses with one parser,
+built by `build_parser()` on the first call and reused by every later one.
+argparse keeps no state between parses, so each call sees only its own
+arguments; a one-shot `matroidlab` run builds one parser, as before.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -225,6 +231,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """A new parser for every subcommand; `main` keeps the first one built."""
     parser = argparse.ArgumentParser(
         prog="matroidlab",
         description="Analyze, transform and verify matroids given by base families.",
@@ -275,8 +282,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# built on the first `main` call, not at import
+_parser = functools.cache(build_parser)
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except AxiomError as exc:

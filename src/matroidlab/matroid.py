@@ -22,7 +22,7 @@ empty memo.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, permutations, product
+from itertools import combinations, groupby, permutations, product
 from typing import Callable, Iterable, Sequence, TypeVar
 
 from .errors import (
@@ -42,7 +42,6 @@ from .setalgebra import (
     Subset,
     complements,
     low,
-    maximal,
     transversals,
 )
 
@@ -147,7 +146,21 @@ class Matroid:
 
     @classmethod
     def from_independents(cls, ground: GroundSet, indep: SetFamily) -> Matroid:
-        """Validate an independence family and build the matroid from its maximal sets."""
+        """Validate an independence family and build the matroid from its largest sets.
+
+        Checks run in order: the empty set, downward closure (the first member
+        in canonical order with a missing subset, and its least missing
+        subset), then augmentation.  Augmentation is tested only against
+        members one element larger, yet names the same canonically least
+        failing pair (small, big) as a test over every pair: if `small`
+        cannot grow inside a member `big` with |big| >= |small| + 2, it
+        cannot grow inside any (|small| + 1)-subset J of `big` either, since
+        J - small lies in big - small; and J is a member, by closure, that
+        precedes `big`, being smaller.  Once augmentation holds, the bases
+        are exactly the largest members: a smaller maximal member would grow
+        against a one-larger subset of a largest one.  `from_bases` still
+        validates them.
+        """
         if indep.ground != ground:
             raise ValueError("candidate family lives on a different ground set")
         masks = indep.masks()
@@ -161,21 +174,22 @@ class Matroid:
                         m |= 1 << i
                     if m not in masks:
                         raise NotDownwardClosed(member, Subset(ground, m))
-        for small in indep:
-            for big in indep:
-                if len(small) >= len(big):
-                    continue
-                grow = big.mask & ~small.mask
-                ok = False
-                while grow:
-                    bit = grow & -grow
-                    grow ^= bit
-                    if (small.mask | bit) in masks:
-                        ok = True
-                        break
-                if not ok:
-                    raise AugmentationFailure(small, big)
-        return cls.from_bases(ground, maximal(indep))
+        # canonical order is by size first, and a downward-closed family has
+        # members of every size up to the largest: layers[k] holds size k
+        layers = [list(run) for _, run in groupby(indep.sets, len)]
+        for smaller, larger in zip(layers, layers[1:]):
+            for small in smaller:
+                s = small.mask
+                for big in larger:
+                    grow = big.mask & ~s
+                    while grow:
+                        bit = grow & -grow
+                        if (s | bit) in masks:
+                            break
+                        grow ^= bit
+                    else:
+                        raise AugmentationFailure(small, big)
+        return cls.from_bases(ground, SetFamily(ground, layers[-1]))
 
     def independents(self) -> SetFamily:
         """The full independence family (downward closure of the bases), cached."""

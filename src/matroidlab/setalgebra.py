@@ -29,6 +29,9 @@ _BYTE_BITS = tuple(
 
 def _bit_indices(mask: int) -> tuple[int, ...]:
     if mask < 256:
+        if mask < 0:
+            # a negative int has infinitely many set bits
+            raise ValueError(f"negative mask {mask} has no bit indices")
         return _BYTE_BITS[mask]
     out = []
     while mask:

@@ -8,8 +8,8 @@ expansion sets by comparing maximal independent subsets, the support
 partition checks by walking `Partition` values with the public set algebra,
 the exchange checks by scanning `Subset` values, the base-relative forming
 checks on `SetFamily` values, the exchange validator by probing base
-membership one repair at a time, and bit indices one bit position at a
-time.
+membership one repair at a time, the independence validator over every pair
+of members, and bit indices one bit position at a time.
 """
 
 from __future__ import annotations
@@ -27,7 +27,12 @@ from matroidlab import (
     recover_partition,
     transversals,
 )
-from matroidlab.errors import AxiomError
+from matroidlab.errors import (
+    AugmentationFailure,
+    AxiomError,
+    MissingEmptySet,
+    NotDownwardClosed,
+)
 from matroidlab.matroid import first_exchange_violation
 
 
@@ -129,6 +134,33 @@ def exchange_scan_oracle(
                         break
                 else:
                     return b1, b2, xbit.bit_length() - 1
+    return None
+
+
+def independence_violation_oracle(
+    family: SetFamily,
+) -> tuple[type[AxiomError], tuple[Subset, ...]] | None:
+    """The first independence axiom `family` breaks, with its witness: no
+    empty set (no witness); else the first member in canonical order with a
+    missing subset, and its least missing subset (by size, then in
+    combinations order); else the least pair (small, big) in canonical order,
+    over every pair with |small| < |big|, where no element of big - small
+    grows small into a member.  None when every axiom holds."""
+    ground = family.ground
+    if ground.subset() not in family:
+        return MissingEmptySet, ()
+    for member in family:
+        for k in range(len(member)):
+            for sub in combinations(member.indices(), k):
+                missing = ground.subset_of(sub)
+                if missing not in family:
+                    return NotDownwardClosed, (member, missing)
+    for small in family:
+        for big in family:
+            if len(small) < len(big) and not any(
+                small | ground.subset(x) in family for x in (big - small).labels()
+            ):
+                return AugmentationFailure, (small, big)
     return None
 
 

@@ -2,6 +2,9 @@ import contextlib
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -9,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import matroidlab
 from matroidlab import GroundSet, Matroid, SetFamily, harness
 from matroidlab.cli import main, parse_matroid_file
 from matroidlab.errors import ParseError, UnequalCardinality
@@ -318,6 +322,66 @@ class TestConstructors:
         path.write_text(out)
         m = parse_matroid_file(str(path))
         assert m.to_doc() == json.loads(out)
+
+
+class TestRepeatedCalls:
+    """`main` reuses one parser, so no call may see another's arguments."""
+
+    def test_appended_options_do_not_leak(self, capsys):
+        code, out, _ = run(
+            capsys, "make-pm", "--ground", "1,2,3,4",
+            "--block", "1,2", "--block", "3,4", "--cap", "1", "--cap", "2",
+        )
+        assert code == 0
+        assert json.loads(out)["bases"] == [["1", "3", "4"], ["2", "3", "4"]]
+        code, out, _ = run(
+            capsys, "make-upm", "--ground", "1,2,3", "--block", "1", "--block", "2,3"
+        )
+        assert code == 0
+        assert json.loads(out) == {
+            "ground_set": ["1", "2", "3"],
+            "bases": [["1", "2"], ["1", "3"]],
+        }
+        code, out, _ = run(
+            capsys, "make-pm", "--ground", "1,2,3", "--block", "1,2,3", "--cap", "2"
+        )
+        assert code == 0
+        assert json.loads(out)["bases"] == [["1", "2"], ["1", "3"], ["2", "3"]]
+
+    def test_success_after_an_error(self, capsys):
+        code, out, err = run(
+            capsys, "make-pm", "--ground", "1,2,3", "--block", "1,2", "--block", "1,2",
+            "--cap", "1", "--cap", "1",
+        )
+        assert (code, out, err) == (2, "", "error: duplicate blocks\n")
+        code, out, err = run(capsys, "make-upm", "--ground", "1,2", "--block", "1,2")
+        assert code == 0
+        assert err == ""
+        assert json.loads(out)["bases"] == [["1"], ["2"]]
+
+    def test_help_after_other_calls(self, capsys, doc73):
+        run(capsys, "analyze", doc73, "--json")
+        run(capsys, "enumerate", "--n", "2", "--count-only")
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        assert out.startswith("usage: matroidlab ")
+        assert "make-upm" in out
+
+    def test_in_process_analyze_matches_a_fresh_process(self, capsys, doc73, doc121):
+        run(capsys, "make-upm", "--ground", "1,2", "--block", "1", "--block", "2")
+        run(capsys, "analyze", doc73)
+        run(capsys, "dual", doc121, "--json")
+        code, out, _ = run(capsys, "analyze", doc121, "--json")
+        assert code == 0
+        src = Path(matroidlab.__file__).resolve().parents[1]
+        fresh = subprocess.run(
+            [sys.executable, "-m", "matroidlab.cli", "analyze", doc121, "--json"],
+            capture_output=True, text=True, check=True,
+            env={**os.environ, "PYTHONPATH": str(src)},
+        )
+        assert fresh.stdout == out
 
 
 class TestEnumerate:

@@ -1,3 +1,6 @@
+import random
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -22,6 +25,7 @@ from matroidlab import (
 )
 from matroidlab.errors import (
     AugmentationFailure,
+    AxiomError,
     CapOutOfRange,
     EmptyFamily,
     ExchangeFailure,
@@ -35,6 +39,7 @@ from matroidlab.matroid import first_exchange_violation
 from oracles import (
     exchange_scan_oracle,
     exchange_violation_oracle,
+    independence_violation_oracle,
     mixed_size_families,
     rank_oracle,
 )
@@ -163,6 +168,43 @@ class TestFromIndependents:
             Matroid.from_independents(g3, fam(g3, "", "1", "2", "3", "13"))
         assert exc.value.smaller == g3.subset("2")
         assert exc.value.larger == g3.subset("1", "3")
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_matches_the_all_pairs_oracle(self, n):
+        # downward closures of a few random sets (mostly failing), the same
+        # with one member dropped (mostly not closed), random families, and
+        # the independent sets of enumerated matroids (all passing)
+        rng = random.Random(1400 + n)
+        ground = GroundSet(str(i) for i in range(1, n + 1))
+        families = []
+        for _ in range(150):
+            tops = [rng.getrandbits(n) for _ in range(rng.randint(1, 4))]
+            closed = low(SetFamily.from_masks(ground, tops))
+            dropped = set(closed.masks()) - {rng.choice(sorted(closed.masks()))}
+            families += [
+                closed,
+                SetFamily.from_masks(ground, dropped),
+                SetFamily.from_masks(ground, [0, *rng.sample(range(1 << n), 4)]),
+            ]
+        matroids = list(enumerate_matroids(n))
+        families += [m.independents() for m in rng.sample(matroids, min(40, len(matroids)))]
+        witnesses = {
+            NotDownwardClosed: lambda e: (e.superset, e.subset),
+            AugmentationFailure: lambda e: (e.smaller, e.larger),
+            MissingEmptySet: lambda e: (),
+        }
+        outcomes = Counter()
+        for family in families:
+            try:
+                m = Matroid.from_independents(ground, family)
+            except AxiomError as exc:
+                got = type(exc), witnesses[type(exc)](exc)
+            else:
+                got = None
+                assert m.bases == maximal(family), family
+            assert got == independence_violation_oracle(family), family
+            outcomes[got[0] if got else None] += 1
+        assert set(outcomes) == {None, *witnesses}, outcomes
 
     @settings(max_examples=40, deadline=None)
     @given(st.data())

@@ -119,6 +119,18 @@ class TestBitIndices:
             masks, key=lambda m: (m.bit_count(), bit_indices_oracle(m))
         )
 
+    @pytest.mark.parametrize("mask", [-1, -5, -300])
+    def test_negative_mask_rejected(self, mask):
+        # a negative index reads the byte table from its end, or past it
+        with pytest.raises(ValueError, match="negative mask"):
+            _bit_indices(mask)
+        with pytest.raises(ValueError, match="negative mask"):
+            canonical_key(mask)
+
+    def test_canonical_key_matches_the_reference_key(self):
+        for mask in [*range(1 << 10), 1 << 63]:
+            assert canonical_key(mask) == (mask.bit_count(), bit_indices_oracle(mask))
+
 
 class TestFamily:
     def test_dedup_and_canonical_order(self, g3):
