@@ -3,8 +3,11 @@
 Every classifier returns a ClassificationResult; a false verdict always
 carries the canonically least counterexample, so failure output is identical
 across runs.  Every search runs sequentially in canonical order.  The
-minimality checks are exhaustive searches over subfamilies of the base family,
-pruned by prefix, and are therefore guarded by a configurable cap.
+minimality checks are guarded by a configurable cap on the base count.
+Within the cap, a unique expansion matroid is union minimal by the paper's
+theorem (registry check `thm_552`) and needs no search; every other
+minimality question is an exhaustive search over subfamilies of the base
+family, pruned by prefix.
 """
 
 from __future__ import annotations
@@ -127,15 +130,19 @@ def is_unique_exchange(m: Matroid) -> ClassificationResult:
     return ClassificationResult(True, None)
 
 
-def _minimality_search(
-    m: Matroid, kind: str, boundary: int, cap: int
-) -> ClassificationResult:
+def _check_cap(m: Matroid, cap: int) -> None:
     n = len(m.bases.sets)
     if n > cap:
         raise SearchCapExceeded(
             f"{n} bases exceed the exhaustive search cap {cap}"
         )
-    if n == 1:
+
+
+def _minimality_search(
+    m: Matroid, kind: str, boundary: int, cap: int
+) -> ClassificationResult:
+    _check_cap(m, cap)
+    if len(m.bases.sets) == 1:
         return ClassificationResult(True, None)  # no proper nonempty subfamily
     return m._fact(f"{kind}_minimal", lambda: _least_reduction(m, kind, boundary))
 
@@ -299,10 +306,16 @@ def _least_reduction(m: Matroid, kind: str, boundary: int) -> ClassificationResu
 def is_union_minimal(m: Matroid, cap: int = DEFAULT_SEARCH_CAP) -> ClassificationResult:
     """Is no proper subfamily of the bases a base family with the same union?
 
-    Exhaustive over the proper nonempty subfamilies, pruned by prefix, so the
-    base family size is capped (default 20).  The result is kept in the
-    matroid's facts memo once the cap check passes.
+    The base family size is capped (default 20), for every matroid alike.
+    Within the cap, a unique expansion matroid of positive rank is union
+    minimal by the paper's theorem (`thm_552`), answered with no search.
+    Every other matroid gets the exhaustive search over the proper nonempty
+    subfamilies, pruned by prefix, whose result is kept in the matroid's
+    facts memo; the theorem's answer is not kept there.
     """
+    _check_cap(m, cap)
+    if m.rank > 0 and is_unique_expansion(m).verdict:
+        return ClassificationResult(True, None)
     return _minimality_search(m, "union", m.support().mask, cap)
 
 

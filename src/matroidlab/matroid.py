@@ -150,7 +150,11 @@ class Matroid:
 
         Checks run in order: the empty set, downward closure (the first member
         in canonical order with a missing subset, and its least missing
-        subset), then augmentation.  Augmentation is tested only against
+        subset), then augmentation.  Closure is tested only against each
+        member's one-smaller subsets, yet finds the same first member: if a
+        member I misses some subset S but none of its one-smaller subsets,
+        one of those, J with S in J, is a member that precedes I and also
+        misses S.  Augmentation is tested only against
         members one element larger, yet names the same canonically least
         failing pair (small, big) as a test over every pair: if `small`
         cannot grow inside a member `big` with |big| >= |small| + 2, it
@@ -167,13 +171,14 @@ class Matroid:
         if 0 not in masks:
             raise MissingEmptySet("the empty set must be independent")
         for member in indep:
-            for k in range(len(member)):
-                for sub in combinations(member.indices(), k):
-                    m = 0
-                    for i in sub:
-                        m |= 1 << i
-                    if m not in masks:
-                        raise NotDownwardClosed(member, Subset(ground, m))
+            whole = rest = member.mask
+            while rest:
+                bit = rest & -rest
+                rest ^= bit
+                if whole ^ bit not in masks:
+                    raise NotDownwardClosed(member, min(
+                        s for s in member.subsets() if s.mask not in masks
+                    ))
         # canonical order is by size first, and a downward-closed family has
         # members of every size up to the largest: layers[k] holds size k
         layers = [list(run) for _, run in groupby(indep.sets, len)]

@@ -21,6 +21,7 @@ from matroidlab import (
     recover_partition,
     transversals,
 )
+from matroidlab.classify import DEFAULT_SEARCH_CAP, _minimality_search
 from matroidlab.errors import RankZero, SearchCapExceeded, SupportMismatch
 
 
@@ -132,6 +133,8 @@ class TestUnionMinimal:
         assert len(m.bases) == 8
         assert is_union_minimal(m).verdict
         assert is_intersection_minimal(m).verdict
+        # a unique expansion matroid, answered by thm_552; the search agrees
+        assert _search(m, "union").verdict
 
     def test_uniform_is_reducible(self, uniform3):
         res = is_union_minimal(uniform3)
@@ -311,7 +314,15 @@ class TestClassImplicationsOverPopulation:
             if is_unique_expansion(m).verdict:
                 assert is_unique_exchange(m).verdict
                 assert is_union_minimal(m).verdict
+                assert _search(m, "union").verdict
                 assert is_unique_exchange(m.dual()).verdict
+
+    def test_union_minimal_gives_the_search_verdict_and_witness(self):
+        # the theorem's shortcut against the search on every matroid with
+        # n <= 6 and its dual, each search on a fresh object
+        for m in _population(6):
+            for x in (m, m.dual()):
+                assert is_union_minimal(x) == _search(x, "union"), x
 
     def test_minimality_duality(self):
         for m in _population(4):
@@ -328,15 +339,25 @@ def _exchange_witness(m):
 
 
 def _assert_minimality_witnesses(m):
-    """Both searches on m and its dual give the plain scan's canonical witness."""
+    """Both classifiers on m and its dual, and both searches run on fresh
+    copies (so neither reads a kept result nor takes the theorem's shortcut),
+    give the plain scan's canonical witness."""
     from oracles import minimality_witness_oracle
 
     for x in (m, m.dual()):
         for kind, classify in (("union", is_union_minimal),
                                ("intersection", is_intersection_minimal)):
-            res = classify(x)
-            got = None if res.verdict else res.witness.subfamily
-            assert got == minimality_witness_oracle(x, kind), (x, kind)
+            want = minimality_witness_oracle(x, kind)
+            for res in (classify(x), _search(x, kind)):
+                got = None if res.verdict else res.witness.subfamily
+                assert got == want, (x, kind)
+
+
+def _search(m, kind):
+    """The exhaustive minimality search alone, on a fresh copy of m."""
+    fresh = Matroid.from_bases(m.ground, m.bases)
+    boundary = fresh.support() if kind == "union" else fresh.base_intersection()
+    return _minimality_search(fresh, kind, boundary.mask, DEFAULT_SEARCH_CAP)
 
 
 _cache = {}

@@ -226,6 +226,31 @@ class TestVerify:
             "one-per-block and cap-1 constructions disagree"
         )
 
+    def test_thm_552_is_tested_by_the_search(self, monkeypatch):
+        # is_union_minimal answers a unique expansion matroid by thm_552
+        # itself, so the registry must run the search on every applicable
+        # matroid with more than one base, and the worked examples likewise
+        calls = []
+        search = classify_module._least_reduction
+
+        def counted(m, kind, boundary):
+            calls.append(kind)
+            return search(m, kind, boundary)
+
+        monkeypatch.setattr(classify_module, "_least_reduction", counted)
+        check = lookup_check("thm_552")
+        pop = population(4)
+        report = verify(pop, [check])
+        outcome = report.outcomes[0]
+        assert outcome.passed == outcome.applicable > 0
+        searched = sum(1 for m in pop if check.applies(m) and len(m.bases) > 1)
+        assert searched > 0
+        assert calls == ["union"] * searched
+        calls.clear()
+        assert all(ok for _, _, ok in check_examples())
+        # reducible, irreducible and both_union_minimal (two matroids)
+        assert calls.count("union") == 4
+
     def test_invalid_family_never_reaches_verification(self):
         g = GroundSet("123")
         with pytest.raises(UnequalCardinality):
