@@ -3,11 +3,11 @@
 Every classifier returns a ClassificationResult; a false verdict always
 carries the canonically least counterexample, so failure output is identical
 across runs.  Every search runs sequentially in canonical order.  The
-minimality checks are guarded by a configurable cap on the base count.
-Within the cap, a unique expansion matroid is union minimal by the paper's
-theorem (registry check `thm_552`) and needs no search; every other
-minimality question is an exhaustive search over subfamilies of the base
-family, pruned by prefix.
+minimality checks are guarded by a fixed cap of 20 bases
+(`DEFAULT_SEARCH_CAP`).  Within the cap, a unique expansion matroid is union
+minimal by the paper's theorem (registry check `thm_552`) and needs no
+search; every other minimality question is an exhaustive search over
+subfamilies of the base family, pruned by prefix.
 """
 
 from __future__ import annotations
@@ -130,21 +130,21 @@ def is_unique_exchange(m: Matroid) -> ClassificationResult:
     return ClassificationResult(True, None)
 
 
-def _check_cap(m: Matroid, cap: int) -> None:
+def _check_cap(m: Matroid) -> None:
     n = len(m.bases.sets)
-    if n > cap:
+    if n > DEFAULT_SEARCH_CAP:
         raise SearchCapExceeded(
-            f"{n} bases exceed the exhaustive search cap {cap}"
+            f"{n} bases exceed the exhaustive search cap {DEFAULT_SEARCH_CAP}"
         )
 
 
-def _minimality_search(
-    m: Matroid, kind: str, boundary: int, cap: int
-) -> ClassificationResult:
-    _check_cap(m, cap)
-    if len(m.bases.sets) == 1:
-        return ClassificationResult(True, None)  # no proper nonempty subfamily
-    return m._fact(f"{kind}_minimal", lambda: _least_reduction(m, kind, boundary))
+def _minimality_search(m: Matroid, kind: str) -> ClassificationResult:
+    """The capped, memoized exhaustive search of `kind` "union" or
+    "intersection", whose boundary is the base support or the common
+    intersection of the bases."""
+    _check_cap(m)
+    boundary = m.support() if kind == "union" else m.base_intersection()
+    return m._fact(f"{kind}_minimal", lambda: _least_reduction(m, kind, boundary.mask))
 
 
 def _requirements(b1: int, b2: int, position: Callable[[int, int], int]) -> Sequence[int]:
@@ -214,8 +214,12 @@ def _least_reduction(m: Matroid, kind: str, boundary: int) -> ClassificationResu
         # the intersection is the boundary iff the complements cover the rest
         full = (1 << m.ground.size) - 1
         covers, target = [full ^ b for b in masks], full ^ boundary
-    # every cover has the same size, so fewer bases cannot cover the target
-    fewest = max(1, -(-target.bit_count() // covers[0].bit_count()))
+    # k covers of at most w elements cover at most k * w, so with w the widest
+    # cover fewer than |target| / w bases cannot cover the target, in any
+    # family (in a matroid every cover has the same size); when every cover
+    # is empty the target is empty too, and w = 1 keeps the bound at 1
+    widest = max(c.bit_count() for c in covers) or 1
+    fewest = max(1, -(-target.bit_count() // widest))
     if fewest >= n:
         return ClassificationResult(True, None)
     reach = covers + [0]  # reach[t]: what the bases from position t on cover
@@ -303,30 +307,29 @@ def _least_reduction(m: Matroid, kind: str, boundary: int) -> ClassificationResu
     return ClassificationResult(True, None)
 
 
-def is_union_minimal(m: Matroid, cap: int = DEFAULT_SEARCH_CAP) -> ClassificationResult:
+def is_union_minimal(m: Matroid) -> ClassificationResult:
     """Is no proper subfamily of the bases a base family with the same union?
 
-    The base family size is capped (default 20), for every matroid alike.
-    Within the cap, a unique expansion matroid of positive rank is union
-    minimal by the paper's theorem (`thm_552`), answered with no search.
-    Every other matroid gets the exhaustive search over the proper nonempty
-    subfamilies, pruned by prefix, whose result is kept in the matroid's
-    facts memo; the theorem's answer is not kept there.
+    The base family size is capped at 20 (`DEFAULT_SEARCH_CAP`), for every
+    matroid alike.  Within the cap, a unique expansion matroid of positive
+    rank is union minimal by the paper's theorem (`thm_552`), answered with
+    no search.  Every other matroid gets the exhaustive search over the
+    proper nonempty subfamilies, pruned by prefix, whose result is kept in
+    the matroid's facts memo; the theorem's answer is not kept there.
     """
-    _check_cap(m, cap)
+    _check_cap(m)
     if m.rank > 0 and is_unique_expansion(m).verdict:
         return ClassificationResult(True, None)
-    return _minimality_search(m, "union", m.support().mask, cap)
+    return _minimality_search(m, "union")
 
 
-def is_intersection_minimal(
-    m: Matroid, cap: int = DEFAULT_SEARCH_CAP
-) -> ClassificationResult:
+def is_intersection_minimal(m: Matroid) -> ClassificationResult:
     """Is no proper subfamily of the bases a base family with the same intersection?
 
-    Capped and memoized like `is_union_minimal`.
+    Capped at 20 bases (`DEFAULT_SEARCH_CAP`) and memoized like
+    `is_union_minimal`, with no shortcut.
     """
-    return _minimality_search(m, "intersection", m.base_intersection().mask, cap)
+    return _minimality_search(m, "intersection")
 
 
 def recover_partition(m: Matroid) -> Partition | None:

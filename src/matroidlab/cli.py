@@ -22,7 +22,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import os
 import sys
 from itertools import chain
 
@@ -45,8 +44,6 @@ from .matroid import (
 )
 from .setalgebra import GroundSet, SetFamily
 
-SEARCH_CAP_ENV = "MATROIDLAB_SEARCH_CAP"
-
 
 def parse_matroid_file(path: str) -> Matroid:
     """Load and validate a matroid document; ParseError on malformed input."""
@@ -57,19 +54,6 @@ def parse_matroid_file(path: str) -> Matroid:
         # RecursionError: nesting deeper than the interpreter's stack allows
         raise ParseError(f"{path}: {exc}") from None
     return Matroid.from_doc(doc)
-
-
-def _search_cap() -> int:
-    raw = os.environ.get(SEARCH_CAP_ENV)
-    if raw is None:
-        return DEFAULT_SEARCH_CAP
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise ParseError(f"{SEARCH_CAP_ENV} must be an integer, got {raw!r}") from None
-    if cap < 0:
-        raise ParseError(f"{SEARCH_CAP_ENV} must not be negative, got {cap}")
-    return cap
 
 
 def _emit_doc(doc: dict, compact: bool) -> None:
@@ -86,7 +70,6 @@ def _fmt_family(family: SetFamily) -> str:
 
 def cmd_analyze(args: argparse.Namespace) -> int:
     m = parse_matroid_file(args.file)
-    cap = _search_cap()
     out: dict = m.to_doc()
     out["rank"] = m.rank
     out["support"] = list(m.support().labels())
@@ -98,13 +81,13 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         "unique_exchange": is_unique_exchange(m),
     }
     try:
-        results["union_minimal"] = is_union_minimal(m, cap=cap)
-        results["intersection_minimal"] = is_intersection_minimal(m, cap=cap)
+        results["union_minimal"] = is_union_minimal(m)
+        results["intersection_minimal"] = is_intersection_minimal(m)
     except SearchCapExceeded:
         results["union_minimal"] = None
         results["intersection_minimal"] = None
         out["minimality_skipped"] = (
-            f"base family of size {len(m.bases)} exceeds search cap {cap}"
+            f"base family of size {len(m.bases)} exceeds search cap {DEFAULT_SEARCH_CAP}"
         )
 
     out["forming_family"] = _family_doc(fam) if fam is not None else None

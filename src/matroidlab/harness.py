@@ -19,8 +19,6 @@ from time import perf_counter
 from typing import Callable, Iterable
 
 from .classify import (
-    DEFAULT_SEARCH_CAP,
-    ClassificationResult,
     ExchangeWitness,
     ExpansionWitness,
     _minimality_search,
@@ -365,17 +363,11 @@ def _check_prop_103(m: Matroid) -> str | None:
     return None
 
 
-def _union_search(m: Matroid) -> ClassificationResult:
-    """Union minimality by the exhaustive search alone.
-
-    `is_union_minimal` answers a unique expansion matroid by `thm_552`, the
-    statement this registry tests, so the registry runs the search itself.
-    """
-    return _minimality_search(m, "union", m.support().mask, DEFAULT_SEARCH_CAP)
-
-
+# `is_union_minimal` answers a unique expansion matroid by `thm_552`, the
+# statement this registry tests, so the registry and the worked examples run
+# the exhaustive union search itself
 def _check_thm_334(m: Matroid) -> str | None:
-    um = _union_search(m).verdict
+    um = _minimality_search(m, "union").verdict
     im = is_intersection_minimal(m.dual()).verdict
     if um != im:
         return f"union minimal {um} but dual intersection minimal {im}"
@@ -383,7 +375,7 @@ def _check_thm_334(m: Matroid) -> str | None:
 
 
 def _check_thm_552(m: Matroid) -> str | None:
-    res = _union_search(m)
+    res = _minimality_search(m, "union")
     if not res.verdict:
         return f"unique expansion matroid is not union minimal: {res.witness.subfamily}"
     return None
@@ -835,13 +827,13 @@ def worked_examples() -> list[WorkedExample]:
                 ExampleFact(
                     "reducible",
                     "dropping {2,3} leaves a base family with the same union",
-                    lambda: _union_search(m_uniform).witness.subfamily
+                    lambda: _minimality_search(m_uniform, "union").witness.subfamily
                     == m_nested.bases,
                 ),
                 ExampleFact(
                     "irreducible",
                     "the nested base pair is union minimal",
-                    lambda: _union_search(m_nested).verdict,
+                    lambda: _minimality_search(m_nested, "union").verdict,
                 ),
             ),
         ),
@@ -868,8 +860,8 @@ def worked_examples() -> list[WorkedExample]:
                 ExampleFact(
                     "both_union_minimal",
                     "both matroids are union minimal",
-                    lambda: _union_search(m_star5).verdict
-                    and _union_search(m_grid5).verdict,
+                    lambda: _minimality_search(m_star5, "union").verdict
+                    and _minimality_search(m_grid5, "union").verdict,
                 ),
                 ExampleFact(
                     "same_support_and_rank",

@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import pytest
 
 from matroidlab import (
@@ -21,7 +23,7 @@ from matroidlab import (
     recover_partition,
     transversals,
 )
-from matroidlab.classify import DEFAULT_SEARCH_CAP, _minimality_search
+from matroidlab.classify import _minimality_search
 from matroidlab.errors import RankZero, SearchCapExceeded, SupportMismatch
 
 
@@ -37,6 +39,14 @@ def mk(labels, *bases):
 @pytest.fixture
 def uniform3():
     return mk("123", "12", "13", "23")
+
+
+def uniform(rank, size):
+    """U(rank, size) on the labels 1..size."""
+    g = GroundSet(str(i) for i in range(1, size + 1))
+    return Matroid.from_bases(
+        g, SetFamily(g, (g.subset_of(c) for c in combinations(range(size), rank)))
+    )
 
 
 class TestClassificationResult:
@@ -151,16 +161,18 @@ class TestUnionMinimal:
         assert is_union_minimal(mk("123", "123")).verdict
         assert is_union_minimal(mk("123", "")).verdict
 
-    def test_cap_guard(self, uniform3):
-        with pytest.raises(SearchCapExceeded):
-            is_union_minimal(uniform3, cap=2)
+    def test_cap_guard(self):
+        # 21 bases, one past the cap of 20; U(1,21) is unique expansion, and
+        # the cap still comes before the theorem's shortcut
+        for m in (uniform(2, 7), uniform(1, 21)):
+            assert len(m.bases) == 21
+            with pytest.raises(SearchCapExceeded):
+                is_union_minimal(m)
+        assert is_unique_expansion(uniform(1, 21)).verdict
 
     def test_result_is_memoized_behind_the_cap(self, uniform3):
         first = is_union_minimal(uniform3)
         assert is_union_minimal(uniform3) is first
-        # a kept result never lets a smaller cap through
-        with pytest.raises(SearchCapExceeded):
-            is_union_minimal(uniform3, cap=2)
 
     def test_witness_replays_against_the_definition(self, uniform3):
         sub = is_union_minimal(uniform3).witness.subfamily
@@ -182,9 +194,9 @@ class TestIntersectionMinimal:
         # direct subfamily search confirms: {{1},{2}} keeps the empty intersection
         assert res.witness.subfamily == fam(uniform3.ground, "1", "2")
 
-    def test_cap_guard(self, uniform3):
+    def test_cap_guard(self):
         with pytest.raises(SearchCapExceeded):
-            is_intersection_minimal(uniform3, cap=2)
+            is_intersection_minimal(uniform(2, 7))
 
 
 class TestDeterminism:
@@ -306,6 +318,16 @@ class TestAgainstDefinitionOracles:
         for family in mixed_size_families():
             assert _exchange_witness(family) == unique_exchange_oracle(family), family
 
+    def test_minimality_search_takes_an_empty_first_member(self):
+        # the first member of {{}, {1}} covers nothing, so the size bound
+        # must not divide by its size
+        g = GroundSet("12")
+        family = Matroid._trusted(g, SetFamily(g, [g.subset(), g.subset("1")]))
+        # {1} alone keeps the union {1}; {} alone keeps the intersection {}
+        for kind, want in (("union", "1"), ("intersection", "")):
+            res = _minimality_search(family, kind)
+            assert res.witness.subfamily == fam(g, want), kind
+
 
 class TestClassImplicationsOverPopulation:
     def test_unique_expansion_closes_downward(self):
@@ -355,9 +377,7 @@ def _assert_minimality_witnesses(m):
 
 def _search(m, kind):
     """The exhaustive minimality search alone, on a fresh copy of m."""
-    fresh = Matroid.from_bases(m.ground, m.bases)
-    boundary = fresh.support() if kind == "union" else fresh.base_intersection()
-    return _minimality_search(fresh, kind, boundary.mask, DEFAULT_SEARCH_CAP)
+    return _minimality_search(Matroid.from_bases(m.ground, m.bases), kind)
 
 
 _cache = {}

@@ -150,36 +150,28 @@ class TestAnalyze:
         assert doc["unique_expansion"] is None
         assert doc["unique_exchange"] is True
 
-    def test_search_cap_env_skips_minimality(self, capsys, doc121, monkeypatch):
-        monkeypatch.setenv("MATROIDLAB_SEARCH_CAP", "2")
-        code, out, _ = run(capsys, "analyze", doc121, "--json")
+    def test_search_cap_env_skips_minimality(self, capsys, tmp_path):
+        # U(2,7) has 21 bases, one past the search cap of 20
+        path = tmp_path / "u27.json"
+        path.write_text(json.dumps({
+            "ground_set": list("1234567"),
+            "bases": [[a, b] for a in "1234567" for b in "1234567" if a < b],
+        }))
+        code, out, _ = run(capsys, "analyze", str(path), "--json")
         assert code == 0
         doc = json.loads(out)
         assert doc["union_minimal"] is None
-        assert "exceeds search cap 2" in doc["minimality_skipped"]
-        code, out, _ = run(capsys, "analyze", doc121)
+        assert doc["intersection_minimal"] is None
+        assert doc["minimality_skipped"] == (
+            "base family of size 21 exceeds search cap 20"
+        )
+        code, out, _ = run(capsys, "analyze", str(path))
         assert code == 0
-        skipped = "skipped (base family of size 3 exceeds search cap 2)"
+        skipped = "skipped (base family of size 21 exceeds search cap 20)"
         assert out.splitlines()[-2:] == [
             f"union minimal: {skipped}",
             f"intersection minimal: {skipped}",
         ]
-
-    @pytest.mark.parametrize("cap, message", [
-        pytest.param("-1", "must not be negative, got -1", id="-1"),
-        pytest.param("-3", "must not be negative, got -3", id="-3"),
-        pytest.param("abc", "must be an integer, got 'abc'", id="abc"),
-    ])
-    def test_negative_search_cap_exit_2(self, capsys, tmp_path, monkeypatch, cap, message):
-        # a negative or non-integer cap is malformed input, not a cap every
-        # family exceeds
-        path = tmp_path / "m.json"
-        path.write_text('{"ground_set": ["1"], "bases": [["1"]]}')
-        monkeypatch.setenv("MATROIDLAB_SEARCH_CAP", cap)
-        code, out, err = run(capsys, "analyze", str(path))
-        assert code == 2
-        assert out == ""
-        assert err == f"error: MATROIDLAB_SEARCH_CAP {message}\n"
 
     def test_invalid_matroid_exit_1(self, capsys, tmp_path):
         path = tmp_path / "m.json"

@@ -229,7 +229,7 @@ class TestVerify:
     def test_thm_552_is_tested_by_the_search(self, monkeypatch):
         # is_union_minimal answers a unique expansion matroid by thm_552
         # itself, so the registry must run the search on every applicable
-        # matroid with more than one base, and the worked examples likewise
+        # matroid, one-base ones included, and the worked examples likewise
         calls = []
         search = classify_module._least_reduction
 
@@ -239,13 +239,10 @@ class TestVerify:
 
         monkeypatch.setattr(classify_module, "_least_reduction", counted)
         check = lookup_check("thm_552")
-        pop = population(4)
-        report = verify(pop, [check])
+        report = verify(population(4), [check])
         outcome = report.outcomes[0]
         assert outcome.passed == outcome.applicable > 0
-        searched = sum(1 for m in pop if check.applies(m) and len(m.bases) > 1)
-        assert searched > 0
-        assert calls == ["union"] * searched
+        assert calls == ["union"] * outcome.applicable
         calls.clear()
         assert all(ok for _, _, ok in check_examples())
         # reducible, irreducible and both_union_minimal (two matroids)
@@ -326,6 +323,19 @@ class TestNonMatroidFamilies:
             w["detail"].startswith("no y in ")
             for w in by_id["dual_involution"].witnesses
         )
+
+    def test_mixed_size_families_run_the_whole_registry(self):
+        # families whose members differ in size, such as {{}, {1}}, reach the
+        # minimality searches too; every outcome is a tally, never an error
+        report = verify(mixed_size_families())
+        assert report.total == 2242
+        by_id = {o.check_id: o for o in report.outcomes}
+        for outcome in report.outcomes:
+            assert outcome.applicable == outcome.passed + outcome.failed + outcome.capped
+        for check_id, tally in (("thm_334", (2242, 206, 2036)),
+                                ("thm_552", (1603, 1290, 313))):
+            outcome = by_id[check_id]
+            assert (outcome.applicable, outcome.passed, outcome.failed) == tally
 
 
 class TestThm123AgainstOracle:

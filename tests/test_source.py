@@ -57,3 +57,33 @@ def test_masks_become_a_family_only_through_from_masks():
         and any(_wraps_masks(arg) for arg in node.args)
     ]
     assert found == []
+
+
+def _reads_environment(node: ast.AST) -> bool:
+    """Is `node` an `os.environ` or `os.getenv` reference, or a name imported
+    as one of them from `os`?"""
+    if isinstance(node, ast.Attribute):
+        return (
+            isinstance(node.value, ast.Name)
+            and node.value.id == "os"
+            and node.attr in ("environ", "getenv")
+        )
+    if isinstance(node, ast.ImportFrom):
+        return node.module == "os" and any(
+            alias.name in ("environ", "getenv") for alias in node.names
+        )
+    return False
+
+
+def test_no_module_reads_the_environment():
+    # every setting of the library is a parameter or a constant; a knob read
+    # from the environment changes results where no caller can see it
+    modules = sorted(PACKAGE.rglob("*.py"))
+    assert modules
+    found = [
+        f"{path.relative_to(PACKAGE)}:{node.lineno}"
+        for path in modules
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if _reads_environment(node)
+    ]
+    assert found == []
