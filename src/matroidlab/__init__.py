@@ -13,12 +13,14 @@ from .classify import (
     ExchangeWitness,
     ExpansionWitness,
     SubfamilyWitness,
+    intersection_minimal,
     is_intersection_minimal,
     is_transversal_of,
     is_union_minimal,
     is_unique_exchange,
     is_unique_expansion,
     recover_partition,
+    union_minimal,
 )
 from .enumeration import (
     MAX_ENUMERATION_SIZE,
@@ -103,6 +105,8 @@ __all__ = [
     "is_unique_exchange",
     "is_union_minimal",
     "is_intersection_minimal",
+    "union_minimal",
+    "intersection_minimal",
     "recover_partition",
     "is_transversal_of",
     "DEFAULT_SEARCH_CAP",

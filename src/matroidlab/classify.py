@@ -4,10 +4,11 @@ Every classifier returns a ClassificationResult; a false verdict always
 carries the canonically least counterexample, so failure output is identical
 across runs.  Every search runs sequentially in canonical order.  The
 minimality checks are guarded by a fixed cap of 20 bases
-(`DEFAULT_SEARCH_CAP`).  Within the cap, a unique expansion matroid is union
-minimal by the paper's theorem (registry check `thm_552`) and needs no
-search; every other minimality question is an exhaustive search over
-subfamilies of the base family, pruned by prefix.
+(`DEFAULT_SEARCH_CAP`).  Within the cap, a minimality verdict comes from the
+flag-of-flats certificate (`union_minimal`, `intersection_minimal`): union
+minimal means rank zero or unique expansion, and intersection minimal means
+the same of the dual.  Only a false verdict's canonical witness needs the
+exhaustive search over subfamilies of the base family, pruned by prefix.
 """
 
 from __future__ import annotations
@@ -307,29 +308,73 @@ def _least_reduction(m: Matroid, kind: str, boundary: int) -> ClassificationResu
     return ClassificationResult(True, None)
 
 
-def is_union_minimal(m: Matroid) -> ClassificationResult:
+def union_minimal(m: Matroid) -> bool:
     """Is no proper subfamily of the bases a base family with the same union?
 
-    The base family size is capped at 20 (`DEFAULT_SEARCH_CAP`), for every
-    matroid alike.  Within the cap, a unique expansion matroid of positive
-    rank is union minimal by the paper's theorem (`thm_552`), answered with
-    no search.  Every other matroid gets the exhaustive search over the
-    proper nonempty subfamilies, pruned by prefix, whose result is kept in
-    the matroid's facts memo; the theorem's answer is not kept there.
+    The verdict alone, with no search: M is union minimal exactly when it has
+    rank zero or is unique expansion.  Capped at 20 bases
+    (`DEFAULT_SEARCH_CAP`) like the search, so the two refuse alike.
+
+    Proof (not from the paper).  At rank zero the one base {} admits no
+    proper nonempty subfamily.  A unique expansion matroid is union minimal
+    by the paper's theorem (`thm_552`).  Conversely, let M have rank r > 0
+    and take a maximal chain of flats cl({}) = F0 < F1 < ... < Fr = E.  Every
+    transversal of the blocks Fi - Fi-1 (i = 1..r) is a base: each pick lies
+    outside the flat before it, so the rank rises by one at every step.  The
+    blocks cover the base support, since the loops are exactly F0, so the
+    transversals are the bases of a one-per-block matroid inside B(M) with
+    the same union.  If M is union minimal, B(M) is that family, so M is a
+    one-per-block matroid and hence unique expansion (`thm_52`).
     """
     _check_cap(m)
-    if m.rank > 0 and is_unique_expansion(m).verdict:
+    return m.rank == 0 or is_unique_expansion(m).verdict
+
+
+def intersection_minimal(m: Matroid) -> bool:
+    """Is no proper subfamily of the bases a base family with the same intersection?
+
+    The verdict alone, with no search: by the paper's duality (`thm_334`) M
+    is intersection minimal exactly when its dual is union minimal, that is
+    when M* has rank zero or is unique expansion (see `union_minimal`).
+    Capped at 20 bases (`DEFAULT_SEARCH_CAP`).
+    """
+    _check_cap(m)
+    return m.rank == m.ground.size or is_unique_expansion(m.dual()).verdict
+
+
+def _witness(m: Matroid, kind: str) -> ClassificationResult:
+    """The search's canonical witness, for a matroid the certificate says is
+    not `kind` minimal; RuntimeError if the search finds none."""
+    res = _minimality_search(m, kind)
+    if res.verdict:
+        raise RuntimeError(
+            f"{m} is not {kind} minimal by its certificate, but the search finds no witness"
+        )
+    return res
+
+
+def is_union_minimal(m: Matroid) -> ClassificationResult:
+    """`union_minimal` with the canonical witness of a false verdict.
+
+    A true verdict returns with no search.  A false one runs the exhaustive
+    search over the proper nonempty subfamilies, pruned by prefix, whose
+    result is kept in the matroid's facts memo; the search must find a
+    witness, or RuntimeError.
+    """
+    if union_minimal(m):
         return ClassificationResult(True, None)
-    return _minimality_search(m, "union")
+    return _witness(m, "union")
 
 
 def is_intersection_minimal(m: Matroid) -> ClassificationResult:
-    """Is no proper subfamily of the bases a base family with the same intersection?
+    """`intersection_minimal` with the canonical witness of a false verdict.
 
-    Capped at 20 bases (`DEFAULT_SEARCH_CAP`) and memoized like
-    `is_union_minimal`, with no shortcut.
+    Answered like `is_union_minimal`: no search for a true verdict, the
+    memoized search for a false one's witness, RuntimeError if it finds none.
     """
-    return _minimality_search(m, "intersection")
+    if intersection_minimal(m):
+        return ClassificationResult(True, None)
+    return _witness(m, "intersection")
 
 
 def recover_partition(m: Matroid) -> Partition | None:

@@ -27,11 +27,13 @@ from itertools import chain
 
 from .classify import (
     DEFAULT_SEARCH_CAP,
+    intersection_minimal,
     is_intersection_minimal,
     is_union_minimal,
     is_unique_exchange,
     is_unique_expansion,
     recover_partition,
+    union_minimal,
 )
 from .enumeration import enumerate_matroids
 from .errors import AxiomError, ParseError, RankZero, SearchCapExceeded
@@ -80,12 +82,15 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         "unique_expansion": is_unique_expansion(m) if m.rank > 0 else None,
         "unique_exchange": is_unique_exchange(m),
     }
+    # the verdicts come from the certificate; only the text report searches,
+    # for the witness of a false one
     try:
-        results["union_minimal"] = is_union_minimal(m)
-        results["intersection_minimal"] = is_intersection_minimal(m)
+        minimal = {
+            "union_minimal": union_minimal(m),
+            "intersection_minimal": intersection_minimal(m),
+        }
     except SearchCapExceeded:
-        results["union_minimal"] = None
-        results["intersection_minimal"] = None
+        minimal = {"union_minimal": None, "intersection_minimal": None}
         out["minimality_skipped"] = (
             f"base family of size {len(m.bases)} exceeds search cap {DEFAULT_SEARCH_CAP}"
         )
@@ -96,6 +101,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     )
     for name, res in results.items():
         out[name] = res.verdict if res is not None else None
+    out.update(minimal)
 
     if args.json:
         print(json.dumps(out))
@@ -107,6 +113,9 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         if res.verdict:
             return "yes"
         return f"no (witness: {res.witness})"
+
+    def minimal_line(name: str, classify) -> str:
+        return "yes" if minimal[name] else verdict_line(classify(m))
 
     print(f"ground set: {' '.join(m.ground.labels)}")
     print(f"rank: {m.rank}")
@@ -123,8 +132,9 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         print(f"union minimal: skipped ({out['minimality_skipped']})")
         print(f"intersection minimal: skipped ({out['minimality_skipped']})")
     else:
-        print(f"union minimal: {verdict_line(results['union_minimal'])}")
-        print(f"intersection minimal: {verdict_line(results['intersection_minimal'])}")
+        print(f"union minimal: {minimal_line('union_minimal', is_union_minimal)}")
+        print("intersection minimal: "
+              + minimal_line("intersection_minimal", is_intersection_minimal))
     return 0
 
 

@@ -7,13 +7,14 @@ yields every secondary base B - e with its expansion set
 computation; `expansion` is the general operator for any subset.  A
 matroid's expansion map and forming family are computed once and kept in its
 memo (`Matroid._fact`), so the per-base forming families and the unique
-expansion and exchange classifiers read the same map.
+expansion and exchange classifiers read the same map; `Matroid.from_bases`
+seeds the map with the one its validation built.
 """
 
 from __future__ import annotations
 
 from .errors import NotABase, RankZero
-from .matroid import Matroid, expansion_masks
+from .matroid import EXPANSIONS_FACT, Matroid, expansion_masks
 from .setalgebra import SetFamily, Subset
 
 
@@ -21,7 +22,7 @@ def _expansions(m: Matroid, what: str = "secondary bases") -> dict[int, int]:
     if m.rank == 0:
         raise RankZero(f"{what} are undefined at rank zero")
     # shared with every caller through the memo: read it, never mutate it
-    return m._fact("expansions", lambda: expansion_masks(m.bases.masks()))
+    return m._fact(EXPANSIONS_FACT, lambda: expansion_masks(m.bases.masks()))
 
 
 def secondary_bases(m: Matroid) -> SetFamily:

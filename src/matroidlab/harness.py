@@ -22,7 +22,6 @@ from .classify import (
     ExchangeWitness,
     ExpansionWitness,
     _minimality_search,
-    is_intersection_minimal,
     is_unique_exchange,
     is_unique_expansion,
     recover_partition,
@@ -363,12 +362,12 @@ def _check_prop_103(m: Matroid) -> str | None:
     return None
 
 
-# `is_union_minimal` answers a unique expansion matroid by `thm_552`, the
-# statement this registry tests, so the registry and the worked examples run
-# the exhaustive union search itself
+# `is_union_minimal` and `is_intersection_minimal` answer by a certificate
+# that rests on `thm_552` and `thm_334`, the statements this registry tests,
+# so the registry and the worked examples run the exhaustive searches themselves
 def _check_thm_334(m: Matroid) -> str | None:
     um = _minimality_search(m, "union").verdict
-    im = is_intersection_minimal(m.dual()).verdict
+    im = _minimality_search(m.dual(), "intersection").verdict
     if um != im:
         return f"union minimal {um} but dual intersection minimal {im}"
     return None
@@ -885,8 +884,8 @@ def worked_examples() -> list[WorkedExample]:
                 ExampleFact(
                     "both_intersection_minimal",
                     "both matroids are intersection minimal",
-                    lambda: is_intersection_minimal(m_tri5).verdict
-                    and is_intersection_minimal(m_grid5).verdict,
+                    lambda: _minimality_search(m_tri5, "intersection").verdict
+                    and _minimality_search(m_grid5, "intersection").verdict,
                 ),
                 ExampleFact(
                     "same_intersection_and_rank",

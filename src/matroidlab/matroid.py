@@ -15,8 +15,9 @@ Facts derived from the bases (the independent sets, the expansion map, the
 forming family, the unique-expansion verdict, the recovered partition, the
 union and intersection minimality results) are computed at most once per
 matroid value and kept in its memo slot; since a matroid is immutable they
-can never go stale.  A matroid built by `dual()` is a new value with an
-empty memo.
+can never go stale.  A matroid built by `from_bases` (a dual included) is a
+new value whose memo starts with the expansion map its exchange check built,
+at positive rank, and nothing else.
 """
 
 from __future__ import annotations
@@ -47,6 +48,10 @@ from .setalgebra import (
 
 T = TypeVar("T")
 
+# the memo key of the expansion map, which `from_bases` seeds and
+# `forming._expansions` reads
+EXPANSIONS_FACT = "expansions"
+
 
 def expansion_masks(base_masks: Iterable[int]) -> dict[int, int]:
     """Map each mask B - e to its expansion mask, the union of every such e
@@ -66,17 +71,21 @@ def expansion_masks(base_masks: Iterable[int]) -> dict[int, int]:
     return exp
 
 
-def first_exchange_violation(masks: Sequence[int]) -> tuple[int, int, int] | None:
+def first_exchange_violation(
+    masks: Sequence[int], exp: dict[int, int] | None = None
+) -> tuple[int, int, int] | None:
     """First (base1, base2, x) violating the base exchange requirement.
 
     `masks` must be in canonical order; the scan visits ordered base pairs in
     that order and removal candidates in ascending index order, so the
     returned triple is the canonically least violation.  The repairs of
     (base1, base2, x) are the bits of base2 in the expansion mask of
-    base1 - x, for a family of any shape.  Returns None when the family
+    base1 - x, for a family of any shape; `exp` is `expansion_masks(masks)`
+    when the caller has built it already.  Returns None when the family
     satisfies the exchange requirement.
     """
-    exp = expansion_masks(masks)
+    if exp is None:
+        exp = expansion_masks(masks)
     for b1 in masks:
         for b2 in masks:
             rest = b1 & ~b2
@@ -125,7 +134,9 @@ class Matroid:
 
         Checks run in order: nonemptiness, equal cardinality (for a clearer
         message than a bare exchange failure), then the exchange requirement
-        over every ordered pair of bases and every removable element.
+        over every ordered pair of bases and every removable element.  At
+        positive rank the expansion map that check builds seeds the new
+        matroid's memo, where `forming` reads it.
         """
         if candidate.ground != ground:
             raise ValueError("candidate family lives on a different ground set")
@@ -136,13 +147,18 @@ class Matroid:
         for other in sets[1:]:
             if len(other) != len(first):
                 raise UnequalCardinality(first, other)
-        violation = first_exchange_violation([s.mask for s in sets])
+        masks = [s.mask for s in sets]
+        exp = expansion_masks(masks)
+        violation = first_exchange_violation(masks, exp)
         if violation is not None:
             b1, b2, x = violation
             raise ExchangeFailure(
                 Subset(ground, b1), Subset(ground, b2), ground.label(x)
             )
-        return cls._trusted(ground, candidate)
+        m = cls._trusted(ground, candidate)
+        if m.rank:
+            m._facts = {EXPANSIONS_FACT: exp}
+        return m
 
     @classmethod
     def from_independents(cls, ground: GroundSet, indep: SetFamily) -> Matroid:

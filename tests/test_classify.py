@@ -13,6 +13,7 @@ from matroidlab import (
     combination_number,
     enumerate_matroids,
     forming_family,
+    intersection_minimal,
     is_intersection_minimal,
     is_partition,
     is_transversal_of,
@@ -22,7 +23,9 @@ from matroidlab import (
     make_unique_partition_matroid,
     recover_partition,
     transversals,
+    union_minimal,
 )
+from matroidlab import classify as classify_module
 from matroidlab.classify import _minimality_search
 from matroidlab.errors import RankZero, SearchCapExceeded, SupportMismatch
 
@@ -163,11 +166,13 @@ class TestUnionMinimal:
 
     def test_cap_guard(self):
         # 21 bases, one past the cap of 20; U(1,21) is unique expansion, and
-        # the cap still comes before the theorem's shortcut
+        # the cap still comes before the certificate, bare or with a witness
         for m in (uniform(2, 7), uniform(1, 21)):
             assert len(m.bases) == 21
-            with pytest.raises(SearchCapExceeded):
-                is_union_minimal(m)
+            for _, verdict, classify in _MINIMALITY:
+                for decide in (verdict, classify):
+                    with pytest.raises(SearchCapExceeded):
+                        decide(m)
         assert is_unique_expansion(uniform(1, 21)).verdict
 
     def test_result_is_memoized_behind_the_cap(self, uniform3):
@@ -340,11 +345,27 @@ class TestClassImplicationsOverPopulation:
                 assert is_unique_exchange(m.dual()).verdict
 
     def test_union_minimal_gives_the_search_verdict_and_witness(self):
-        # the theorem's shortcut against the search on every matroid with
-        # n <= 6 and its dual, each search on a fresh object
+        # the certificate, alone and with its witness, against the search, for
+        # both kinds on every matroid with n <= 6 and its dual; the bare
+        # certificate and each search run on a fresh object
         for m in _population(6):
             for x in (m, m.dual()):
-                assert is_union_minimal(x) == _search(x, "union"), x
+                for kind, verdict, classify in _MINIMALITY:
+                    want = _search(x, kind)
+                    assert verdict(_fresh(x)) == want.verdict, (x, kind)
+                    assert classify(x) == want, (x, kind)
+
+    @pytest.mark.parametrize("classify, bases", [
+        (is_union_minimal, ("12", "13", "23")),
+        (is_intersection_minimal, ("1", "2", "3")),
+    ])
+    def test_a_false_verdict_without_witness_raises(self, monkeypatch, classify, bases):
+        # U(2,3) is not union minimal and U(1,3) not intersection minimal; a
+        # search that then finds no witness is a fault, raised without an assert
+        monkeypatch.setattr(classify_module, "_least_reduction",
+                            lambda m, kind, boundary: ClassificationResult(True, None))
+        with pytest.raises(RuntimeError, match="finds no witness"):
+            classify(mk("123", *bases))
 
     def test_minimality_duality(self):
         for m in _population(4):
@@ -360,24 +381,36 @@ def _exchange_witness(m):
     return None if w is None else (w.base1, w.base2, w.removed, w.y1, w.y2)
 
 
+_MINIMALITY = (
+    ("union", union_minimal, is_union_minimal),
+    ("intersection", intersection_minimal, is_intersection_minimal),
+)
+
+
 def _assert_minimality_witnesses(m):
     """Both classifiers on m and its dual, and both searches run on fresh
-    copies (so neither reads a kept result nor takes the theorem's shortcut),
-    give the plain scan's canonical witness."""
+    copies (so neither reads a kept result nor takes the certificate), give
+    the plain scan's canonical witness; the bare certificate, on a fresh
+    copy, gives its verdict."""
     from oracles import minimality_witness_oracle
 
     for x in (m, m.dual()):
-        for kind, classify in (("union", is_union_minimal),
-                               ("intersection", is_intersection_minimal)):
+        for kind, verdict, classify in _MINIMALITY:
             want = minimality_witness_oracle(x, kind)
+            assert verdict(_fresh(x)) == (want is None), (x, kind)
             for res in (classify(x), _search(x, kind)):
                 got = None if res.verdict else res.witness.subfamily
                 assert got == want, (x, kind)
 
 
+def _fresh(m):
+    """An equal matroid with none of m's kept facts."""
+    return Matroid.from_bases(m.ground, m.bases)
+
+
 def _search(m, kind):
     """The exhaustive minimality search alone, on a fresh copy of m."""
-    return _minimality_search(Matroid.from_bases(m.ground, m.bases), kind)
+    return _minimality_search(_fresh(m), kind)
 
 
 _cache = {}

@@ -13,7 +13,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import matroidlab
-from matroidlab import GroundSet, Matroid, SetFamily, harness
+from matroidlab import GroundSet, Matroid, SetFamily, enumerate_matroids, harness
+from matroidlab import classify as classify_module
+from matroidlab.classify import _minimality_search
 from matroidlab.cli import main, parse_matroid_file
 from matroidlab.errors import ParseError, UnequalCardinality
 from matroidlab.harness import TheoremCheck
@@ -172,6 +174,46 @@ class TestAnalyze:
             f"union minimal: {skipped}",
             f"intersection minimal: {skipped}",
         ]
+
+    def test_json_verdicts_run_no_search(self, capsys, tmp_path, monkeypatch):
+        # every matroid with n <= 4: `analyze --json` answers both minimality
+        # questions by the certificate alone, with the search's verdicts
+        pop = [m for n in range(1, 5) for m in enumerate_matroids(n)]
+        want = [
+            tuple(
+                _minimality_search(Matroid.from_bases(m.ground, m.bases), kind).verdict
+                for kind in ("union", "intersection")
+            )
+            for m in pop
+        ]
+
+        def no_search(*args):
+            pytest.fail("analyze --json ran the minimality search")
+
+        monkeypatch.setattr(classify_module, "_least_reduction", no_search)
+        path = tmp_path / "m.json"
+        for m, (union, intersection) in zip(pop, want):
+            path.write_text(json.dumps(m.to_doc()))
+            code, out, _ = run(capsys, "analyze", str(path), "--json")
+            doc = json.loads(out)
+            got = (code, doc["union_minimal"], doc["intersection_minimal"])
+            assert got == (0, union, intersection), m
+
+    def test_output_is_pinned_on_every_small_matroid(self, capsys, tmp_path):
+        # sha256 of the text report then the JSON report of each of the 497
+        # matroids with n <= 5, in enumeration order, witnesses included
+        digest = hashlib.sha256()
+        path = tmp_path / "m.json"
+        for n in range(1, 6):
+            for m in enumerate_matroids(n):
+                path.write_text(json.dumps(m.to_doc()))
+                for extra in ((), ("--json",)):
+                    code, out, _ = run(capsys, "analyze", str(path), *extra)
+                    assert code == 0
+                    digest.update(out.encode())
+        assert digest.hexdigest() == (
+            "77047b6b639e9ad0147d40c4bcc7102443363f65e60429dcd98f2fca2f711f9c"
+        )
 
     def test_invalid_matroid_exit_1(self, capsys, tmp_path):
         path = tmp_path / "m.json"
