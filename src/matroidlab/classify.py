@@ -23,9 +23,9 @@ from .setalgebra import (
     Partition,
     SetFamily,
     Subset,
-    canonical_key,
     combination_number,
     is_partition,
+    mask_order_key,
     one_per_block,
     transversals,
 )
@@ -91,7 +91,7 @@ def is_unique_expansion(m: Matroid) -> ClassificationResult:
 def _unique_expansion(m: Matroid) -> ClassificationResult:
     exp = _expansions(m)
     ground = m.ground
-    for a in sorted(exp, key=canonical_key):
+    for a in sorted(exp, key=mask_order_key(ground.size)):
         for b in m.bases:
             # the elements e of b with a + e a base
             both = exp[a] & b.mask

@@ -31,7 +31,7 @@ from typing import Iterator
 
 from .errors import GroundSetTooLarge
 from .matroid import Matroid, expansion_masks
-from .setalgebra import GroundSet, SetFamily, canonical_key
+from .setalgebra import GroundSet, SetFamily, mask_order_key
 
 MAX_ENUMERATION_SIZE = 6
 
@@ -106,24 +106,24 @@ def _extensions(bases: tuple[int, ...], r: int, n: int) -> Iterator[list[int]]:
 
 @lru_cache(maxsize=None)
 def _families(n: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
-    """Per rank 0..n, the canonically sorted base-mask families on n elements."""
+    """Per rank 0..n, the canonically sorted base-mask families on n elements.
+
+    Members sort by `setalgebra.mask_order_key(n)`, each mask's position in
+    the shared byte table of canonical positions, and families by the tuple
+    of their members' positions, which orders them as their canonical keys do.
+    """
     if n == 0:
         return (((0,),),)
-    # position of each mask in the canonical subset order, so member and
-    # family sort keys are small int tuples
-    order = sorted(range(1 << n), key=canonical_key)
-    position = [0] * (1 << n)
-    for p, m in enumerate(order):
-        position[m] = p
+    key = mask_order_key(n)
     by_rank: list[list[tuple[int, ...]]] = [[] for _ in range(n + 1)]
     for r, families in enumerate(_families(n - 1)):
         for bases in families:
             for fam in _extensions(bases, r, n):
                 by_rank[fam[0].bit_count()].append(
-                    tuple(sorted(fam, key=position.__getitem__))
+                    tuple(sorted(fam, key=key))
                 )
     for families in by_rank:
-        families.sort(key=lambda fam: tuple(map(position.__getitem__, fam)))
+        families.sort(key=lambda fam: tuple(map(key, fam)))
     return tuple(tuple(families) for families in by_rank)
 
 

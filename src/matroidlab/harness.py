@@ -87,6 +87,15 @@ def _recovered(m: Matroid) -> Partition:
     return p
 
 
+def _one_per_block_matroid(m: Matroid) -> Matroid:
+    """The one-per-block matroid of the recovered partition, built once per
+    matroid and kept in its memo, since six checks compare against it."""
+    return m._fact(
+        "one_per_block_matroid",
+        lambda: make_unique_partition_matroid(m.ground, _recovered(m)),
+    )
+
+
 def _first_mismatch(
     ground: GroundSet, members: frozenset[int], described: Callable[[int], bool]
 ) -> Subset | None:
@@ -221,7 +230,7 @@ def _check_prop_125(m: Matroid) -> str | None:
 
 def _check_prop_302_304(m: Matroid) -> str | None:
     p = _recovered(m)
-    upm = make_unique_partition_matroid(m.ground, p)
+    upm = _one_per_block_matroid(m)
     capped = make_partition_matroid(
         m.ground, PartitionMatroidSpec(p, (1,) * len(p))
     )
@@ -250,7 +259,7 @@ def _check_prop_303(m: Matroid) -> str | None:
 
 def _check_prop_305_306(m: Matroid) -> str | None:
     p = _recovered(m)
-    base_masks = make_unique_partition_matroid(m.ground, p).bases.masks()
+    base_masks = _one_per_block_matroid(m).bases.masks()
     support = p.support().mask
     blocks = [k.mask for k in p]
     x = _first_mismatch(
@@ -265,7 +274,7 @@ def _check_prop_305_306(m: Matroid) -> str | None:
 
 def _check_prop_339(m: Matroid) -> str | None:
     p = _recovered(m)
-    dual = make_unique_partition_matroid(m.ground, p).dual()
+    dual = _one_per_block_matroid(m).dual()
     full = m.ground.full().mask
     rest = p.support().complement().mask
     dual_masks = dual.bases.masks()
@@ -282,7 +291,7 @@ def _check_prop_339(m: Matroid) -> str | None:
 
 def _check_cor_336(m: Matroid) -> str | None:
     p = _recovered(m)
-    upm = make_unique_partition_matroid(m.ground, p)
+    upm = _one_per_block_matroid(m)
     if upm.support() != p.support():
         return f"base support {upm.support()} != partition support {p.support()}"
     return None
@@ -290,8 +299,7 @@ def _check_cor_336(m: Matroid) -> str | None:
 
 def _check_thm_321(m: Matroid) -> str | None:
     p = _recovered(m)
-    upm = make_unique_partition_matroid(m.ground, p)
-    back = forming_family(upm)
+    back = forming_family(_one_per_block_matroid(m))
     if back != p.family:
         return f"forming family {back} != defining partition {p.family}"
     return None
@@ -299,10 +307,9 @@ def _check_thm_321(m: Matroid) -> str | None:
 
 def _check_thm_52(m: Matroid) -> str | None:
     ue = is_unique_expansion(m).verdict
-    p = recover_partition(m)
     upm_equal = (
-        p is not None
-        and make_unique_partition_matroid(m.ground, p).bases == m.bases
+        recover_partition(m) is not None
+        and _one_per_block_matroid(m).bases == m.bases
     )
     if ue != upm_equal:
         return f"unique expansion {ue} but one-per-block construction match {upm_equal}"

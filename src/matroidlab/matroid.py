@@ -11,6 +11,16 @@ a secondary base plus an element is a base: the exchange validator here, the
 forming families, both unique-expansion and unique-exchange classifiers and
 the enumerator's hyperplanes all read it.
 
+The exchange check (`first_exchange_violation`) decides a family in one pass:
+it passes exactly when every member meets every expansion mask.  A triple
+(B1, B2, x) violates exchange exactly when B2 misses the expansion mask of
+B1 - x, whose bits are the elements restoring a member, x among them; and a
+member missing the expansion mask of a key A misses it at some x with A + x
+a member, which is such a triple.  On a matroid the expansion masks are the
+cocircuits, so this is the fact that every base meets every cocircuit
+(Oxley, Matroid Theory, 2nd ed., ch. 2).  Only a failing family is scanned
+pair by pair, for its canonically least triple.
+
 Facts derived from the bases (the independent sets, the expansion map, the
 forming family, the unique-expansion verdict, the recovered partition, the
 union and intersection minimality results) are computed at most once per
@@ -76,16 +86,37 @@ def first_exchange_violation(
 ) -> tuple[int, int, int] | None:
     """First (base1, base2, x) violating the base exchange requirement.
 
-    `masks` must be in canonical order; the scan visits ordered base pairs in
-    that order and removal candidates in ascending index order, so the
-    returned triple is the canonically least violation.  The repairs of
-    (base1, base2, x) are the bits of base2 in the expansion mask of
-    base1 - x, for a family of any shape; `exp` is `expansion_masks(masks)`
+    `masks` must be in canonical order; `exp` is `expansion_masks(masks)`
     when the caller has built it already.  Returns None when the family
     satisfies the exchange requirement.
+
+    A family of any shape passes exactly when every member meets every
+    expansion mask.  The repairs of (B1, B2, x) are the bits of B2 in
+    exp[B1 - x], since that mask holds no bit of B1 - x; so the triple
+    violates exactly when B2 misses exp[B1 - x].  Conversely, if a member B2
+    misses exp[A] for some key A, pick x in exp[A]: then A + x is a member
+    B1, x is not in B2 (which misses exp[A]), and (B1, B2, x) violates.  One
+    pass over the (mask, member) pairs therefore decides the family.  (On a
+    matroid the expansion masks are the complements of hyperplanes, the
+    cocircuits, and this is the fact that every base meets every cocircuit.)
+
+    Only a failing family is scanned pair by pair: ordered base pairs in
+    canonical order, removal candidates in ascending index order, so the
+    returned triple is the canonically least violation.
     """
     if exp is None:
         exp = expansion_masks(masks)
+    for grows in set(exp.values()):
+        for b in masks:
+            if not b & grows:
+                return _least_exchange_violation(masks, exp)
+    return None
+
+
+def _least_exchange_violation(
+    masks: Sequence[int], exp: dict[int, int]
+) -> tuple[int, int, int] | None:
+    """The pair scan naming a failing family's canonically least triple."""
     for b1 in masks:
         for b2 in masks:
             rest = b1 & ~b2
@@ -134,7 +165,8 @@ class Matroid:
 
         Checks run in order: nonemptiness, equal cardinality (for a clearer
         message than a bare exchange failure), then the exchange requirement
-        over every ordered pair of bases and every removable element.  At
+        (`first_exchange_violation`: one pass over expansion masks and bases,
+        and a pair scan only for a failing family's least triple).  At
         positive rank the expansion map that check builds seeds the new
         matroid's memo, where `forming` reads it.
         """

@@ -12,8 +12,7 @@ identically, which keeps every report and witness deterministic.
 from __future__ import annotations
 
 from math import prod
-from operator import attrgetter
-from typing import Collection, Iterable, Iterator, Sequence
+from typing import Callable, Collection, Iterable, Iterator, Sequence
 
 from .errors import GroundSetTooLarge
 
@@ -44,6 +43,23 @@ def _bit_indices(mask: int) -> tuple[int, ...]:
 def canonical_key(mask: int) -> tuple:
     """Sort key of a subset mask in canonical order: (cardinality, index list)."""
     return (mask.bit_count(), _bit_indices(mask))
+
+
+# the position of every byte-sized mask in canonical order, found by
+# inverting that order: on a ground set of at most 8 elements a mask sorts by
+# this int instead of by its key tuple
+_BYTE_RANK = tuple(
+    sorted(range(256), key=sorted(range(256), key=canonical_key).__getitem__)
+)
+
+
+def mask_order_key(size: int) -> Callable[[int], object]:
+    """A sort key putting the masks of a `size`-element ground set in
+    canonical order: the `_BYTE_RANK` lookup up to 8 elements, else
+    `canonical_key`.  The lookup reads a negative mask from the table's end
+    and fails past it, so range-check masks before sorting by it.
+    """
+    return _BYTE_RANK.__getitem__ if size <= 8 else canonical_key
 
 
 class GroundSet:
@@ -135,7 +151,7 @@ class Subset:
         return _bit_indices(self.mask)
 
     def labels(self) -> tuple[str, ...]:
-        return tuple(self.ground.labels[i] for i in self.indices())
+        return tuple(map(self.ground.labels.__getitem__, _bit_indices(self.mask)))
 
     @property
     def sort_key(self) -> tuple:
@@ -228,12 +244,14 @@ class SetFamily:
         return family
 
     def _fill(self, ground: GroundSet, masks: set[int]) -> None:
-        # each member is range-checked before it is sorted, since a negative
-        # mask has no canonical key
-        members = [Subset(ground, m) for m in masks]
-        members.sort(key=attrgetter("sort_key"))
+        # the masks are range-checked before they are sorted, since the sort
+        # key of a mask out of range is wrong or undefined
+        if masks and (min(masks) < 0 or max(masks) >> ground.size):
+            raise ValueError("mask has bits outside the ground set")
         self.ground = ground
-        self.sets = tuple(members)
+        self.sets = tuple([
+            Subset(ground, m) for m in sorted(masks, key=mask_order_key(ground.size))
+        ])
         # copied from a set: a frozenset grown from any other iterable can
         # keep a hash table twice the size
         self._masks = frozenset(masks)

@@ -11,6 +11,7 @@ from matroidlab import (
     TheoremCheck,
     check_examples,
     enumerate_matroids,
+    is_unique_expansion,
     lookup_check,
     worked_examples,
     theorem_registry,
@@ -32,6 +33,13 @@ from oracles import (
     thm_123_oracle,
     thm_33_oracle,
 )
+
+
+class _DrawnMatroid(Matroid):
+    """A matroid drawn from a test stream, as distinct from the matroids the
+    checks build from it."""
+
+    __slots__ = ()
 
 
 def population(max_n):
@@ -110,28 +118,42 @@ class TestVerify:
             == dict(streamed, duration_ms=None)
         )
 
-    def test_streamed_population_is_not_kept(self):
-        # verify draws the population once and lets each matroid go after its
-        # checks: besides the one being drawn, at most the last one is alive
-        alive = []
-
-        def live_matroids():
-            gc.collect()
-            return sum(isinstance(o, Matroid) for o in gc.get_objects())
+    @staticmethod
+    def _drawn_alive(keep: bool) -> list[int]:
+        # the number of matroids drawn from the stream that are still alive,
+        # sampled at every 50th draw; a drawn matroid is told apart by its
+        # class, so the values its checks build and keep in its memo (its
+        # one-per-block matroid, say) are not counted
+        alive, kept = [], []
 
         def stream():
             for i, m in enumerate(
                 chain.from_iterable(enumerate_matroids(n) for n in range(1, 6))
             ):
                 if i % 50 == 0:
-                    alive.append(live_matroids() - before)
-                yield m
+                    gc.collect()
+                    alive.append(
+                        sum(isinstance(o, _DrawnMatroid) for o in gc.get_objects())
+                    )
+                drawn = _DrawnMatroid._trusted(m.ground, m.bases)
+                if keep:
+                    kept.append(drawn)
+                yield drawn
 
-        before = live_matroids()
         report = verify(stream())
         assert (report.total, report.failures) == (497, 0)
         assert len(alive) == 10
-        assert max(alive) <= 2
+        return alive
+
+    def test_streamed_population_is_not_kept(self):
+        # verify draws the population once and lets each matroid go after its
+        # checks: besides the one being drawn, at most the last one is alive
+        assert max(self._drawn_alive(keep=False)) <= 2
+
+    def test_kept_population_breaks_the_bound(self):
+        # negative control: a stream that keeps every matroid it draws must
+        # show up in the count the test above bounds
+        assert max(self._drawn_alive(keep=True)) > 2
 
     def test_check_filter(self):
         registry = [lookup_check("prop_100"), lookup_check("dual_involution")]
@@ -502,6 +524,23 @@ class TestFactsMemo:
         duals = [m for m in pop if thm_120.applies(m) and m.rank < m.ground.size]
         assert (len(pop), len(duals)) == (67, 50)
         assert len(calls) == len(pop)
+
+    def test_one_per_block_matroid_is_built_once_per_matroid(self, monkeypatch):
+        calls = []
+        real = harness.make_unique_partition_matroid
+
+        def counted(ground, p):
+            calls.append(1)
+            return real(ground, p)
+
+        monkeypatch.setattr(harness, "make_unique_partition_matroid", counted)
+        pop = population(4)
+        assert verify(pop).failures == 0
+        # six checks compare against the recovered partition's one-per-block
+        # matroid, which exists exactly for the unique expansion matroids
+        unique = [m for m in pop if m.rank > 0 and is_unique_expansion(m).verdict]
+        assert (len(pop), len(unique)) == (91, 70)
+        assert len(calls) == len(unique)
 
     def test_missing_partition_is_computed_once(self, monkeypatch):
         calls = []

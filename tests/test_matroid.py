@@ -1,5 +1,6 @@
 import random
 from collections import Counter
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -34,6 +35,7 @@ from matroidlab.errors import (
     ParseError,
     UnequalCardinality,
 )
+from matroidlab import matroid as matroid_module
 from matroidlab.matroid import first_exchange_violation
 
 from oracles import (
@@ -57,6 +59,37 @@ def g3():
 @pytest.fixture
 def g5():
     return GroundSet("12345")
+
+
+@st.composite
+def wide_families(draw):
+    """A canonically ordered family on 9 or 10 elements, one of them the last,
+    so masks reach 256 or more: the bases of a uniform matroid or of a
+    one-per-block matroid (both pass) on a drawn support, with up to two
+    members dropped and up to two drawn sets added (mostly failing then)."""
+    n = draw(st.integers(min_value=9, max_value=10))
+    support = [n - 1, *draw(st.lists(
+        st.integers(min_value=0, max_value=n - 2), max_size=5, unique=True,
+    ))]
+    if draw(st.booleans()):
+        r = draw(st.integers(min_value=1, max_value=len(support)))
+        masks = {sum(1 << i for i in c) for c in combinations(support, r)}
+    else:
+        blocks = [0] * draw(st.integers(min_value=1, max_value=len(support)))
+        for i in support:
+            blocks[draw(st.integers(min_value=0, max_value=len(blocks) - 1))] |= 1 << i
+        masks = {0}
+        for block in filter(None, blocks):
+            masks = {m | 1 << i for m in masks for i in range(n) if block >> i & 1}
+    # the largest mask holds the last element and is never dropped
+    droppable = sorted(masks)[:-1]
+    dropped = set()
+    if droppable:
+        dropped = draw(st.sets(st.sampled_from(droppable), max_size=2))
+    added = draw(st.sets(st.integers(min_value=0, max_value=(1 << n) - 1), max_size=2))
+    ground = GroundSet(str(i) for i in range(1, n + 1))
+    family = SetFamily.from_masks(ground, (masks - dropped) | added)
+    return [s.mask for s in family.sets]
 
 
 class TestFromBases:
@@ -133,6 +166,26 @@ class TestFromBases:
             assert first_exchange_violation(masks) == exchange_scan_oracle(
                 masks, frozenset(masks)
             ), m
+
+    def test_passing_families_skip_the_pair_scan(self, monkeypatch):
+        # the one pass decides a passing family; only a failing one is
+        # scanned pair by pair for its least triple
+        def scan(masks, exp):
+            raise AssertionError(f"pair scan on {masks}")
+
+        monkeypatch.setattr(matroid_module, "_least_exchange_violation", scan)
+        for m in enumerate_matroids(5):
+            for family in (m.bases, complements(m.bases)):
+                assert first_exchange_violation([b.mask for b in family.sets]) is None
+
+    @settings(max_examples=300, deadline=None)
+    @given(wide_families())
+    def test_validator_matches_probe_scan_past_the_byte_table(self, masks):
+        # passing and failing families on 9-10 elements, past the byte table
+        assert max(masks) >= 256
+        assert first_exchange_violation(masks) == exchange_scan_oracle(
+            masks, frozenset(masks)
+        )
 
 
 class TestFromIndependents:

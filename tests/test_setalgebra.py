@@ -21,6 +21,7 @@ from matroidlab import (
 )
 from matroidlab.errors import GroundSetTooLarge
 from matroidlab.setalgebra import (
+    _BYTE_RANK,
     _bit_indices,
     _one_per_block,
     _partition_masks,
@@ -130,6 +131,37 @@ class TestBitIndices:
     def test_canonical_key_matches_the_reference_key(self):
         for mask in [*range(1 << 10), 1 << 63]:
             assert canonical_key(mask) == (mask.bit_count(), bit_indices_oracle(mask))
+
+
+class TestByteRank:
+    """Up to 8 elements families sort by the byte table of canonical
+    positions, past it by `canonical_key`; both must give canonical order."""
+
+    def test_table_orders_like_canonical_key(self):
+        assert sorted(_BYTE_RANK) == list(range(256))
+        assert sorted(range(256), key=_BYTE_RANK.__getitem__) == sorted(
+            range(256), key=canonical_key
+        )
+
+    @pytest.mark.parametrize("n", [9, 64])
+    def test_wide_family_order_and_labels(self, n):
+        ground = GroundSet(f"e{i}" for i in range(n))
+        rng = random.Random(1800 + n)
+        masks = {rng.getrandbits(n) for _ in range(300)} | {0, 1, 255, 256}
+        family = SetFamily.from_masks(ground, masks)
+        assert [s.mask for s in family] == sorted(masks, key=canonical_key)
+        for s in family:
+            assert s.labels() == tuple(f"e{i}" for i in bit_indices_oracle(s.mask))
+
+    @pytest.mark.parametrize("n", [3, 8, 9, 64])
+    def test_out_of_range_mask_rejected_before_sorting(self, n):
+        # on the table path a negative mask would read the table from its
+        # end and a mask of 256 or more would index past it
+        ground = GroundSet(str(i) for i in range(n))
+        for bad in (-1, -300, 1 << n, 1 << max(n, 8)):
+            for masks in ([bad], [0, 1, bad]):
+                with pytest.raises(ValueError, match="outside the ground set"):
+                    SetFamily.from_masks(ground, masks)
 
 
 class TestFamily:
