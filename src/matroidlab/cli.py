@@ -35,7 +35,7 @@ from .classify import (
     recover_partition,
     union_minimal,
 )
-from .enumeration import enumerate_matroids
+from .enumeration import count_matroids, enumerate_matroids
 from .errors import AxiomError, ParseError, RankZero, SearchCapExceeded
 from .forming import forming_family, forming_family_wrt, secondary_bases
 from .harness import lookup_check, theorem_registry, verify
@@ -197,7 +197,7 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
     if args.rank is not None and not 0 <= args.rank <= args.n:
         raise ParseError(f"--rank must lie in 0..{args.n}, got {args.rank}")
     if args.count_only:
-        print(sum(1 for _ in stream))
+        print(count_matroids(args.n, args.rank))
         return 0
     for m in stream:
         print(json.dumps(m.to_doc()))

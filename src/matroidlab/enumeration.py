@@ -127,6 +127,13 @@ def _families(n: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
     return tuple(tuple(families) for families in by_rank)
 
 
+def _check_size(n: int) -> None:
+    if not 1 <= n <= MAX_ENUMERATION_SIZE:
+        raise GroundSetTooLarge(
+            f"enumeration supports 1..{MAX_ENUMERATION_SIZE} elements, got {n}"
+        )
+
+
 def enumerate_matroids(n: int, rank: int | None = None) -> Iterator[Matroid]:
     """Every labeled matroid on the ground set {1..n}, exactly once.
 
@@ -134,10 +141,7 @@ def enumerate_matroids(n: int, rank: int | None = None) -> Iterator[Matroid]:
     the base families.  `rank` restricts the stream to a single rank.  `n` is
     checked at the call, before the first matroid is asked for.
     """
-    if not 1 <= n <= MAX_ENUMERATION_SIZE:
-        raise GroundSetTooLarge(
-            f"enumeration supports 1..{MAX_ENUMERATION_SIZE} elements, got {n}"
-        )
+    _check_size(n)
     ground = enumeration_ground(n)
     ranks = range(n + 1) if rank is None else [rank]
     return (
@@ -149,5 +153,10 @@ def enumerate_matroids(n: int, rank: int | None = None) -> Iterator[Matroid]:
 
 
 def count_matroids(n: int, rank: int | None = None) -> int:
-    """Number of labeled matroids on {1..n}, optionally of one rank."""
-    return sum(1 for _ in enumerate_matroids(n, rank))
+    """Number of labeled matroids on {1..n}, optionally of one rank; 0 for a
+    rank outside 0..n.  Counts the cached mask families, building no matroid.
+    """
+    _check_size(n)
+    if rank is None:
+        return sum(map(len, _families(n)))
+    return len(_families(n)[rank]) if 0 <= rank <= n else 0

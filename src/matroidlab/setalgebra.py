@@ -3,6 +3,9 @@
 Everything here is an immutable value.  A ground set fixes an ordered universe
 of at most 64 opaque string labels; subsets are single machine words over the
 element indices, so membership, union, intersection and complement are O(1).
+Each ground set keeps one private memo, the label tuple of every mask below
+256 it has rendered (at most 256 entries, filled on first use); it never
+changes what a value equals, hashes or prints.
 
 Canonical order: subsets compare by (cardinality, sorted index list), families
 by the resulting member list.  Two equal families therefore always serialize
@@ -65,7 +68,7 @@ def mask_order_key(size: int) -> Callable[[int], object]:
 class GroundSet:
     """An ordered universe of distinct element labels."""
 
-    __slots__ = ("labels", "size", "_index", "_hash")
+    __slots__ = ("labels", "size", "_index", "_hash", "_rendered")
 
     def __init__(self, labels: Iterable[str]):
         labels = tuple(str(x) for x in labels)
@@ -82,6 +85,15 @@ class GroundSet:
         self.size = len(labels)
         self._index = index
         self._hash = hash(labels)
+        # the label tuple of each mask below 256 rendered so far
+        self._rendered: dict[int, tuple[str, ...]] = {}
+
+    def _render(self, mask: int) -> tuple[str, ...]:
+        """The labels of a mask's elements, kept in the memo if it is below 256."""
+        labels = tuple(map(self.labels.__getitem__, _bit_indices(mask)))
+        if mask < 256:
+            self._rendered[mask] = labels
+        return labels
 
     def index(self, label: str) -> int:
         try:
@@ -151,7 +163,16 @@ class Subset:
         return _bit_indices(self.mask)
 
     def labels(self) -> tuple[str, ...]:
-        return tuple(map(self.ground.labels.__getitem__, _bit_indices(self.mask)))
+        """The labels of the elements, in ground-set order.
+
+        A mask below 256 is rendered once per ground set and then read from
+        its memo; the tuple is shared, which is safe since tuples and labels
+        are immutable.
+        """
+        labels = self.ground._rendered.get(self.mask)
+        if labels is None:
+            labels = self.ground._render(self.mask)
+        return labels
 
     @property
     def sort_key(self) -> tuple:
@@ -238,6 +259,8 @@ class SetFamily:
         Duplicates collapse and members sort canonically, as in the
         constructor; a mask with a bit outside the ground set raises
         ValueError.  Every family the library computes as masks is built here.
+        The masks are range-checked once, together, and the members are built
+        from them without the per-member check of the `Subset` constructor.
         """
         family = cls.__new__(cls)
         family._fill(ground, set(masks))
@@ -249,9 +272,15 @@ class SetFamily:
         if masks and (min(masks) < 0 or max(masks) >> ground.size):
             raise ValueError("mask has bits outside the ground set")
         self.ground = ground
-        self.sets = tuple([
-            Subset(ground, m) for m in sorted(masks, key=mask_order_key(ground.size))
-        ])
+        # every mask is in range, so the members skip the constructor's check
+        members = []
+        append, new = members.append, object.__new__
+        for m in sorted(masks, key=mask_order_key(ground.size)):
+            member = new(Subset)
+            member.ground = ground
+            member.mask = m
+            append(member)
+        self.sets = tuple(members)
         # copied from a set: a frozenset grown from any other iterable can
         # keep a hash table twice the size
         self._masks = frozenset(masks)

@@ -9,7 +9,8 @@ partition checks by walking `Partition` values with the public set algebra,
 the exchange checks by scanning `Subset` values, the base-relative forming
 checks on `SetFamily` values, the exchange validator by probing base
 membership one repair at a time, the independence validator over every pair
-of members, and bit indices one bit position at a time.
+of members, and bit indices (and the labels read through them) one bit
+position at a time.
 """
 
 from __future__ import annotations
@@ -210,6 +211,11 @@ def mixed_size_families() -> list[Matroid]:
 def bit_indices_oracle(mask: int) -> tuple[int, ...]:
     """The set bit positions of `mask`, testing every position in turn."""
     return tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
+
+
+def labels_oracle(ground: GroundSet, mask: int) -> tuple[str, ...]:
+    """The labels of the elements of `mask`, looked up one index at a time."""
+    return tuple(ground.label(i) for i in bit_indices_oracle(mask))
 
 
 def prop_341_oracle(m: Matroid) -> str | None:

@@ -424,6 +424,20 @@ class TestEnumerate:
         assert code == 0
         assert out.strip() == "16"
 
+    def test_count_only_builds_no_family(self, capsys, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("counting built a family")
+
+        monkeypatch.setattr(SetFamily, "from_masks", classmethod(refuse))
+        monkeypatch.setattr(Matroid, "_trusted", classmethod(refuse))
+        for n, count in ((1, 2), (2, 5), (3, 16), (4, 68), (5, 406), (6, 3807)):
+            assert run(capsys, "enumerate", "--n", str(n), "--count-only") == (
+                0, f"{count}\n", "",
+            )
+        assert run(capsys, "enumerate", "--n", "6", "--rank", "3", "--count-only") == (
+            0, "2053\n", "",
+        )
+
     def test_rank_filter(self, capsys):
         code, out, _ = run(capsys, "enumerate", "--n", "3", "--rank", "0")
         docs = [json.loads(line) for line in out.splitlines()]

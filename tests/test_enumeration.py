@@ -1,6 +1,13 @@
 import pytest
 
-from matroidlab import Matroid, count_matroids, enumerate_matroids, enumeration_ground
+from matroidlab import (
+    Matroid,
+    SetFamily,
+    count_matroids,
+    enumerate_matroids,
+    enumeration_ground,
+)
+from matroidlab.enumeration import _families
 from matroidlab.errors import GroundSetTooLarge
 
 from oracles import all_antichain_matroids, exchange_scan_families
@@ -37,6 +44,20 @@ class TestCounts:
 
     def test_out_of_range_rank_yields_nothing(self):
         assert count_matroids(3, rank=7) == 0
+        assert count_matroids(3, rank=-1) == 0
+
+    def test_counting_builds_no_family(self, monkeypatch):
+        # counting reads the lengths of the cached mask families; from a cold
+        # cache too, it wraps no family and builds no matroid
+        def refuse(*args):
+            raise AssertionError("counting built a family")
+
+        monkeypatch.setattr(SetFamily, "from_masks", classmethod(refuse))
+        monkeypatch.setattr(Matroid, "_trusted", classmethod(refuse))
+        _families.cache_clear()
+        assert {n: count_matroids(n) for n in KNOWN_COUNTS} == KNOWN_COUNTS
+        for n, counts in KNOWN_BY_RANK.items():
+            assert [count_matroids(n, rank=r) for r in range(n + 1)] == counts
 
 
 class TestAgainstOracle:
@@ -99,3 +120,7 @@ class TestStreamProperties:
     def test_size_guard(self, n):
         with pytest.raises(GroundSetTooLarge):
             list(enumerate_matroids(n))
+        with pytest.raises(GroundSetTooLarge):
+            count_matroids(n)
+        with pytest.raises(GroundSetTooLarge):
+            count_matroids(n, rank=0)

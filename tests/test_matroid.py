@@ -448,6 +448,19 @@ class TestDocuments:
         m = Matroid.from_bases(g3, fam(g3, "12", "13"))
         assert Matroid.from_doc(m.to_doc()) == m
 
+    def test_to_doc_returns_fresh_lists(self, g3):
+        # the label tuples are shared through the ground's memo; the lists
+        # handed out must not be
+        m = Matroid.from_bases(g3, fam(g3, "12", "13"))
+        doc = m.to_doc()
+        doc["bases"][0].append("3")
+        doc["bases"][1].clear()
+        doc["ground_set"].pop()
+        assert m.to_doc() == {
+            "ground_set": ["1", "2", "3"], "bases": [["1", "2"], ["1", "3"]],
+        }
+        assert [s.labels() for s in m.bases] == [("1", "2"), ("1", "3")]
+
     def test_independents_form_accepted(self):
         doc = {"ground_set": ["1", "2"], "independents": [[], ["1"], ["2"]]}
         m = Matroid.from_doc(doc)

@@ -29,7 +29,7 @@ from matroidlab.setalgebra import (
     canonical_key,
 )
 
-from oracles import bit_indices_oracle, transversal_count_oracle
+from oracles import bit_indices_oracle, labels_oracle, transversal_count_oracle
 
 
 @pytest.fixture
@@ -162,6 +162,79 @@ class TestByteRank:
             for masks in ([bad], [0, 1, bad]):
                 with pytest.raises(ValueError, match="outside the ground set"):
                     SetFamily.from_masks(ground, masks)
+
+
+def _grounds_and_masks():
+    """Grounds of 3, 8, 9 and 64 elements with every mask below 512 that
+    fits, plus random wide masks on the larger two."""
+    for n in (3, 8, 9, 64):
+        masks = list(range(min(1 << n, 512)))
+        if n > 9:
+            rng = random.Random(1900 + n)
+            masks += [rng.getrandbits(n) for _ in range(300)] + [(1 << n) - 1]
+        yield pytest.param(n, masks, id=f"n={n}")
+
+
+class TestLabelMemo:
+    """Each ground set renders a mask below 256 once and reads it back from a
+    memo; whatever the memo holds, labels, repr and iteration must agree with
+    labels rebuilt from the bit indices."""
+
+    @pytest.mark.parametrize("n,masks", _grounds_and_masks())
+    def test_labels_repr_and_iteration_match_the_oracle(self, n, masks):
+        ground = GroundSet(f"e{i}" for i in range(n))
+        # twice: the first pass fills the memo, the second reads it
+        for _ in range(2):
+            for mask in masks:
+                s = Subset(ground, mask)
+                want = labels_oracle(ground, mask)
+                assert s.labels() == want
+                assert list(s) == list(want)
+                assert repr(s) == "{" + ",".join(want) + "}"
+
+    @pytest.mark.parametrize("n,masks", _grounds_and_masks())
+    def test_memo_holds_only_masks_below_256(self, n, masks):
+        ground = GroundSet(f"e{i}" for i in range(n))
+        assert ground._rendered == {}
+        for mask in masks:
+            Subset(ground, mask).labels()
+        assert len(ground._rendered) <= 256
+        assert set(ground._rendered) == {m for m in masks if m < 256}
+
+    def test_memo_is_per_ground_and_invisible(self):
+        # equal grounds with different labels-to-render histories stay equal,
+        # and a ground with other labels renders the same mask its own way
+        a, b = GroundSet("xyz"), GroundSet("xyz")
+        assert a.subset("x", "z").labels() == ("x", "z")
+        assert a == b and hash(a) == hash(b)
+        assert Subset(a, 0b101) == Subset(b, 0b101)
+        assert b._rendered == {}
+        assert Subset(GroundSet("pqr"), 0b101).labels() == ("p", "r")
+
+
+class TestFamilyMembers:
+    """`_fill` builds its members without the `Subset` constructor's check,
+    after checking every mask at once."""
+
+    @pytest.mark.parametrize("n,masks", _grounds_and_masks())
+    def test_members_equal_and_hash_like_constructed_subsets(self, n, masks):
+        ground = GroundSet(f"e{i}" for i in range(n))
+        family = SetFamily.from_masks(ground, masks)
+        for member in family:
+            built = Subset(ground, member.mask)
+            assert type(member) is Subset
+            assert member.ground is ground
+            assert member == built and hash(member) == hash(built)
+        assert [s.mask for s in family] == sorted(set(masks), key=canonical_key)
+
+    @pytest.mark.parametrize("n", [3, 8, 9, 64])
+    def test_out_of_range_masks_still_raise(self, n):
+        ground = GroundSet(str(i) for i in range(n))
+        for bad in (-1, -(1 << 70), 1 << n, (1 << (n + 1)) - 1):
+            with pytest.raises(ValueError, match="outside the ground set"):
+                Subset(ground, bad)
+            with pytest.raises(ValueError, match="outside the ground set"):
+                SetFamily.from_masks(ground, [0, bad])
 
 
 class TestFamily:
