@@ -15,6 +15,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import partial
+from itertools import repeat
 from time import perf_counter
 from typing import Callable, Iterable
 
@@ -96,13 +98,37 @@ def _one_per_block_matroid(m: Matroid) -> Matroid:
     )
 
 
-def _first_mismatch(
-    ground: GroundSet, members: frozenset[int], described: Callable[[int], bool]
-) -> Subset | None:
-    """The least subset whose membership in `members` differs from `described`."""
+# the definitional scans visit all 2^n subsets: at 16 elements the four take
+# a fraction of a second, and each further element doubles that, so past
+# this many they are tallied as capped rather than run
+_SCAN_BOUND = 16
+
+
+def _definitional_scan(
+    built: Callable[[], Matroid], support: Subset, blocks: Iterable[Subset],
+    caps: Iterable[int] | None = None, complement: bool = False,
+) -> tuple[Subset, bool] | None:
+    """The least subset X, with its membership in the bases of `built()`,
+    where that membership differs from the description: X (its complement,
+    with `complement`) lies in `support` and meets each block in its cap of
+    elements, one by default.  Past `_SCAN_BOUND` elements it raises
+    `SearchCapExceeded` before building anything.
+    """
+    ground = support.ground
+    if ground.size > _SCAN_BOUND:
+        raise SearchCapExceeded(
+            f"ground set of {ground.size} elements exceeds the definitional "
+            f"scan bound {_SCAN_BOUND}"
+        )
+    masks = built().bases.masks()
+    outside = ~support.mask
+    flip = ground.full().mask if complement else 0
+    quotas = [(k.mask, cap) for k, cap in zip(blocks, caps or repeat(1))]
     for mask in range(1 << ground.size):
-        if (mask in members) != described(mask):
-            return Subset(ground, mask)
+        x = mask ^ flip
+        described = not x & outside and all((x & k).bit_count() == c for k, c in quotas)
+        if (mask in masks) != described:
+            return Subset(ground, mask), not described
     return None
 
 
@@ -208,15 +234,9 @@ def _check_thm_126(m: Matroid) -> str | None:
 
 
 def _check_prop_51_j(m: Matroid) -> str | None:
-    blocks = [k.mask for k in forming_family(m)]
-    support = m.support().mask
-    base_masks = m.bases.masks()
-    x = _first_mismatch(
-        m.ground, base_masks,
-        lambda mask: mask & ~support == 0 and _one_per_block((mask,), blocks),
-    )
-    if x is not None:
-        member = x.mask in base_masks
+    hit = _definitional_scan(lambda: m, m.support(), forming_family(m))
+    if hit:
+        x, member = hit
         return f"{x}: base membership {member} but one-per-block description {not member}"
     return None
 
@@ -241,50 +261,31 @@ def _check_prop_302_304(m: Matroid) -> str | None:
 
 def _check_prop_303(m: Matroid) -> str | None:
     p = _recovered(m)
-    support = p.support().mask
     for caps in ((1,) * len(p), tuple(len(b) for b in p)):
-        built = make_partition_matroid(m.ground, PartitionMatroidSpec(p, caps))
-        x = _first_mismatch(
-            m.ground, built.bases.masks(),
-            lambda mask: mask & ~support == 0
-            and all(
-                (mask & blk.mask).bit_count() == cap
-                for blk, cap in zip(p, caps)
-            ),
-        )
-        if x is not None:
+        built = partial(make_partition_matroid, m.ground, PartitionMatroidSpec(p, caps))
+        if _definitional_scan(built, p.support(), p, caps):
             return f"cap vector {caps}: built bases differ from the definitional filter"
     return None
 
 
 def _check_prop_305_306(m: Matroid) -> str | None:
     p = _recovered(m)
-    base_masks = _one_per_block_matroid(m).bases.masks()
-    support = p.support().mask
-    blocks = [k.mask for k in p]
-    x = _first_mismatch(
-        m.ground, base_masks,
-        lambda mask: mask & ~support == 0 and _one_per_block((mask,), blocks),
-    )
-    if x is not None:
-        member = x.mask in base_masks
+    hit = _definitional_scan(partial(_one_per_block_matroid, m), p.support(), p)
+    if hit:
+        x, member = hit
         return f"{x}: membership {member} vs description {not member}"
     return None
 
 
 def _check_prop_339(m: Matroid) -> str | None:
+    # X holds the off-partition rest and misses one element per block exactly
+    # when its complement is a transversal of the partition
     p = _recovered(m)
-    dual = _one_per_block_matroid(m).dual()
-    full = m.ground.full().mask
-    rest = p.support().complement().mask
-    dual_masks = dual.bases.masks()
-    blocks = [k.mask for k in p]
-    x = _first_mismatch(
-        m.ground, dual_masks,
-        lambda mask: rest & ~mask == 0 and _one_per_block((full ^ mask,), blocks),
+    hit = _definitional_scan(
+        lambda: _one_per_block_matroid(m).dual(), p.support(), p, complement=True
     )
-    if x is not None:
-        member = x.mask in dual_masks
+    if hit:
+        x, member = hit
         return f"{x}: dual membership {member} vs description {not member}"
     return None
 
@@ -658,8 +659,9 @@ def verify(
     Checks run sequentially in population order.  The population is drawn
     once and no matroid is kept after its checks, so it may be a lazy
     stream; `duration_ms` then includes the time spent drawing it.  A check
-    that exceeds an exhaustive search cap is tallied as capped on that
-    matroid; a check missing a fact its hypothesis implies, or raising
+    that exceeds an exhaustive search cap, or one of the four scans over all
+    2^n subsets on a ground set past 16 elements, is tallied as capped on
+    that matroid; a check missing a fact its hypothesis implies, or raising
     `AxiomError` (say, on the dual of a family that is not a matroid), is
     tallied as failed with the error as its detail; either way the sweep goes
     on.  Witnesses and cap hits are tied to their matroid's document, so the

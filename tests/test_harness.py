@@ -1,6 +1,11 @@
 import gc
+import hashlib
 import json
+import os
+import subprocess
+import sys
 from itertools import chain, combinations
+from pathlib import Path
 
 import pytest
 
@@ -24,6 +29,7 @@ from matroidlab import matroid as matroid_module
 from matroidlab.errors import AxiomError, SearchCapExceeded, UnequalCardinality
 from matroidlab.setalgebra import _one_per_block, _partition_masks
 
+from large_grounds import large_ground_matroids, rank_one_uniform
 from oracles import (
     lemma_e_oracle,
     mixed_size_families,
@@ -44,6 +50,38 @@ class _DrawnMatroid(Matroid):
 
 def population(max_n):
     return [m for n in range(1, max_n + 1) for m in enumerate_matroids(n)]
+
+
+def _lossy_cap_one_picks(monkeypatch):
+    # drop the last one-element pick of every block with several elements:
+    # the capped constructor loses bases, the one-per-block one does not
+    real = matroid_module.combinations
+
+    def lossy(items, k):
+        picks = list(real(items, k))
+        return picks[:-1] if k == 1 and len(picks) > 1 else picks
+
+    monkeypatch.setattr(matroid_module, "combinations", lossy)
+
+
+def _one_block_forming_family(monkeypatch):
+    # right at rank one only: above it the support is not one block
+    monkeypatch.setattr(
+        harness, "forming_family", lambda m: SetFamily(m.ground, [m.support()])
+    )
+
+
+def _one_per_block_matroid_missing_its_last_base(monkeypatch):
+    # built unvalidated, as the dropped base may leave a non-matroid
+    real = harness.make_unique_partition_matroid
+
+    def dropped(ground, p):
+        upm = real(ground, p)
+        if len(upm.bases) == 1:
+            return upm
+        return Matroid._trusted(ground, SetFamily(ground, list(upm.bases)[:-1]))
+
+    monkeypatch.setattr(harness, "make_unique_partition_matroid", dropped)
 
 
 class TestRegistry:
@@ -231,15 +269,7 @@ class TestVerify:
         assert by_id["prop_100"].failed == 0
 
     def test_prop_302_304_catches_broken_cap_one_picks(self, monkeypatch):
-        # drop the last one-element pick of every block with several elements:
-        # the capped constructor loses bases, the one-per-block one does not
-        real = matroid_module.combinations
-
-        def lossy(items, k):
-            picks = list(real(items, k))
-            return picks[:-1] if k == 1 and len(picks) > 1 else picks
-
-        monkeypatch.setattr(matroid_module, "combinations", lossy)
+        _lossy_cap_one_picks(monkeypatch)
         report = verify(population(4), [lookup_check("prop_302_304")])
         outcome = report.outcomes[0]
         assert outcome.applicable == 70
@@ -603,3 +633,91 @@ class TestWorkedExamples:
         for example in worked_examples():
             assert example.matroids
             assert example.facts
+
+
+class TestDefinitionalScans:
+    """`prop_51_j`, `prop_303`, `prop_305_306` and `prop_339` compare a base
+    family with every subset its definition describes."""
+
+    SCAN_CHECKS = ("prop_51_j", "prop_303", "prop_305_306", "prop_339")
+
+    # each mutant breaks one side of a comparison; the first witness and a
+    # digest of every witness, in report order, pin each check's failure text
+    MUTANTS = [
+        (
+            "prop_51_j", _one_block_forming_family, 44,
+            {"ground_set": ["1", "2"], "bases": [["1", "2"]]},
+            "{1}: base membership False but one-per-block description True",
+            "71b38d1d3471226504d3e5d5e45e7a86a3e6575eec6687480f93e5949a8b1c5a",
+        ),
+        (
+            "prop_303", _lossy_cap_one_picks, 44,
+            {"ground_set": ["1", "2"], "bases": [["1"], ["2"]]},
+            "cap vector (1,): built bases differ from the definitional filter",
+            "50e3a773327361bee1f79a78e0bbaecdd88632d8c484307e552909d8e4b56963",
+        ),
+        (
+            "prop_305_306", _one_per_block_matroid_missing_its_last_base, 44,
+            {"ground_set": ["1", "2"], "bases": [["1"], ["2"]]},
+            "{2}: membership False vs description True",
+            "4fcb0a0bd65255b87c27fa3e923d061e46073c9e35704108052c74b881a8f05f",
+        ),
+        (
+            "prop_339", _one_per_block_matroid_missing_its_last_base, 44,
+            {"ground_set": ["1", "2"], "bases": [["1"], ["2"]]},
+            "{1}: dual membership False vs description True",
+            "e641b6e85cb19101bd41c94894688e733fab5268c335f731c91d38335c391be2",
+        ),
+    ]
+
+    @pytest.mark.parametrize("check_id,mutate,failed,first,detail,digest", MUTANTS)
+    def test_mutant_failure_detail_is_pinned(
+        self, monkeypatch, check_id, mutate, failed, first, detail, digest
+    ):
+        mutate(monkeypatch)
+        outcome = verify(population(4), [lookup_check(check_id)]).outcomes[0]
+        assert (outcome.applicable, outcome.failed) == (70, failed)
+        assert outcome.witnesses[0] == {"matroid": first, "detail": detail}
+        witnesses = json.dumps(outcome.witnesses).encode()
+        assert hashlib.sha256(witnesses).hexdigest() == digest
+
+    def test_scans_run_up_to_the_bound(self):
+        registry = [lookup_check(check_id) for check_id in self.SCAN_CHECKS]
+        at_bound = verify([rank_one_uniform(16)], registry)
+        assert [(o.passed, o.capped) for o in at_bound.outcomes] == [(1, 0)] * 4
+        past_bound = verify([rank_one_uniform(17)], registry)
+        assert [(o.passed, o.capped) for o in past_bound.outcomes] == [(0, 1)] * 4
+        for o in past_bound.outcomes:
+            assert o.cap_hits[0]["detail"] == (
+                "ground set of 17 elements exceeds the definitional scan bound 16"
+            )
+
+    def test_large_grounds_are_capped_not_hung(self):
+        # a scan over all 2^40 subsets would never finish; the bound makes
+        # the whole registry return in well under a second
+        src = Path(harness.__file__).resolve().parents[1]
+        run = subprocess.run(
+            [sys.executable, str(Path(__file__).with_name("large_grounds.py"))],
+            capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": str(src)},
+        )
+        assert run.returncode == 0, run.stderr
+        rows = {row["id"]: row for row in json.loads(run.stdout)["checks"]}
+        assert len(rows) == 28
+        two_bases, uniform = (m.to_doc() for m in large_ground_matroids())
+        for check_id, row in rows.items():
+            if check_id in self.SCAN_CHECKS:
+                capped = [two_bases, uniform]
+                detail = "ground set of 40 elements exceeds the definitional scan bound 16"
+            elif check_id in ("thm_334", "thm_552"):
+                # U(1,40) has 40 bases, past the minimality search cap of 20
+                capped = [uniform]
+                detail = "40 bases exceed the exhaustive search cap 20"
+            else:
+                capped, detail = [], None
+            assert [hit["matroid"] for hit in row["cap_hits"]] == capped
+            assert all(hit["detail"] == detail for hit in row["cap_hits"])
+            assert row["failed"] == 0
+            assert row["passed"] == row["applicable"] - len(capped)
+        for check_id in self.SCAN_CHECKS:
+            assert rows[check_id]["applicable"] == 2
