@@ -15,7 +15,6 @@ from .classify import (
     SubfamilyWitness,
     intersection_minimal,
     is_intersection_minimal,
-    is_transversal_of,
     is_union_minimal,
     is_unique_exchange,
     is_unique_expansion,
@@ -108,7 +107,6 @@ __all__ = [
     "union_minimal",
     "intersection_minimal",
     "recover_partition",
-    "is_transversal_of",
     "DEFAULT_SEARCH_CAP",
     "enumerate_matroids",
     "enumeration_ground",

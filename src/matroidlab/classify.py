@@ -2,13 +2,13 @@
 
 Every classifier returns a ClassificationResult; a false verdict always
 carries the canonically least counterexample, so failure output is identical
-across runs.  Every search runs sequentially in canonical order.  The
-minimality checks are guarded by a fixed cap of 20 bases
-(`DEFAULT_SEARCH_CAP`).  Within the cap, a minimality verdict comes from the
-flag-of-flats certificate (`union_minimal`, `intersection_minimal`): union
-minimal means rank zero or unique expansion, and intersection minimal means
-the same of the dual.  Only a false verdict's canonical witness needs the
-exhaustive search over subfamilies of the base family, pruned by prefix.
+across runs.  Every search runs sequentially in canonical order.  A
+minimality verdict comes from the flag-of-flats certificate at any size
+(`union_minimal`, `intersection_minimal`): union minimal means rank zero or
+unique expansion, and intersection minimal means the same of the dual.  Only
+a false verdict's canonical witness needs the exhaustive search over
+subfamilies of the base family, pruned by prefix, and that search alone is
+guarded by a fixed cap of 20 bases (`DEFAULT_SEARCH_CAP`).
 """
 
 from __future__ import annotations
@@ -16,18 +16,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .errors import RankZero, SearchCapExceeded, SupportMismatch
+from .errors import RankZero, SearchCapExceeded
 from .forming import _expansions, forming_family
 from .matroid import Matroid, expansion_masks
 from .setalgebra import (
     Partition,
     SetFamily,
     Subset,
-    combination_number,
     is_partition,
     mask_order_key,
-    one_per_block,
-    transversals,
 )
 
 DEFAULT_SEARCH_CAP = 20
@@ -131,19 +128,15 @@ def is_unique_exchange(m: Matroid) -> ClassificationResult:
     return ClassificationResult(True, None)
 
 
-def _check_cap(m: Matroid) -> None:
+def _minimality_search(m: Matroid, kind: str) -> ClassificationResult:
+    """The capped, memoized exhaustive search of `kind` "union" or
+    "intersection", whose boundary is the base support or the common
+    intersection of the bases."""
     n = len(m.bases.sets)
     if n > DEFAULT_SEARCH_CAP:
         raise SearchCapExceeded(
             f"{n} bases exceed the exhaustive search cap {DEFAULT_SEARCH_CAP}"
         )
-
-
-def _minimality_search(m: Matroid, kind: str) -> ClassificationResult:
-    """The capped, memoized exhaustive search of `kind` "union" or
-    "intersection", whose boundary is the base support or the common
-    intersection of the bases."""
-    _check_cap(m)
     boundary = m.support() if kind == "union" else m.base_intersection()
     return m._fact(f"{kind}_minimal", lambda: _least_reduction(m, kind, boundary.mask))
 
@@ -312,8 +305,7 @@ def union_minimal(m: Matroid) -> bool:
     """Is no proper subfamily of the bases a base family with the same union?
 
     The verdict alone, with no search: M is union minimal exactly when it has
-    rank zero or is unique expansion.  Capped at 20 bases
-    (`DEFAULT_SEARCH_CAP`) like the search, so the two refuse alike.
+    rank zero or is unique expansion, at any number of bases.
 
     Proof (not from the paper).  At rank zero the one base {} admits no
     proper nonempty subfamily.  A unique expansion matroid is union minimal
@@ -326,7 +318,6 @@ def union_minimal(m: Matroid) -> bool:
     the same union.  If M is union minimal, B(M) is that family, so M is a
     one-per-block matroid and hence unique expansion (`thm_52`).
     """
-    _check_cap(m)
     return m.rank == 0 or is_unique_expansion(m).verdict
 
 
@@ -335,10 +326,9 @@ def intersection_minimal(m: Matroid) -> bool:
 
     The verdict alone, with no search: by the paper's duality (`thm_334`) M
     is intersection minimal exactly when its dual is union minimal, that is
-    when M* has rank zero or is unique expansion (see `union_minimal`).
-    Capped at 20 bases (`DEFAULT_SEARCH_CAP`).
+    when M* has rank zero or is unique expansion (see `union_minimal`), at
+    any number of bases.
     """
-    _check_cap(m)
     return m.rank == m.ground.size or is_unique_expansion(m.dual()).verdict
 
 
@@ -356,10 +346,11 @@ def _witness(m: Matroid, kind: str) -> ClassificationResult:
 def is_union_minimal(m: Matroid) -> ClassificationResult:
     """`union_minimal` with the canonical witness of a false verdict.
 
-    A true verdict returns with no search.  A false one runs the exhaustive
-    search over the proper nonempty subfamilies, pruned by prefix, whose
-    result is kept in the matroid's facts memo; the search must find a
-    witness, or RuntimeError.
+    A true verdict returns with no search, at any size.  A false one runs the
+    exhaustive search over the proper nonempty subfamilies, pruned by prefix,
+    whose result is kept in the matroid's facts memo; past 20 bases it raises
+    `SearchCapExceeded` instead, and the search must find a witness, or
+    RuntimeError.
     """
     if union_minimal(m):
         return ClassificationResult(True, None)
@@ -370,7 +361,8 @@ def is_intersection_minimal(m: Matroid) -> ClassificationResult:
     """`intersection_minimal` with the canonical witness of a false verdict.
 
     Answered like `is_union_minimal`: no search for a true verdict, the
-    memoized search for a false one's witness, RuntimeError if it finds none.
+    capped, memoized search for a false one's witness, RuntimeError if it
+    finds none.
     """
     if intersection_minimal(m):
         return ClassificationResult(True, None)
@@ -388,30 +380,3 @@ def recover_partition(m: Matroid) -> Partition | None:
         "partition",
         lambda: Partition(fam) if is_partition(fam, m.support()) else None,
     )
-
-
-def is_transversal_of(m: Matroid, p: Partition) -> bool:
-    """Does every base meet every block of `p` exactly once?
-
-    `p` must partition the union of the bases.  A true verdict is re-verified
-    against its two consequences: the base family equals the one-per-block
-    transversal product of `p`, and the base count equals the product of the
-    block sizes; RuntimeError if either does not hold.
-    """
-    if p.ground != m.ground:
-        raise SupportMismatch("partition lives on a different ground set")
-    if p.support() != m.support():
-        raise SupportMismatch(
-            f"partition support {p.support()} differs from base support {m.support()}"
-        )
-    verdict = one_per_block(m.bases.masks(), p)
-    if verdict:
-        if m.bases != transversals(p):
-            raise RuntimeError(
-                f"bases of a one-per-block matroid differ from the transversal product of {p}"
-            )
-        if len(m.bases) != combination_number(p):
-            raise RuntimeError(
-                f"{len(m.bases)} bases but block size product {combination_number(p)}"
-            )
-    return verdict

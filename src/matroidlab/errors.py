@@ -79,9 +79,5 @@ class SearchCapExceeded(RuntimeError):
     """The base family is too large for an exhaustive subfamily search."""
 
 
-class SupportMismatch(ValueError):
-    """The given partition does not partition the union of the bases."""
-
-
 class ParseError(ValueError):
     """A matroid document is malformed."""

@@ -182,9 +182,6 @@ class Subset:
         _same_ground(self.ground, other.ground)
         return self.mask & ~other.mask == 0
 
-    def complement(self) -> Subset:
-        return Subset(self.ground, self.mask ^ ((1 << self.ground.size) - 1))
-
     def subsets(self) -> Iterator[Subset]:
         """All subsets of this subset (submask walk, not canonical order)."""
         sub = self.mask
@@ -404,13 +401,6 @@ class Partition:
 
     def support(self) -> Subset:
         return self.family.union()
-
-    def block_of(self, label: str) -> Subset:
-        i = self.ground.index(label)
-        for b in self.family:
-            if (b.mask >> i) & 1:
-                return b
-        raise KeyError(f"label {label!r} not in the partition support")
 
     def __iter__(self) -> Iterator[Subset]:
         return iter(self.family)

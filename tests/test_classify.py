@@ -10,24 +10,21 @@ from matroidlab import (
     Matroid,
     Partition,
     SetFamily,
-    combination_number,
     enumerate_matroids,
     forming_family,
     intersection_minimal,
     is_intersection_minimal,
     is_partition,
-    is_transversal_of,
     is_union_minimal,
     is_unique_exchange,
     is_unique_expansion,
     make_unique_partition_matroid,
     recover_partition,
-    transversals,
     union_minimal,
 )
 from matroidlab import classify as classify_module
 from matroidlab.classify import _minimality_search
-from matroidlab.errors import RankZero, SearchCapExceeded, SupportMismatch
+from matroidlab.errors import RankZero, SearchCapExceeded
 
 
 def fam(ground, *label_sets):
@@ -165,15 +162,28 @@ class TestUnionMinimal:
         assert is_union_minimal(mk("123", "")).verdict
 
     def test_cap_guard(self):
-        # 21 bases, one past the cap of 20; U(1,21) is unique expansion, and
-        # the cap still comes before the certificate, bare or with a witness
-        for m in (uniform(2, 7), uniform(1, 21)):
-            assert len(m.bases) == 21
-            for _, verdict, classify in _MINIMALITY:
-                for decide in (verdict, classify):
-                    with pytest.raises(SearchCapExceeded):
-                        decide(m)
-        assert is_unique_expansion(uniform(1, 21)).verdict
+        # past the cap of 20 bases the verdicts still come from the
+        # certificate; only a false verdict's witness search refuses
+        u27 = uniform(2, 7)
+        assert len(u27.bases) == 21
+        for _, verdict, classify in _MINIMALITY:
+            assert verdict(u27) is False
+            with pytest.raises(SearchCapExceeded, match="21 bases exceed"):
+                classify(u27)
+        assert union_minimal(uniform(1, 21)) is True
+        assert intersection_minimal(uniform(6, 7)) is True
+        # one per block of {1,2,3}, {4,5,6}, {7,8,9}: 27 bases, and its dual
+        g = GroundSet("123456789")
+        opb = make_unique_partition_matroid(g, Partition(fam(g, "123", "456", "789")))
+        assert len(opb.bases) == len(opb.dual().bases) == 27
+        for m, want in ((opb, (True, False)), (opb.dual(), (False, True))):
+            assert tuple(verdict(m) for _, verdict, _ in _MINIMALITY) == want
+            for (_, _, classify), minimal in zip(_MINIMALITY, want):
+                if minimal:
+                    assert classify(m) == ClassificationResult(True, None)
+                else:
+                    with pytest.raises(SearchCapExceeded, match="27 bases exceed"):
+                        classify(m)
 
     def test_result_is_memoized_behind_the_cap(self, uniform3):
         first = is_union_minimal(uniform3)
@@ -198,10 +208,6 @@ class TestIntersectionMinimal:
         assert not res.verdict
         # direct subfamily search confirms: {{1},{2}} keeps the empty intersection
         assert res.witness.subfamily == fam(uniform3.ground, "1", "2")
-
-    def test_cap_guard(self):
-        with pytest.raises(SearchCapExceeded):
-            is_intersection_minimal(uniform(2, 7))
 
 
 class TestDeterminism:
@@ -245,30 +251,6 @@ class TestRecoverPartition:
             f = forming_family(m)
             expected = Partition(f) if is_partition(f, m.support()) else None
             assert recover_partition(m) == expected
-
-
-class TestIsTransversalOf:
-    def test_positive_and_count(self):
-        m = mk("123", "12", "13")
-        p = Partition(fam(m.ground, "1", "23"))
-        assert is_transversal_of(m, p)
-        assert len(m.bases) == 2 == combination_number(p)
-        assert m.bases == transversals(p)
-
-    def test_negative(self, uniform3):
-        p = Partition(fam(uniform3.ground, "1", "23"))
-        assert not is_transversal_of(uniform3, p)
-
-    def test_one_per_block_matroid_always_passes(self):
-        g = GroundSet("12345")
-        p = Partition(fam(g, "12", "345"))
-        m = make_unique_partition_matroid(g, p)
-        assert is_transversal_of(m, p)
-
-    def test_support_mismatch(self):
-        m = mk("123", "12", "13")
-        with pytest.raises(SupportMismatch):
-            is_transversal_of(m, Partition(fam(m.ground, "1", "2")))
 
 
 class TestAgainstDefinitionOracles:

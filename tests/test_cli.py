@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import tempfile
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -13,7 +14,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import matroidlab
-from matroidlab import GroundSet, Matroid, SetFamily, enumerate_matroids, harness
+from matroidlab import (
+    GroundSet,
+    Matroid,
+    Partition,
+    SetFamily,
+    enumerate_matroids,
+    harness,
+    make_unique_partition_matroid,
+)
 from matroidlab import classify as classify_module
 from matroidlab.classify import _minimality_search
 from matroidlab.cli import main, parse_matroid_file
@@ -37,6 +46,13 @@ def doc121(tmp_path):
         {"ground_set": [1, 2, 3, 4], "bases": [[1, 2], [1, 3], [1, 4]]}
     ))
     return str(path)
+
+
+def _uniform_doc(rank, size):
+    """The document of U(rank, size) on the labels 1..size."""
+    labels = [str(i) for i in range(1, size + 1)]
+    return {"ground_set": labels,
+            "bases": [list(c) for c in combinations(labels, rank)]}
 
 
 # random documents: near-miss matroid objects on at most four labels (so a
@@ -152,24 +168,20 @@ class TestAnalyze:
         assert doc["unique_expansion"] is None
         assert doc["unique_exchange"] is True
 
-    def test_search_cap_env_skips_minimality(self, capsys, tmp_path):
-        # U(2,7) has 21 bases, one past the search cap of 20
+    def test_verdicts_past_the_search_cap(self, capsys, tmp_path):
+        # U(2,7) has 21 bases, one past the search cap of 20: both verdicts
+        # are answered, and only the text report's witness search is skipped
         path = tmp_path / "u27.json"
-        path.write_text(json.dumps({
-            "ground_set": list("1234567"),
-            "bases": [[a, b] for a in "1234567" for b in "1234567" if a < b],
-        }))
+        path.write_text(json.dumps(_uniform_doc(2, 7)))
         code, out, _ = run(capsys, "analyze", str(path), "--json")
         assert code == 0
         doc = json.loads(out)
-        assert doc["union_minimal"] is None
-        assert doc["intersection_minimal"] is None
-        assert doc["minimality_skipped"] == (
-            "base family of size 21 exceeds search cap 20"
-        )
+        assert doc["union_minimal"] is False
+        assert doc["intersection_minimal"] is False
+        assert "minimality_skipped" not in doc
         code, out, _ = run(capsys, "analyze", str(path))
         assert code == 0
-        skipped = "skipped (base family of size 21 exceeds search cap 20)"
+        skipped = "no (witness search skipped: 21 bases exceed the exhaustive search cap 20)"
         assert out.splitlines()[-2:] == [
             f"union minimal: {skipped}",
             f"intersection minimal: {skipped}",
@@ -177,7 +189,8 @@ class TestAnalyze:
 
     def test_json_verdicts_run_no_search(self, capsys, tmp_path, monkeypatch):
         # every matroid with n <= 4: `analyze --json` answers both minimality
-        # questions by the certificate alone, with the search's verdicts
+        # questions by the certificate alone, with the search's verdicts; then
+        # known answers past the search cap of 20 bases
         pop = [m for n in range(1, 5) for m in enumerate_matroids(n)]
         want = [
             tuple(
@@ -186,6 +199,19 @@ class TestAnalyze:
             )
             for m in pop
         ]
+        g = GroundSet("123456789")
+        opb = make_unique_partition_matroid(
+            g, Partition(SetFamily(g, [g.subset(*b) for b in ("123", "456", "789")]))
+        )
+        for doc, verdicts in (
+            (_uniform_doc(2, 7), (False, False)),
+            (_uniform_doc(1, 21), (True, False)),
+            (_uniform_doc(6, 7), (False, True)),
+            (opb.to_doc(), (True, False)),  # 27 bases, one per block of three
+            (opb.dual().to_doc(), (False, True)),
+        ):
+            pop.append(Matroid.from_doc(doc))
+            want.append(verdicts)
 
         def no_search(*args):
             pytest.fail("analyze --json ran the minimality search")

@@ -85,7 +85,6 @@ class TestSubset:
         assert (a | b) == g3.full()
         assert (a & b) == g3.subset("2")
         assert (a - b) == g3.subset("1")
-        assert a.complement() == g3.subset("3")
 
     def test_cross_ground_ops_rejected(self, g3):
         other = GroundSet("12")
@@ -343,7 +342,6 @@ class TestCoveringPartition:
     def test_partition_of_subset_of_ground(self, g3):
         p = Partition(fam(g3, "2", "3"))
         assert p.support() == g3.subset("2", "3")
-        assert p.block_of("3") == g3.subset("3")
 
 
 class TestCombinationNumber:
