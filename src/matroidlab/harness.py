@@ -17,12 +17,14 @@ import json
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import repeat
+from math import prod
 from time import perf_counter
 from typing import Callable, Iterable
 
 from .classify import (
     ExchangeWitness,
     ExpansionWitness,
+    _flag_blocks,
     _minimality_search,
     is_unique_exchange,
     is_unique_expansion,
@@ -51,6 +53,7 @@ from .setalgebra import (
     is_covering,
     is_partition,
     low,
+    mask_order_key,
     one_per_block,
     transversals,
 )
@@ -372,12 +375,56 @@ def _check_prop_103(m: Matroid) -> str | None:
 
 # `is_union_minimal` and `is_intersection_minimal` answer by a certificate
 # that rests on `thm_552` and `thm_334`, the statements this registry tests,
-# so the registry and the worked examples run the exhaustive searches themselves
+# so neither check reads a verdict from it.  `thm_334` decides both sides at
+# once from the transversals of the lowest flag of flats (`_flag_blocks`):
+# they must all be bases, and a proper family of them is a witness that M is
+# not union minimal, whose complements are one that M* is not intersection
+# minimal; each part of both witnesses is validated here.  Only when the
+# transversals are all of B(M) (unique expansion, or rank zero) do the two
+# exhaustive searches run.  `thm_552` and the worked examples always search.
 def _check_thm_334(m: Matroid) -> str | None:
-    um = _minimality_search(m, "union").verdict
-    im = _minimality_search(m.dual(), "intersection").verdict
-    if um != im:
-        return f"union minimal {um} but dual intersection minimal {im}"
+    dual = m.dual()
+    blocks = _flag_blocks(m)
+    kept = [b.mask for b in m.bases if _one_per_block((b.mask,), blocks)]
+    picks = prod(k.bit_count() for k in blocks)
+    if len(kept) != picks:
+        flag = SetFamily.from_masks(m.ground, blocks)
+        return f"flag blocks {flag}: {len(kept)} of {picks} transversals are bases"
+    if len(kept) == len(m.bases):
+        um = _minimality_search(m, "union").verdict
+        im = _minimality_search(dual, "intersection").verdict
+        if um != im:
+            return f"union minimal {um} but dual intersection minimal {im}"
+        return None
+    # the witnesses are checked as masks in canonical order, and built as
+    # families only to name a failure
+    ground = m.ground
+    full = ground.full().mask
+    comasks = sorted((full ^ b for b in kept), key=mask_order_key(ground.size))
+    union, common = 0, full
+    for b in kept:
+        union |= b
+        common &= full ^ b
+    family = partial(SetFamily.from_masks, ground)
+    if first_exchange_violation(kept) is not None:
+        return f"flag transversals {family(kept)} are not a base family"
+    if union != m.support().mask:
+        return (
+            f"flag transversals {family(kept)} cover {ground.from_mask(union)}, "
+            "not the base support"
+        )
+    if not set(comasks) < dual.bases.masks():
+        return (
+            f"complements {family(comasks)} of the flag transversals are not a "
+            "proper part of the dual bases"
+        )
+    if first_exchange_violation(comasks) is not None:
+        return f"complements {family(comasks)} of the flag transversals are not a base family"
+    if common != dual.base_intersection().mask:
+        return (
+            f"complements {family(comasks)} of the flag transversals meet in "
+            f"{ground.from_mask(common)}, not the dual base intersection"
+        )
     return None
 
 

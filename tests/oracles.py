@@ -9,8 +9,9 @@ partition checks by walking `Partition` values with the public set algebra,
 the exchange checks by scanning `Subset` values, the base-relative forming
 checks on `SetFamily` values, the exchange validator by probing base
 membership one repair at a time, the independence validator over every pair
-of members, and bit indices (and the labels read through them) one bit
-position at a time.
+of members, bit indices (and the labels read through them) one bit
+position at a time, and the `thm_334` check by both exhaustive minimality
+searches on every matroid.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from matroidlab import (
     recover_partition,
     transversals,
 )
+from matroidlab.classify import _minimality_search
 from matroidlab.errors import (
     AugmentationFailure,
     AxiomError,
@@ -344,6 +346,17 @@ def _reducible(m: Matroid, keeps_boundary) -> bool:
                 continue
             return True
     return False
+
+
+def thm_334_oracle(m: Matroid) -> str | None:
+    """The `thm_334` check as two exhaustive searches, the union search on
+    the matroid and the intersection search on its dual, compared by
+    verdict."""
+    um = _minimality_search(m, "union").verdict
+    im = _minimality_search(m.dual(), "intersection").verdict
+    if um != im:
+        return f"union minimal {um} but dual intersection minimal {im}"
+    return None
 
 
 def thm_123_oracle(m: Matroid) -> str | None:

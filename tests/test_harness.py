@@ -4,7 +4,7 @@ import json
 import os
 import subprocess
 import sys
-from itertools import chain, combinations
+from itertools import chain, combinations, product
 from pathlib import Path
 
 import pytest
@@ -37,6 +37,7 @@ from oracles import (
     prop_124_oracle,
     prop_341_oracle,
     thm_123_oracle,
+    thm_334_oracle,
     thm_33_oracle,
 )
 
@@ -82,6 +83,34 @@ def _one_per_block_matroid_missing_its_last_base(monkeypatch):
         return Matroid._trusted(ground, SetFamily(ground, list(upm.bases)[:-1]))
 
     monkeypatch.setattr(harness, "make_unique_partition_matroid", dropped)
+
+
+def _flag_missing_an_element(monkeypatch):
+    # drop the lowest element of the first block with several elements
+    real = classify_module._flag_blocks
+
+    def dropped(m):
+        blocks = real(m)
+        for i, k in enumerate(blocks):
+            if k & (k - 1):
+                blocks[i] = k & (k - 1)
+                break
+        return blocks
+
+    monkeypatch.setattr(harness, "_flag_blocks", dropped)
+
+
+def _dual_missing_its_last_base(monkeypatch):
+    # built unvalidated, as the dropped base may leave a non-matroid
+    real = Matroid.dual
+
+    def dropped(m):
+        d = real(m)
+        if len(d.bases) == 1:
+            return d
+        return Matroid._trusted(d.ground, SetFamily(d.ground, list(d.bases)[:-1]))
+
+    monkeypatch.setattr(Matroid, "dual", dropped)
 
 
 class TestRegistry:
@@ -225,28 +254,47 @@ class TestVerify:
         assert (outcome.applicable, outcome.passed, outcome.failed) == (1, 0, 1)
 
     def test_search_cap_is_tallied_not_raised(self):
-        # U(3,7) has 35 bases, above the minimality search cap of 20
-        g = GroundSet("1234567")
-        u37 = Matroid.from_bases(
-            g, SetFamily(g, [g.subset_of(c) for c in combinations(range(7), 3)])
-        )
-        report = verify([u37, *population(2)])
+        # the one-per-block matroid on blocks of three, three and three is
+        # unique expansion with 27 bases, above the minimality search cap of
+        # 20, so both thm_334 and thm_552 run the search and trip the cap
+        g = GroundSet("123456789")
+        opb = Matroid.from_bases(g, SetFamily(g, [
+            g.subset(*picks) for picks in product("123", "456", "789")
+        ]))
+        report = verify([opb, *population(2)])
         assert report.failures == 0
         assert report.capped > 0
         for outcome in report.outcomes:
             assert outcome.applicable == outcome.passed + outcome.failed + outcome.capped
             hits = [hit["matroid"] for hit in outcome.cap_hits]
-            assert hits == [u37.to_doc()] * outcome.capped
+            assert hits == [opb.to_doc()] * outcome.capped
         thm_334 = lookup_check("thm_334")
         row = next(r for r in report.to_dict()["checks"] if r["id"] == "thm_334")
         assert (row["applicable"], row["passed"], row["capped"]) == (8, 7, 1)
         assert "exceed" in row["cap_hits"][0]["detail"]
-        assert Matroid.from_doc(row["cap_hits"][0]["matroid"]) == u37
+        assert Matroid.from_doc(row["cap_hits"][0]["matroid"]) == opb
         with pytest.raises(SearchCapExceeded):
-            thm_334.run(u37)
+            thm_334.run(opb)
         text = report.to_text()
         assert "capped:" in text
         assert f"{report.capped} capped" in text
+
+    def test_thm_334_decides_past_the_cap_without_searching(self, monkeypatch):
+        # U(3,7) (35 bases) and U(2,7) (21 bases) are not unique expansion:
+        # their flag transversals are a proper witness on both sides, so the
+        # check passes with no search and no cap hit
+        def refused(m, kind, boundary):
+            raise AssertionError("the exhaustive search ran")
+
+        monkeypatch.setattr(classify_module, "_least_reduction", refused)
+        g = GroundSet("1234567")
+        uniforms = [
+            Matroid.from_bases(g, SetFamily(g, [g.subset(*c) for c in combinations(g.labels, r)]))
+            for r in (3, 2)
+        ]
+        assert [len(m.bases) for m in uniforms] == [35, 21]
+        outcome = verify(uniforms, [lookup_check("thm_334")]).outcomes[0]
+        assert (outcome.applicable, outcome.passed, outcome.capped) == (2, 2, 0)
 
     def test_missing_recovered_partition_fails_the_matroid(self, monkeypatch):
         # the one-per-block checks rely on the partition that unique expansion
@@ -415,6 +463,71 @@ class TestThm123AgainstOracle:
     def test_failure_text_is_pinned(self):
         detail = lookup_check("thm_123").run(_trusted_family(["13", "24"]))
         assert detail == "no y in {2,4}-{1,3} with ({2,4}-{y})+{1} a base"
+
+
+class TestThm334:
+    """`thm_334` checks the flag transversals as a witness on both sides and
+    searches only when they are all the bases; the oracle runs both
+    exhaustive searches on every matroid."""
+
+    def test_same_outcome_as_the_two_searches(self):
+        # a family that is not a matroid fails at its dual on both sides;
+        # the oracle gets a fresh copy, so neither reads the other's searches
+        def outcome(run, m):
+            try:
+                return run(m)
+            except AxiomError as exc:
+                return type(exc), str(exc)
+
+        check = lookup_check("thm_334")
+        families = [*population(6), *mixed_size_families()]
+        assert len(families) == 4304 + 2242
+        for m in families:
+            fresh = Matroid._trusted(m.ground, m.bases)
+            assert outcome(check.run, m) == outcome(thm_334_oracle, fresh)
+
+    MUTANTS = [
+        (
+            _flag_missing_an_element, 61,
+            {"ground_set": ["1", "2"], "bases": [["1"], ["2"]]},
+            "flag transversals {{2}} cover {2}, not the base support",
+        ),
+        (
+            _dual_missing_its_last_base, 17,
+            {"ground_set": ["1", "2", "3"], "bases": [["1", "2"], ["1", "3"], ["2", "3"]]},
+            "complements {{2},{3}} of the flag transversals are not a proper part "
+            "of the dual bases",
+        ),
+    ]
+
+    @pytest.mark.parametrize("mutate,failed,first,detail", MUTANTS)
+    def test_mutant_failure_detail_is_pinned(self, monkeypatch, mutate, failed, first, detail):
+        mutate(monkeypatch)
+        outcome = verify(population(4), [lookup_check("thm_334")]).outcomes[0]
+        assert (outcome.applicable, outcome.failed) == (91, failed)
+        assert outcome.witnesses[0] == {"matroid": first, "detail": detail}
+
+    def test_search_mutant_fails_on_unique_expansion(self, monkeypatch):
+        # the searches run exactly where the flag transversals are all the
+        # bases: on rank zero and on the unique expansion matroids
+        real = classify_module._least_reduction
+
+        def reducible(m, kind, boundary):
+            if kind == "intersection":
+                return classify_module.ClassificationResult(
+                    False, classify_module.SubfamilyWitness(m.bases)
+                )
+            return real(m, kind, boundary)
+
+        monkeypatch.setattr(classify_module, "_least_reduction", reducible)
+        pop = population(4)
+        searched = [m.to_doc() for m in pop if m.rank == 0 or is_unique_expansion(m).verdict]
+        outcome = verify(pop, [lookup_check("thm_334")]).outcomes[0]
+        assert [w["matroid"] for w in outcome.witnesses] == searched
+        assert len(searched) == 4 + 70
+        assert {w["detail"] for w in outcome.witnesses} == {
+            "union minimal True but dual intersection minimal False"
+        }
 
 
 class TestFormingChecksAgainstOracles:
