@@ -14,11 +14,11 @@ guarded by a fixed cap of 20 bases (`DEFAULT_SEARCH_CAP`).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .errors import RankZero, SearchCapExceeded
 from .forming import _expansions, forming_family
-from .matroid import Matroid, expansion_masks
+from .matroid import Matroid, _least_triple, expansion_masks
 from .setalgebra import (
     Partition,
     SetFamily,
@@ -108,24 +108,21 @@ def is_unique_exchange(m: Matroid) -> ClassificationResult:
     whose first member is empty (rank zero) still gets its own map, since an
     unvalidated one may hold larger sets.  Vacuously true when no pair of
     bases offers two repairs (in particular for a rank-zero matroid); the
-    witness is the least (B1, B2, x, y1, y2) otherwise.
+    witness is the least (B1, B2, x, y1, y2) otherwise, its triple named by
+    the exchange validator's own scan (`matroid._least_triple`).
     """
-    exp = _expansions(m) if m.rank else expansion_masks(m.bases.masks())
+    masks = [b.mask for b in m.bases.sets]
+    exp = _expansions(m) if m.rank else expansion_masks(masks)
+    triple = _least_triple(masks, exp, forked=True)
+    if triple is None:
+        return ClassificationResult(True, None)
+    b1, b2, x = triple
     ground = m.ground
-    for b1 in m.bases:
-        for b2 in m.bases:
-            rest = b1.mask & ~b2.mask
-            while rest:
-                xbit = rest & -rest
-                rest ^= xbit
-                both = exp[b1.mask ^ xbit] & b2.mask
-                if both & (both - 1):
-                    y1, y2 = Subset(ground, both).indices()[:2]
-                    return ClassificationResult(False, ExchangeWitness(
-                        b1, b2, ground.label(xbit.bit_length() - 1),
-                        ground.label(y1), ground.label(y2),
-                    ))
-    return ClassificationResult(True, None)
+    y1, y2 = Subset(ground, exp[b1 ^ (1 << x)] & b2).indices()[:2]
+    return ClassificationResult(False, ExchangeWitness(
+        Subset(ground, b1), Subset(ground, b2), ground.label(x),
+        ground.label(y1), ground.label(y2),
+    ))
 
 
 def _minimality_search(m: Matroid, kind: str) -> ClassificationResult:
@@ -141,41 +138,31 @@ def _minimality_search(m: Matroid, kind: str) -> ClassificationResult:
     return m._fact(f"{kind}_minimal", lambda: _least_reduction(m, kind, boundary.mask))
 
 
-def _requirements(b1: int, b2: int, position: Callable[[int, int], int]) -> Sequence[int]:
+def _requirements(
+    b1: int, b2: int, exp: dict[int, int], where: dict[int, int]
+) -> Sequence[int]:
     """One mask of repair positions per exchange requirement of two bases.
 
     A requirement is (B1, B2, x) with x in B1 - B2, or the same with the two
-    bases swapped; its repairs are the bases B1 - x + y, y in B2 - B1, and
-    `position(mask, 0)` gives a base's position bit (0 for a non-base).
+    bases swapped; its repairs are the bases B1 - x + y for the bits y of B2
+    in the expansion mask exp[B1 - x], and `where` gives each base's
+    position bit.
     """
     out = b1 & ~b2
-    x1 = out & -out
-    x2 = out ^ x1
-    if not x2:
+    if not out & (out - 1):
         return ()  # one swap apart: each repairs the other
-    inn = b2 & ~b1
-    if not x2 & (x2 - 1):
-        # two swaps apart: B2 - y + x is B1 - x' + y' for the other x' and
-        # y', so four lookups serve both ways round
-        y1 = inn & -inn
-        y2 = inn ^ y1
-        r11 = position(b1 ^ x1 ^ y1, 0)
-        r12 = position(b1 ^ x1 ^ y2, 0)
-        r21 = position(b1 ^ x2 ^ y1, 0)
-        r22 = position(b1 ^ x2 ^ y2, 0)
-        return (r11 | r12, r21 | r22, r12 | r22, r11 | r21)
     reqs = []
-    for base, rest, incoming in ((b1, out, inn), (b2, inn, out)):
+    for base, other, rest in ((b1, b2, out), (b2, b1, b2 & ~b1)):
         while rest:
             xbit = rest & -rest
             rest ^= xbit
             stripped = base ^ xbit
             r = 0
-            cand = incoming
-            while cand:
-                ybit = cand & -cand
-                cand ^= ybit
-                r |= position(stripped | ybit, 0)
+            ys = exp[stripped] & other
+            while ys:
+                ybit = ys & -ys
+                ys ^= ybit
+                r |= where[stripped | ybit]
             reqs.append(r)
     return reqs
 
@@ -219,7 +206,7 @@ def _least_reduction(m: Matroid, kind: str, boundary: int) -> ClassificationResu
     reach = covers + [0]  # reach[t]: what the bases from position t on cover
     for t in range(n - 2, -1, -1):
         reach[t] |= reach[t + 1]
-    where = None  # base mask -> position bit, built on first need
+    where = exp = None  # base mask -> position bit, and the map; on first need
     # t * n + j (j < t) -> the pair's requirements, on its first visit
     repairs: list[Sequence[int] | None] = [None] * (n * n)
     picks: list[int] = []  # chosen positions, ascending
@@ -265,8 +252,9 @@ def _least_reduction(m: Matroid, kind: str, boundary: int) -> ClassificationResu
                     reqs = repairs[t * n + j]
                     if reqs is None:
                         if where is None:
-                            where = {b: 1 << i for i, b in enumerate(masks)}.get
-                        reqs = repairs[t * n + j] = _requirements(masks[t], masks[j], where)
+                            where = {b: 1 << i for i, b in enumerate(masks)}
+                            exp = _expansions(m) if m.rank else expansion_masks(masks)
+                        reqs = repairs[t * n + j] = _requirements(masks[t], masks[j], exp, where)
                     for r in reqs:
                         if r & now:
                             continue

@@ -45,7 +45,6 @@ from .setalgebra import (
     Partition,
     SetFamily,
     Subset,
-    _one_per_block,
     _partition_masks,
     _transversal_masks,
     combination_number,
@@ -199,7 +198,7 @@ def _check_lemma_e(m: Matroid) -> str | None:
             if hits != 1:
                 return (
                     f"element {m.ground.label(i)} of base {b} lies in "
-                    f"{hits} blocks of {forming_family_wrt(m, b)}"
+                    f"{hits} blocks of {SetFamily.from_masks(m.ground, blocks)}"
                 )
     return None
 
@@ -223,7 +222,7 @@ def _check_thm_50(m: Matroid) -> str | None:
 
 def _check_prop_h(m: Matroid) -> str | None:
     fam = forming_family(m)
-    if not one_per_block(m.bases.masks(), fam):
+    if not one_per_block(m.bases.masks(), fam.masks()):
         return f"some base does not meet every block of {fam} exactly once"
     return None
 
@@ -330,7 +329,7 @@ def _one_per_block_partitions(m: Matroid) -> list[list[int]]:
     """
     base_masks = m.bases.masks()
     walk = _partition_masks(m.support().mask, base_masks, m.rank)
-    return [blocks for blocks in walk if _one_per_block(base_masks, blocks)]
+    return [blocks for blocks in walk if one_per_block(base_masks, blocks)]
 
 
 def _check_thm_33(m: Matroid) -> str | None:
@@ -385,7 +384,7 @@ def _check_prop_103(m: Matroid) -> str | None:
 def _check_thm_334(m: Matroid) -> str | None:
     dual = m.dual()
     blocks = _flag_blocks(m)
-    kept = [b.mask for b in m.bases if _one_per_block((b.mask,), blocks)]
+    kept = [b.mask for b in m.bases if one_per_block((b.mask,), blocks)]
     picks = prod(k.bit_count() for k in blocks)
     if len(kept) != picks:
         flag = SetFamily.from_masks(m.ground, blocks)

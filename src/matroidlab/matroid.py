@@ -8,8 +8,9 @@ exist.
 
 The expansion map (`expansion_masks`) is the one place that decides whether
 a secondary base plus an element is a base: the exchange validator here, the
-forming families, both unique-expansion and unique-exchange classifiers and
-the enumerator's hyperplanes all read it.
+forming families, both unique-expansion and unique-exchange classifiers, the
+requirements of the minimality search and the enumerator's hyperplanes all
+read it.
 
 The exchange check (`first_exchange_violation`) decides a family in one pass:
 it passes exactly when every member meets every expansion mask.  A triple
@@ -100,30 +101,36 @@ def first_exchange_violation(
     matroid the expansion masks are the complements of hyperplanes, the
     cocircuits, and this is the fact that every base meets every cocircuit.)
 
-    Only a failing family is scanned pair by pair: ordered base pairs in
-    canonical order, removal candidates in ascending index order, so the
-    returned triple is the canonically least violation.
+    Only a failing family is scanned (`_least_triple`) for its canonically
+    least triple.
     """
     if exp is None:
         exp = expansion_masks(masks)
     for grows in set(exp.values()):
         for b in masks:
             if not b & grows:
-                return _least_exchange_violation(masks, exp)
+                return _least_triple(masks, exp)
     return None
 
 
-def _least_exchange_violation(
-    masks: Sequence[int], exp: dict[int, int]
+def _least_triple(
+    masks: Sequence[int], exp: dict[int, int], *, forked: bool = False
 ) -> tuple[int, int, int] | None:
-    """The pair scan naming a failing family's canonically least triple."""
+    """The canonically least (B1, B2, x) whose repair mask exp[B1 - x] & B2
+    is empty, or with `forked` holds two or more bits.
+
+    The one walk over exchange triples: ordered member pairs in the order of
+    `masks`, removals x in B1 - B2 by ascending index.  `exp` must hold every
+    B1 - x, as `expansion_masks(masks)` does.
+    """
     for b1 in masks:
         for b2 in masks:
             rest = b1 & ~b2
             while rest:
                 xbit = rest & -rest
                 rest ^= xbit
-                if not exp[b1 ^ xbit] & b2:
+                repairs = exp[b1 ^ xbit] & b2
+                if repairs & (repairs - 1) if forked else not repairs:
                     return b1, b2, xbit.bit_length() - 1
     return None
 

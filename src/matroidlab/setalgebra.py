@@ -445,18 +445,14 @@ def transversals(p: Partition) -> SetFamily:
     return SetFamily.from_masks(p.ground, picks)
 
 
-def _one_per_block(masks: Iterable[int], blocks: Sequence[int]) -> bool:
-    """Does every mask meet every block mask in exactly one element?"""
-    return all((x & k).bit_count() == 1 for x in masks for k in blocks)
-
-
-def one_per_block(masks: Iterable[int], blocks: Iterable[Subset]) -> bool:
-    """Does every mask meet every block in exactly one element?
+def one_per_block(masks: Iterable[int], blocks: Collection[int]) -> bool:
+    """Does every mask meet every block mask in exactly one element?
 
     The definitional twin of `transversals`: the subsets of `p.support()`
-    passing this test for the partition `p` are exactly `transversals(p)`.
+    passing this test for the block masks `p.family.masks()` of the
+    partition `p` are exactly `transversals(p)`.
     """
-    return _one_per_block(masks, [k.mask for k in blocks])
+    return all((x & k).bit_count() == 1 for x in masks for k in blocks)
 
 
 def _partition_masks(

@@ -384,7 +384,7 @@ def thm_33_oracle(m: Matroid) -> str | None:
     base support, one-per-block must agree with equality to the product."""
     base_masks = m.bases.masks()
     for p in all_partitions(m.support()):
-        once = one_per_block(base_masks, p)
+        once = one_per_block(base_masks, p.family.masks())
         prod = m.bases == transversals(p)
         if once != prod:
             return f"partition {p.family}: one-per-block {once} but product match {prod}"
@@ -395,7 +395,10 @@ def prop_103_oracle(m: Matroid) -> str | None:
     """The `prop_103` check on `Partition` values: the one-per-block support
     partitions are exactly the recovered partition, or none without one."""
     base_masks = m.bases.masks()
-    hits = [p for p in all_partitions(m.support()) if one_per_block(base_masks, p)]
+    hits = [
+        p for p in all_partitions(m.support())
+        if one_per_block(base_masks, p.family.masks())
+    ]
     recovered = recover_partition(m)
     if recovered is None:
         if hits:

@@ -278,6 +278,15 @@ class TestAgainstDefinitionOracles:
             make_unique_partition_matroid(g, Partition(SetFamily(g, blocks)))
         )
 
+    @pytest.mark.parametrize("r", [2, 3, 4])
+    def test_minimality_witness_on_uniform_six(self, r):
+        # U(2,6), U(3,6) and U(4,6), with 15, 20 and 15 bases: many of their
+        # base pairs are two swaps apart, each with four requirements read
+        # off the expansion map
+        g = GroundSet("123456")
+        bases = SetFamily(g, [g.subset_of(c) for c in combinations(range(6), r)])
+        _assert_minimality_witnesses(Matroid.from_bases(g, bases))
+
     def test_unique_expansion_matches_oracle_witness(self):
         from oracles import unique_expansion_oracle
 

@@ -27,7 +27,7 @@ from matroidlab import forming as forming_module
 from matroidlab import forming_family, harness, recover_partition
 from matroidlab import matroid as matroid_module
 from matroidlab.errors import AxiomError, SearchCapExceeded, UnequalCardinality
-from matroidlab.setalgebra import _one_per_block, _partition_masks
+from matroidlab.setalgebra import _partition_masks, one_per_block
 
 from large_grounds import large_ground_matroids, rank_one_uniform
 from oracles import (
@@ -83,6 +83,13 @@ def _one_per_block_matroid_missing_its_last_base(monkeypatch):
         return Matroid._trusted(ground, SetFamily(ground, list(upm.bases)[:-1]))
 
     monkeypatch.setattr(harness, "make_unique_partition_matroid", dropped)
+
+
+def _forming_blocks_missing_the_last(monkeypatch):
+    # drop the block of each base's last element: that element then lies in
+    # no block, so no base-relative forming family is whole
+    real = harness._forming_masks_wrt
+    monkeypatch.setattr(harness, "_forming_masks_wrt", lambda m, b: real(m, b)[:-1])
 
 
 def _flag_missing_an_element(monkeypatch):
@@ -540,10 +547,28 @@ class TestFormingChecksAgainstOracles:
         ("prop_124", prop_124_oracle),
         ("lemma_e", lemma_e_oracle),
     ]
-    # lemma_e cannot fail: the block of each base element holds that element
-    # and no other element of the base
+    # lemma_e cannot fail on any family: the block of each base element holds
+    # that element and no other element of the base
     EQUAL_SIZE_FAILURES = {"prop_341": 0, "prop_124": 27, "lemma_e": 0}
     MIXED_FAILURES = {"prop_341": 1672, "prop_124": 1845, "lemma_e": 0}
+
+    # a broken block list fails all three checks on every rank-positive
+    # matroid; the first witness and a digest of every witness, in report
+    # order, pin each check's failure text
+    MUTANTS = [
+        (
+            "prop_341", "|forming family wrt {1}| = 0 != rank 1",
+            "afc729c87c3ec0407d525ad00ce8897cb73522fa72f0667ff4dc4fffd37e1425",
+        ),
+        (
+            "prop_124", "union of forming family wrt {1} is {} != {1}",
+            "9a2346b8900bb21d3a170ec72c9cf78c86d7bb5498746fb9a562f9079bdbe88e",
+        ),
+        (
+            "lemma_e", "element 1 of base {1} lies in 0 blocks of {}",
+            "4ae0697a7a802fc5ce25f0837508e1e4df8217c4f7f5641dc3144793bdb9cac0",
+        ),
+    ]
 
     @staticmethod
     def _failures(check_id, oracle, families):
@@ -572,6 +597,16 @@ class TestFormingChecksAgainstOracles:
     def test_mixed_size_families(self, check_id, oracle):
         failed = self._failures(check_id, oracle, mixed_size_families())
         assert failed == self.MIXED_FAILURES[check_id]
+
+    @pytest.mark.parametrize("check_id,detail,digest", MUTANTS)
+    def test_mutant_failure_detail_is_pinned(self, monkeypatch, check_id, detail, digest):
+        _forming_blocks_missing_the_last(monkeypatch)
+        outcome = verify(population(4), [lookup_check(check_id)]).outcomes[0]
+        assert (outcome.applicable, outcome.failed) == (87, 87)
+        first = {"ground_set": ["1"], "bases": [["1"]]}
+        assert outcome.witnesses[0] == {"matroid": first, "detail": detail}
+        witnesses = json.dumps(outcome.witnesses).encode()
+        assert hashlib.sha256(witnesses).hexdigest() == digest
 
 
 class TestPartitionChecksAgainstOracles:
@@ -604,7 +639,7 @@ class TestPartitionChecksAgainstOracles:
             bases = m.bases.masks()
             assert harness._one_per_block_partitions(m) == [
                 blocks for blocks in _partition_masks(m.support().mask)
-                if _one_per_block(bases, blocks)
+                if one_per_block(bases, blocks)
             ]
 
     def test_partitions_are_not_memoized(self, monkeypatch):

@@ -44,6 +44,7 @@ from oracles import (
     independence_violation_oracle,
     mixed_size_families,
     rank_oracle,
+    unique_exchange_oracle,
 )
 
 
@@ -170,10 +171,10 @@ class TestFromBases:
     def test_passing_families_skip_the_pair_scan(self, monkeypatch):
         # the one pass decides a passing family; only a failing one is
         # scanned pair by pair for its least triple
-        def scan(masks, exp):
+        def scan(masks, exp, *, forked=False):
             raise AssertionError(f"pair scan on {masks}")
 
-        monkeypatch.setattr(matroid_module, "_least_exchange_violation", scan)
+        monkeypatch.setattr(matroid_module, "_least_triple", scan)
         for m in enumerate_matroids(5):
             for family in (m.bases, complements(m.bases)):
                 assert first_exchange_violation([b.mask for b in family.sets]) is None
@@ -181,11 +182,17 @@ class TestFromBases:
     @settings(max_examples=300, deadline=None)
     @given(wide_families())
     def test_validator_matches_probe_scan_past_the_byte_table(self, masks):
-        # passing and failing families on 9-10 elements, past the byte table
+        # passing and failing families on 9-10 elements, past the byte table;
+        # the unique exchange scan walks the same triples on the same family
         assert max(masks) >= 256
         assert first_exchange_violation(masks) == exchange_scan_oracle(
             masks, frozenset(masks)
         )
+        ground = GroundSet(str(i) for i in range(1, max(masks).bit_length() + 1))
+        family = Matroid._trusted(ground, SetFamily.from_masks(ground, masks))
+        w = is_unique_exchange(family).witness
+        got = None if w is None else (w.base1, w.base2, w.removed, w.y1, w.y2)
+        assert got == unique_exchange_oracle(family)
 
 
 class TestFromIndependents:

@@ -23,7 +23,6 @@ from matroidlab.errors import GroundSetTooLarge
 from matroidlab.setalgebra import (
     _BYTE_RANK,
     _bit_indices,
-    _one_per_block,
     _partition_masks,
     _transversal_masks,
     canonical_key,
@@ -432,10 +431,10 @@ class TestOnePerBlock:
         support = g.subset("1", "2", "3", "4")
         for p in list(all_partitions(support)) + [Partition(fam(g))]:
             passing = {
-                x.mask for x in p.support().subsets() if one_per_block((x.mask,), p)
+                x.mask for x in p.support().subsets() if one_per_block((x.mask,), p.family.masks())
             }
             assert passing == transversals(p).masks()
-            assert one_per_block(transversals(p).masks(), p)
+            assert one_per_block(transversals(p).masks(), p.family.masks())
 
     def test_every_product_pick_meets_each_block_once(self):
         # the fact `thm_33` rests on: a partition the bases miss never
@@ -444,11 +443,11 @@ class TestOnePerBlock:
         partitions = list(_partition_masks(support))
         assert len(partitions) == 52
         for blocks in partitions:
-            assert _one_per_block(_transversal_masks(blocks), blocks)
+            assert one_per_block(_transversal_masks(blocks), blocks)
 
     def test_one_miss_fails(self, g3):
         p = Partition(fam(g3, "1", "23"))
-        assert not one_per_block([0b011, 0b110], p)
+        assert not one_per_block([0b011, 0b110], p.family.masks())
 
 
 # hypothesis strategies over small universes
