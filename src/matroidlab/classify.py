@@ -148,11 +148,11 @@ def _requirements(
     in the expansion mask exp[B1 - x], and `where` gives each base's
     position bit.
     """
-    out = b1 & ~b2
-    if not out & (out - 1):
+    out, back = b1 & ~b2, b2 & ~b1
+    if out and back and not out & (out - 1) and not back & (back - 1):
         return ()  # one swap apart: each repairs the other
     reqs = []
-    for base, other, rest in ((b1, b2, out), (b2, b1, b2 & ~b1)):
+    for base, other, rest in ((b1, b2, out), (b2, b1, back)):
         while rest:
             xbit = rest & -rest
             rest ^= xbit

@@ -24,11 +24,12 @@ pair by pair, for its canonically least triple.
 
 Facts derived from the bases (the independent sets, the expansion map, the
 forming family, the unique-expansion verdict, the recovered partition, the
-union and intersection minimality results) are computed at most once per
-matroid value and kept in its memo slot; since a matroid is immutable they
-can never go stale.  A matroid built by `from_bases` (a dual included) is a
-new value whose memo starts with the expansion map its exchange check built,
-at positive rank, and nothing else.
+union and intersection minimality results, the dual) are computed at most
+once per matroid value and kept in its memo slot; since a matroid is
+immutable they can never go stale.  A matroid built by `from_bases` is a new
+value whose memo starts with the expansion map its exchange check built, at
+positive rank, and nothing else.  The dual is such a value too: it is kept
+in its matroid's memo, but its own memo does not point back.
 """
 
 from __future__ import annotations
@@ -283,9 +284,16 @@ class Matroid:
         """The matroid whose bases are the complements of this one's bases.
 
         Duality of a valid matroid always yields a valid matroid; validation
-        still runs as a self-check.
+        still runs as a self-check, once per matroid, since the dual is kept
+        in the memo.  The dual's memo holds no back-pointer, so
+        `m.dual().dual()` is a new validated matroid equal to `m`: a pointer
+        back would make each matroid and its dual a reference cycle, which
+        only the cyclic collector frees, so a streamed population would stay
+        alive between collections.
         """
-        return Matroid.from_bases(self.ground, complements(self.bases))
+        return self._fact(
+            "dual", lambda: Matroid.from_bases(self.ground, complements(self.bases))
+        )
 
     def to_doc(self) -> dict:
         """Canonical JSON-ready document: ground set labels and base label lists."""

@@ -325,6 +325,21 @@ class TestAgainstDefinitionOracles:
             assert res.witness.subfamily == fam(g, want), kind
 
 
+    def test_minimality_search_matches_oracle_on_mixed_families(self):
+        # two bases are one swap apart only when each holds exactly one
+        # element the other lacks: {1} and {} are not, since ({1}, {}, 1)
+        # has no repair, so {{},{1}} is no intersection witness of
+        # {{},{1},{2}}; every family has at most 8 sets, under the search cap
+        from oracles import minimality_witness_oracle, mixed_size_families
+
+        for family in mixed_size_families():
+            for kind in ("union", "intersection"):
+                fresh = Matroid._trusted(family.ground, family.bases)
+                res = _minimality_search(fresh, kind)
+                got = None if res.verdict else res.witness.subfamily
+                assert got == minimality_witness_oracle(family, kind), (family, kind)
+
+
 class TestClassImplicationsOverPopulation:
     def test_unique_expansion_closes_downward(self):
         # expansion-unique implies exchange-unique and union minimal

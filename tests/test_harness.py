@@ -193,11 +193,16 @@ class TestVerify:
         )
 
     @staticmethod
-    def _drawn_alive(keep: bool) -> list[int]:
+    def _drawn_alive(
+        keep: bool = False, collect: bool = True, cycle: bool = False
+    ) -> list[int]:
         # the number of matroids drawn from the stream that are still alive,
         # sampled at every 50th draw; a drawn matroid is told apart by its
         # class, so the values its checks build and keep in its memo (its
-        # one-per-block matroid, say) are not counted
+        # one-per-block matroid, its dual) are not counted.  Without
+        # `collect` the cyclic collector is off for the whole run, so only
+        # reference counts free a drawn matroid; with `cycle` each one holds
+        # itself in its memo
         alive, kept = [], []
 
         def stream():
@@ -205,16 +210,26 @@ class TestVerify:
                 chain.from_iterable(enumerate_matroids(n) for n in range(1, 6))
             ):
                 if i % 50 == 0:
-                    gc.collect()
+                    if collect:
+                        gc.collect()
                     alive.append(
                         sum(isinstance(o, _DrawnMatroid) for o in gc.get_objects())
                     )
                 drawn = _DrawnMatroid._trusted(m.ground, m.bases)
                 if keep:
                     kept.append(drawn)
+                if cycle:
+                    drawn._facts = {"self": drawn}
                 yield drawn
 
-        report = verify(stream())
+        enabled = gc.isenabled()
+        if not collect:
+            gc.disable()
+        try:
+            report = verify(stream())
+        finally:
+            if enabled:
+                gc.enable()
         assert (report.total, report.failures) == (497, 0)
         assert len(alive) == 10
         return alive
@@ -228,6 +243,16 @@ class TestVerify:
         # negative control: a stream that keeps every matroid it draws must
         # show up in the count the test above bounds
         assert max(self._drawn_alive(keep=True)) > 2
+
+    def test_streamed_population_needs_no_collector(self):
+        # reference counts alone free each matroid after its checks, so no
+        # value kept in its memo (its dual, say) points back at it
+        assert max(self._drawn_alive(collect=False)) <= 2
+
+    def test_self_referencing_population_breaks_the_bound(self):
+        # negative control: a matroid held in its own memo is a reference
+        # cycle, which without the collector outlives its checks
+        assert max(self._drawn_alive(collect=False, cycle=True)) > 2
 
     def test_check_filter(self):
         registry = [lookup_check("prop_100"), lookup_check("dual_involution")]
@@ -535,6 +560,24 @@ class TestThm334:
         assert {w["detail"] for w in outcome.witnesses} == {
             "union minimal True but dual intersection minimal False"
         }
+
+
+class TestDualInvolution:
+    def test_mutant_failure_detail_is_pinned(self, monkeypatch):
+        # a dual missing its last base fails on every matroid with two or
+        # more bases; the first witness and a digest of every witness pin
+        # the failure text
+        _dual_missing_its_last_base(monkeypatch)
+        outcome = verify(population(4), [lookup_check("dual_involution")]).outcomes[0]
+        assert (outcome.applicable, outcome.failed) == (91, 61)
+        assert outcome.witnesses[0] == {
+            "matroid": {"ground_set": ["1", "2"], "bases": [["1"], ["2"]]},
+            "detail": "double dual differs from the original",
+        }
+        witnesses = json.dumps(outcome.witnesses).encode()
+        assert hashlib.sha256(witnesses).hexdigest() == (
+            "6466118f9bf0e24a781e065c04bafb8c01744c51ba1372d82e56cd01461d8856"
+        )
 
 
 class TestFormingChecksAgainstOracles:

@@ -321,6 +321,15 @@ class TestDual:
             assert m.rank + d.rank == m.ground.size
             assert d.bases == complements(m.bases)
 
+    def test_dual_is_kept_without_a_back_pointer(self):
+        # the dual is built once per matroid, and its memo does not point
+        # back: the double dual is a new matroid equal to the original
+        for m in _population(4):
+            d = m.dual()
+            assert m.dual() is d
+            assert d.dual() == m
+            assert d.dual() is not m
+
     def test_definition_route_agrees(self):
         # the dual's independence family is the downward closure of the
         # complemented bases; rebuilding through the independence axioms
