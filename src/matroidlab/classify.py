@@ -17,8 +17,8 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import RankZero, SearchCapExceeded
-from .forming import _expansions, forming_family
-from .matroid import Matroid, _least_triple, expansion_masks
+from .forming import forming_family
+from .matroid import Matroid, _least_triple
 from .setalgebra import (
     Partition,
     SetFamily,
@@ -86,7 +86,7 @@ def is_unique_expansion(m: Matroid) -> ClassificationResult:
 
 
 def _unique_expansion(m: Matroid) -> ClassificationResult:
-    exp = _expansions(m)
+    exp = m._expansion_map()
     ground = m.ground
     for a in sorted(exp, key=mask_order_key(ground.size)):
         for b in m.bases:
@@ -104,15 +104,14 @@ def is_unique_exchange(m: Matroid) -> ClassificationResult:
     """After removing x from base1, is the repairing element of base2 unique?
 
     The repairs of (B1, B2, x) are the bits of B2 in the expansion mask of
-    B1 - x, read from the matroid's memoized map at positive rank; a family
-    whose first member is empty (rank zero) still gets its own map, since an
-    unvalidated one may hold larger sets.  Vacuously true when no pair of
-    bases offers two repairs (in particular for a rank-zero matroid); the
-    witness is the least (B1, B2, x, y1, y2) otherwise, its triple named by
-    the exchange validator's own scan (`matroid._least_triple`).
+    B1 - x, read from the matroid's memoized map at every rank.  Vacuously
+    true when no pair of bases offers two repairs (in particular for a
+    rank-zero matroid); the witness is the least (B1, B2, x, y1, y2)
+    otherwise, its triple named by the exchange validator's own scan
+    (`matroid._least_triple`).
     """
     masks = [b.mask for b in m.bases.sets]
-    exp = _expansions(m) if m.rank else expansion_masks(masks)
+    exp = m._expansion_map()
     triple = _least_triple(masks, exp, forked=True)
     if triple is None:
         return ClassificationResult(True, None)
@@ -253,7 +252,7 @@ def _least_reduction(m: Matroid, kind: str, boundary: int) -> ClassificationResu
                     if reqs is None:
                         if where is None:
                             where = {b: 1 << i for i, b in enumerate(masks)}
-                            exp = _expansions(m) if m.rank else expansion_masks(masks)
+                            exp = m._expansion_map()
                         reqs = repairs[t * n + j] = _requirements(masks[t], masks[j], exp, where)
                     for r in reqs:
                         if r & now:
@@ -349,7 +348,7 @@ def intersection_minimal(m: Matroid) -> bool:
     when M* has rank zero or is unique expansion (see `union_minimal`), at
     any number of bases.
     """
-    return m.rank == m.ground.size or is_unique_expansion(m.dual()).verdict
+    return union_minimal(m.dual())
 
 
 def _witness(m: Matroid, kind: str) -> ClassificationResult:

@@ -209,7 +209,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         repeated = sorted({c for c in wanted if wanted.count(c) > 1})
         if repeated:
             raise ParseError(f"--checks repeats {', '.join(repeated)}")
-        registry = [lookup_check(check_id, registry) for check_id in wanted]
+        registry = [lookup_check(check_id) for check_id in wanted]
     # each call rejects a bad n when made, before any matroid is drawn
     streams = [enumerate_matroids(n) for n in range(1, args.n + 1)]
     report = verify(chain.from_iterable(streams), registry)

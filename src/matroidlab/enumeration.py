@@ -84,9 +84,6 @@ def _extensions(bases: tuple[int, ...], r: int, n: int) -> Iterator[list[int]]:
     element n - 1 has the given bases (on n - 1 elements) and rank r."""
     e = 1 << (n - 1)
     yield [b | e for b in bases]
-    if r == 0:
-        yield list(bases)
-        return
     exp = expansion_masks(bases)
     hyperplanes: list[int] = []
     where: dict[int, int] = {}

@@ -4,25 +4,23 @@ A secondary base A has rank r - 1, so A + e has rank r exactly when A + e is
 a base.  One pass that deletes each element e from each base B therefore
 yields every secondary base B - e with its expansion set
 (`matroid.expansion_masks`, the map that also validates bases), with no rank
-computation; `expansion` is the general operator for any subset.  A
-matroid's expansion map and forming family are computed once and kept in its
-memo (`Matroid._fact`), so the per-base forming families and the unique
-expansion and exchange classifiers read the same map; `Matroid.from_bases`
-seeds the map with the one its validation built.
+computation; `expansion` is the general operator for any subset.  The map is
+the matroid's own (`Matroid._expansion_map`), so the per-base forming
+families and both unique classifiers read one map, and the forming family is
+kept in the matroid's memo beside it.
 """
 
 from __future__ import annotations
 
 from .errors import NotABase, RankZero
-from .matroid import EXPANSIONS_FACT, Matroid, expansion_masks
+from .matroid import Matroid
 from .setalgebra import SetFamily, Subset
 
 
 def _expansions(m: Matroid, what: str = "secondary bases") -> dict[int, int]:
     if m.rank == 0:
         raise RankZero(f"{what} are undefined at rank zero")
-    # shared with every caller through the memo: read it, never mutate it
-    return m._fact(EXPANSIONS_FACT, lambda: expansion_masks(m.bases.masks()))
+    return m._expansion_map()
 
 
 def secondary_bases(m: Matroid) -> SetFamily:

@@ -154,6 +154,7 @@ def _check_thm_123(m: Matroid) -> str | None:
     return f"no y in {b2}-{b1} with ({b2}-{{y}})+{{{m.ground.label(x)}}} a base"
 
 
+# one mask per element of B, so this fails exactly where prop_100 does
 def _check_prop_341(m: Matroid) -> str | None:
     for b in m.bases:
         count = len(_forming_masks_wrt(m, b))
@@ -162,6 +163,7 @@ def _check_prop_341(m: Matroid) -> str | None:
     return None
 
 
+# cannot fail: the first base alone gives r distinct blocks, exp[B - e] per e
 def _check_cor_423(m: Matroid) -> str | None:
     fam = forming_family(m)
     if len(fam) < m.rank:
@@ -169,6 +171,7 @@ def _check_cor_423(m: Matroid) -> str | None:
     return None
 
 
+# cannot fail: each e of a base B lies in exp[B - e], and blocks hold only such e
 def _check_prop_46(m: Matroid) -> str | None:
     u = forming_family(m).union()
     if u != m.support():
@@ -190,6 +193,7 @@ def _check_prop_124(m: Matroid) -> str | None:
     return None
 
 
+# cannot fail: each block exp[B - e] holds e and no other element of B
 def _check_lemma_e(m: Matroid) -> str | None:
     for b in m.bases:
         blocks = _forming_masks_wrt(m, b)
@@ -434,6 +438,7 @@ def _check_thm_552(m: Matroid) -> str | None:
     return None
 
 
+# cannot fail: unique expansion already bounds every exp[B1 - x] & B2 by one bit
 def _check_prop_118(m: Matroid) -> str | None:
     res = is_unique_exchange(m)
     if not res.verdict:
@@ -602,8 +607,8 @@ def theorem_registry() -> list[TheoremCheck]:
     ]
 
 
-def lookup_check(check_id: str, registry: list[TheoremCheck] | None = None) -> TheoremCheck:
-    for check in registry if registry is not None else theorem_registry():
+def lookup_check(check_id: str) -> TheoremCheck:
+    for check in theorem_registry():
         if check.check_id == check_id:
             return check
     raise KeyError(f"no check named {check_id!r}")

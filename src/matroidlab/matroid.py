@@ -28,8 +28,8 @@ union and intersection minimality results, the dual) are computed at most
 once per matroid value and kept in its memo slot; since a matroid is
 immutable they can never go stale.  A matroid built by `from_bases` is a new
 value whose memo starts with the expansion map its exchange check built, at
-positive rank, and nothing else.  The dual is such a value too: it is kept
-in its matroid's memo, but its own memo does not point back.
+every rank, and nothing else; `Matroid._expansion_map` owns it.  The dual is
+such a value too: kept in its matroid's memo, its own memo does not point back.
 """
 
 from __future__ import annotations
@@ -59,10 +59,6 @@ from .setalgebra import (
 )
 
 T = TypeVar("T")
-
-# the memo key of the expansion map, which `from_bases` seeds and
-# `forming._expansions` reads
-EXPANSIONS_FACT = "expansions"
 
 
 def expansion_masks(base_masks: Iterable[int]) -> dict[int, int]:
@@ -167,6 +163,10 @@ class Matroid:
             facts[name] = compute()
         return facts[name]
 
+    def _expansion_map(self) -> dict[int, int]:
+        """The memoized `expansion_masks` of the bases: read it, never mutate it."""
+        return self._fact("expansions", lambda: expansion_masks(self.bases.masks()))
+
     @classmethod
     def from_bases(cls, ground: GroundSet, candidate: SetFamily) -> Matroid:
         """Validate a candidate base family and build the matroid.
@@ -174,9 +174,9 @@ class Matroid:
         Checks run in order: nonemptiness, equal cardinality (for a clearer
         message than a bare exchange failure), then the exchange requirement
         (`first_exchange_violation`: one pass over expansion masks and bases,
-        and a pair scan only for a failing family's least triple).  At
-        positive rank the expansion map that check builds seeds the new
-        matroid's memo, where `forming` reads it.
+        and a pair scan only for a failing family's least triple).  The
+        expansion map that check builds seeds the new matroid's memo, where
+        `_expansion_map` reads it.
         """
         if candidate.ground != ground:
             raise ValueError("candidate family lives on a different ground set")
@@ -196,8 +196,7 @@ class Matroid:
                 Subset(ground, b1), Subset(ground, b2), ground.label(x)
             )
         m = cls._trusted(ground, candidate)
-        if m.rank:
-            m._facts = {EXPANSIONS_FACT: exp}
+        m._facts = {"expansions": exp}
         return m
 
     @classmethod

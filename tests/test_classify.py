@@ -381,6 +381,54 @@ class TestClassImplicationsOverPopulation:
             )
 
 
+class TestRankZeroExpansionMap:
+    """At rank zero the classifiers read the one memoized map too: each
+    matroid builds it at most once, and the verdicts and witnesses are the
+    oracles'."""
+
+    @staticmethod
+    def _rank_zero_families():
+        out = []
+        for n in range(1, 5):
+            g = GroundSet(str(i) for i in range(1, n + 1))
+            zero = fam(g, "")
+            # U(0,n) validated (its map seeded) and unvalidated (built on use)
+            out += [Matroid.from_bases(g, zero), Matroid._trusted(g, zero)]
+        g = GroundSet("12")
+        out.append(Matroid._trusted(g, fam(g, "", "1", "2")))
+        return out
+
+    def test_map_is_built_at_most_once_and_matches_the_oracles(self, monkeypatch):
+        from oracles import minimality_witness_oracle, unique_exchange_oracle
+
+        builds = []
+        real = Matroid._fact
+
+        def counted(self, name, compute):
+            if name == "expansions" and name not in (self._facts or {}):
+                builds.append(self)
+            return real(self, name, compute)
+
+        monkeypatch.setattr(Matroid, "_fact", counted)
+        families = self._rank_zero_families()
+        for m in families:
+            assert m.rank == 0
+            for kind in ("union", "intersection"):
+                res = _minimality_search(m, kind)
+                got = None if res.verdict else res.witness.subfamily
+                assert got == minimality_witness_oracle(m, kind), (m, kind)
+            assert _exchange_witness(m) == unique_exchange_oracle(m), m
+        assert len({id(m) for m in builds}) == len(builds)
+        # the validated U(0,n) came with its map; the others built theirs once
+        assert len(builds) == len(families) - 4
+        # {{},{1},{2}} is not union minimal (its singletons cover the
+        # support), and its search alone keeps the map in the memo
+        last = families[-1]
+        fresh = Matroid._trusted(last.ground, last.bases)
+        assert not _minimality_search(fresh, "union").verdict
+        assert builds[-1] is fresh and fresh._facts["expansions"]
+
+
 def _exchange_witness(m):
     res = is_unique_exchange(m)
     w = res.witness

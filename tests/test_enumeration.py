@@ -7,7 +7,7 @@ from matroidlab import (
     enumerate_matroids,
     enumeration_ground,
 )
-from matroidlab.enumeration import _families
+from matroidlab.enumeration import _extensions, _families
 from matroidlab.errors import GroundSetTooLarge
 
 from oracles import all_antichain_matroids, exchange_scan_families
@@ -115,6 +115,12 @@ class TestStreamProperties:
         for n in (1, 2, 3, 4, 5, 6):
             for m in enumerate_matroids(n):
                 assert Matroid.from_bases(m.ground, m.bases) == m
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_rank_zero_extensions(self, n):
+        # the new element as a coloop, then as a loop: the empty map of {}
+        # has the one empty linear subclass, which adds no base
+        assert list(_extensions((0,), 0, n)) == [[1 << (n - 1)], [0]]
 
     @pytest.mark.parametrize("n", [0, 7, -1])
     def test_size_guard(self, n):

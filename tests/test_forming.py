@@ -13,7 +13,7 @@ from matroidlab import (
     secondary_bases,
 )
 from matroidlab.errors import NotABase, RankZero
-from matroidlab.forming import expansion_masks
+from matroidlab.matroid import expansion_masks
 
 from oracles import expansion_oracle
 

@@ -23,7 +23,6 @@ from matroidlab import (
     verify,
 )
 from matroidlab import classify as classify_module
-from matroidlab import forming as forming_module
 from matroidlab import forming_family, harness, recover_partition
 from matroidlab import matroid as matroid_module
 from matroidlab.errors import AxiomError, SearchCapExceeded, UnequalCardinality
@@ -725,22 +724,25 @@ class TestFactsMemo:
         assert cold == warm == rebuilt
 
     def test_expansion_map_is_built_once_per_matroid(self, monkeypatch):
+        # a build is a request for the map's memo key that the memo does not
+        # hold yet, whoever asks for it
         calls = []
-        real = forming_module.expansion_masks
+        real = Matroid._fact
 
-        def counted(base_masks):
-            calls.append(1)
-            return real(base_masks)
+        def counted(self, name, compute):
+            if name == "expansions" and name not in (self._facts or {}):
+                calls.append(1)
+            return real(self, name, compute)
 
-        monkeypatch.setattr(forming_module, "expansion_masks", counted)
+        monkeypatch.setattr(Matroid, "_fact", counted)
         pop = [m for m in enumerate_matroids(4) if m.rank > 0]
         # thm_321 takes the forming family of a matroid it builds itself
         registry = [c for c in theorem_registry() if c.check_id != "thm_321"]
         assert verify(pop, registry).failures == 0
         # thm_120 classifies each matroid's dual, a new value whose memo
-        # `from_bases` seeds with the map its validation built, so the 50
-        # positive-rank duals build none here; a rank-zero dual builds a
-        # throwaway map outside the memo
+        # `from_bases` seeds with the map its validation built, at every
+        # rank, so neither the 50 positive-rank duals nor the rank-zero ones
+        # build a map here
         thm_120 = lookup_check("thm_120")
         duals = [m for m in pop if thm_120.applies(m) and m.rank < m.ground.size]
         assert (len(pop), len(duals)) == (67, 50)

@@ -127,6 +127,15 @@ class TestFromBases:
         assert m.rank == 0
         assert m.support() == g3.empty()
 
+    def test_rank_zero_memo_keeps_the_seeded_empty_map(self, g3):
+        # the map is seeded at every rank; at rank zero it is empty, and
+        # reading it builds nothing new
+        m = Matroid.from_bases(g3, fam(g3, ""))
+        seeded = m._expansion_map()
+        assert seeded == {}
+        assert m._facts == {"expansions": seeded}
+        assert m._expansion_map() is seeded
+
     @settings(max_examples=200, deadline=None)
     @given(st.data())
     def test_random_candidates_validate_or_witness(self, data):

@@ -87,3 +87,35 @@ def test_no_module_reads_the_environment():
         if _reads_environment(node)
     ]
     assert found == []
+
+
+def _unused_imports(tree: ast.Module) -> list[tuple[str, int]]:
+    """The names a module imports and never reads, with their lines."""
+    imported: dict[str, int] = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.partition(".")[0]
+                imported[name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(
+        (name, line) for name, line in imported.items() if name not in used
+    )
+
+
+def test_no_library_module_imports_a_name_it_never_uses():
+    # `__init__.py` imports to re-export; any other module that imports a
+    # name it never reads keeps a dead alias alive, which callers may then
+    # import from the wrong place
+    modules = sorted(
+        path for path in PACKAGE.rglob("*.py") if path.name != "__init__.py"
+    )
+    assert modules
+    found = [
+        f"{path.relative_to(PACKAGE)}:{line} {name}"
+        for path in modules
+        for name, line in _unused_imports(ast.parse(path.read_text(encoding="utf-8")))
+    ]
+    assert found == []
