@@ -18,7 +18,7 @@ from typing import Sequence
 
 from .errors import RankZero, SearchCapExceeded
 from .forming import forming_family
-from .matroid import Matroid, _least_triple
+from .matroid import Matroid, _expansion_of, _least_triple
 from .setalgebra import (
     Partition,
     SetFamily,
@@ -311,30 +311,16 @@ def union_minimal(m: Matroid) -> bool:
 def _flag_blocks(m: Matroid) -> list[int]:
     """The blocks Fi - Fi-1 of the lowest maximal chain of flats of
     `union_minimal`'s proof, as masks: F0 = cl({}), and each next flat is the
-    closure of the one before plus its lowest element outside.
-
-    One pass over the bases gives a closure: with r = max |B & X|, cl(X) is
-    the ground set less every B - X with |B & X| = r, since X + e has rank
-    r + 1 exactly when e lies in such a B.
+    closure of the one before plus its lowest element outside.  Each closure
+    is the ground set less an expansion (`matroid._expansion_of`).
     """
     masks = m.bases.masks()
     full = (1 << m.ground.size) - 1
-
-    def closure(x: int) -> int:
-        r, grow = -1, 0
-        for b in masks:
-            k = (b & x).bit_count()
-            if k > r:
-                r, grow = k, b
-            elif k == r:
-                grow |= b
-        return full ^ (grow & ~x)
-
-    flat = closure(0)
+    flat = full ^ _expansion_of(masks, 0)
     blocks = []
     while flat != full:
         rest = full ^ flat
-        step = closure(flat | (rest & -rest))
+        step = full ^ _expansion_of(masks, flat | (rest & -rest))
         blocks.append(step ^ flat)
         flat = step
     return blocks

@@ -4,16 +4,19 @@ A secondary base A has rank r - 1, so A + e has rank r exactly when A + e is
 a base.  One pass that deletes each element e from each base B therefore
 yields every secondary base B - e with its expansion set
 (`matroid.expansion_masks`, the map that also validates bases), with no rank
-computation; `expansion` is the general operator for any subset.  The map is
-the matroid's own (`Matroid._expansion_map`), so the per-base forming
-families and both unique classifiers read one map, and the forming family is
-kept in the matroid's memo beside it.
+computation.  The map is the matroid's own (`Matroid._expansion_map`), so
+the per-base forming families and both unique classifiers read one map, and
+the forming family is kept in the matroid's memo beside it.
+
+`expansion` is the general operator for any subset X: the complement of the
+closure of X, in one pass over the bases (`matroid._expansion_of`, which the
+flag of flats in `classify` reads too).
 """
 
 from __future__ import annotations
 
 from .errors import NotABase, RankZero
-from .matroid import Matroid
+from .matroid import Matroid, _expansion_of
 from .setalgebra import SetFamily, Subset
 
 
@@ -35,20 +38,14 @@ def secondary_bases(m: Matroid) -> SetFamily:
 def expansion(m: Matroid, x: Subset) -> Subset:
     """Elements whose addition raises the rank of `x` by one, for any subset.
 
-    Always disjoint from `x` itself, since adding a present element leaves the
-    rank unchanged.  On a secondary base it agrees with `expansion_masks`.
+    This is the complement of the closure of `x`, from one pass over the
+    bases (`matroid._expansion_of`).  Always disjoint from `x` itself, since
+    adding a present element leaves the rank unchanged.  On a secondary base
+    it agrees with `expansion_masks`.
     """
     if x.ground != m.ground:
         raise ValueError("subset lives on a different ground set")
-    r = m.rank_of(x)
-    out = 0
-    for i in range(m.ground.size):
-        bit = 1 << i
-        if bit & x.mask:
-            continue
-        if m.rank_of(Subset(m.ground, x.mask | bit)) == r + 1:
-            out |= bit
-    return Subset(m.ground, out)
+    return Subset(m.ground, _expansion_of(m.bases.masks(), x.mask))
 
 
 def forming_family(m: Matroid) -> SetFamily:

@@ -10,7 +10,8 @@ The expansion map (`expansion_masks`) is the one place that decides whether
 a secondary base plus an element is a base: the exchange validator here, the
 forming families, both unique-expansion and unique-exchange classifiers, the
 requirements of the minimality search and the enumerator's hyperplanes all
-read it.
+read it.  For any subset, `_expansion_of` is the one closure pass: the
+expansion operator and the flag of flats read it.
 
 The exchange check (`first_exchange_violation`) decides a family in one pass:
 it passes exactly when every member meets every expansion mask.  A triple
@@ -77,6 +78,26 @@ def expansion_masks(base_masks: Iterable[int]) -> dict[int, int]:
             rest ^= bit
             exp[base ^ bit] = exp.get(base ^ bit, 0) | bit
     return exp
+
+
+def _expansion_of(base_masks: Iterable[int], x: int) -> int:
+    """The elements whose addition raises the rank of the mask `x`: the
+    complement of its closure, in one pass over the bases.
+
+    With r = max |B & x|, the rank of x, this is the union of the bases B
+    with |B & x| = r, less x, since x + e has rank r + 1 exactly when e lies
+    in such a B.  If it does, (B & x) + e is an independent (r + 1)-subset of
+    x + e.  Conversely, an independent (r + 1)-subset of x + e holds e and
+    extends to a base B, which meets x in at least r elements, so exactly r.
+    """
+    r, grow = -1, 0
+    for b in base_masks:
+        k = (b & x).bit_count()
+        if k > r:
+            r, grow = k, b
+        elif k == r:
+            grow |= b
+    return grow & ~x
 
 
 def first_exchange_violation(
@@ -254,12 +275,6 @@ class Matroid:
     def independents(self) -> SetFamily:
         """The full independence family (downward closure of the bases), cached."""
         return self._fact("independents", lambda: low(self.bases))
-
-    def is_independent(self, x: Subset) -> bool:
-        """True iff `x` is contained in some base."""
-        if x.ground != self.ground:
-            raise ValueError("subset lives on a different ground set")
-        return any(x.mask & ~m == 0 for m in self.bases.masks())
 
     def rank_of(self, x: Subset) -> int:
         """Rank of `x`: the size of a largest independent subset of `x`.

@@ -111,12 +111,6 @@ class GroundSet:
             mask |= 1 << self.index(str(lab))
         return Subset(self, mask)
 
-    def subset_of(self, indices: Iterable[int]) -> Subset:
-        mask = 0
-        for i in indices:
-            mask |= 1 << i
-        return Subset(self, mask)
-
     def from_mask(self, mask: int) -> Subset:
         return Subset(self, mask)
 
@@ -178,10 +172,6 @@ class Subset:
     def sort_key(self) -> tuple:
         return canonical_key(self.mask)
 
-    def issubset(self, other: Subset) -> bool:
-        _same_ground(self.ground, other.ground)
-        return self.mask & ~other.mask == 0
-
     def subsets(self) -> Iterator[Subset]:
         """All subsets of this subset (submask walk, not canonical order)."""
         sub = self.mask
@@ -228,10 +218,6 @@ class Subset:
     def __lt__(self, other: Subset) -> bool:
         _same_ground(self.ground, other.ground)
         return self.sort_key < other.sort_key
-
-    def __le__(self, other: Subset) -> bool:
-        _same_ground(self.ground, other.ground)
-        return self.sort_key <= other.sort_key
 
     def __repr__(self) -> str:
         return "{" + ",".join(self.labels()) + "}"

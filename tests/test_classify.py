@@ -26,6 +26,8 @@ from matroidlab import classify as classify_module
 from matroidlab.classify import _minimality_search
 from matroidlab.errors import RankZero, SearchCapExceeded
 
+from oracles import subset_of
+
 
 def fam(ground, *label_sets):
     return SetFamily(ground, (ground.subset(*s) for s in label_sets))
@@ -45,7 +47,7 @@ def uniform(rank, size):
     """U(rank, size) on the labels 1..size."""
     g = GroundSet(str(i) for i in range(1, size + 1))
     return Matroid.from_bases(
-        g, SetFamily(g, (g.subset_of(c) for c in combinations(range(size), rank)))
+        g, SetFamily(g, (subset_of(g, c) for c in combinations(range(size), rank)))
     )
 
 
@@ -272,7 +274,7 @@ class TestAgainstDefinitionOracles:
         g = GroundSet(str(i) for i in range(1, 13))
         blocks, start = [], 0
         for size in sizes:
-            blocks.append(g.subset_of(range(start, start + size)))
+            blocks.append(subset_of(g, range(start, start + size)))
             start += size
         _assert_minimality_witnesses(
             make_unique_partition_matroid(g, Partition(SetFamily(g, blocks)))
@@ -284,7 +286,7 @@ class TestAgainstDefinitionOracles:
         # base pairs are two swaps apart, each with four requirements read
         # off the expansion map
         g = GroundSet("123456")
-        bases = SetFamily(g, [g.subset_of(c) for c in combinations(range(6), r)])
+        bases = SetFamily(g, [subset_of(g, c) for c in combinations(range(6), r)])
         _assert_minimality_witnesses(Matroid.from_bases(g, bases))
 
     def test_unique_expansion_matches_oracle_witness(self):

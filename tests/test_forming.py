@@ -1,3 +1,6 @@
+import random
+from itertools import combinations
+
 import pytest
 
 from matroidlab import (
@@ -15,7 +18,7 @@ from matroidlab import (
 from matroidlab.errors import NotABase, RankZero
 from matroidlab.matroid import expansion_masks
 
-from oracles import expansion_oracle
+from oracles import expansion_oracle, subset_of
 
 
 def fam(ground, *label_sets):
@@ -74,8 +77,27 @@ class TestExpansion:
                 assert (expansion(m, x) & x) == m.ground.empty()
 
     def test_matches_brute_force_oracle(self):
-        for m in _population(3):
+        for m in _population(4):
             for x in m.ground.all_subsets():
+                assert expansion(m, x) == expansion_oracle(m, x)
+
+    def test_matches_brute_force_oracle_past_the_byte_table(self):
+        # past 8 elements families sort by `canonical_key`, and masks of 256
+        # and up take `_bit_indices`' loop; seeded subsets of up to three
+        # elements keep the oracle's subset scan small
+        g10 = GroundSet(str(i) for i in range(10))
+        u2_10 = Matroid.from_bases(
+            g10, SetFamily(g10, (subset_of(g10, c) for c in combinations(range(10), 2)))
+        )
+        g12 = GroundSet(str(i) for i in range(12))
+        bundles = _bundles(g12, range(3), range(3, 7), range(7, 11))
+        g9 = GroundSet(str(i) for i in range(9))
+        bundles_with_coloop = _bundles(g9, [0, 8], range(1, 5), [5], [6, 7])
+        rng = random.Random(20261019)
+        for m in (u2_10, bundles, bundles_with_coloop):
+            n = m.ground.size
+            for _ in range(60):
+                x = subset_of(m.ground, rng.sample(range(n), rng.randint(0, 3)))
                 assert expansion(m, x) == expansion_oracle(m, x)
 
 
@@ -181,6 +203,13 @@ class TestInvariantsOverPopulation:
                 blocks = forming_family_wrt(m, b)
                 for i in b.indices():
                     assert sum(1 for k in blocks if (k.mask >> i) & 1) == 1
+
+
+def _bundles(ground, *blocks):
+    """The direct sum of U(1, |block|) over `blocks`, by index; every
+    element outside them is a loop."""
+    blocks = SetFamily(ground, [subset_of(ground, b) for b in blocks])
+    return make_unique_partition_matroid(ground, Partition(blocks))
 
 
 _cache = {}

@@ -23,18 +23,25 @@ from matroidlab import (
     verify,
 )
 from matroidlab import classify as classify_module
-from matroidlab import forming_family, harness, recover_partition
+from matroidlab import forming as forming_module
+from matroidlab import expansion, forming_family, harness, recover_partition
 from matroidlab import matroid as matroid_module
 from matroidlab.errors import AxiomError, SearchCapExceeded, UnequalCardinality
 from matroidlab.setalgebra import _partition_masks, one_per_block
 
-from large_grounds import large_ground_matroids, rank_one_uniform
+from large_grounds import (
+    PINNED as LARGE_GROUNDS_DIGEST,
+    large_ground_matroids,
+    rank_one_uniform,
+)
 from oracles import (
+    expansion_oracle,
     lemma_e_oracle,
     mixed_size_families,
     prop_103_oracle,
     prop_124_oracle,
     prop_341_oracle,
+    subset_of,
     thm_123_oracle,
     thm_334_oracle,
     thm_33_oracle,
@@ -104,6 +111,19 @@ def _flag_missing_an_element(monkeypatch):
         return blocks
 
     monkeypatch.setattr(harness, "_flag_blocks", dropped)
+
+
+def _expansion_of_missing_its_lowest_bit(monkeypatch):
+    # drop the lowest element of every expansion with several elements, in
+    # every module that reads the one closure pass
+    real = matroid_module._expansion_of
+
+    def dropped(base_masks, x):
+        grow = real(base_masks, x)
+        return grow & (grow - 1) or grow
+
+    for module in (matroid_module, forming_module, classify_module):
+        monkeypatch.setattr(module, "_expansion_of", dropped)
 
 
 def _dual_missing_its_last_base(monkeypatch):
@@ -417,7 +437,7 @@ def _equal_size_families(n, ranks):
     unvalidated, so matroids and non-matroids alike."""
     g = GroundSet(str(i) for i in range(1, n + 1))
     for r in ranks:
-        rsets = [g.subset_of(c) for c in combinations(range(n), r)]
+        rsets = [subset_of(g, c) for c in combinations(range(n), r)]
         for k in range(1, len(rsets) + 1):
             for combo in combinations(rsets, k):
                 yield Matroid._trusted(g, SetFamily(g, combo))
@@ -559,6 +579,58 @@ class TestThm334:
         assert {w["detail"] for w in outcome.witnesses} == {
             "union minimal True but dual intersection minimal False"
         }
+
+
+class TestSharedClosurePass:
+    """`forming.expansion` and the flag of flats behind `thm_334` read one
+    closure pass, `matroid._expansion_of`; a mutant of it fails both."""
+
+    def test_mutant_fails_thm_334(self, monkeypatch):
+        _expansion_of_missing_its_lowest_bit(monkeypatch)
+        outcome = verify(population(4), [lookup_check("thm_334")]).outcomes[0]
+        assert (outcome.applicable, outcome.failed) == (91, 41)
+        assert outcome.witnesses[0] == {
+            "matroid": {"ground_set": ["1", "2"], "bases": [["1"], ["2"]]},
+            "detail": "flag transversals {{2}} cover {2}, not the base support",
+        }
+
+    def test_mutant_fails_expansion(self, monkeypatch):
+        _expansion_of_missing_its_lowest_bit(monkeypatch)
+        wrong = [
+            (m, x) for m in population(3) for x in m.ground.all_subsets()
+            if expansion(m, x) != expansion_oracle(m, x)
+        ]
+        assert len(wrong) == 29
+        m, x = wrong[0]
+        assert (m.to_doc(), x) == (
+            {"ground_set": ["1", "2"], "bases": [["1"], ["2"]]}, m.ground.empty()
+        )
+        assert expansion(m, x) == m.ground.subset("2")
+
+
+class TestUniqueExpansionReaders:
+    """`thm_50`, `thm_126`, `thm_52` and `prop_h` read the memoized
+    unique-expansion verdict they test; a classifier that answers true for
+    every matroid must make each of them fail."""
+
+    U23 = {"ground_set": ["1", "2", "3"], "bases": [["1", "2"], ["1", "3"], ["2", "3"]]}
+    MUTANTS = [
+        ("thm_50", "unique expansion True but forming family partitions support False"),
+        ("thm_126", "unique expansion True but |forming family| = 3, rank 2"),
+        ("thm_52", "unique expansion True but one-per-block construction match False"),
+        ("prop_h", "some base does not meet every block of {{1,2},{1,3},{2,3}} exactly once"),
+    ]
+
+    @pytest.mark.parametrize("check_id,detail", MUTANTS)
+    def test_always_true_classifier_fails_the_check(self, monkeypatch, check_id, detail):
+        monkeypatch.setattr(
+            classify_module, "_unique_expansion",
+            lambda m: classify_module.ClassificationResult(True, None),
+        )
+        pop = [m for m in population(4) if m.rank > 0]
+        outcome = verify(pop, [lookup_check(check_id)]).outcomes[0]
+        assert (outcome.applicable, outcome.failed) == (87, 17)
+        assert outcome.witnesses[0] == {"matroid": self.U23, "detail": detail}
 
 
 class TestDualInvolution:
@@ -895,6 +967,7 @@ class TestDefinitionalScans:
             env={**os.environ, "PYTHONPATH": str(src)},
         )
         assert run.returncode == 0, run.stderr
+        assert run.stderr.split() == [LARGE_GROUNDS_DIGEST]
         rows = {row["id"]: row for row in json.loads(run.stdout)["checks"]}
         assert len(rows) == 28
         two_bases, uniform = (m.to_doc() for m in large_ground_matroids())

@@ -42,8 +42,10 @@ from oracles import (
     exchange_scan_oracle,
     exchange_violation_oracle,
     independence_violation_oracle,
+    is_independent,
     mixed_size_families,
     rank_oracle,
+    subset_of,
     unique_exchange_oracle,
 )
 
@@ -146,7 +148,7 @@ class TestFromBases:
         r = data.draw(st.integers(min_value=1, max_value=n))
         ground = GroundSet(str(i) for i in range(1, n + 1))
         from itertools import combinations as _combos
-        rsets = [ground.subset_of(c) for c in _combos(range(n), r)]
+        rsets = [subset_of(ground, c) for c in _combos(range(n), r)]
         members = data.draw(
             st.lists(st.sampled_from(rsets), min_size=1, unique=True)
         )
@@ -288,9 +290,9 @@ class TestFromIndependents:
 class TestQueries:
     def test_is_independent(self, g3):
         m = Matroid.from_bases(g3, fam(g3, "12", "13"))
-        assert m.is_independent(g3.subset("3"))
-        assert not m.is_independent(g3.subset("2", "3"))
-        assert m.is_independent(g3.empty())
+        assert is_independent(m, g3.subset("3"))
+        assert not is_independent(m, g3.subset("2", "3"))
+        assert is_independent(m, g3.empty())
 
     def test_rank_of(self, g3):
         m = Matroid.from_bases(g3, fam(g3, "12", "13"))
@@ -352,7 +354,7 @@ class TestSixtyFourLabels:
     # one label per bit of a machine word: U(1,64) and its dual U(63,64)
     def test_uniform_pair_at_the_word_edge(self):
         g = GroundSet(str(i) for i in range(64))
-        u1 = Matroid.from_bases(g, SetFamily(g, (g.subset_of([i]) for i in range(64))))
+        u1 = Matroid.from_bases(g, SetFamily(g, (subset_of(g, [i]) for i in range(64))))
         u63 = Matroid.from_bases(g, complements(u1.bases))
         assert u1.dual() == u63 and u63.dual() == u1
         assert u1.dual().dual() == u1 and u63.dual().dual() == u63
@@ -370,7 +372,7 @@ class TestPartitionMatroids:
         expected = {
             x.mask
             for x in g5.all_subsets()
-            if x.issubset(p.support())
+            if x.mask & ~p.support().mask == 0
             and len(x & g5.subset("1", "2")) == 1
             and len(x & g5.subset("3", "4", "5")) == 2
         }
@@ -400,11 +402,11 @@ class TestPartitionMatroids:
         m = make_partition_matroid(g5, PartitionMatroidSpec(p, (1, 2)))
         for x in g5.all_subsets():
             expected = (
-                x.issubset(p.support())
+                x.mask & ~p.support().mask == 0
                 and len(x & g5.subset("1", "2")) <= 1
                 and len(x & g5.subset("3", "4", "5")) <= 2
             )
-            assert m.is_independent(x) == expected
+            assert is_independent(m, x) == expected
 
     def test_paired_caps_follow_blocks(self, g5):
         blocks = [g5.subset("3", "4", "5"), g5.subset("1", "2")]
@@ -420,7 +422,7 @@ class TestPartitionMatroids:
         g = GroundSet("1234")
         m = make_unique_partition_matroid(g, Partition(fam(g, "234")))
         assert m.bases == fam(g, "2", "3", "4")
-        assert not m.is_independent(g.subset("1"))
+        assert not is_independent(m, g.subset("1"))
 
     def test_singleton_blocks_single_base(self, g3):
         p = Partition(fam(g3, "1", "2", "3"))
