@@ -21,7 +21,7 @@ Everything here works on bitmasks and never calls the validating constructor
 and can cross-check each other: the test suite compares this enumeration
 against oracles that push every candidate family through Matroid.from_bases.
 
-Matroid counts grow super-exponentially, so the ground size is capped at 6.
+Matroid counts grow super-exponentially, so the ground size is capped at 7.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from .errors import GroundSetTooLarge
 from .matroid import Matroid, expansion_masks
 from .setalgebra import GroundSet, SetFamily, mask_order_key
 
-MAX_ENUMERATION_SIZE = 6
+MAX_ENUMERATION_SIZE = 7
 
 _GROUNDS: dict[int, GroundSet] = {}
 

@@ -100,9 +100,23 @@ def _one_per_block_matroid(m: Matroid) -> Matroid:
     )
 
 
-# the definitional scans visit all 2^n subsets: at 16 elements the four take
-# a fraction of a second, and each further element doubles that, so past
-# this many they are tallied as capped rather than run
+def _capped_matroid(m: Matroid) -> Matroid:
+    """The cap-1 partition matroid of the recovered partition, built once per
+    matroid and kept in its memo, since `prop_302_304` and `prop_303` both
+    read it."""
+
+    def build() -> Matroid:
+        p = _recovered(m)
+        return make_partition_matroid(m.ground, PartitionMatroidSpec(p, (1,) * len(p)))
+
+    return m._fact("capped_matroid", build)
+
+
+# the definitional scans list every subset of the support: at 16 elements the
+# four take a fraction of a second, and each further element doubles that, so
+# past this many elements they are tallied as capped rather than run.  The
+# bound is on the ground size, not the support's, so that which matroids a
+# report lists as capped does not depend on how the scan is done
 _SCAN_BOUND = 16
 
 
@@ -115,6 +129,15 @@ def _definitional_scan(
     with `complement`) lies in `support` and meets each block in its cap of
     elements, one by default.  Past `_SCAN_BOUND` elements it raises
     `SearchCapExceeded` before building anything.
+
+    The described family is computed, not tested mask by mask.  No set
+    outside `support` is described, so the described sets (before the
+    complement) are exactly the submasks of `support` that survive one
+    filter per block quota.  The masks where membership and description
+    disagree are then the symmetric difference of the bases and the
+    described family.  Its least mask in integer order is the first mismatch
+    a walk over every mask 0..2^n - 1 would meet, and there membership is the
+    negation of the description.
     """
     ground = support.ground
     if ground.size > _SCAN_BOUND:
@@ -123,15 +146,21 @@ def _definitional_scan(
             f"scan bound {_SCAN_BOUND}"
         )
     masks = built().bases.masks()
-    outside = ~support.mask
+    sup = support.mask
+    subs = [sup]
+    sub = sup
+    while sub:
+        sub = (sub - 1) & sup
+        subs.append(sub)
+    for k, c in zip(blocks, caps or repeat(1)):
+        k = k.mask
+        subs = [x for x in subs if (x & k).bit_count() == c]
     flip = ground.full().mask if complement else 0
-    quotas = [(k.mask, cap) for k, cap in zip(blocks, caps or repeat(1))]
-    for mask in range(1 << ground.size):
-        x = mask ^ flip
-        described = not x & outside and all((x & k).bit_count() == c for k, c in quotas)
-        if (mask in masks) != described:
-            return Subset(ground, mask), not described
-    return None
+    differ = masks.symmetric_difference([x ^ flip for x in subs])
+    if not differ:
+        return None
+    mask = min(differ)
+    return Subset(ground, mask), mask in masks
 
 
 def _check_prop_100(m: Matroid) -> str | None:
@@ -255,20 +284,21 @@ def _check_prop_125(m: Matroid) -> str | None:
 
 
 def _check_prop_302_304(m: Matroid) -> str | None:
-    p = _recovered(m)
-    upm = _one_per_block_matroid(m)
-    capped = make_partition_matroid(
-        m.ground, PartitionMatroidSpec(p, (1,) * len(p))
-    )
-    if upm.bases != capped.bases:
+    if _one_per_block_matroid(m).bases != _capped_matroid(m).bases:
         return "one-per-block and cap-1 constructions disagree"
     return None
 
 
 def _check_prop_303(m: Matroid) -> str | None:
+    # the cap-1 matroid is shared with prop_302_304; a partition of single
+    # elements has the same caps at full size, and is scanned once
     p = _recovered(m)
-    for caps in ((1,) * len(p), tuple(len(b) for b in p)):
-        built = partial(make_partition_matroid, m.ground, PartitionMatroidSpec(p, caps))
+    full = tuple(len(b) for b in p)
+    builds = {(1,) * len(p): partial(_capped_matroid, m)}
+    builds.setdefault(
+        full, partial(make_partition_matroid, m.ground, PartitionMatroidSpec(p, full))
+    )
+    for caps, built in builds.items():
         if _definitional_scan(built, p.support(), p, caps):
             return f"cap vector {caps}: built bases differ from the definitional filter"
     return None
@@ -465,150 +495,155 @@ def _check_dual_involution(m: Matroid) -> str | None:
     return None
 
 
+# built once per process: the checks are frozen, so every call can share them
+_REGISTRY: tuple[TheoremCheck, ...] = (
+    TheoremCheck(
+        "prop_100", "any two bases have the same size",
+        _always, _check_prop_100,
+    ),
+    TheoremCheck(
+        "thm_123",
+        "for bases B1, B2 and x in B1-B2 some y in B2-B1 makes (B2-{y})+{x} a base",
+        _always, _check_thm_123,
+    ),
+    TheoremCheck(
+        "prop_341",
+        "the forming family relative to any base has exactly rank-many blocks",
+        _rank_positive, _check_prop_341,
+    ),
+    TheoremCheck(
+        "cor_423", "the forming family has at least rank-many blocks",
+        _rank_positive, _check_cor_423,
+    ),
+    TheoremCheck(
+        "prop_46",
+        "the union of the forming family equals the union of the bases",
+        _rank_positive, _check_prop_46,
+    ),
+    TheoremCheck(
+        "prop_124",
+        "the union of every base-relative forming family equals the union of the bases",
+        _rank_positive, _check_prop_124,
+    ),
+    TheoremCheck(
+        "lemma_e",
+        "each element of a base lies in exactly one block of that base's forming family",
+        _rank_positive, _check_lemma_e,
+    ),
+    TheoremCheck(
+        "lemma_66",
+        "at rank one every base-relative forming family is the single block of all base elements",
+        lambda m: m.rank == 1, _check_lemma_66,
+    ),
+    TheoremCheck(
+        "thm_50",
+        "unique expansion holds exactly when the forming family partitions the base support",
+        _rank_positive, _check_thm_50,
+    ),
+    TheoremCheck(
+        "prop_h",
+        "in a unique expansion matroid every base meets every forming block exactly once",
+        _expansion_unique, _check_prop_h,
+    ),
+    TheoremCheck(
+        "thm_126",
+        "unique expansion holds exactly when the forming family has rank-many blocks",
+        _rank_positive, _check_thm_126,
+    ),
+    TheoremCheck(
+        "prop_51_j",
+        "in a unique expansion matroid the bases are exactly the support subsets meeting every forming block once",
+        _expansion_unique, _check_prop_51_j,
+    ),
+    TheoremCheck(
+        "prop_125",
+        "the base family of a unique expansion matroid is the transversal product of its forming family",
+        _expansion_unique, _check_prop_125,
+    ),
+    TheoremCheck(
+        "prop_302_304",
+        "capped-block and one-per-block constructions validate and agree",
+        _expansion_unique, _check_prop_302_304,
+    ),
+    TheoremCheck(
+        "prop_303",
+        "bases of a capped-block matroid are exactly the partition subsets hitting each block at its cap",
+        _expansion_unique, _check_prop_303,
+    ),
+    TheoremCheck(
+        "prop_305_306",
+        "bases of a one-per-block matroid are exactly the transversals of the partition",
+        _expansion_unique, _check_prop_305_306,
+    ),
+    TheoremCheck(
+        "prop_339",
+        "dual bases of a one-per-block matroid contain the off-partition rest and miss one element per block",
+        _expansion_unique, _check_prop_339,
+    ),
+    TheoremCheck(
+        "cor_336",
+        "the base support of a one-per-block matroid is the partition support",
+        _expansion_unique, _check_cor_336,
+    ),
+    TheoremCheck(
+        "thm_321",
+        "the forming family of a one-per-block matroid is its defining partition",
+        _expansion_unique, _check_thm_321,
+    ),
+    TheoremCheck(
+        "thm_52",
+        "unique expansion matroids are exactly the one-per-block partition matroids",
+        _rank_positive, _check_thm_52,
+    ),
+    TheoremCheck(
+        "thm_33",
+        "bases meet every block of a support partition once exactly when they are its transversal product",
+        _always, _check_thm_33,
+    ),
+    TheoremCheck(
+        "cor_109",
+        "when bases meet every block once, the base count is the product of the block sizes",
+        _applies_cor_109, _check_cor_109,
+    ),
+    TheoremCheck(
+        "prop_103",
+        "at most one support partition has every base meeting every block exactly once",
+        _rank_positive, _check_prop_103,
+    ),
+    TheoremCheck(
+        "thm_334",
+        "union minimality coincides with intersection minimality of the dual",
+        _always, _check_thm_334,
+    ),
+    TheoremCheck(
+        "thm_552", "unique expansion implies union minimality",
+        _expansion_unique, _check_thm_552,
+    ),
+    TheoremCheck(
+        "prop_118", "unique expansion implies unique exchange",
+        _expansion_unique, _check_prop_118,
+    ),
+    TheoremCheck(
+        "thm_120",
+        "the dual of a unique expansion matroid is a unique exchange matroid",
+        _expansion_unique, _check_thm_120,
+    ),
+    TheoremCheck(
+        "dual_involution",
+        "dualizing twice returns the original and dual ranks sum to the ground size",
+        _always, _check_dual_involution,
+    ),
+)
+
+
 def theorem_registry() -> list[TheoremCheck]:
-    """The fixed 28-check registry, in catalog order."""
-    return [
-        TheoremCheck(
-            "prop_100", "any two bases have the same size",
-            _always, _check_prop_100,
-        ),
-        TheoremCheck(
-            "thm_123",
-            "for bases B1, B2 and x in B1-B2 some y in B2-B1 makes (B2-{y})+{x} a base",
-            _always, _check_thm_123,
-        ),
-        TheoremCheck(
-            "prop_341",
-            "the forming family relative to any base has exactly rank-many blocks",
-            _rank_positive, _check_prop_341,
-        ),
-        TheoremCheck(
-            "cor_423", "the forming family has at least rank-many blocks",
-            _rank_positive, _check_cor_423,
-        ),
-        TheoremCheck(
-            "prop_46",
-            "the union of the forming family equals the union of the bases",
-            _rank_positive, _check_prop_46,
-        ),
-        TheoremCheck(
-            "prop_124",
-            "the union of every base-relative forming family equals the union of the bases",
-            _rank_positive, _check_prop_124,
-        ),
-        TheoremCheck(
-            "lemma_e",
-            "each element of a base lies in exactly one block of that base's forming family",
-            _rank_positive, _check_lemma_e,
-        ),
-        TheoremCheck(
-            "lemma_66",
-            "at rank one every base-relative forming family is the single block of all base elements",
-            lambda m: m.rank == 1, _check_lemma_66,
-        ),
-        TheoremCheck(
-            "thm_50",
-            "unique expansion holds exactly when the forming family partitions the base support",
-            _rank_positive, _check_thm_50,
-        ),
-        TheoremCheck(
-            "prop_h",
-            "in a unique expansion matroid every base meets every forming block exactly once",
-            _expansion_unique, _check_prop_h,
-        ),
-        TheoremCheck(
-            "thm_126",
-            "unique expansion holds exactly when the forming family has rank-many blocks",
-            _rank_positive, _check_thm_126,
-        ),
-        TheoremCheck(
-            "prop_51_j",
-            "in a unique expansion matroid the bases are exactly the support subsets meeting every forming block once",
-            _expansion_unique, _check_prop_51_j,
-        ),
-        TheoremCheck(
-            "prop_125",
-            "the base family of a unique expansion matroid is the transversal product of its forming family",
-            _expansion_unique, _check_prop_125,
-        ),
-        TheoremCheck(
-            "prop_302_304",
-            "capped-block and one-per-block constructions validate and agree",
-            _expansion_unique, _check_prop_302_304,
-        ),
-        TheoremCheck(
-            "prop_303",
-            "bases of a capped-block matroid are exactly the partition subsets hitting each block at its cap",
-            _expansion_unique, _check_prop_303,
-        ),
-        TheoremCheck(
-            "prop_305_306",
-            "bases of a one-per-block matroid are exactly the transversals of the partition",
-            _expansion_unique, _check_prop_305_306,
-        ),
-        TheoremCheck(
-            "prop_339",
-            "dual bases of a one-per-block matroid contain the off-partition rest and miss one element per block",
-            _expansion_unique, _check_prop_339,
-        ),
-        TheoremCheck(
-            "cor_336",
-            "the base support of a one-per-block matroid is the partition support",
-            _expansion_unique, _check_cor_336,
-        ),
-        TheoremCheck(
-            "thm_321",
-            "the forming family of a one-per-block matroid is its defining partition",
-            _expansion_unique, _check_thm_321,
-        ),
-        TheoremCheck(
-            "thm_52",
-            "unique expansion matroids are exactly the one-per-block partition matroids",
-            _rank_positive, _check_thm_52,
-        ),
-        TheoremCheck(
-            "thm_33",
-            "bases meet every block of a support partition once exactly when they are its transversal product",
-            _always, _check_thm_33,
-        ),
-        TheoremCheck(
-            "cor_109",
-            "when bases meet every block once, the base count is the product of the block sizes",
-            _applies_cor_109, _check_cor_109,
-        ),
-        TheoremCheck(
-            "prop_103",
-            "at most one support partition has every base meeting every block exactly once",
-            _rank_positive, _check_prop_103,
-        ),
-        TheoremCheck(
-            "thm_334",
-            "union minimality coincides with intersection minimality of the dual",
-            _always, _check_thm_334,
-        ),
-        TheoremCheck(
-            "thm_552", "unique expansion implies union minimality",
-            _expansion_unique, _check_thm_552,
-        ),
-        TheoremCheck(
-            "prop_118", "unique expansion implies unique exchange",
-            _expansion_unique, _check_prop_118,
-        ),
-        TheoremCheck(
-            "thm_120",
-            "the dual of a unique expansion matroid is a unique exchange matroid",
-            _expansion_unique, _check_thm_120,
-        ),
-        TheoremCheck(
-            "dual_involution",
-            "dualizing twice returns the original and dual ranks sum to the ground size",
-            _always, _check_dual_involution,
-        ),
-    ]
+    """The fixed 28-check registry, in catalog order, as a new list on
+    every call, so a caller may change it without touching the registry."""
+    return list(_REGISTRY)
 
 
 def lookup_check(check_id: str) -> TheoremCheck:
-    for check in theorem_registry():
+    for check in _REGISTRY:
         if check.check_id == check_id:
             return check
     raise KeyError(f"no check named {check_id!r}")
@@ -713,15 +748,15 @@ def verify(
     Checks run sequentially in population order.  The population is drawn
     once and no matroid is kept after its checks, so it may be a lazy
     stream; `duration_ms` then includes the time spent drawing it.  A check
-    that exceeds an exhaustive search cap, or one of the four scans over all
-    2^n subsets on a ground set past 16 elements, is tallied as capped on
+    that exceeds an exhaustive search cap, or one of the four definitional
+    scans on a ground set past 16 elements, is tallied as capped on
     that matroid; a check missing a fact its hypothesis implies, or raising
     `AxiomError` (say, on the dual of a family that is not a matroid), is
     tallied as failed with the error as its detail; either way the sweep goes
     on.  Witnesses and cap hits are tied to their matroid's document, so the
     report is deterministic for a fixed population and registry.
     """
-    checks = theorem_registry() if registry is None else list(registry)
+    checks = _REGISTRY if registry is None else list(registry)
 
     start = perf_counter()
     outcomes = [CheckOutcome(c.check_id, c.statement) for c in checks]

@@ -10,13 +10,15 @@ the exchange checks by scanning `Subset` values, the base-relative forming
 checks on `SetFamily` values, the exchange validator by probing base
 membership one repair at a time, the independence validator over every pair
 of members, bit indices (and the labels read through them) one bit
-position at a time, and the `thm_334` check by both exhaustive minimality
-searches on every matroid.
+position at a time, the `thm_334` check by both exhaustive minimality
+searches on every matroid, and the definitional scans by a walk over every
+mask of the ground set.
 """
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import combinations, repeat
+from typing import Callable, Iterable
 
 from matroidlab import (
     GroundSet,
@@ -35,6 +37,7 @@ from matroidlab.errors import (
     AxiomError,
     MissingEmptySet,
     NotDownwardClosed,
+    SearchCapExceeded,
 )
 from matroidlab.matroid import first_exchange_violation
 
@@ -371,6 +374,30 @@ def thm_334_oracle(m: Matroid) -> str | None:
     im = _minimality_search(m.dual(), "intersection").verdict
     if um != im:
         return f"union minimal {um} but dual intersection minimal {im}"
+    return None
+
+
+def definitional_scan_oracle(
+    built: Callable[[], Matroid], support: Subset, blocks: Iterable[Subset],
+    caps: Iterable[int] | None = None, complement: bool = False,
+) -> tuple[Subset, bool] | None:
+    """`harness._definitional_scan` as a walk over all 2^n masks in integer
+    order, testing each against the description one block quota at a time."""
+    ground = support.ground
+    if ground.size > 16:
+        raise SearchCapExceeded(
+            f"ground set of {ground.size} elements exceeds the definitional "
+            "scan bound 16"
+        )
+    masks = built().bases.masks()
+    outside = ~support.mask
+    flip = ground.full().mask if complement else 0
+    quotas = [(k.mask, cap) for k, cap in zip(blocks, caps or repeat(1))]
+    for mask in range(1 << ground.size):
+        x = mask ^ flip
+        described = not x & outside and all((x & k).bit_count() == c for k, c in quotas)
+        if (mask in masks) != described:
+            return Subset(ground, mask), not described
     return None
 
 

@@ -482,11 +482,11 @@ class TestEnumerate:
     def test_size_guard_exit_2(self, capsys):
         # a bad --n is reported before --rank is judged against it
         for argv, n in ((["--n", "9"], "9"), (["--n", "-1", "--rank", "0"], "-1"),
-                        (["--n", "7", "--rank", "9"], "7")):
+                        (["--n", "8", "--rank", "9"], "8")):
             code, out, err = run(capsys, "enumerate", *argv)
             assert code == 2
             assert out == ""
-            assert err == f"error: enumeration supports 1..6 elements, got {n}\n"
+            assert err == f"error: enumeration supports 1..7 elements, got {n}\n"
 
     @pytest.mark.parametrize("rank", ["-1", "4"])
     def test_rank_out_of_range_exit_2(self, capsys, rank):
@@ -504,6 +504,7 @@ class TestEnumerate:
         (4, "d28550e170b50fed783f4c97dbfaf379332ed4d953d638605a15e3570240d19c"),
         (5, "37a8e6cb2005a4b48fb9def118344100b7d5b890d2a55149d06080ff5c3ab608"),
         (6, "6d0ed340426aec57903712c57e7a049c9d9c3bcd29e415b04a3a98b909b9c0a4"),
+        (7, "ae1048b2100d8f87afefb705e1d2ba8359f93951c184a60b5fb5a93a3ae33128"),
     ])
     def test_golden_stream(self, capsys, n, digest):
         code, out, _ = run(capsys, "enumerate", "--n", str(n))
@@ -540,16 +541,16 @@ class TestVerify:
         assert err.startswith("error:")
 
     def test_too_large_n_fails_before_the_sweep(self, capsys, monkeypatch):
-        # every size is checked when its stream is made, so n=7 is rejected
+        # every size is checked when its stream is made, so n=8 is rejected
         # before any smaller matroid is drawn or checked
         def never(*args, **kwargs):
             raise AssertionError("verify ran")
 
         monkeypatch.setattr("matroidlab.cli.verify", never)
-        code, out, err = run(capsys, "verify", "--n", "7")
+        code, out, err = run(capsys, "verify", "--n", "8")
         assert code == 2
         assert out == ""
-        assert err == "error: enumeration supports 1..6 elements, got 7\n"
+        assert err == "error: enumeration supports 1..7 elements, got 8\n"
 
     def test_unknown_check_exit_2(self, capsys):
         code, _, err = run(capsys, "verify", "--n", "2", "--checks", "nope")

@@ -14,8 +14,8 @@ from oracles import all_antichain_matroids, exchange_scan_families
 
 # labeled matroids on n elements (OEIS A058673); TestAgainstOracle rederives
 # them live, through the all-antichains oracle for n <= 5 and the exchange
-# scan oracle for n <= 6
-KNOWN_COUNTS = {1: 2, 2: 5, 3: 16, 4: 68, 5: 406, 6: 3807}
+# scan oracle for n <= 6; n = 7 rests on the published count alone
+KNOWN_COUNTS = {1: 2, 2: 5, 3: 16, 4: 68, 5: 406, 6: 3807, 7: 75164}
 
 # per-rank breakdown, same provenance
 KNOWN_BY_RANK = {
@@ -25,6 +25,7 @@ KNOWN_BY_RANK = {
     4: [1, 15, 36, 15, 1],
     5: [1, 31, 171, 171, 31, 1],
     6: [1, 63, 813, 2053, 813, 63, 1],
+    7: [1, 127, 4012, 33442, 33442, 4012, 127, 1],
 }
 
 
@@ -33,7 +34,7 @@ class TestCounts:
     def test_totals(self, n, count):
         assert count_matroids(n) == count
 
-    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
     def test_by_rank(self, n):
         assert [count_matroids(n, rank=r) for r in range(n + 1)] == KNOWN_BY_RANK[n]
 
@@ -122,7 +123,7 @@ class TestStreamProperties:
         # has the one empty linear subclass, which adds no base
         assert list(_extensions((0,), 0, n)) == [[1 << (n - 1)], [0]]
 
-    @pytest.mark.parametrize("n", [0, 7, -1])
+    @pytest.mark.parametrize("n", [0, 8, -1])
     def test_size_guard(self, n):
         with pytest.raises(GroundSetTooLarge):
             list(enumerate_matroids(n))

@@ -2,22 +2,28 @@ import gc
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
+from functools import partial
 from itertools import chain, combinations, product
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
 from matroidlab import (
     GroundSet,
     Matroid,
+    PartitionMatroidSpec,
     SetFamily,
     TheoremCheck,
     check_examples,
     enumerate_matroids,
+    enumeration_ground,
     is_unique_expansion,
     lookup_check,
+    make_partition_matroid,
     worked_examples,
     theorem_registry,
     verify,
@@ -26,6 +32,7 @@ from matroidlab import classify as classify_module
 from matroidlab import forming as forming_module
 from matroidlab import expansion, forming_family, harness, recover_partition
 from matroidlab import matroid as matroid_module
+from matroidlab.enumeration import _families
 from matroidlab.errors import AxiomError, SearchCapExceeded, UnequalCardinality
 from matroidlab.setalgebra import _partition_masks, one_per_block
 
@@ -35,6 +42,7 @@ from large_grounds import (
     rank_one_uniform,
 )
 from oracles import (
+    definitional_scan_oracle,
     expansion_oracle,
     lemma_e_oracle,
     mixed_size_families,
@@ -155,6 +163,22 @@ class TestRegistry:
     def test_lookup_unknown(self):
         with pytest.raises(KeyError):
             lookup_check("thm_9999")
+
+    def test_each_call_returns_a_new_list(self):
+        # the checks are built once, but every caller gets its own list
+        first, second = theorem_registry(), theorem_registry()
+        assert first == second
+        assert first is not second
+        pop = population(2)
+        before = verify(pop).to_dict()
+        first.clear()
+        second.reverse()
+        after = verify(pop).to_dict()
+        before.pop("duration_ms")
+        after.pop("duration_ms")
+        assert after == before
+        assert len(before["checks"]) == 28
+        assert theorem_registry() == second[::-1]
 
     def test_expected_ids_present(self):
         ids = {c.check_id for c in theorem_registry()}
@@ -277,6 +301,19 @@ class TestVerify:
         registry = [lookup_check("prop_100"), lookup_check("dual_involution")]
         report = verify(population(2), registry)
         assert [o.check_id for o in report.outcomes] == ["prop_100", "dual_involution"]
+
+    def test_seeded_sample_on_seven_elements_passes(self):
+        # CI runs the whole n=7 population; here a seeded sample of its
+        # families, each validated afresh, passes every check uncapped
+        families = [fam for by_rank in _families(7) for fam in by_rank]
+        picks = sorted(random.Random(2707).sample(range(len(families)), 1000))
+        g = enumeration_ground(7)
+        report = verify(
+            Matroid.from_bases(g, SetFamily.from_masks(g, families[i])) for i in picks
+        )
+        assert (report.total, report.failures, report.capped) == (1000, 0, 0)
+        by_id = {o.check_id: o for o in report.outcomes}
+        assert by_id["prop_303"].applicable > 0
 
     def test_failing_check_produces_replayable_witness(self):
         # registry checks never fail on valid populations, so install a rigged
@@ -837,6 +874,25 @@ class TestFactsMemo:
         assert (len(pop), len(unique)) == (91, 70)
         assert len(calls) == len(unique)
 
+    def test_cap_one_matroid_is_built_once_per_matroid(self, monkeypatch):
+        # prop_302_304 and the cap-1 case of prop_303 share it; the full-cap
+        # case of prop_303 builds its own matroid, with a cap above one
+        # unless every block is a single element, when the two cases are one
+        calls = []
+        real = harness.make_partition_matroid
+
+        def counted(ground, spec):
+            if set(spec.caps) <= {1}:
+                calls.append(1)
+            return real(ground, spec)
+
+        monkeypatch.setattr(harness, "make_partition_matroid", counted)
+        pop = population(5)
+        assert verify(pop).failures == 0
+        unique = [m for m in pop if m.rank > 0 and is_unique_expansion(m).verdict]
+        assert (len(pop), len(unique)) == (497, 272)
+        assert len(calls) == len(unique)
+
     def test_missing_partition_is_computed_once(self, monkeypatch):
         calls = []
         real = classify_module.is_partition
@@ -945,6 +1001,66 @@ class TestDefinitionalScans:
         assert outcome.witnesses[0] == {"matroid": first, "detail": detail}
         witnesses = json.dumps(outcome.witnesses).encode()
         assert hashlib.sha256(witnesses).hexdigest() == digest
+
+    @staticmethod
+    def _call_sites(m):
+        # the arguments each scanning check passes, on a unique expansion m
+        p = harness._recovered(m)
+        ones, full = (1,) * len(p), tuple(len(b) for b in p)
+        return [
+            (lambda: m, m.support(), forming_family(m), None, False),
+            *(
+                (partial(make_partition_matroid, m.ground, PartitionMatroidSpec(p, caps)),
+                 p.support(), p, caps, False)
+                for caps in (ones, full)
+            ),
+            (lambda: harness._one_per_block_matroid(m).dual(), p.support(), p, None, True),
+        ]
+
+    @staticmethod
+    def _unique_expansion(max_n):
+        return [m for m in population(max_n) if m.rank > 0 and is_unique_expansion(m).verdict]
+
+    def test_scan_matches_the_oracle_at_every_call_site(self):
+        sites = 0
+        for m in self._unique_expansion(5):
+            for args in self._call_sites(m):
+                assert harness._definitional_scan(*args) == definitional_scan_oracle(*args)
+                sites += 1
+        assert sites == 4 * 272
+
+    def test_perturbed_families_give_the_oracle_mismatch(self):
+        # flipping one mask's membership drops a base, adds a non-base inside
+        # the support or adds a mask outside it; the scan must name the same
+        # least mismatch as the walk over every mask
+        kinds = {"drop": 0, "add": 0, "outside": 0}
+        for m in self._unique_expansion(5):
+            g = m.ground
+            for built, support, blocks, caps, complement in self._call_sites(m):
+                masks = built().bases.masks()
+                flip = g.full().mask if complement else 0
+                for mask in range(1 << g.size):
+                    if mask in masks:
+                        kinds["drop"] += 1
+                    elif (mask ^ flip) & ~support.mask:
+                        kinds["outside"] += 1
+                    else:
+                        kinds["add"] += 1
+                    family = SetFamily.from_masks(g, masks ^ {mask})
+                    perturbed = partial(SimpleNamespace, bases=family)
+                    args = (perturbed, support, blocks, caps, complement)
+                    hit = harness._definitional_scan(*args)
+                    assert hit is not None
+                    assert hit == definitional_scan_oracle(*args)
+        assert min(kinds.values()) > 0
+
+    def test_scan_past_the_bound_builds_nothing(self):
+        def never():
+            raise AssertionError("built was called")
+
+        g = GroundSet(str(i) for i in range(17))
+        with pytest.raises(SearchCapExceeded, match="17 elements exceeds"):
+            harness._definitional_scan(never, g.full(), [g.full()])
 
     def test_scans_run_up_to_the_bound(self):
         registry = [lookup_check(check_id) for check_id in self.SCAN_CHECKS]
