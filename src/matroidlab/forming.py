@@ -4,9 +4,9 @@ A secondary base A has rank r - 1, so A + e has rank r exactly when A + e is
 a base.  One pass that deletes each element e from each base B therefore
 yields every secondary base B - e with its expansion set
 (`matroid.expansion_masks`, the map that also validates bases), with no rank
-computation.  The map is the matroid's own (`Matroid._expansion_map`), so
-the per-base forming families and both unique classifiers read one map, and
-the forming family is kept in the matroid's memo beside it.
+computation.  The map is the matroid's own (`Matroid._expansion_map`): both
+unique classifiers read it, the forming family is memoized beside it, and the
+base-relative checks walk every base's blocks once (`_forming_blocks`).
 
 `expansion` is the general operator for any subset X: the complement of the
 closure of X, in one pass over the bases (`matroid._expansion_of`, which the
@@ -15,14 +15,16 @@ flag of flats in `classify` reads too).
 
 from __future__ import annotations
 
+from typing import Iterator
+
 from .errors import NotABase, RankZero
 from .matroid import Matroid, _expansion_of
 from .setalgebra import SetFamily, Subset
 
 
-def _expansions(m: Matroid, what: str = "secondary bases") -> dict[int, int]:
+def _expansions(m: Matroid) -> dict[int, int]:
     if m.rank == 0:
-        raise RankZero(f"{what} are undefined at rank zero")
+        raise RankZero("secondary bases are undefined at rank zero")
     return m._expansion_map()
 
 
@@ -61,24 +63,27 @@ def forming_family(m: Matroid) -> SetFamily:
     )
 
 
-def _forming_masks_wrt(m: Matroid, b: Subset) -> list[int]:
-    """The block masks of the forming family relative to the base `b`.
-
-    One mask per element of `b`, in ascending index order: the expansion
-    mask of `b` minus that element, read off the matroid's cached expansion
-    map.  The masks are pairwise distinct, since each holds its own element
-    of `b` and no other.
-    """
-    exp = _expansions(m, "forming families")
-    if b not in m.bases:
-        raise NotABase(f"{b} is not a base")
+def _blocks_wrt(exp: dict[int, int], b: Subset) -> list[int]:
     return [exp[b.mask ^ (1 << i)] for i in b.indices()]
+
+
+def _forming_blocks(m: Matroid) -> Iterator[tuple[Subset, list[int]]]:
+    """Each base B of `m`, in canonical order, with its forming block masks.
+
+    One mask per e in B, by ascending index: the expansion of B - e, read off
+    the map once.  No base is probed; `forming_family_wrt` alone does that.
+    """
+    exp = _expansions(m)
+    return ((b, _blocks_wrt(exp, b)) for b in m.bases)
 
 
 def forming_family_wrt(m: Matroid, b: Subset) -> SetFamily:
     """The forming family relative to the base `b`, as a `SetFamily`.
 
-    Its blocks are the expansion sets of the secondary bases inside `b`,
-    which are exactly the one-element deletions of `b`.
+    Its blocks are the expansion sets of the secondary bases inside `b`, its
+    one-element deletions.  Raises `RankZero` before `NotABase`.
     """
-    return SetFamily.from_masks(m.ground, _forming_masks_wrt(m, b))
+    exp = _expansions(m)
+    if b not in m.bases:
+        raise NotABase(f"{b} is not a base")
+    return SetFamily.from_masks(m.ground, _blocks_wrt(exp, b))

@@ -31,7 +31,7 @@ from .classify import (
     recover_partition,
 )
 from .errors import AxiomError, SearchCapExceeded
-from .forming import _forming_masks_wrt, forming_family, forming_family_wrt
+from .forming import _forming_blocks, forming_family
 from .matroid import (
     Matroid,
     PartitionMatroidSpec,
@@ -185,10 +185,9 @@ def _check_thm_123(m: Matroid) -> str | None:
 
 # one mask per element of B, so this fails exactly where prop_100 does
 def _check_prop_341(m: Matroid) -> str | None:
-    for b in m.bases:
-        count = len(_forming_masks_wrt(m, b))
-        if count != m.rank:
-            return f"|forming family wrt {b}| = {count} != rank {m.rank}"
+    for b, blocks in _forming_blocks(m):
+        if len(blocks) != m.rank:
+            return f"|forming family wrt {b}| = {len(blocks)} != rank {m.rank}"
     return None
 
 
@@ -210,37 +209,33 @@ def _check_prop_46(m: Matroid) -> str | None:
 
 def _check_prop_124(m: Matroid) -> str | None:
     support = m.support()
-    for b in m.bases:
+    for b, blocks in _forming_blocks(m):
         u = 0
-        for k in _forming_masks_wrt(m, b):
+        for k in blocks:
             u |= k
         if u != support.mask:
-            return (
-                f"union of forming family wrt {b} is "
-                f"{m.ground.from_mask(u)} != {support}"
-            )
+            got = m.ground.from_mask(u)
+            return f"union of forming family wrt {b} is {got} != {support}"
     return None
 
 
 # cannot fail: each block exp[B - e] holds e and no other element of B
 def _check_lemma_e(m: Matroid) -> str | None:
-    for b in m.bases:
-        blocks = _forming_masks_wrt(m, b)
+    for b, blocks in _forming_blocks(m):
         for i in b.indices():
             hits = sum(k >> i & 1 for k in blocks)
             if hits != 1:
-                return (
-                    f"element {m.ground.label(i)} of base {b} lies in "
-                    f"{hits} blocks of {SetFamily.from_masks(m.ground, blocks)}"
-                )
+                e, fam = m.ground.label(i), SetFamily.from_masks(m.ground, blocks)
+                return f"element {e} of base {b} lies in {hits} blocks of {fam}"
     return None
 
 
 def _check_lemma_66(m: Matroid) -> str | None:
-    target = SetFamily(m.ground, [m.support()])
-    for b in m.bases:
-        fam = forming_family_wrt(m, b)
-        if fam != target:
+    support = m.support()
+    for b, blocks in _forming_blocks(m):
+        if blocks != [support.mask]:
+            fam = SetFamily.from_masks(m.ground, blocks)
+            target = SetFamily(m.ground, [support])
             return f"rank-one forming family wrt {b} is {fam}, not {target}"
     return None
 

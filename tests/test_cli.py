@@ -319,6 +319,23 @@ class TestForming:
         path.write_text('{"ground_set": ["1"], "bases": [[]]}')
         code, _, err = run(capsys, "forming", str(path))
         assert code == 1
+        assert err == "error: secondary bases are undefined at rank zero\n"
+
+    def test_json_is_pinned_on_every_small_matroid(self, capsys, tmp_path):
+        # sha256 of the JSON report of each of the 87 rank-positive matroids
+        # with n <= 4, in enumeration order: every base's forming family
+        digest = hashlib.sha256()
+        path = tmp_path / "m.json"
+        pop = [m for n in range(1, 5) for m in enumerate_matroids(n) if m.rank > 0]
+        assert len(pop) == 87
+        for m in pop:
+            path.write_text(json.dumps(m.to_doc()))
+            code, out, _ = run(capsys, "forming", str(path), "--json")
+            assert code == 0
+            digest.update(out.encode())
+        assert digest.hexdigest() == (
+            "d3aeadd0dbd36317a1d8a880acc7615ab771f41e58ba482daceaac009f2dcd45"
+        )
 
 
 class TestConstructors:

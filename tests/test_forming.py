@@ -16,6 +16,7 @@ from matroidlab import (
     secondary_bases,
 )
 from matroidlab.errors import NotABase, RankZero
+from matroidlab.forming import _forming_blocks
 from matroidlab.matroid import expansion_masks
 
 from oracles import expansion_oracle, subset_of
@@ -147,9 +148,32 @@ class TestFormingFamilyWrt:
             forming_family_wrt(nested, g3.subset("2", "3"))
 
     def test_rank_zero_rejected(self, g3):
+        # before the membership probe, with the one rank-zero message
         m = Matroid.from_bases(g3, fam(g3, ""))
-        with pytest.raises(RankZero):
+        message = "^secondary bases are undefined at rank zero$"
+        with pytest.raises(RankZero, match=message):
             forming_family_wrt(m, g3.empty())
+        with pytest.raises(RankZero, match=message):
+            forming_family_wrt(m, g3.full())
+
+    def test_the_walk_gives_every_base_its_family(self, monkeypatch):
+        # `_forming_blocks` yields the bases in canonical order, each with one
+        # block per element by ascending index, and probes no membership
+        def probe(family, s):
+            raise AssertionError("the walk probed base membership")
+
+        pop = _rank_positive(4)
+        monkeypatch.setattr(SetFamily, "__contains__", probe)
+        walks = [list(_forming_blocks(m)) for m in pop]
+        monkeypatch.undo()
+        for m, walked in zip(pop, walks):
+            assert [b for b, _ in walked] == list(m.bases)
+            for b, blocks in walked:
+                assert blocks == [
+                    expansion(m, b - m.ground.subset(e)).mask for e in b
+                ]
+                family = SetFamily.from_masks(m.ground, blocks)
+                assert family == forming_family_wrt(m, b)
 
 
 class TestAgainstExpansionOperator:

@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+import weakref
 from functools import partial
 from itertools import chain, combinations, product
 from pathlib import Path
@@ -58,9 +59,9 @@ from oracles import (
 
 class _DrawnMatroid(Matroid):
     """A matroid drawn from a test stream, as distinct from the matroids the
-    checks build from it."""
+    checks build from it; weakly referable, so a test can count the live ones."""
 
-    __slots__ = ()
+    __slots__ = ("__weakref__",)
 
 
 def population(max_n):
@@ -102,8 +103,12 @@ def _one_per_block_matroid_missing_its_last_base(monkeypatch):
 def _forming_blocks_missing_the_last(monkeypatch):
     # drop the block of each base's last element: that element then lies in
     # no block, so no base-relative forming family is whole
-    real = harness._forming_masks_wrt
-    monkeypatch.setattr(harness, "_forming_masks_wrt", lambda m, b: real(m, b)[:-1])
+    real = harness._forming_blocks
+
+    def dropped(m):
+        return ((b, blocks[:-1]) for b, blocks in real(m))
+
+    monkeypatch.setattr(harness, "_forming_blocks", dropped)
 
 
 def _flag_missing_an_element(monkeypatch):
@@ -240,13 +245,13 @@ class TestVerify:
         keep: bool = False, collect: bool = True, cycle: bool = False
     ) -> list[int]:
         # the number of matroids drawn from the stream that are still alive,
-        # sampled at every 50th draw; a drawn matroid is told apart by its
-        # class, so the values its checks build and keep in its memo (its
-        # one-per-block matroid, its dual) are not counted.  Without
-        # `collect` the cyclic collector is off for the whole run, so only
-        # reference counts free a drawn matroid; with `cycle` each one holds
-        # itself in its memo
-        alive, kept = [], []
+        # sampled at every 50th draw; each drawn matroid goes into a weak set,
+        # so the values its checks build and keep in its memo (its
+        # one-per-block matroid, its dual) are not counted, and counting walks
+        # no heap.  Without `collect` the cyclic collector is off for the
+        # whole run, so only reference counts free a drawn matroid; with
+        # `cycle` each one holds itself in its memo
+        alive, kept, drawn_set = [], [], weakref.WeakSet()
 
         def stream():
             for i, m in enumerate(
@@ -255,10 +260,9 @@ class TestVerify:
                 if i % 50 == 0:
                     if collect:
                         gc.collect()
-                    alive.append(
-                        sum(isinstance(o, _DrawnMatroid) for o in gc.get_objects())
-                    )
+                    alive.append(len(drawn_set))
                 drawn = _DrawnMatroid._trusted(m.ground, m.bases)
+                drawn_set.add(drawn)
                 if keep:
                     kept.append(drawn)
                 if cycle:
@@ -691,7 +695,8 @@ class TestDualInvolution:
 class TestFormingChecksAgainstOracles:
     """`prop_341`, `prop_124` and `lemma_e` read the base-relative block masks;
     the oracles build each base's forming family as a `SetFamily` and must
-    give the same text."""
+    give the same text.  `lemma_66` reads the same walk, so a mutant of it
+    fails all four."""
 
     CASES = [
         ("prop_341", prop_341_oracle),
@@ -703,21 +708,26 @@ class TestFormingChecksAgainstOracles:
     EQUAL_SIZE_FAILURES = {"prop_341": 0, "prop_124": 27, "lemma_e": 0}
     MIXED_FAILURES = {"prop_341": 1672, "prop_124": 1845, "lemma_e": 0}
 
-    # a broken block list fails all three checks on every rank-positive
-    # matroid; the first witness and a digest of every witness, in report
-    # order, pin each check's failure text
+    # a broken block list fails each check on every matroid it applies to
+    # with n <= 4 (the 87 rank-positive ones, or the 26 of rank one); the
+    # first witness and a digest of every witness, in report order, pin each
+    # check's failure text
     MUTANTS = [
         (
             "prop_341", "|forming family wrt {1}| = 0 != rank 1",
-            "afc729c87c3ec0407d525ad00ce8897cb73522fa72f0667ff4dc4fffd37e1425",
+            "afc729c87c3ec0407d525ad00ce8897cb73522fa72f0667ff4dc4fffd37e1425", 87,
         ),
         (
             "prop_124", "union of forming family wrt {1} is {} != {1}",
-            "9a2346b8900bb21d3a170ec72c9cf78c86d7bb5498746fb9a562f9079bdbe88e",
+            "9a2346b8900bb21d3a170ec72c9cf78c86d7bb5498746fb9a562f9079bdbe88e", 87,
         ),
         (
             "lemma_e", "element 1 of base {1} lies in 0 blocks of {}",
-            "4ae0697a7a802fc5ce25f0837508e1e4df8217c4f7f5641dc3144793bdb9cac0",
+            "4ae0697a7a802fc5ce25f0837508e1e4df8217c4f7f5641dc3144793bdb9cac0", 87,
+        ),
+        (
+            "lemma_66", "rank-one forming family wrt {1} is {}, not {{1}}",
+            "5aaca28cfb2b0af29eed1eca3bf1ba5422541398ef4f78c4d7afc459adb993cb", 26,
         ),
     ]
 
@@ -749,11 +759,13 @@ class TestFormingChecksAgainstOracles:
         failed = self._failures(check_id, oracle, mixed_size_families())
         assert failed == self.MIXED_FAILURES[check_id]
 
-    @pytest.mark.parametrize("check_id,detail,digest", MUTANTS)
-    def test_mutant_failure_detail_is_pinned(self, monkeypatch, check_id, detail, digest):
+    @pytest.mark.parametrize("check_id,detail,digest,applicable", MUTANTS)
+    def test_mutant_failure_detail_is_pinned(
+        self, monkeypatch, check_id, detail, digest, applicable
+    ):
         _forming_blocks_missing_the_last(monkeypatch)
         outcome = verify(population(4), [lookup_check(check_id)]).outcomes[0]
-        assert (outcome.applicable, outcome.failed) == (87, 87)
+        assert (outcome.applicable, outcome.failed) == (applicable, applicable)
         first = {"ground_set": ["1"], "bases": [["1"]]}
         assert outcome.witnesses[0] == {"matroid": first, "detail": detail}
         witnesses = json.dumps(outcome.witnesses).encode()
