@@ -2,13 +2,19 @@
 
 Every classifier returns a ClassificationResult; a false verdict always
 carries the canonically least counterexample, so failure output is identical
-across runs.  Every search runs sequentially in canonical order.  A
-minimality verdict comes from the flag-of-flats certificate at any size
-(`union_minimal`, `intersection_minimal`): union minimal means rank zero or
-unique expansion, and intersection minimal means the same of the dual.  Only
-a false verdict's canonical witness needs the exhaustive search over
-subfamilies of the base family, pruned by prefix, and that search alone is
-guarded by a fixed cap of 20 bases (`DEFAULT_SEARCH_CAP`).
+across runs.  Every verdict is decided first, with no witness, and only a
+false one is searched for its witness, sequentially in canonical order; a
+false verdict whose search finds no witness raises RuntimeError.
+
+The unique-expansion and unique-exchange verdicts come from one pass over
+the distinct expansion masks (`matroid._fork_verdicts`), kept per matroid
+(`_verdicts`).  A minimality verdict comes from the flag-of-flats
+certificate at any size (`union_minimal`, `intersection_minimal`): union
+minimal means rank zero or unique expansion, and intersection minimal means
+the same of the dual, so both read that pass.  Only a false verdict's
+canonical witness needs the exhaustive search over subfamilies of the base
+family, pruned by prefix, and that search alone is guarded by a fixed cap of
+20 bases (`DEFAULT_SEARCH_CAP`).
 """
 
 from __future__ import annotations
@@ -18,7 +24,7 @@ from typing import Sequence
 
 from .errors import RankZero, SearchCapExceeded
 from .forming import forming_family
-from .matroid import Matroid, _expansion_of, _least_triple
+from .matroid import Matroid, _expansion_of, _fork_verdicts, _least_triple
 from .setalgebra import (
     Partition,
     SetFamily,
@@ -73,19 +79,36 @@ class ClassificationResult:
         return self.verdict
 
 
+_TRUE = ClassificationResult(True, None)
+
+
+def _verdicts(m: Matroid) -> tuple[bool, bool]:
+    """(unique expansion, unique exchange) of `m`, from one pass over its
+    distinct expansion masks (`matroid._fork_verdicts`), computed once per
+    matroid; the memo holds the two verdicts and no witness."""
+    return m._fact(
+        "unique_verdicts",
+        lambda: _fork_verdicts(m.bases.masks(), m._expansion_map()),
+    )
+
+
 def is_unique_expansion(m: Matroid) -> ClassificationResult:
     """Does every secondary base extend into each base in at most one way?
 
-    False as soon as some secondary base A and base B admit two distinct
-    elements of B whose addition to A gives a base; the witness is the least
-    such (A, B, e1, e2) in canonical order, computed once per matroid.
+    The verdict comes from the one-pass `_verdicts`.  Only a false one is
+    scanned for its witness, the least (A, B, e1, e2) in canonical order such
+    that A + e1 and A + e2 are bases, computed once per matroid.
     """
     if m.rank == 0:
         raise RankZero("unique expansion is undefined at rank zero")
-    return m._fact("unique_expansion", lambda: _unique_expansion(m))
+    if _verdicts(m)[0]:
+        return _TRUE
+    return m._fact("expansion_witness", lambda: _expansion_witness(m))
 
 
-def _unique_expansion(m: Matroid) -> ClassificationResult:
+def _expansion_witness(m: Matroid) -> ClassificationResult:
+    """The canonical witness of a false unique-expansion verdict: secondary
+    bases in canonical order, then bases; RuntimeError if there is none."""
     exp = m._expansion_map()
     ground = m.ground
     for a in sorted(exp, key=mask_order_key(ground.size)):
@@ -97,24 +120,27 @@ def _unique_expansion(m: Matroid) -> ClassificationResult:
                 return ClassificationResult(False, ExpansionWitness(
                     Subset(ground, a), b, ground.label(e1), ground.label(e2)
                 ))
-    return ClassificationResult(True, None)
+    raise RuntimeError(f"{m} is not unique expansion, but the scan finds no witness")
 
 
 def is_unique_exchange(m: Matroid) -> ClassificationResult:
     """After removing x from base1, is the repairing element of base2 unique?
 
     The repairs of (B1, B2, x) are the bits of B2 in the expansion mask of
-    B1 - x, read from the matroid's memoized map at every rank.  Vacuously
-    true when no pair of bases offers two repairs (in particular for a
-    rank-zero matroid); the witness is the least (B1, B2, x, y1, y2)
-    otherwise, its triple named by the exchange validator's own scan
-    (`matroid._least_triple`).
+    B1 - x.  The verdict comes from the one-pass `_verdicts`; it is
+    vacuously true when no pair of bases offers two repairs (in particular
+    for a rank-zero matroid).  Only a false one is scanned for its witness,
+    the least (B1, B2, x, y1, y2), its triple named by the exchange
+    validator's own scan (`matroid._least_triple`); RuntimeError if that scan
+    finds none.
     """
+    if _verdicts(m)[1]:
+        return _TRUE
     masks = [b.mask for b in m.bases.sets]
     exp = m._expansion_map()
     triple = _least_triple(masks, exp, forked=True)
     if triple is None:
-        return ClassificationResult(True, None)
+        raise RuntimeError(f"{m} is not unique exchange, but the scan finds no witness")
     b1, b2, x = triple
     ground = m.ground
     y1, y2 = Subset(ground, exp[b1 ^ (1 << x)] & b2).indices()[:2]
@@ -305,7 +331,7 @@ def union_minimal(m: Matroid) -> bool:
     the same union.  If M is union minimal, B(M) is that family, so M is a
     one-per-block matroid and hence unique expansion (`thm_52`).
     """
-    return m.rank == 0 or is_unique_expansion(m).verdict
+    return m.rank == 0 or _verdicts(m)[0]
 
 
 def _flag_blocks(m: Matroid) -> list[int]:

@@ -26,6 +26,7 @@ import sys
 from itertools import chain
 
 from .classify import (
+    _verdicts,
     intersection_minimal,
     is_intersection_minimal,
     is_union_minimal,
@@ -77,13 +78,12 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
     fam = forming_family(m) if m.rank > 0 else None
     recovered = recover_partition(m) if m.rank > 0 else None
-    results = {
-        "unique_expansion": is_unique_expansion(m) if m.rank > 0 else None,
-        "unique_exchange": is_unique_exchange(m),
-    }
-    # the verdicts come from the certificate at any size; only the text
-    # report searches, for the witness of a false one
-    minimal = {
+    # every verdict comes from one pass or the certificate, at any size; only
+    # the text report scans, for the witness of a false one
+    expansion, exchange = _verdicts(m)
+    verdicts = {
+        "unique_expansion": expansion if m.rank > 0 else None,
+        "unique_exchange": exchange,
         "union_minimal": union_minimal(m),
         "intersection_minimal": intersection_minimal(m),
     }
@@ -92,26 +92,19 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     out["recovered_partition"] = (
         _family_doc(recovered.family) if recovered is not None else None
     )
-    for name, res in results.items():
-        out[name] = res.verdict if res is not None else None
-    out.update(minimal)
+    out.update(verdicts)
 
     if args.json:
         print(json.dumps(out))
         return 0
 
-    def verdict_line(res) -> str:
-        if res is None:
+    def verdict_line(name: str, classify) -> str:
+        if verdicts[name] is None:
             return "n/a"
-        if res.verdict:
-            return "yes"
-        return f"no (witness: {res.witness})"
-
-    def minimal_line(name: str, classify) -> str:
-        if minimal[name]:
+        if verdicts[name]:
             return "yes"
         try:
-            return verdict_line(classify(m))
+            return f"no (witness: {classify(m).witness})"
         except SearchCapExceeded as exc:
             return f"no (witness search skipped: {exc})"
 
@@ -124,11 +117,11 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         "recovered partition: "
         + (_fmt_family(recovered.family) if recovered is not None else "none")
     )
-    print(f"unique expansion: {verdict_line(results['unique_expansion'])}")
-    print(f"unique exchange: {verdict_line(results['unique_exchange'])}")
-    print(f"union minimal: {minimal_line('union_minimal', is_union_minimal)}")
+    print(f"unique expansion: {verdict_line('unique_expansion', is_unique_expansion)}")
+    print(f"unique exchange: {verdict_line('unique_exchange', is_unique_exchange)}")
+    print(f"union minimal: {verdict_line('union_minimal', is_union_minimal)}")
     print("intersection minimal: "
-          + minimal_line("intersection_minimal", is_intersection_minimal))
+          + verdict_line("intersection_minimal", is_intersection_minimal))
     return 0
 
 

@@ -142,7 +142,7 @@ def enumerate_matroids(n: int, rank: int | None = None) -> Iterator[Matroid]:
     ground = enumeration_ground(n)
     ranks = range(n + 1) if rank is None else [rank]
     return (
-        Matroid._trusted(ground, SetFamily.from_masks(ground, fam))
+        Matroid._trusted(ground, SetFamily._from_canonical(ground, fam))
         for r in ranks
         if 0 <= r <= n
         for fam in _families(n)[r]

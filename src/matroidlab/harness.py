@@ -26,6 +26,7 @@ from .classify import (
     ExpansionWitness,
     _flag_blocks,
     _minimality_search,
+    _verdicts,
     is_unique_exchange,
     is_unique_expansion,
     recover_partition,
@@ -77,7 +78,7 @@ def _rank_positive(m: Matroid) -> bool:
 
 
 def _expansion_unique(m: Matroid) -> bool:
-    return m.rank > 0 and is_unique_expansion(m).verdict
+    return m.rank > 0 and _verdicts(m)[0]
 
 
 class _MissingFact(Exception):
@@ -241,7 +242,7 @@ def _check_lemma_66(m: Matroid) -> str | None:
 
 
 def _check_thm_50(m: Matroid) -> str | None:
-    ue = is_unique_expansion(m).verdict
+    ue = _verdicts(m)[0]
     part = recover_partition(m) is not None
     if ue != part:
         return f"unique expansion {ue} but forming family partitions support {part}"
@@ -256,7 +257,7 @@ def _check_prop_h(m: Matroid) -> str | None:
 
 
 def _check_thm_126(m: Matroid) -> str | None:
-    ue = is_unique_expansion(m).verdict
+    ue = _verdicts(m)[0]
     count = len(forming_family(m))
     if ue != (count == m.rank):
         return f"unique expansion {ue} but |forming family| = {count}, rank {m.rank}"
@@ -338,7 +339,7 @@ def _check_thm_321(m: Matroid) -> str | None:
 
 
 def _check_thm_52(m: Matroid) -> str | None:
-    ue = is_unique_expansion(m).verdict
+    ue = _verdicts(m)[0]
     upm_equal = (
         recover_partition(m) is not None
         and _one_per_block_matroid(m).bases == m.bases

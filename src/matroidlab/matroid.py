@@ -23,9 +23,16 @@ cocircuits, so this is the fact that every base meets every cocircuit
 (Oxley, Matroid Theory, 2nd ed., ch. 2).  Only a failing family is scanned
 pair by pair, for its canonically least triple.
 
+Unique expansion and unique exchange are decided the same way
+(`_fork_verdicts`), in one pass over the distinct expansion masks and the
+members: expansion fails exactly when some mask meets some member in two
+elements, and exchange exactly when such a mask also reaches outside that
+member.  Only a false verdict is scanned for its canonical witness.
+
 Facts derived from the bases (the independent sets, the expansion map, the
-forming family, the unique-expansion verdict, the recovered partition, the
-union and intersection minimality results, the dual) are computed at most
+forming family, the two uniqueness verdicts, the witness of a false
+unique-expansion verdict, the recovered partition, the union and
+intersection minimality search results, the dual) are computed at most
 once per matroid value and kept in its memo slot; since a matroid is
 immutable they can never go stale.  A matroid built by `from_bases` is a new
 value whose memo starts with the expansion map its exchange check built, at
@@ -131,6 +138,38 @@ def first_exchange_violation(
     return None
 
 
+def _fork_verdicts(masks: Iterable[int], exp: dict[int, int]) -> tuple[bool, bool]:
+    """(unique expansion, unique exchange) of a family, with no witness.
+
+    `exp` is `expansion_masks` of the members `masks`, in any order.  Unique
+    expansion fails exactly when some expansion mask g and member B have
+    |g & B| >= 2, since the elements e of B with A + e a member are the bits
+    of B in exp[A].  Unique exchange fails exactly when some such pair also
+    has g not inside B.  For a key A with exp[A] = g and an x in g - B,
+    A + x is a member B1 with x in B1 - B, and the repairs of (B1, B, x) are
+    the two or more bits of g & B: a forked triple.  Conversely a forked
+    (B1, B2, x) has x in exp[B1 - x] but not in B2, so g = exp[B1 - x] and
+    B = B2 are such a pair.  This holds for families of any shape, so one
+    pass over the (distinct mask, member) pairs decides both classes, and a
+    pair that fails exchange fails expansion too.  (On a matroid the masks
+    are the cocircuits.)
+
+    A mask of one bit cannot fork, and one of two bits forks only inside B,
+    so once expansion has failed only masks of three or more bits are read.
+    """
+    expansion = True
+    for grows in set(exp.values()):
+        if grows.bit_count() < (2 if expansion else 3):
+            continue
+        for b in masks:
+            both = grows & b
+            if both & (both - 1):
+                if both != grows:
+                    return False, False
+                expansion = False
+    return expansion, True
+
+
 def _least_triple(
     masks: Sequence[int], exp: dict[int, int], *, forked: bool = False
 ) -> tuple[int, int, int] | None:
@@ -204,11 +243,11 @@ class Matroid:
         if not candidate:
             raise EmptyFamily("a base family must be nonempty")
         sets = candidate.sets
-        first = sets[0]
-        for other in sets[1:]:
-            if len(other) != len(first):
-                raise UnequalCardinality(first, other)
         masks = [s.mask for s in sets]
+        size = masks[0].bit_count()
+        for i, mask in enumerate(masks):
+            if mask.bit_count() != size:
+                raise UnequalCardinality(sets[0], sets[i])
         exp = expansion_masks(masks)
         violation = first_exchange_violation(masks, exp)
         if violation is not None:
@@ -341,10 +380,18 @@ class Matroid:
             ground = GroundSet(str(x) for x in doc["ground_set"])
         except ValueError as exc:
             raise ParseError(str(exc)) from None
+        # each row becomes a mask directly, with no Subset per label
+        index = ground.index
+        masks = []
         try:
-            family = SetFamily(ground, (ground.subset(*map(str, r)) for r in rows))
+            for row in rows:
+                mask = 0
+                for label in row:
+                    mask |= 1 << index(str(label))
+                masks.append(mask)
         except KeyError as exc:
             raise ParseError(f"set member not in ground set: {exc.args[0]}") from None
+        family = SetFamily.from_masks(ground, masks)
         if has_bases:
             return cls.from_bases(ground, family)
         return cls.from_independents(ground, family)

@@ -23,7 +23,7 @@ MAX_GROUND_SIZE = 64
 
 
 # the indices of every byte-sized mask: each subset of a ground set of at
-# most 8 elements is read from here instead of bit by bit
+# most 8 elements is read from here, and a larger one a byte at a time
 _BYTE_BITS = tuple(
     tuple(i for i in range(8) if mask >> i & 1) for mask in range(256)
 )
@@ -35,11 +35,16 @@ def _bit_indices(mask: int) -> tuple[int, ...]:
             # a negative int has infinitely many set bits
             raise ValueError(f"negative mask {mask} has no bit indices")
         return _BYTE_BITS[mask]
-    out = []
+    out = list(_BYTE_BITS[mask & 255])
+    mask >>= 8
+    at = 8
     while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
+        byte = mask & 255
+        if byte:
+            for i in _BYTE_BITS[byte]:
+                out.append(at + i)
+        mask >>= 8
+        at += 8
     return tuple(out)
 
 
@@ -56,13 +61,35 @@ _BYTE_RANK = tuple(
 )
 
 
-def mask_order_key(size: int) -> Callable[[int], object]:
-    """A sort key putting the masks of a `size`-element ground set in
-    canonical order: the `_BYTE_RANK` lookup up to 8 elements, else
-    `canonical_key`.  The lookup reads a negative mask from the table's end
-    and fails past it, so range-check masks before sorting by it.
+# each byte with its bits in reverse order
+_BYTE_REVERSED = bytes(
+    sum(1 << 7 - i for i in _BYTE_BITS[byte]) for byte in range(256)
+)
+_WORD = (1 << MAX_GROUND_SIZE) - 1
+
+
+def _wide_order_key(mask: int) -> int:
+    """Sort key of a mask of up to 64 bits in canonical order, as an int.
+
+    Of two masks of one size, the one holding the lowest bit where they
+    differ has the smaller index list.  Reversing the 64 bits makes that bit
+    the highest differing one, and complementing the reversal puts the mask
+    that holds it first; the size goes above all 64 bits.
     """
-    return _BYTE_RANK.__getitem__ if size <= 8 else canonical_key
+    word = mask.to_bytes(MAX_GROUND_SIZE // 8, "little")
+    reversed_bits = int.from_bytes(word.translate(_BYTE_REVERSED), "big")
+    return mask.bit_count() << MAX_GROUND_SIZE | _WORD ^ reversed_bits
+
+
+def mask_order_key(size: int) -> Callable[[int], int]:
+    """A sort key putting the masks of a `size`-element ground set in
+    canonical order, the order of `canonical_key`, as an int: the
+    `_BYTE_RANK` lookup up to 8 elements, else `_wide_order_key`.  The lookup
+    reads a negative mask from the table's end and fails past it, and the
+    wide key fails on a negative mask or one past 64 bits, so range-check
+    masks before sorting by it.
+    """
+    return _BYTE_RANK.__getitem__ if size <= 8 else _wide_order_key
 
 
 class GroundSet:
@@ -241,7 +268,8 @@ class SetFamily:
 
         Duplicates collapse and members sort canonically, as in the
         constructor; a mask with a bit outside the ground set raises
-        ValueError.  Every family the library computes as masks is built here.
+        ValueError.  Every family the library computes as masks is built here,
+        or by `_from_canonical` when it is already in canonical order.
         The masks are range-checked once, together, and the members are built
         from them without the per-member check of the `Subset` constructor.
         """
@@ -249,16 +277,28 @@ class SetFamily:
         family._fill(ground, set(masks))
         return family
 
-    def _fill(self, ground: GroundSet, masks: set[int]) -> None:
+    @classmethod
+    def _from_canonical(cls, ground: GroundSet, ordered: Sequence[int]) -> SetFamily:
+        """`from_masks` for distinct masks already in canonical order, which
+        are range-checked but not sorted again."""
+        family = cls.__new__(cls)
+        family._fill(ground, set(ordered), ordered)
+        return family
+
+    def _fill(
+        self, ground: GroundSet, masks: set[int], ordered: Sequence[int] | None = None
+    ) -> None:
         # the masks are range-checked before they are sorted, since the sort
         # key of a mask out of range is wrong or undefined
         if masks and (min(masks) < 0 or max(masks) >> ground.size):
             raise ValueError("mask has bits outside the ground set")
         self.ground = ground
+        if ordered is None:
+            ordered = sorted(masks, key=mask_order_key(ground.size))
         # every mask is in range, so the members skip the constructor's check
         members = []
         append, new = members.append, object.__new__
-        for m in sorted(masks, key=mask_order_key(ground.size)):
+        for m in ordered:
             member = new(Subset)
             member.ground = ground
             member.mask = m

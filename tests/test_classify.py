@@ -290,9 +290,11 @@ class TestAgainstDefinitionOracles:
         _assert_minimality_witnesses(Matroid.from_bases(g, bases))
 
     def test_unique_expansion_matches_oracle_witness(self):
+        # the one-pass verdict, and the scan's witness of a false one, on all
+        # 4,304 matroids with n <= 6 and their duals
         from oracles import unique_expansion_oracle
 
-        for m in _rank_positive(5):
+        for m in _rank_positive(6):
             for x in (m, m.dual()):
                 if x.rank == 0:
                     continue
@@ -304,7 +306,7 @@ class TestAgainstDefinitionOracles:
     def test_unique_exchange_matches_oracle_witness(self):
         from oracles import unique_exchange_oracle
 
-        for m in _population(5):
+        for m in _population(6):
             for x in (m, m.dual()):
                 assert _exchange_witness(x) == unique_exchange_oracle(x)
 
@@ -315,6 +317,33 @@ class TestAgainstDefinitionOracles:
 
         for family in mixed_size_families():
             assert _exchange_witness(family) == unique_exchange_oracle(family), family
+
+    def test_unique_expansion_matches_the_scan_on_mixed_families(self):
+        # the one pass holds for families of any shape; `unique_expansion_oracle`
+        # reads ranks, which such a family lacks, so the verdict is checked
+        # against the canonical scan over every expansion mask instead
+        from oracles import mixed_size_families
+
+        false_verdicts = 0
+        for family in mixed_size_families():
+            if family.rank == 0:
+                continue
+            try:
+                scanned = classify_module._expansion_witness(family)
+            except RuntimeError:
+                scanned = ClassificationResult(True, None)
+            assert is_unique_expansion(family) == scanned, family
+            false_verdicts += not scanned.verdict
+        assert false_verdicts == 511
+
+    def test_false_verdict_without_witness_raises(self, monkeypatch):
+        # a verdict pass that answers false where the scans find nothing
+        monkeypatch.setattr(classify_module, "_fork_verdicts", lambda masks, exp: (False, False))
+        m = mk("123", "1", "2", "3")
+        with pytest.raises(RuntimeError, match="not unique expansion"):
+            is_unique_expansion(m)
+        with pytest.raises(RuntimeError, match="not unique exchange"):
+            is_unique_exchange(m)
 
     def test_minimality_search_takes_an_empty_first_member(self):
         # the first member of {{}, {1}} covers nothing, so the size bound

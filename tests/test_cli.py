@@ -189,8 +189,11 @@ class TestAnalyze:
 
     def test_json_verdicts_run_no_search(self, capsys, tmp_path, monkeypatch):
         # every matroid with n <= 4: `analyze --json` answers both minimality
-        # questions by the certificate alone, with the search's verdicts; then
-        # known answers past the search cap of 20 bases
+        # questions by the certificate alone, with the search's verdicts, and
+        # both uniqueness questions by the one pass alone, with the oracles'
+        # verdicts; then known answers past the search cap of 20 bases
+        from oracles import unique_exchange_oracle, unique_expansion_oracle
+
         pop = [m for n in range(1, 5) for m in enumerate_matroids(n)]
         want = [
             tuple(
@@ -213,17 +216,29 @@ class TestAnalyze:
             pop.append(Matroid.from_doc(doc))
             want.append(verdicts)
 
-        def no_search(*args):
-            pytest.fail("analyze --json ran the minimality search")
+        unique = [
+            (
+                unique_expansion_oracle(m) is None if m.rank > 0 else None,
+                unique_exchange_oracle(m) is None,
+            )
+            for m in pop
+        ]
 
-        monkeypatch.setattr(classify_module, "_least_reduction", no_search)
+        def no_search(*args, **kwargs):
+            pytest.fail("analyze --json ran a witness search")
+
+        for scan in ("_least_reduction", "_expansion_witness", "_least_triple"):
+            monkeypatch.setattr(classify_module, scan, no_search)
         path = tmp_path / "m.json"
-        for m, (union, intersection) in zip(pop, want):
+        for m, (union, intersection), (expansion, exchange) in zip(pop, want, unique):
             path.write_text(json.dumps(m.to_doc()))
             code, out, _ = run(capsys, "analyze", str(path), "--json")
             doc = json.loads(out)
-            got = (code, doc["union_minimal"], doc["intersection_minimal"])
-            assert got == (0, union, intersection), m
+            got = (
+                code, doc["union_minimal"], doc["intersection_minimal"],
+                doc["unique_expansion"], doc["unique_exchange"],
+            )
+            assert got == (0, union, intersection, expansion, exchange), m
 
     def test_output_is_pinned_on_every_small_matroid(self, capsys, tmp_path):
         # sha256 of the text report then the JSON report of each of the 497

@@ -9,6 +9,7 @@ from matroidlab import (
 )
 from matroidlab.enumeration import _extensions, _families
 from matroidlab.errors import GroundSetTooLarge
+from matroidlab.setalgebra import mask_order_key
 
 from oracles import all_antichain_matroids, exchange_scan_families
 
@@ -54,6 +55,7 @@ class TestCounts:
             raise AssertionError("counting built a family")
 
         monkeypatch.setattr(SetFamily, "from_masks", classmethod(refuse))
+        monkeypatch.setattr(SetFamily, "_from_canonical", classmethod(refuse))
         monkeypatch.setattr(Matroid, "_trusted", classmethod(refuse))
         _families.cache_clear()
         assert {n: count_matroids(n) for n in KNOWN_COUNTS} == KNOWN_COUNTS
@@ -89,6 +91,16 @@ class TestStreamProperties:
         for n in (1, 2, 3, 4, 5, 6):
             keys = [(m.rank, m.bases.sort_key) for m in enumerate_matroids(n)]
             assert keys == sorted(keys)
+
+    def test_cached_families_are_canonical(self):
+        # the stream wraps each cached tuple as it stands, unsorted, so every
+        # tuple must be duplicate-free and in canonical member order already
+        for n in range(1, 7):
+            key = mask_order_key(n)
+            for families in _families(n):
+                for fam in families:
+                    assert len(set(fam)) == len(fam)
+                    assert list(fam) == sorted(fam, key=key)
 
     def test_stable_across_runs(self):
         first = [m.bases.masks() for m in enumerate_matroids(4)]

@@ -651,7 +651,7 @@ class TestSharedClosurePass:
 
 class TestUniqueExpansionReaders:
     """`thm_50`, `thm_126`, `thm_52` and `prop_h` read the memoized
-    unique-expansion verdict they test; a classifier that answers true for
+    unique-expansion verdict they test; a verdict pass that answers true for
     every matroid must make each of them fail."""
 
     U23 = {"ground_set": ["1", "2", "3"], "bases": [["1", "2"], ["1", "3"], ["2", "3"]]}
@@ -664,14 +664,24 @@ class TestUniqueExpansionReaders:
 
     @pytest.mark.parametrize("check_id,detail", MUTANTS)
     def test_always_true_classifier_fails_the_check(self, monkeypatch, check_id, detail):
-        monkeypatch.setattr(
-            classify_module, "_unique_expansion",
-            lambda m: classify_module.ClassificationResult(True, None),
-        )
+        monkeypatch.setattr(classify_module, "_fork_verdicts", lambda masks, exp: (True, True))
         pop = [m for m in population(4) if m.rank > 0]
         outcome = verify(pop, [lookup_check(check_id)]).outcomes[0]
         assert (outcome.applicable, outcome.failed) == (87, 17)
         assert outcome.witnesses[0] == {"matroid": self.U23, "detail": detail}
+
+    def test_swapped_verdict_pass_fails_thm_50(self, monkeypatch):
+        # the one pass returning (exchange, expansion): the 10 rank-positive
+        # matroids with n <= 4 that are unique exchange but not unique
+        # expansion, U(2,3) first, read as unique expansion
+        real = matroid_module._fork_verdicts
+        monkeypatch.setattr(
+            classify_module, "_fork_verdicts", lambda masks, exp: real(masks, exp)[::-1]
+        )
+        pop = [m for m in population(4) if m.rank > 0]
+        outcome = verify(pop, [lookup_check("thm_50")]).outcomes[0]
+        assert (outcome.applicable, outcome.failed) == (87, 10)
+        assert outcome.witnesses[0] == {"matroid": self.U23, "detail": self.MUTANTS[0][1]}
 
 
 class TestDualInvolution:

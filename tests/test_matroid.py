@@ -515,8 +515,18 @@ class TestDocuments:
             Matroid.from_doc(doc)
 
     def test_axiom_errors_pass_through(self):
-        with pytest.raises(UnequalCardinality):
-            Matroid.from_doc({"ground_set": ["1", "2"], "bases": [["1", "2"], ["1"]]})
+        # the two members named are the first in canonical order and the
+        # first of another size
+        with pytest.raises(UnequalCardinality) as exc:
+            Matroid.from_doc({"ground_set": ["1", "2", "3"], "bases": [["3"], ["1", "2"], ["2"]]})
+        g = exc.value.first.ground
+        assert (exc.value.first, exc.value.second) == (g.subset("2"), g.subset("1", "2"))
+        assert str(exc.value) == "bases must share one cardinality: |{2}| = 1 but |{1,2}| = 2"
+
+    def test_label_outside_the_ground_set_is_named(self):
+        with pytest.raises(ParseError) as exc:
+            Matroid.from_doc({"ground_set": [1, 2], "bases": [[1], [2, 3]]})
+        assert str(exc.value) == "set member not in ground set: label '3' not in ground set"
 
 
 _pop_cache = {}

@@ -26,6 +26,7 @@ from matroidlab.setalgebra import (
     _partition_masks,
     _transversal_masks,
     canonical_key,
+    mask_order_key,
 )
 
 from oracles import (
@@ -102,8 +103,8 @@ def _random_masks(seed, count):
 
 
 class TestBitIndices:
-    """Masks below 256 are read from a table, larger ones bit by bit; both
-    must agree with testing every bit position."""
+    """Masks below 256 are read from a table, larger ones from it a byte at a
+    time; both must agree with testing every bit position."""
 
     @pytest.mark.parametrize(
         "masks",
@@ -138,13 +139,28 @@ class TestBitIndices:
 
 class TestByteRank:
     """Up to 8 elements families sort by the byte table of canonical
-    positions, past it by `canonical_key`; both must give canonical order."""
+    positions, past it by an int key of the reversed bits; both must give the
+    order of `canonical_key`."""
 
     def test_table_orders_like_canonical_key(self):
         assert sorted(_BYTE_RANK) == list(range(256))
         assert sorted(range(256), key=_BYTE_RANK.__getitem__) == sorted(
             range(256), key=canonical_key
         )
+
+    def test_wide_key_orders_like_canonical_key_at_every_size(self):
+        # past 8 elements the key is an int built from the reversed bits;
+        # seeded masks of every size, with the empty set, the full set and
+        # the singletons, must sort as the definition does, and read the
+        # same bit indices as the per-bit reference
+        for n in range(9, 65):
+            rng = random.Random(2900 + n)
+            masks = [rng.getrandbits(n) for _ in range(200)]
+            masks += [0, (1 << n) - 1, *(1 << i for i in range(n))]
+            key = mask_order_key(n)
+            assert sorted(masks, key=key) == sorted(masks, key=canonical_key), n
+            for mask in masks:
+                assert _bit_indices(mask) == bit_indices_oracle(mask)
 
     @pytest.mark.parametrize("n", [9, 64])
     def test_wide_family_order_and_labels(self, n):
