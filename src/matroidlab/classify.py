@@ -297,7 +297,7 @@ def _least_reduction(m: Matroid, kind: str, boundary: int) -> ClassificationResu
                 picks.append(t)
                 if leaf:
                     return ClassificationResult(False, SubfamilyWitness(
-                        SetFamily.from_masks(m.ground, [masks[i] for i in picks])
+                        SetFamily._from_canonical(m.ground, [masks[i] for i in picks])
                     ))
                 stack.append((covered, pending, chosen))
                 covered |= covers[t]

@@ -37,7 +37,7 @@ from .classify import (
 )
 from .enumeration import count_matroids, enumerate_matroids
 from .errors import AxiomError, ParseError, RankZero, SearchCapExceeded
-from .forming import forming_family, forming_family_wrt, secondary_bases
+from .forming import _forming_blocks, forming_family, secondary_bases
 from .harness import lookup_check, theorem_registry, verify
 from .matroid import (
     Matroid,
@@ -136,7 +136,8 @@ def cmd_forming(args: argparse.Namespace) -> int:
     try:
         secondaries = secondary_bases(m)
         global_family = forming_family(m)
-        per_base = [(b, forming_family_wrt(m, b)) for b in m.bases]
+        walk = _forming_blocks(m)  # every base's blocks, no membership probe
+        per_base = [(b, SetFamily.from_masks(m.ground, k)) for b, k in walk]
     except RankZero as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

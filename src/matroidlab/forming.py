@@ -6,7 +6,8 @@ yields every secondary base B - e with its expansion set
 (`matroid.expansion_masks`, the map that also validates bases), with no rank
 computation.  The map is the matroid's own (`Matroid._expansion_map`): both
 unique classifiers read it, the forming family is memoized beside it, and the
-base-relative checks walk every base's blocks once (`_forming_blocks`).
+base-relative checks and `matroidlab forming` walk every base's blocks once
+(`_forming_blocks`).
 
 `expansion` is the general operator for any subset X: the complement of the
 closure of X, in one pass over the bases (`matroid._expansion_of`, which the

@@ -31,7 +31,7 @@ from .classify import (
     is_unique_expansion,
     recover_partition,
 )
-from .errors import AxiomError, SearchCapExceeded
+from .errors import AxiomError, ExchangeFailure, SearchCapExceeded
 from .forming import _forming_blocks, forming_family
 from .matroid import (
     Matroid,
@@ -49,11 +49,9 @@ from .setalgebra import (
     _partition_masks,
     _transversal_masks,
     combination_number,
-    complements,
     is_covering,
     is_partition,
     low,
-    mask_order_key,
     one_per_block,
     transversals,
 )
@@ -173,15 +171,15 @@ def _check_prop_100(m: Matroid) -> str | None:
 
 def _check_thm_123(m: Matroid) -> str | None:
     # (B2-{y})+{x} is a base exactly when (C2-{x})+{y} is a complement of one,
-    # for Ci the complement of Bi: base exchange on the complement family
-    cobases = complements(m.bases)
-    violation = first_exchange_violation([c.mask for c in cobases])
-    if violation is None:
-        return None
-    c2, c1, x = violation
-    full = m.ground.full().mask
-    b1, b2 = m.ground.from_mask(full ^ c1), m.ground.from_mask(full ^ c2)
-    return f"no y in {b2}-{b1} with ({b2}-{{y}})+{{{m.ground.label(x)}}} a base"
+    # for Ci the complement of Bi: base exchange on the complement family,
+    # which the dual validates; its violation (C2, C1, x) names the triple
+    try:
+        m.dual()
+    except ExchangeFailure as exc:
+        full = m.ground.full().mask
+        b1, b2 = (m.ground.from_mask(full ^ c.mask) for c in (exc.base2, exc.base1))
+        return f"no y in {b2}-{b1} with ({b2}-{{y}})+{{{exc.element}}} a base"
+    return None
 
 
 # one mask per element of B, so this fails exactly where prop_100 does
@@ -425,15 +423,14 @@ def _check_thm_334(m: Matroid) -> str | None:
         if um != im:
             return f"union minimal {um} but dual intersection minimal {im}"
         return None
-    # the witnesses are checked as masks in canonical order, and built as
-    # families only to name a failure
+    # the witnesses are checked as masks, and built as families only to name
+    # a failure; an exchange pass read only for None needs no canonical order
     ground = m.ground
     full = ground.full().mask
-    comasks = sorted((full ^ b for b in kept), key=mask_order_key(ground.size))
-    union, common = 0, full
+    comasks = [full ^ b for b in kept]
+    union = 0
     for b in kept:
         union |= b
-        common &= full ^ b
     family = partial(SetFamily.from_masks, ground)
     if first_exchange_violation(kept) is not None:
         return f"flag transversals {family(kept)} are not a base family"
@@ -449,10 +446,11 @@ def _check_thm_334(m: Matroid) -> str | None:
         )
     if first_exchange_violation(comasks) is not None:
         return f"complements {family(comasks)} of the flag transversals are not a base family"
-    if common != dual.base_intersection().mask:
+    # the complements of the transversals meet in what their union misses
+    if full ^ union != dual.base_intersection().mask:
         return (
             f"complements {family(comasks)} of the flag transversals meet in "
-            f"{ground.from_mask(common)}, not the dual base intersection"
+            f"{ground.from_mask(full ^ union)}, not the dual base intersection"
         )
     return None
 

@@ -112,9 +112,9 @@ def first_exchange_violation(
 ) -> tuple[int, int, int] | None:
     """First (base1, base2, x) violating the base exchange requirement.
 
-    `masks` must be in canonical order; `exp` is `expansion_masks(masks)`
-    when the caller has built it already.  Returns None when the family
-    satisfies the exchange requirement.
+    `exp` is `expansion_masks(masks)` when the caller has built it already.
+    Returns None exactly when the family satisfies the exchange requirement,
+    in any order of `masks`; otherwise the least triple in their order.
 
     A family of any shape passes exactly when every member meets every
     expansion mask.  The repairs of (B1, B2, x) are the bits of B2 in
@@ -296,20 +296,20 @@ class Matroid:
                     ))
         # canonical order is by size first, and a downward-closed family has
         # members of every size up to the largest: layers[k] holds size k
-        layers = [list(run) for _, run in groupby(indep.sets, len)]
+        ordered = [s.mask for s in indep.sets]
+        layers = [list(run) for _, run in groupby(ordered, int.bit_count)]
         for smaller, larger in zip(layers, layers[1:]):
             for small in smaller:
-                s = small.mask
                 for big in larger:
-                    grow = big.mask & ~s
+                    grow = big & ~small
                     while grow:
                         bit = grow & -grow
-                        if (s | bit) in masks:
+                        if (small | bit) in masks:
                             break
                         grow ^= bit
                     else:
-                        raise AugmentationFailure(small, big)
-        return cls.from_bases(ground, SetFamily(ground, layers[-1]))
+                        raise AugmentationFailure(*map(ground.from_mask, (small, big)))
+        return cls.from_bases(ground, SetFamily._from_canonical(ground, layers[-1]))
 
     def independents(self) -> SetFamily:
         """The full independence family (downward closure of the bases), cached."""

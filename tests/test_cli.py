@@ -336,20 +336,29 @@ class TestForming:
         assert code == 1
         assert err == "error: secondary bases are undefined at rank zero\n"
 
-    def test_json_is_pinned_on_every_small_matroid(self, capsys, tmp_path):
-        # sha256 of the JSON report of each of the 87 rank-positive matroids
-        # with n <= 4, in enumeration order: every base's forming family
+    @staticmethod
+    def _digest(capsys, tmp_path, *flags):
+        # sha256 of the report of each of the 87 rank-positive matroids with
+        # n <= 4, in enumeration order: every base's forming family
         digest = hashlib.sha256()
         path = tmp_path / "m.json"
         pop = [m for n in range(1, 5) for m in enumerate_matroids(n) if m.rank > 0]
         assert len(pop) == 87
         for m in pop:
             path.write_text(json.dumps(m.to_doc()))
-            code, out, _ = run(capsys, "forming", str(path), "--json")
+            code, out, _ = run(capsys, "forming", str(path), *flags)
             assert code == 0
             digest.update(out.encode())
-        assert digest.hexdigest() == (
+        return digest.hexdigest()
+
+    def test_json_is_pinned_on_every_small_matroid(self, capsys, tmp_path):
+        assert self._digest(capsys, tmp_path, "--json") == (
             "d3aeadd0dbd36317a1d8a880acc7615ab771f41e58ba482daceaac009f2dcd45"
+        )
+
+    def test_text_is_pinned_on_every_small_matroid(self, capsys, tmp_path):
+        assert self._digest(capsys, tmp_path) == (
+            "8377395239bcef6d5b0b0e17a1b7aecbf8b78389b799b12ea7b3855083a65536"
         )
 
 

@@ -531,8 +531,8 @@ class TestNonMatroidFamilies:
 
 
 class TestThm123AgainstOracle:
-    """`thm_123` runs the base exchange scan on the complement family; the
-    oracle scans `Subset` values as the statement reads."""
+    """`thm_123` reads the dual's base exchange check on the complement
+    family; the oracle scans `Subset` values as the statement reads."""
 
     def test_same_text_on_four_elements(self):
         check = lookup_check("thm_123")
@@ -555,6 +555,60 @@ class TestThm123AgainstOracle:
     def test_failure_text_is_pinned(self):
         detail = lookup_check("thm_123").run(_trusted_family(["13", "24"]))
         assert detail == "no y in {2,4}-{1,3} with ({2,4}-{y})+{1} a base"
+
+
+class TestThm123ReadsTheDual:
+    """`thm_123` is base exchange on the complement family, which `dual()`
+    builds and validates once per matroid: the check builds no complement
+    family, expansion map or exchange pass of its own."""
+
+    def test_full_registry_builds_each_complement_family_once(self, monkeypatch):
+        counts = {"complements": 0, "expansion_masks": 0}
+        real_complements = matroid_module.complements
+        real_expansion_masks = matroid_module.expansion_masks
+
+        def complements(family):
+            counts["complements"] += 1
+            return real_complements(family)
+
+        def expansion_masks(base_masks):
+            counts["expansion_masks"] += 1
+            return real_expansion_masks(base_masks)
+
+        # fresh copies, so no memo holds a dual or a map from an earlier test
+        pop = [Matroid._trusted(m.ground, m.bases) for m in population(5)]
+        # a `complements` bound in the harness would be counted as well
+        for module in (matroid_module, harness):
+            monkeypatch.setattr(module, "complements", complements, raising=False)
+        monkeypatch.setattr(matroid_module, "expansion_masks", expansion_masks)
+        assert verify(pop).failures == 0
+        # one dual per matroid, plus prop_339's dual of the one-per-block
+        # matroid of each of the 272 unique expansion matroids
+        unique = [m for m in pop if m.rank > 0 and is_unique_expansion(m).verdict]
+        assert (len(pop), len(unique)) == (497, 272)
+        assert counts == {"complements": 497 + 272, "expansion_masks": 2460}
+
+    def test_fails_exactly_where_the_dual_raises(self):
+        # members of different sizes fail the dual's size check first, and
+        # its message is the detail
+        families = mixed_size_families()
+        outcome = verify(families, [lookup_check("thm_123")]).outcomes[0]
+        raised = []
+        for m in families:
+            try:
+                Matroid._trusted(m.ground, m.bases).dual()
+            except AxiomError as exc:
+                raised.append((m, exc))
+        assert [w["matroid"] for w in outcome.witnesses] == [m.to_doc() for m, _ in raised]
+        unequal = 0
+        for w, (m, exc) in zip(outcome.witnesses, raised):
+            if len({len(b) for b in m.bases}) > 1:
+                assert isinstance(exc, UnequalCardinality)
+                assert w["detail"] == str(exc)
+                unequal += 1
+            else:
+                assert w["detail"].startswith("no y in ")
+        assert (outcome.applicable, outcome.failed, unequal) == (2242, 2036, 1799)
 
 
 class TestThm334:

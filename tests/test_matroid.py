@@ -171,8 +171,8 @@ class TestFromBases:
             assert m.bases == candidate
 
     def test_validator_matches_probe_scan_on_mixed_families(self):
-        # thm_123 hands the validator unvalidated families of any shape;
-        # reading repairs off the expansion map must name the probe's triple
+        # the validator decides families of any shape; reading repairs off
+        # the expansion map must name the probe's triple
         for m in mixed_size_families():
             masks = [b.mask for b in m.bases.sets]
             assert first_exchange_violation(masks) == exchange_scan_oracle(
