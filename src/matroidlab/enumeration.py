@@ -21,7 +21,12 @@ Everything here works on bitmasks and never calls the validating constructor
 and can cross-check each other: the test suite compares this enumeration
 against oracles that push every candidate family through Matroid.from_bases.
 
-Matroid counts grow super-exponentially, so the ground size is capped at 7.
+The families are built on canonical positions: each member is held as its
+position in canonical order (`setalgebra._BYTE_RANK`), so a whole family is
+an int tuple that sorts as its canonical key does, with no key function.
+The byte table covers every mask of at most 8 elements, so the build needs
+n <= 8.  Matroid counts grow super-exponentially, so the ground size is
+capped at 7.
 """
 
 from __future__ import annotations
@@ -31,7 +36,7 @@ from typing import Iterator
 
 from .errors import GroundSetTooLarge
 from .matroid import Matroid, expansion_masks
-from .setalgebra import GroundSet, SetFamily, mask_order_key
+from .setalgebra import _BYTE_RANK, _BYTE_UNRANK, GroundSet, SetFamily
 
 MAX_ENUMERATION_SIZE = 7
 
@@ -47,20 +52,29 @@ def enumeration_ground(n: int) -> GroundSet:
 
 def _linear_subclasses(hyperplanes: list[int], r: int, bases: tuple[int, ...]) -> list[int]:
     """Every linear subclass, as a bitmask over indices into `hyperplanes`."""
-    colines: dict[int, int] = {}
+    # each distinct meet of two hyperplanes is ranked once, and maps to the
+    # hyperplanes through it when it is a coline, else to 0; two distinct
+    # hyperplanes meet in rank at most r - 2, so the meet is a coline exactly
+    # when some base holds r - 2 of its elements
+    meets: dict[int, int] = {}
     for i, h in enumerate(hyperplanes):
         for j in range(i + 1, len(hyperplanes)):
             meet = h & hyperplanes[j]
-            if meet in colines:
+            if meet in meets:
                 continue
-            if max((b & meet).bit_count() for b in bases) == r - 2:
-                colines[meet] = sum(
-                    1 << k for k, g in enumerate(hyperplanes) if meet & ~g == 0
-                )
+            meets[meet] = 0
+            for b in bases:
+                if (b & meet).bit_count() == r - 2:
+                    through = 0
+                    for k, g in enumerate(hyperplanes):
+                        if meet & g == meet:
+                            through |= 1 << k
+                    meets[meet] = through
+                    break
     # a coline on exactly two hyperplanes constrains nothing; the others are
     # checked as soon as their last hyperplane is decided
     checks: list[list[int]] = [[] for _ in hyperplanes]
-    for through in colines.values():
+    for through in meets.values():
         if through.bit_count() > 2:
             checks[through.bit_length() - 1].append(through)
     found = []
@@ -71,57 +85,70 @@ def _linear_subclasses(hyperplanes: list[int], r: int, bases: tuple[int, ...]) -
             found.append(chosen)
             continue
         for pick in (chosen, chosen | 1 << i):
-            if all(
-                (pick & through).bit_count() <= 1 or pick & through == through
-                for through in checks[i]
-            ):
+            # two hyperplanes through a coline bring in all of them
+            for through in checks[i]:
+                both = pick & through
+                if both & (both - 1) and both != through:
+                    break
+            else:
                 stack.append((i + 1, pick))
     return found
 
 
-def _extensions(bases: tuple[int, ...], r: int, n: int) -> Iterator[list[int]]:
-    """Base families of every matroid on n elements whose deletion of the
-    element n - 1 has the given bases (on n - 1 elements) and rank r."""
+def _extensions(bases: tuple[int, ...], r: int, n: int) -> Iterator[tuple[int, ...]]:
+    """Every matroid on n elements whose deletion of the element n - 1 has the
+    given bases (on n - 1 elements) and rank r: the coloop extension first,
+    then one per linear subclass.  Each comes as the sorted tuple of its
+    bases' canonical positions (`setalgebra._BYTE_RANK`).
+    """
     e = 1 << (n - 1)
-    yield [b | e for b in bases]
-    exp = expansion_masks(bases)
-    hyperplanes: list[int] = []
-    where: dict[int, int] = {}
-    closure_of = []
-    for grows in exp.values():
-        # the closure of a secondary base is the complement of its expansion set
+    position = _BYTE_RANK
+    yield tuple(sorted([position[b | e] for b in bases]))
+    kept = [position[b] for b in bases]
+    # the new bases s + e, grouped by the hyperplane cl(s), the complement of
+    # the expansion set of the secondary base s
+    groups: dict[int, list[int]] = {}
+    for s, grows in expansion_masks(bases).items():
         h = (e - 1) & ~grows
-        if h not in where:
-            where[h] = len(hyperplanes)
-            hyperplanes.append(h)
-        closure_of.append(where[h])
-    for subclass in _linear_subclasses(hyperplanes, r, bases):
-        yield [*bases, *(
-            s | e for s, h in zip(exp, closure_of) if not subclass >> h & 1
-        )]
+        if h in groups:
+            groups[h].append(position[s | e])
+        else:
+            groups[h] = [position[s | e]]
+    for subclass in _linear_subclasses(list(groups), r, bases):
+        members = kept.copy()
+        for k, added in enumerate(groups.values()):
+            if not subclass >> k & 1:
+                members += added
+        members.sort()
+        yield tuple(members)
 
 
 @lru_cache(maxsize=None)
 def _families(n: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
     """Per rank 0..n, the canonically sorted base-mask families on n elements.
 
-    Members sort by `setalgebra.mask_order_key(n)`, each mask's position in
-    the shared byte table of canonical positions, and families by the tuple
-    of their members' positions, which orders them as their canonical keys do.
+    The build works on canonical positions from start to end: each family
+    is the sorted tuple of its members' positions (`setalgebra._BYTE_RANK`),
+    and the families of a rank sort as plain int tuples, with no key
+    function, which orders them as their canonical keys do.  The byte table
+    holds the position of every mask of at most 8 elements, so the build
+    needs n <= 8.  Each family is then read back to masks through
+    `_BYTE_UNRANK`, one list slot at a time, so no second copy of a rank is
+    alive.
     """
     if n == 0:
         return (((0,),),)
-    key = mask_order_key(n)
     by_rank: list[list[tuple[int, ...]]] = [[] for _ in range(n + 1)]
     for r, families in enumerate(_families(n - 1)):
         for bases in families:
-            for fam in _extensions(bases, r, n):
-                by_rank[fam[0].bit_count()].append(
-                    tuple(sorted(fam, key=key))
-                )
+            extensions = _extensions(bases, r, n)
+            by_rank[r + 1].append(next(extensions))
+            by_rank[r] += extensions
     for families in by_rank:
-        families.sort(key=lambda fam: tuple(map(key, fam)))
-    return tuple(tuple(families) for families in by_rank)
+        families.sort()
+        for i, positions in enumerate(families):
+            families[i] = tuple(map(_BYTE_UNRANK.__getitem__, positions))
+    return tuple(map(tuple, by_rank))
 
 
 def _check_size(n: int) -> None:

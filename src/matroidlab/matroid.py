@@ -42,6 +42,7 @@ such a value too: kept in its matroid's memo, its own memo does not point back.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from itertools import combinations, groupby, permutations, product
 from typing import Callable, Iterable, Sequence, TypeVar
@@ -359,8 +360,9 @@ class Matroid:
     def from_doc(cls, doc: dict) -> Matroid:
         """Parse a document with `ground_set` and exactly one of `bases`/`independents`.
 
-        Labels may be given as numbers; they are stringified.  Schema problems
-        raise ParseError; axiom violations surface unchanged.
+        Labels are strings or numbers, and numbers are stringified; any other
+        label (null, a boolean, a list, an object) raises ParseError, as do
+        the other schema problems.  Axiom violations surface unchanged.
         """
         if not isinstance(doc, dict):
             raise ParseError("document must be a JSON object")
@@ -376,8 +378,9 @@ class Matroid:
         rows = doc[key]
         if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
             raise ParseError(f"'{key}' must be a list of label lists")
+        labels = [_label(x) for x in doc["ground_set"]]
         try:
-            ground = GroundSet(str(x) for x in doc["ground_set"])
+            ground = GroundSet(labels)
         except ValueError as exc:
             raise ParseError(str(exc)) from None
         # each row becomes a mask directly, with no Subset per label
@@ -387,7 +390,11 @@ class Matroid:
             for row in rows:
                 mask = 0
                 for label in row:
-                    mask |= 1 << index(str(label))
+                    kind = type(label)
+                    # the JSON label types inline; _label refuses the others
+                    if kind is not str:
+                        label = str(label) if kind is int or kind is float else _label(label)
+                    mask |= 1 << index(label)
                 masks.append(mask)
         except KeyError as exc:
             raise ParseError(f"set member not in ground set: {exc.args[0]}") from None
@@ -408,6 +415,18 @@ class Matroid:
 
     def __repr__(self) -> str:
         return f"Matroid(E={{{','.join(self.ground.labels)}}}, bases={self.bases!r})"
+
+
+def _label(x) -> str:
+    """A document label as a string: a string as it stands, a number
+    stringified; ParseError naming any other value."""
+    if isinstance(x, str):
+        return x
+    if isinstance(x, (int, float)) and not isinstance(x, bool):
+        return str(x)
+    raise ParseError(
+        f"label {json.dumps(x, default=repr)} is neither a string nor a number"
+    )
 
 
 @dataclass(frozen=True)

@@ -53,12 +53,12 @@ def canonical_key(mask: int) -> tuple:
     return (mask.bit_count(), _bit_indices(mask))
 
 
-# the position of every byte-sized mask in canonical order, found by
-# inverting that order: on a ground set of at most 8 elements a mask sorts by
-# this int instead of by its key tuple
-_BYTE_RANK = tuple(
-    sorted(range(256), key=sorted(range(256), key=canonical_key).__getitem__)
-)
+# every byte-sized mask in canonical order, and the position of each in that
+# order, its inverse: on a ground set of at most 8 elements a mask sorts by
+# its position instead of by its key tuple, and the enumerator builds whole
+# families as tuples of positions, read back to masks through _BYTE_UNRANK
+_BYTE_UNRANK = tuple(sorted(range(256), key=canonical_key))
+_BYTE_RANK = tuple(sorted(range(256), key=_BYTE_UNRANK.__getitem__))
 
 
 # each byte with its bits in reverse order

@@ -11,8 +11,9 @@ checks on `SetFamily` values, the exchange validator by probing base
 membership one repair at a time, the independence validator over every pair
 of members, bit indices (and the labels read through them) one bit
 position at a time, the `thm_334` check by both exhaustive minimality
-searches on every matroid, and the definitional scans by a walk over every
-mask of the ground set.
+searches on every matroid, the definitional scans by a walk over every
+mask of the ground set, and the enumerator's linear subclasses by rank scans
+over every mask and every set of hyperplanes.
 """
 
 from __future__ import annotations
@@ -108,6 +109,35 @@ def exchange_scan_families(n: int, r: int) -> list[tuple[int, ...]]:
                     found.append(fam)
     found.sort(key=lambda fam: tuple(bits_of[m] for m in fam))
     return found
+
+
+def linear_subclasses_oracle(
+    bases: tuple[int, ...], n: int
+) -> tuple[list[int], set[frozenset[int]]]:
+    """The hyperplanes (sorted masks) and the linear subclasses (as sets of
+    hyperplane masks) of the matroid with these base masks on n elements,
+    from rank scans alone: the rank of a mask is its largest meet with a
+    base, the flats are the masks that every added element raises, the
+    hyperplanes and colines are the flats of rank r - 1 and r - 2, and a
+    linear subclass is any set L of hyperplanes that, for each coline C,
+    holds at most one hyperplane through C or all of them."""
+    r = bases[0].bit_count()
+    rank = [max((b & x).bit_count() for b in bases) for x in range(1 << n)]
+    flats = [
+        x for x in range(1 << n)
+        if all(rank[x | 1 << e] > rank[x] for e in range(n) if not x >> e & 1)
+    ]
+    hyperplanes = [x for x in flats if rank[x] == r - 1]
+    through = [
+        {h for h in hyperplanes if c & ~h == 0} for c in flats if rank[c] == r - 2
+    ]
+    subclasses = set()
+    for k in range(len(hyperplanes) + 1):
+        for combo in combinations(hyperplanes, k):
+            chosen = set(combo)
+            if all(len(chosen & t) <= 1 or t <= chosen for t in through):
+                subclasses.add(frozenset(chosen))
+    return hyperplanes, subclasses
 
 
 def exchange_violation_oracle(family: SetFamily) -> tuple[Subset, Subset, str] | None:

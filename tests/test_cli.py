@@ -269,6 +269,14 @@ class TestAnalyze:
         code, _, err = run(capsys, "analyze", str(path))
         assert code == 2
 
+    def test_label_of_another_type_exit_2(self, capsys, tmp_path):
+        path = tmp_path / "m.json"
+        path.write_text('{"ground_set": [null, true], "bases": [[null]]}')
+        code, out, err = run(capsys, "analyze", str(path))
+        assert code == 2
+        assert out == ""
+        assert err == "error: label null is neither a string nor a number\n"
+
     def test_missing_file_exit_2(self, capsys, tmp_path):
         code, _, err = run(capsys, "analyze", str(tmp_path / "absent.json"))
         assert code == 2

@@ -7,11 +7,21 @@ from matroidlab import (
     enumerate_matroids,
     enumeration_ground,
 )
-from matroidlab.enumeration import _extensions, _families
+from matroidlab import enumeration
+from matroidlab.enumeration import (
+    MAX_ENUMERATION_SIZE,
+    _extensions,
+    _families,
+    _linear_subclasses,
+)
 from matroidlab.errors import GroundSetTooLarge
-from matroidlab.setalgebra import mask_order_key
+from matroidlab.setalgebra import _BYTE_RANK, _BYTE_UNRANK, mask_order_key
 
-from oracles import all_antichain_matroids, exchange_scan_families
+from oracles import (
+    all_antichain_matroids,
+    exchange_scan_families,
+    linear_subclasses_oracle,
+)
 
 # labeled matroids on n elements (OEIS A058673); TestAgainstOracle rederives
 # them live, through the all-antichains oracle for n <= 5 and the exchange
@@ -132,8 +142,16 @@ class TestStreamProperties:
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
     def test_rank_zero_extensions(self, n):
         # the new element as a coloop, then as a loop: the empty map of {}
-        # has the one empty linear subclass, which adds no base
-        assert list(_extensions((0,), 0, n)) == [[1 << (n - 1)], [0]]
+        # has the one empty linear subclass, which adds no base; each family
+        # comes as canonical positions, read back to masks
+        read = [[_BYTE_UNRANK[p] for p in fam] for fam in _extensions((0,), 0, n)]
+        assert read == [[1 << (n - 1)], [0]]
+
+    def test_size_cap_fits_the_byte_table(self):
+        # the build holds each member as its canonical position, which the
+        # byte table has for every mask of at most 8 elements
+        assert MAX_ENUMERATION_SIZE <= 8
+        assert len(_BYTE_RANK) == len(_BYTE_UNRANK) == 1 << 8
 
     @pytest.mark.parametrize("n", [0, 8, -1])
     def test_size_guard(self, n):
@@ -143,3 +161,38 @@ class TestStreamProperties:
             count_matroids(n)
         with pytest.raises(GroundSetTooLarge):
             count_matroids(n, rank=0)
+
+
+class TestLinearSubclasses:
+    def test_match_the_rank_scan_oracle(self, monkeypatch):
+        # the 497 matroids on at most 5 elements are the deletions behind
+        # every extension up to n = 6: the hyperplanes `_extensions` hands
+        # over must be the flats of rank r - 1, and the subclasses found must
+        # be each linear subclass once
+        population = [
+            (bases, r, n)
+            for n in range(1, 6)
+            for r, families in enumerate(_families(n))
+            for bases in families
+        ]
+        assert len(population) == 497
+        calls = []
+
+        def recorded(hyperplanes, r, bases):
+            found = _linear_subclasses(hyperplanes, r, bases)
+            calls.append((hyperplanes, found))
+            return found
+
+        monkeypatch.setattr(enumeration, "_linear_subclasses", recorded)
+        for bases, r, n in population:
+            calls.clear()
+            list(_extensions(bases, r, n + 1))
+            [(hyperplanes, found)] = calls
+            want_hyperplanes, want_subclasses = linear_subclasses_oracle(bases, n)
+            assert sorted(hyperplanes) == want_hyperplanes, bases
+            got = [
+                frozenset(h for k, h in enumerate(hyperplanes) if subclass >> k & 1)
+                for subclass in found
+            ]
+            assert len(set(got)) == len(got), bases
+            assert set(got) == want_subclasses, bases

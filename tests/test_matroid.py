@@ -508,6 +508,14 @@ class TestDocuments:
             {"ground_set": ["1"], "bases": "nope"},
             {"ground_set": ["1", "1"], "bases": [[]]},
             {"ground_set": ["1"], "bases": [["2"]]},
+            # labels are strings or numbers, in the ground set and every row
+            {"ground_set": [None, True], "bases": [[None]]},
+            {"ground_set": ["1", True], "bases": [["1"]]},
+            {"ground_set": ["1", 2], "bases": [["1"], [False]]},
+            {"ground_set": [["a"]], "bases": [[]]},
+            {"ground_set": ["a"], "bases": [[["a"]]]},
+            {"ground_set": [{"a": 1}], "bases": [[]]},
+            {"ground_set": ["1"], "independents": [[], [None]]},
         ],
     )
     def test_malformed_documents(self, doc):
@@ -522,6 +530,21 @@ class TestDocuments:
         g = exc.value.first.ground
         assert (exc.value.first, exc.value.second) == (g.subset("2"), g.subset("1", "2"))
         assert str(exc.value) == "bases must share one cardinality: |{2}| = 1 but |{1,2}| = 2"
+
+    @pytest.mark.parametrize(
+        "doc,named",
+        [
+            ({"ground_set": [None, True], "bases": [[None]]}, "null"),
+            ({"ground_set": ["1", True], "bases": [["1"]]}, "true"),
+            ({"ground_set": ["1"], "bases": [["1"], [False]]}, "false"),
+            ({"ground_set": ["a"], "bases": [[["a"]]]}, '["a"]'),
+            ({"ground_set": [{"a": 1}], "bases": [[]]}, '{"a": 1}'),
+        ],
+    )
+    def test_label_of_another_type_is_named(self, doc, named):
+        with pytest.raises(ParseError) as exc:
+            Matroid.from_doc(doc)
+        assert str(exc.value) == f"label {named} is neither a string nor a number"
 
     def test_label_outside_the_ground_set_is_named(self):
         with pytest.raises(ParseError) as exc:

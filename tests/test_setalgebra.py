@@ -22,6 +22,7 @@ from matroidlab import (
 from matroidlab.errors import GroundSetTooLarge
 from matroidlab.setalgebra import (
     _BYTE_RANK,
+    _BYTE_UNRANK,
     _bit_indices,
     _partition_masks,
     _transversal_masks,
@@ -147,6 +148,12 @@ class TestByteRank:
         assert sorted(range(256), key=_BYTE_RANK.__getitem__) == sorted(
             range(256), key=canonical_key
         )
+
+    def test_unrank_inverts_the_table(self):
+        # the enumerator reads positions back to masks through the inverse
+        assert sorted(_BYTE_UNRANK) == list(range(256))
+        assert [_BYTE_UNRANK[_BYTE_RANK[mask]] for mask in range(256)] == list(range(256))
+        assert [_BYTE_RANK[_BYTE_UNRANK[p]] for p in range(256)] == list(range(256))
 
     def test_wide_key_orders_like_canonical_key_at_every_size(self):
         # past 8 elements the key is an int built from the reversed bits;
