@@ -20,7 +20,7 @@ from typing import Iterator
 
 from .errors import NotABase, RankZero
 from .matroid import Matroid, _expansion_of
-from .setalgebra import SetFamily, Subset
+from .setalgebra import SetFamily, Subset, _single_bits
 
 
 def _expansions(m: Matroid) -> dict[int, int]:
@@ -65,7 +65,8 @@ def forming_family(m: Matroid) -> SetFamily:
 
 
 def _blocks_wrt(exp: dict[int, int], b: Subset) -> list[int]:
-    return [exp[b.mask ^ (1 << i)] for i in b.indices()]
+    mask = b.mask
+    return [exp[mask ^ bit] for bit in _single_bits(mask)]
 
 
 def _forming_blocks(m: Matroid) -> Iterator[tuple[Subset, list[int]]]:

@@ -59,7 +59,12 @@ from .setalgebra import (
 
 @dataclass(frozen=True)
 class TheoremCheck:
-    """One verifiable statement: applicability predicate plus checker."""
+    """One verifiable statement: applicability predicate plus checker.
+
+    `applies` must be a pure function of the matroid: `verify` evaluates
+    each distinct predicate once per matroid and gives its verdict to every
+    check that shares it.
+    """
 
     check_id: str
     statement: str
@@ -218,9 +223,22 @@ def _check_prop_124(m: Matroid) -> str | None:
     return None
 
 
-# cannot fail: each block exp[B - e] holds e and no other element of B
+# cannot fail: each block exp[B - e] holds e and no other element of B.
+# Every element of B lies in exactly one block exactly when the traces k & B
+# of the blocks are pairwise disjoint and cover B, one mask pass per base;
+# only a failing base is counted element by element, to name the element
 def _check_lemma_e(m: Matroid) -> str | None:
     for b, blocks in _forming_blocks(m):
+        bm = b.mask
+        seen = 0
+        for k in blocks:
+            trace = k & bm
+            if trace & seen:
+                break
+            seen |= trace
+        else:
+            if seen == bm:
+                continue
         for i in b.indices():
             hits = sum(k >> i & 1 for k in blocks)
             if hits != 1:
@@ -739,7 +757,8 @@ def verify(
 ) -> VerificationReport:
     """Run every applicable check on every matroid of the population.
 
-    Checks run sequentially in population order.  The population is drawn
+    Checks run sequentially in population order, and each distinct
+    `applies` predicate is evaluated once per matroid.  The population is drawn
     once and no matroid is kept after its checks, so it may be a lazy
     stream; `duration_ms` then includes the time spent drawing it.  A check
     that exceeds an exhaustive search cap, or one of the four definitional
@@ -759,8 +778,13 @@ def verify(
     for m in population:
         by_size[m.ground.size] = by_size.get(m.ground.size, 0) + 1
         by_rank[m.rank] = by_rank.get(m.rank, 0) + 1
+        # each distinct predicate is asked once per matroid
+        verdicts: dict[Callable[[Matroid], bool], bool] = {}
         for check, outcome in zip(checks, outcomes):
-            if not check.applies(m):
+            applies = verdicts.get(check.applies)
+            if applies is None:
+                applies = verdicts[check.applies] = bool(check.applies(m))
+            if not applies:
                 continue
             outcome.applicable += 1
             try:

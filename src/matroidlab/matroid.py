@@ -49,6 +49,7 @@ from typing import Callable, Iterable, Sequence, TypeVar
 
 from .errors import (
     AugmentationFailure,
+    AxiomError,
     CapOutOfRange,
     EmptyFamily,
     ExchangeFailure,
@@ -343,11 +344,23 @@ class Matroid:
         `m.dual().dual()` is a new validated matroid equal to `m`: a pointer
         back would make each matroid and its dual a reference cycle, which
         only the cyclic collector frees, so a streamed population would stay
-        alive between collections.
+        alive between collections.  On a family that is not a matroid
+        (reachable only through `_trusted`) the memo keeps the `AxiomError`
+        instead, and every call raises it again without building anything.
+        That error holds the traceback of its latest raise, whose frames hold
+        the family, so such a family is freed by the cyclic collector.
         """
-        return self._fact(
-            "dual", lambda: Matroid.from_bases(self.ground, complements(self.bases))
-        )
+        dual = self._fact("dual", self._build_dual)
+        if isinstance(dual, AxiomError):
+            # each raise starts a new traceback instead of growing the last
+            raise dual.with_traceback(None)
+        return dual
+
+    def _build_dual(self) -> Matroid | AxiomError:
+        try:
+            return Matroid.from_bases(self.ground, complements(self.bases))
+        except AxiomError as exc:
+            return exc.with_traceback(None)
 
     def to_doc(self) -> dict:
         """Canonical JSON-ready document: ground set labels and base label lists."""

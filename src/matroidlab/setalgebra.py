@@ -29,6 +29,10 @@ _BYTE_BITS = tuple(
 )
 
 
+# the single-bit masks of every byte-sized mask, lowest first
+_BYTE_SINGLE_BITS = tuple(tuple(1 << i for i in bits) for bits in _BYTE_BITS)
+
+
 def _bit_indices(mask: int) -> tuple[int, ...]:
     if mask < 256:
         if mask < 0:
@@ -45,6 +49,21 @@ def _bit_indices(mask: int) -> tuple[int, ...]:
                 out.append(at + i)
         mask >>= 8
         at += 8
+    return tuple(out)
+
+
+def _single_bits(mask: int) -> tuple[int, ...]:
+    """The single-bit masks of `mask`, lowest first: `1 << i` for each `i`
+    of `_bit_indices(mask)`, read from a table up to 8 elements."""
+    if mask < 256:
+        if mask < 0:
+            raise ValueError(f"negative mask {mask} has no bit indices")
+        return _BYTE_SINGLE_BITS[mask]
+    out = []
+    while mask:
+        bit = mask & -mask
+        out.append(bit)
+        mask ^= bit
     return tuple(out)
 
 
@@ -381,9 +400,19 @@ def maximal(family: SetFamily) -> SetFamily:
 
 
 def complements(family: SetFamily) -> SetFamily:
-    """Complement of every member, taken in the ground set."""
+    """Complement of every member, taken in the ground set.
+
+    Complementing reverses canonical order, so the members are read in
+    reverse and not sorted.  Take distinct masks A before B.  If |A| < |B|,
+    then |full ^ A| > |full ^ B|.  If |A| = |B|, let d be the least element
+    of A ^ B: it lies in A, since A holds the lowest bit where the two
+    differ.  The complements differ in the same bits, (full ^ A) ^
+    (full ^ B) = A ^ B, and d now lies in full ^ B, so full ^ B comes first.
+    """
     full = (1 << family.ground.size) - 1
-    return SetFamily.from_masks(family.ground, [full ^ m for m in family.masks()])
+    return SetFamily._from_canonical(
+        family.ground, [full ^ s.mask for s in reversed(family.sets)]
+    )
 
 
 def is_covering(family: SetFamily, support: Subset) -> bool:
@@ -457,7 +486,7 @@ def _transversal_masks(blocks: Sequence[int]) -> list[int]:
     """
     masks = [0]
     for block in blocks:
-        bits = [1 << i for i in _bit_indices(block)]
+        bits = _single_bits(block)
         masks = [m | bit for m in masks for bit in bits]
     return masks
 

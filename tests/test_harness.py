@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+import traceback
 import weakref
 from functools import partial
 from itertools import chain, combinations, product
@@ -109,6 +110,17 @@ def _forming_blocks_missing_the_last(monkeypatch):
         return ((b, blocks[:-1]) for b, blocks in real(m))
 
     monkeypatch.setattr(harness, "_forming_blocks", dropped)
+
+
+def _forming_blocks_repeating_the_first(monkeypatch):
+    # list the block of each base's first element twice: that element then
+    # lies in two blocks, a failure no real family reaches
+    real = harness._forming_blocks
+
+    def repeated(m):
+        return ((b, blocks[:1] + blocks) for b, blocks in real(m))
+
+    monkeypatch.setattr(harness, "_forming_blocks", repeated)
 
 
 def _flag_missing_an_element(monkeypatch):
@@ -344,6 +356,41 @@ class TestVerify:
         report = verify(population(1)[:1], [rigged])
         outcome = report.outcomes[0]
         assert (outcome.applicable, outcome.passed, outcome.failed) == (1, 0, 1)
+
+    def test_each_distinct_predicate_is_asked_once_per_matroid(self):
+        # prop_341 and lemma_e share one counting predicate, lemma_66 has its
+        # own; wrapping each check's predicate apart must give the same report
+        calls = {"shared": 0, "own": 0}
+
+        def shared(m):
+            calls["shared"] += 1
+            return m.rank > 0
+
+        def own(m):
+            calls["own"] += 1
+            return m.rank == 1
+
+        registry = [
+            TheoremCheck(c.check_id, c.statement, applies, c.run)
+            for c, applies in (
+                (lookup_check("prop_341"), shared),
+                (lookup_check("lemma_e"), shared),
+                (lookup_check("lemma_66"), own),
+            )
+        ]
+        pop = population(4)
+        assert len(pop) == 91
+        shared_report = verify(pop, registry).to_dict()
+        assert calls == {"shared": 91, "own": 91}
+        apart = [
+            TheoremCheck(c.check_id, c.statement, partial(lambda p, m: p(m), c.applies), c.run)
+            for c in registry
+        ]
+        apart_report = verify(pop, apart).to_dict()
+        assert calls == {"shared": 91 + 2 * 91, "own": 91 + 91}
+        del shared_report["duration_ms"], apart_report["duration_ms"]
+        assert shared_report == apart_report
+        assert [o["applicable"] for o in shared_report["checks"]] == [87, 87, 26]
 
     def test_search_cap_is_tallied_not_raised(self):
         # the one-per-block matroid on blocks of three, three and three is
@@ -588,6 +635,39 @@ class TestThm123ReadsTheDual:
         assert (len(pop), len(unique)) == (497, 272)
         assert counts == {"complements": 497 + 272, "expansion_masks": 2460}
 
+    def test_a_failed_dual_is_built_once(self, monkeypatch):
+        # a family that is not a matroid keeps the error its dual raised:
+        # one complement family per family, plus prop_339's dual of the
+        # one-per-block matroid of each of the 859 whose forming family
+        # partitions the support; every tally and detail is unchanged
+        calls = []
+        real = matroid_module.complements
+
+        def complements(family):
+            calls.append(family)
+            return real(family)
+
+        families = [Matroid._trusted(m.ground, m.bases) for m in mixed_size_families()]
+        monkeypatch.setattr(matroid_module, "complements", complements)
+        report = verify(families).to_dict()
+        del report["duration_ms"]
+        assert (len(families), len(calls)) == (2242, 2242 + 859)
+        assert hashlib.sha256(json.dumps(report).encode()).hexdigest() == (
+            "03ce96f1d11a96be59f7e961ac2003aab8b254b25290f3d50371baf9d4d47ee1"
+        )
+
+    def test_a_kept_error_raises_with_a_fresh_traceback(self):
+        # the kept error is raised each time, and its traceback does not grow
+        # with each raise
+        m = _trusted_family(["1", "12"])
+        raised = []
+        for _ in range(3):
+            with pytest.raises(UnequalCardinality) as info:
+                m.dual()
+            raised.append((info.value, len(traceback.extract_tb(info.value.__traceback__))))
+        assert raised[0][0] is raised[1][0] is raised[2][0]
+        assert raised[0][1] == raised[1][1] == raised[2][1]
+
     def test_fails_exactly_where_the_dual_raises(self):
         # members of different sizes fail the dual's size check first, and
         # its message is the detail
@@ -775,23 +855,34 @@ class TestFormingChecksAgainstOracles:
     # a broken block list fails each check on every matroid it applies to
     # with n <= 4 (the 87 rank-positive ones, or the 26 of rank one); the
     # first witness and a digest of every witness, in report order, pin each
-    # check's failure text
+    # check's failure text.  A missing block leaves an element of the base in
+    # no block, a repeated one puts it in two: the two ways lemma_e's mask
+    # pass can fail
     MUTANTS = [
         (
             "prop_341", "|forming family wrt {1}| = 0 != rank 1",
             "afc729c87c3ec0407d525ad00ce8897cb73522fa72f0667ff4dc4fffd37e1425", 87,
+            _forming_blocks_missing_the_last,
         ),
         (
             "prop_124", "union of forming family wrt {1} is {} != {1}",
             "9a2346b8900bb21d3a170ec72c9cf78c86d7bb5498746fb9a562f9079bdbe88e", 87,
+            _forming_blocks_missing_the_last,
         ),
         (
             "lemma_e", "element 1 of base {1} lies in 0 blocks of {}",
             "4ae0697a7a802fc5ce25f0837508e1e4df8217c4f7f5641dc3144793bdb9cac0", 87,
+            _forming_blocks_missing_the_last,
+        ),
+        (
+            "lemma_e", "element 1 of base {1} lies in 2 blocks of {{1}}",
+            "be6569009eff7fa0b5aead4f0ac1e837b6e1ee45e7d84fe17e22ddb3d631cf50", 87,
+            _forming_blocks_repeating_the_first,
         ),
         (
             "lemma_66", "rank-one forming family wrt {1} is {}, not {{1}}",
             "5aaca28cfb2b0af29eed1eca3bf1ba5422541398ef4f78c4d7afc459adb993cb", 26,
+            _forming_blocks_missing_the_last,
         ),
     ]
 
@@ -823,11 +914,11 @@ class TestFormingChecksAgainstOracles:
         failed = self._failures(check_id, oracle, mixed_size_families())
         assert failed == self.MIXED_FAILURES[check_id]
 
-    @pytest.mark.parametrize("check_id,detail,digest,applicable", MUTANTS)
+    @pytest.mark.parametrize("check_id,detail,digest,applicable,mutant", MUTANTS)
     def test_mutant_failure_detail_is_pinned(
-        self, monkeypatch, check_id, detail, digest, applicable
+        self, monkeypatch, check_id, detail, digest, applicable, mutant
     ):
-        _forming_blocks_missing_the_last(monkeypatch)
+        mutant(monkeypatch)
         outcome = verify(population(4), [lookup_check(check_id)]).outcomes[0]
         assert (outcome.applicable, outcome.failed) == (applicable, applicable)
         first = {"ground_set": ["1"], "bases": [["1"]]}

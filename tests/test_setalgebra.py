@@ -25,6 +25,7 @@ from matroidlab.setalgebra import (
     _BYTE_UNRANK,
     _bit_indices,
     _partition_masks,
+    _single_bits,
     _transversal_masks,
     canonical_key,
     mask_order_key,
@@ -136,6 +137,30 @@ class TestBitIndices:
     def test_canonical_key_matches_the_reference_key(self):
         for mask in [*range(1 << 10), 1 << 63]:
             assert canonical_key(mask) == (mask.bit_count(), bit_indices_oracle(mask))
+
+
+class TestSingleBits:
+    """`_single_bits` reads masks below 256 from a table and peels the lowest
+    bit off larger ones; both must give `1 << i` for each bit index."""
+
+    @pytest.mark.parametrize(
+        "masks",
+        [
+            pytest.param(range(1 << 10), id="below-2^10"),
+            pytest.param([1 << 63, (1 << 64) - 1], id="top-64-bit"),
+            pytest.param(_random_masks(10, 1000), id="random-64-bit"),
+        ],
+    )
+    def test_matches_the_bit_indices(self, masks):
+        for mask in masks:
+            assert _single_bits(mask) == tuple(1 << i for i in _bit_indices(mask))
+
+    @pytest.mark.parametrize("mask", [-1, -5, -300])
+    def test_negative_mask_rejected(self, mask):
+        # as in _bit_indices: the table would be read from its end, and
+        # peeling bits off a negative int never ends
+        with pytest.raises(ValueError, match="negative mask"):
+            _single_bits(mask)
 
 
 class TestByteRank:
@@ -488,6 +513,35 @@ def families(draw, max_n=5, max_members=8):
         st.sets(st.integers(min_value=0, max_value=(1 << n) - 1), max_size=max_members)
     )
     return SetFamily(ground, (Subset(ground, m) for m in masks))
+
+
+@st.composite
+def wide_families(draw):
+    # mixed-size families on grounds of 1..64 elements, so the wide sort key
+    # orders the reference past 8 elements
+    n = draw(st.integers(min_value=1, max_value=64))
+    ground = GroundSet(str(i) for i in range(1, n + 1))
+    masks = draw(
+        st.sets(st.integers(min_value=0, max_value=(1 << n) - 1), max_size=12)
+    )
+    return SetFamily.from_masks(ground, masks)
+
+
+class TestComplementOrder:
+    """`complements` reverses the member order instead of sorting; the
+    reference sorts the complement masks canonically."""
+
+    @given(wide_families())
+    def test_members_are_the_sorted_complements(self, f):
+        full = (1 << f.ground.size) - 1
+        expected = sorted((full ^ m for m in f.masks()), key=canonical_key)
+        assert [s.mask for s in complements(f).sets] == expected
+
+    @given(wide_families())
+    def test_involution_keeps_the_member_order(self, f):
+        twice = complements(complements(f))
+        assert twice == f
+        assert [s.mask for s in twice.sets] == [s.mask for s in f.sets]
 
 
 class TestAlgebraicLaws:
