@@ -159,8 +159,8 @@ def _minimality_search(m: Matroid, kind: str) -> ClassificationResult:
         raise SearchCapExceeded(
             f"{n} bases exceed the exhaustive search cap {DEFAULT_SEARCH_CAP}"
         )
-    boundary = m.support() if kind == "union" else m.base_intersection()
-    return m._fact(f"{kind}_minimal", lambda: _least_reduction(m, kind, boundary.mask))
+    boundary = m.support if kind == "union" else m.base_intersection
+    return m._fact(f"{kind}_minimal", lambda: _least_reduction(m, kind, boundary().mask))
 
 
 def _requirements(
@@ -406,8 +406,8 @@ def recover_partition(m: Matroid) -> Partition | None:
     When present this is the unique partition of the support that every base
     meets exactly once per block.  Computed once per matroid, `None` included.
     """
-    fam = forming_family(m)
-    return m._fact(
-        "partition",
-        lambda: Partition(fam) if is_partition(fam, m.support()) else None,
-    )
+    def compute() -> Partition | None:
+        fam = forming_family(m)
+        return Partition(fam) if is_partition(fam, m.support()) else None
+
+    return m._fact("partition", compute)

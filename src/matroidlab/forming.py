@@ -57,10 +57,9 @@ def forming_family(m: Matroid) -> SetFamily:
     Returned as a plain canonically ordered `SetFamily`; `recover_partition`
     turns it into a `Partition` when its blocks partition the base support.
     """
-    exp = _expansions(m)
     return m._fact(
         "forming_family",
-        lambda: SetFamily.from_masks(m.ground, exp.values()),
+        lambda: SetFamily.from_masks(m.ground, _expansions(m).values()),
     )
 
 

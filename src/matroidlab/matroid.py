@@ -30,11 +30,16 @@ elements, and exchange exactly when such a mask also reaches outside that
 member.  Only a false verdict is scanned for its canonical witness.
 
 Facts derived from the bases (the independent sets, the expansion map, the
-forming family, the two uniqueness verdicts, the witness of a false
-unique-expansion verdict, the recovered partition, the union and
-intersection minimality search results, the dual) are computed at most
-once per matroid value and kept in its memo slot; since a matroid is
-immutable they can never go stale.  A matroid built by `from_bases` is a new
+base support and base intersection, the forming family, the two uniqueness
+verdicts, the witness of a false unique-expansion verdict, the recovered
+partition, the union and intersection minimality search results, the dual)
+are computed at most once per matroid value and kept in its memo slot; since
+a matroid is immutable they can never go stale.  A fact read looks in the
+memo before it computes any prerequisite (the forming family's map, the
+partition's support, the search's boundary are read inside the computation),
+so a warm read is one `_fact` lookup that builds nothing, and a computation
+that raises stores nothing (`dual` returns its validation error to keep
+it).  A matroid built by `from_bases` is a new
 value whose memo starts with the expansion map its exchange check built, at
 every rank, and nothing else; `Matroid._expansion_map` owns it.  The dual is
 such a value too: kept in its matroid's memo, its own memo does not point back.
@@ -328,12 +333,12 @@ class Matroid:
         return max((m & x.mask).bit_count() for m in self.bases.masks())
 
     def support(self) -> Subset:
-        """Union of all bases."""
-        return self.bases.union()
+        """Union of all bases, a memo fact: the bases are ORed once per matroid."""
+        return self._fact("support", self.bases.union)
 
     def base_intersection(self) -> Subset:
-        """Common intersection of all bases."""
-        return self.bases.intersection()
+        """Common intersection of all bases, a memo fact like `support`."""
+        return self._fact("base_intersection", self.bases.intersection)
 
     def dual(self) -> Matroid:
         """The matroid whose bases are the complements of this one's bases.

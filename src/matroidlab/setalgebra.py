@@ -438,24 +438,26 @@ def is_partition(family: SetFamily, support: Subset) -> bool:
 class Partition:
     """A set family with nonempty, pairwise disjoint blocks.
 
-    A partition partitions its own union; the union is exposed as `support()`.
-    The empty partition (no blocks, empty support) is allowed as the degenerate
-    case.
+    A partition partitions its own union; the union is exposed as `support()`,
+    kept from the validation that computes it.  The empty partition (no
+    blocks, empty support) is allowed as the degenerate case.
     """
 
-    __slots__ = ("family",)
+    __slots__ = ("family", "_support")
 
     def __init__(self, family: SetFamily):
-        if not is_partition(family, family.union()):
+        support = family.union()
+        if not is_partition(family, support):
             raise ValueError(f"{family} is not a partition: blocks must be nonempty and disjoint")
         self.family = family
+        self._support = support
 
     @property
     def ground(self) -> GroundSet:
         return self.family.ground
 
     def support(self) -> Subset:
-        return self.family.union()
+        return self._support
 
     def __iter__(self) -> Iterator[Subset]:
         return iter(self.family)

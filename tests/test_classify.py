@@ -168,10 +168,17 @@ class TestUnionMinimal:
         # certificate; only a false verdict's witness search refuses
         u27 = uniform(2, 7)
         assert len(u27.bases) == 21
-        for _, verdict, classify in _MINIMALITY:
+        for kind, verdict, classify in _MINIMALITY:
             assert verdict(u27) is False
             with pytest.raises(SearchCapExceeded, match="21 bases exceed"):
                 classify(u27)
+            # the cap refuses before the memo is read, on every call, and
+            # keeps no result and no boundary
+            before = dict(u27._facts)
+            for _ in range(2):
+                with pytest.raises(SearchCapExceeded, match="21 bases exceed"):
+                    _minimality_search(u27, kind)
+            assert u27._facts == before and f"{kind}_minimal" not in before
         assert union_minimal(uniform(1, 21)) is True
         assert intersection_minimal(uniform(6, 7)) is True
         # one per block of {1,2,3}, {4,5,6}, {7,8,9}: 27 bases, and its dual
@@ -245,8 +252,12 @@ class TestRecoverPartition:
         assert recover_partition(m) == p
 
     def test_rank_zero_rejected(self):
-        with pytest.raises(RankZero):
-            recover_partition(mk("1", ""))
+        # on every call, with the forming family's message and no memo entry
+        m = mk("1", "")
+        for _ in range(2):
+            with pytest.raises(RankZero, match="^secondary bases are undefined at rank zero$"):
+                recover_partition(m)
+        assert not {"forming_family", "partition"} & set(m._facts or {})
 
     def test_agrees_with_forming_family_partition_test(self):
         for m in _rank_positive(4):

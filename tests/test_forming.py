@@ -121,9 +121,13 @@ class TestFormingFamily:
         assert forming_family(m) == p.family
 
     def test_rank_zero_rejected(self, g3):
-        m = Matroid.from_bases(g3, fam(g3, ""))
-        with pytest.raises(RankZero):
-            forming_family(m)
+        # on every call, validated or not, and with nothing kept in the memo
+        message = "^secondary bases are undefined at rank zero$"
+        for m in (Matroid.from_bases(g3, fam(g3, "")), Matroid._trusted(g3, fam(g3, ""))):
+            for _ in range(2):
+                with pytest.raises(RankZero, match=message):
+                    forming_family(m)
+            assert "forming_family" not in (m._facts or {})
 
 
 class TestFormingFamilyWrt:

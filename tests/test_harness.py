@@ -1077,6 +1077,44 @@ class TestFactsMemo:
         assert recover_partition(uniform) is None
         assert len(calls) == 1
 
+    def test_a_warm_read_is_one_memo_lookup(self, monkeypatch):
+        # each read looks in the memo before it computes any prerequisite,
+        # and the base support and intersection are facts: a warm read asks
+        # the memo once and builds no family
+        reads = (
+            recover_partition,
+            forming_family,
+            Matroid.support,
+            Matroid.base_intersection,
+            lambda m: classify_module._minimality_search(m, "union"),
+        )
+        pop = [m for m in population(4) if m.rank > 0]
+        for m in pop:
+            verify([m])
+            for read in reads:
+                read(m)  # warms what verify does not read, such as the base intersection
+        lookups, families = [], []
+        real_fact = Matroid._fact
+
+        def fact(self, name, compute):
+            lookups.append(name)
+            return real_fact(self, name, compute)
+
+        monkeypatch.setattr(Matroid, "_fact", fact)
+        for name in ("union", "intersection"):
+            real = getattr(SetFamily, name)
+            monkeypatch.setattr(
+                SetFamily, name,
+                lambda self, _real=real, _name=name: families.append(_name) or _real(self),
+            )
+        for m in pop:
+            for read in reads:
+                before = dict(m._facts)
+                value = read(m)
+                assert len(lookups) == 1 and families == [], (m, read, lookups, families)
+                assert m._facts == before and value is before[lookups[0]]
+                lookups.clear()
+
     def test_dual_never_shares_cached_facts(self):
         for i, m in enumerate(population(4)):
             if m.rank in (0, m.ground.size):

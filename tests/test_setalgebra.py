@@ -424,7 +424,8 @@ class TestAllPartitions:
         assert len(parts) == bell
         assert len(set(parts)) == bell
         for p in parts:
-            assert p.support() == support
+            # the union the constructor kept is the family's own
+            assert p.support() == p.family.union() == support
 
     def test_walk_order_is_pinned(self):
         # the lowest element joins each block in turn, then opens its own; the
