@@ -29,6 +29,7 @@ from .setalgebra import (
     Partition,
     SetFamily,
     Subset,
+    _single_bits,
     is_partition,
     mask_order_key,
 )
@@ -178,15 +179,10 @@ def _requirements(
         return ()  # one swap apart: each repairs the other
     reqs = []
     for base, other, rest in ((b1, b2, out), (b2, b1, back)):
-        while rest:
-            xbit = rest & -rest
-            rest ^= xbit
+        for xbit in _single_bits(rest):
             stripped = base ^ xbit
             r = 0
-            ys = exp[stripped] & other
-            while ys:
-                ybit = ys & -ys
-                ys ^= ybit
+            for ybit in _single_bits(exp[stripped] & other):
                 r |= where[stripped | ybit]
             reqs.append(r)
     return reqs

@@ -5,7 +5,9 @@ of at most 64 opaque string labels; subsets are single machine words over the
 element indices, so membership, union, intersection and complement are O(1).
 Each ground set keeps one private memo, the label tuple of every mask below
 256 it has rendered (at most 256 entries, filled on first use); it never
-changes what a value equals, hashes or prints.
+changes what a value equals, hashes or prints.  The walks over a mask, its
+bits (`_bit_indices`, `_single_bits`), its submasks (`_submasks`) and the one
+pass that tests blocks as a partition (`_disjoint_union`), are written here.
 
 Canonical order: subsets compare by (cardinality, sorted index list), families
 by the resulting member list.  Two equal families therefore always serialize
@@ -65,6 +67,16 @@ def _single_bits(mask: int) -> tuple[int, ...]:
         out.append(bit)
         mask ^= bit
     return tuple(out)
+
+
+def _submasks(mask: int) -> Iterator[int]:
+    """Every submask of `mask`, from `mask` itself down to 0 (the submask
+    walk, not canonical order)."""
+    sub = mask
+    yield sub
+    while sub:
+        sub = (sub - 1) & mask
+        yield sub
 
 
 def canonical_key(mask: int) -> tuple:
@@ -220,12 +232,7 @@ class Subset:
 
     def subsets(self) -> Iterator[Subset]:
         """All subsets of this subset (submask walk, not canonical order)."""
-        sub = self.mask
-        while True:
-            yield Subset(self.ground, sub)
-            if sub == 0:
-                return
-            sub = (sub - 1) & self.mask
+        return (Subset(self.ground, sub) for sub in _submasks(self.mask))
 
     def __or__(self, other: Subset) -> Subset:
         _same_ground(self.ground, other.ground)
@@ -378,13 +385,8 @@ class SetFamily:
 def low(family: SetFamily) -> SetFamily:
     """Downward closure: every subset of every member."""
     seen: set[int] = set()
-    for member in family:
-        sub = member.mask
-        while True:
-            seen.add(sub)
-            if sub == 0:
-                break
-            sub = (sub - 1) & member.mask
+    for mask in family.masks():
+        seen.update(_submasks(mask))
     return SetFamily.from_masks(family.ground, seen)
 
 
@@ -427,12 +429,21 @@ def is_covering(family: SetFamily, support: Subset) -> bool:
     return family.union().mask == support.mask
 
 
+def _disjoint_union(masks: Iterable[int]) -> int | None:
+    """The union of the masks, or None when one is empty or two overlap:
+    the one pass that tests a family as a partition of its union."""
+    union = 0
+    for mask in masks:
+        if not mask or union & mask:
+            return None
+        union |= mask
+    return union
+
+
 def is_partition(family: SetFamily, support: Subset) -> bool:
     """True iff the family covers `support` with pairwise disjoint blocks."""
-    if not is_covering(family, support):
-        return False
-    total = sum(len(s) for s in family)
-    return total == len(support)
+    _same_ground(family.ground, support.ground)
+    return _disjoint_union(family.masks()) == support.mask
 
 
 class Partition:
@@ -446,11 +457,11 @@ class Partition:
     __slots__ = ("family", "_support")
 
     def __init__(self, family: SetFamily):
-        support = family.union()
-        if not is_partition(family, support):
+        support = _disjoint_union(family.masks())
+        if support is None:
             raise ValueError(f"{family} is not a partition: blocks must be nonempty and disjoint")
         self.family = family
-        self._support = support
+        self._support = Subset(family.ground, support)
 
     @property
     def ground(self) -> GroundSet:

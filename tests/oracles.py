@@ -263,6 +263,23 @@ def bit_indices_oracle(mask: int) -> tuple[int, ...]:
     return tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
 
 
+def disjoint_union_oracle(masks: list[int]) -> int | None:
+    """The union of the masks, or None when one is empty or the masks at two
+    positions share a bit, testing every pair."""
+    if 0 in masks:
+        return None
+    for i, j in combinations(range(len(masks)), 2):
+        if masks[i] & masks[j]:
+            return None
+    width = max((m.bit_length() for m in masks), default=0)
+    return sum(1 << i for i in range(width) if any(m >> i & 1 for m in masks))
+
+
+def submasks_oracle(mask: int) -> list[int]:
+    """Every x with no bit outside `mask`, from `mask` down to 0."""
+    return [x for x in range(mask, -1, -1) if x & ~mask == 0]
+
+
 def labels_oracle(ground: GroundSet, mask: int) -> tuple[str, ...]:
     """The labels of the elements of `mask`, looked up one index at a time."""
     return tuple(ground.label(i) for i in bit_indices_oracle(mask))

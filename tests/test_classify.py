@@ -265,6 +265,21 @@ class TestRecoverPartition:
             expected = Partition(f) if is_partition(f, m.support()) else None
             assert recover_partition(m) == expected
 
+    def test_cold_recovery_never_ors_the_forming_family(self, monkeypatch):
+        # the partition test and the Partition value each take one
+        # disjoint-union pass over the masks; neither calls SetFamily.union
+        # on the forming family
+        ored = []
+        real = SetFamily.union
+        monkeypatch.setattr(SetFamily, "union", lambda self: ored.append(self) or real(self))
+        pop = _rank_positive(5)
+        assert len(pop) == 492
+        for m in pop:
+            cold = Matroid.from_bases(m.ground, m.bases)
+            recover_partition(cold)
+            assert not [f for f in ored if f is forming_family(cold)], m
+            ored.clear()
+
 
 class TestAgainstDefinitionOracles:
     def test_minimality_matches_literal_quantification(self):

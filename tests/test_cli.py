@@ -159,6 +159,23 @@ class TestAnalyze:
             "intersection minimal: yes",
         ]
 
+    def test_wide_member_missing_its_subsets_fails_fast(self, tmp_path):
+        # the least missing subset is sought by size, {0} first, so the
+        # witness costs no walk over the 2^64 subsets of the member
+        labels = [str(i) for i in range(64)]
+        path = tmp_path / "closure64.json"
+        path.write_text(json.dumps({"ground_set": labels, "independents": [[], labels]}))
+        src = Path(matroidlab.__file__).resolve().parents[1]
+        done = subprocess.run(
+            [sys.executable, "-m", "matroidlab.cli", "analyze", str(path)],
+            capture_output=True, text=True, timeout=10,
+            env={**os.environ, "PYTHONPATH": str(src)},
+        )
+        assert (done.returncode, done.stdout) == (1, "")
+        assert done.stderr == (
+            "invalid matroid: {" + ",".join(labels) + "} is present but its subset {0} is not\n"
+        )
+
     def test_rank_zero_fields(self, capsys, tmp_path):
         path = tmp_path / "m.json"
         path.write_text('{"ground_set": ["1"], "bases": [[]]}')

@@ -24,8 +24,10 @@ from matroidlab.setalgebra import (
     _BYTE_RANK,
     _BYTE_UNRANK,
     _bit_indices,
+    _disjoint_union,
     _partition_masks,
     _single_bits,
+    _submasks,
     _transversal_masks,
     canonical_key,
     mask_order_key,
@@ -33,7 +35,9 @@ from matroidlab.setalgebra import (
 
 from oracles import (
     bit_indices_oracle,
+    disjoint_union_oracle,
     labels_oracle,
+    submasks_oracle,
     subset_of,
     transversal_count_oracle,
 )
@@ -161,6 +165,57 @@ class TestSingleBits:
         # peeling bits off a negative int never ends
         with pytest.raises(ValueError, match="negative mask"):
             _single_bits(mask)
+
+
+# blocks of up to three of 64 elements, empty ones included, so that lists of
+# them are often disjoint and often not
+_blocks = st.frozensets(st.integers(0, 63), max_size=3).map(
+    lambda block: sum(1 << i for i in block)
+)
+
+
+class TestDisjointUnion:
+    """The one partition pass: the union of the masks, or None when a block
+    is empty or two blocks overlap."""
+
+    @pytest.mark.parametrize(
+        "masks, union",
+        [
+            ([], 0),
+            ([0], None),
+            ([0b11, 0], None),
+            ([1, 1], None),
+            ([0b110, 0b011], None),
+            ([1 << 63, 1, 0b110], (1 << 63) | 0b111),
+            ([(1 << 64) - 1], (1 << 64) - 1),
+        ],
+    )
+    def test_known_cases(self, masks, union):
+        assert _disjoint_union(masks) == union == disjoint_union_oracle(masks)
+
+    @given(st.lists(_blocks, max_size=8), st.data())
+    @settings(max_examples=300)
+    def test_matches_the_pairwise_oracle(self, masks, data):
+        if masks and data.draw(st.booleans()):
+            # a repeated block, at any position
+            at = data.draw(st.integers(0, len(masks)))
+            masks = masks[:at] + [data.draw(st.sampled_from(masks))] + masks[at:]
+        assert _disjoint_union(masks) == disjoint_union_oracle(masks)
+
+
+class TestSubmasks:
+    """The one submask walk, from the mask itself down to 0."""
+
+    @given(st.integers(0, (1 << 12) - 1))
+    @settings(max_examples=300)
+    def test_matches_the_filter_over_every_smaller_mask(self, mask):
+        assert list(_submasks(mask)) == submasks_oracle(mask)
+
+    def test_subsets_stay_lazy(self):
+        # 2^64 subsets: only a lazy walk can hand out the first two
+        g = GroundSet(str(i) for i in range(64))
+        walk = g.full().subsets()
+        assert [s.mask for s in (next(walk), next(walk))] == [(1 << 64) - 1, (1 << 64) - 2]
 
 
 class TestByteRank:
