@@ -47,7 +47,6 @@ from .harness import (
 )
 from .matroid import (
     Matroid,
-    PartitionMatroidSpec,
     are_isomorphic,
     make_partition_matroid,
     make_unique_partition_matroid,
@@ -88,7 +87,6 @@ __all__ = [
     "all_partitions",
     "MAX_GROUND_SIZE",
     "Matroid",
-    "PartitionMatroidSpec",
     "make_partition_matroid",
     "make_unique_partition_matroid",
     "are_isomorphic",

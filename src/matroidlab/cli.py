@@ -39,12 +39,8 @@ from .enumeration import count_matroids, enumerate_matroids
 from .errors import AxiomError, ParseError, RankZero, SearchCapExceeded
 from .forming import _forming_blocks, forming_family, secondary_bases
 from .harness import lookup_check, theorem_registry, verify
-from .matroid import (
-    Matroid,
-    PartitionMatroidSpec,
-    make_partition_matroid,
-)
-from .setalgebra import GroundSet, SetFamily
+from .matroid import Matroid, make_partition_matroid
+from .setalgebra import GroundSet, Partition, SetFamily
 
 
 def parse_matroid_file(path: str) -> Matroid:
@@ -170,12 +166,20 @@ def _split_labels(raw: str) -> list[str]:
 
 
 def cmd_make_partition(args: argparse.Namespace) -> int:
-    """`make-pm` with its `--cap` list, or `make-upm` with every cap 1."""
+    """`make-pm` with its `--cap` list, or `make-upm` with every cap 1.
+
+    The i-th `--cap` belongs to the i-th `--block`; each cap is looked up by
+    its block, since the partition lists its blocks in canonical order."""
     ground = GroundSet(_split_labels(args.ground))
     blocks = [ground.subset(*_split_labels(b)) for b in args.block]
     caps = [1] * len(blocks) if args.cap is None else args.cap
-    spec = PartitionMatroidSpec.paired(blocks, caps)
-    m = make_partition_matroid(ground, spec)
+    if len(caps) != len(blocks):
+        raise ValueError(f"{len(caps)} caps for {len(blocks)} blocks")
+    p = Partition(SetFamily(ground, blocks))
+    if len(p) != len(blocks):
+        raise ValueError("duplicate blocks")
+    cap_of = dict(zip(blocks, caps))
+    m = make_partition_matroid(ground, p, tuple(cap_of[b] for b in p))
     _emit_doc(m.to_doc(), compact=True)
     return 0
 

@@ -35,7 +35,6 @@ from .errors import AxiomError, ExchangeFailure, SearchCapExceeded
 from .forming import _forming_blocks, forming_family
 from .matroid import (
     Matroid,
-    PartitionMatroidSpec,
     are_isomorphic,
     first_exchange_violation,
     make_partition_matroid,
@@ -112,7 +111,7 @@ def _capped_matroid(m: Matroid) -> Matroid:
 
     def build() -> Matroid:
         p = _recovered(m)
-        return make_partition_matroid(m.ground, PartitionMatroidSpec(p, (1,) * len(p)))
+        return make_partition_matroid(m.ground, p, (1,) * len(p))
 
     return m._fact("capped_matroid", build)
 
@@ -126,14 +125,14 @@ _SCAN_BOUND = 16
 
 
 def _definitional_scan(
-    built: Callable[[], Matroid], support: Subset, blocks: Iterable[Subset],
+    masks: frozenset[int], support: Subset, blocks: Iterable[Subset],
     caps: Iterable[int] | None = None, complement: bool = False,
 ) -> tuple[Subset, bool] | None:
-    """The least subset X, with its membership in the bases of `built()`,
+    """The least subset X, with its membership in the base masks `masks`,
     where that membership differs from the description: X (its complement,
     with `complement`) lies in `support` and meets each block in its cap of
     elements, one by default.  Past `_SCAN_BOUND` elements it raises
-    `SearchCapExceeded` before building anything.
+    `SearchCapExceeded`.
 
     The described family is computed, not tested mask by mask.  No set
     outside `support` is described, so the described sets (before the
@@ -150,7 +149,6 @@ def _definitional_scan(
             f"ground set of {ground.size} elements exceeds the definitional "
             f"scan bound {_SCAN_BOUND}"
         )
-    masks = built().bases.masks()
     subs = _submasks(support.mask)
     for k, c in zip(blocks, caps or repeat(1)):
         k = k.mask
@@ -278,7 +276,7 @@ def _check_thm_126(m: Matroid) -> str | None:
 
 
 def _check_prop_51_j(m: Matroid) -> str | None:
-    hit = _definitional_scan(lambda: m, m.support(), forming_family(m))
+    hit = _definitional_scan(m.bases.masks(), m.support(), forming_family(m))
     if hit:
         x, member = hit
         return f"{x}: base membership {member} but one-per-block description {not member}"
@@ -302,20 +300,17 @@ def _check_prop_303(m: Matroid) -> str | None:
     # the cap-1 matroid is shared with prop_302_304; a partition of single
     # elements has the same caps at full size, and is scanned once
     p = _recovered(m)
-    full = tuple(len(b) for b in p)
-    builds = {(1,) * len(p): partial(_capped_matroid, m)}
-    builds.setdefault(
-        full, partial(make_partition_matroid, m.ground, PartitionMatroidSpec(p, full))
-    )
-    for caps, built in builds.items():
-        if _definitional_scan(built, p.support(), p, caps):
+    unit = (1,) * len(p)
+    for caps in dict.fromkeys((unit, tuple(len(b) for b in p))):
+        built = _capped_matroid(m) if caps == unit else make_partition_matroid(m.ground, p, caps)
+        if _definitional_scan(built.bases.masks(), p.support(), p, caps):
             return f"cap vector {caps}: built bases differ from the definitional filter"
     return None
 
 
 def _check_prop_305_306(m: Matroid) -> str | None:
     p = _recovered(m)
-    hit = _definitional_scan(partial(_one_per_block_matroid, m), p.support(), p)
+    hit = _definitional_scan(_one_per_block_matroid(m).bases.masks(), p.support(), p)
     if hit:
         x, member = hit
         return f"{x}: membership {member} vs description {not member}"
@@ -327,7 +322,7 @@ def _check_prop_339(m: Matroid) -> str | None:
     # when its complement is a transversal of the partition
     p = _recovered(m)
     hit = _definitional_scan(
-        lambda: _one_per_block_matroid(m).dual(), p.support(), p, complement=True
+        _one_per_block_matroid(m).dual().bases.masks(), p.support(), p, complement=True
     )
     if hit:
         x, member = hit

@@ -48,7 +48,6 @@ such a value too: kept in its matroid's memo, its own memo does not point back.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from itertools import combinations, groupby, permutations, product
 from typing import Callable, Iterable, Sequence, TypeVar
 
@@ -448,53 +447,30 @@ def _label(x) -> str:
     )
 
 
-@dataclass(frozen=True)
-class PartitionMatroidSpec:
-    """Blocks with per-block caps; caps follow the partition's canonical block order."""
-
-    blocks: Partition
-    caps: tuple[int, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "caps", tuple(self.caps))
-        if len(self.caps) != len(self.blocks):
-            raise ValueError(
-                f"{len(self.caps)} caps for {len(self.blocks)} blocks"
-            )
-        for block, cap in zip(self.blocks, self.caps):
-            if cap < 0 or cap > len(block):
-                raise CapOutOfRange(
-                    f"cap {cap} out of range for block {block} of size {len(block)}"
-                )
-
-    @classmethod
-    def paired(cls, blocks: Sequence[Subset], caps: Sequence[int]) -> PartitionMatroidSpec:
-        """Pair blocks with caps in the given order, then canonicalize together."""
-        if len(blocks) != len(caps):
-            raise ValueError(f"{len(caps)} caps for {len(blocks)} blocks")
-        if not blocks:
-            raise ValueError("at least one block is required")
-        order = sorted(range(len(blocks)), key=lambda i: blocks[i].sort_key)
-        partition = Partition(SetFamily(blocks[0].ground, blocks))
-        if len(partition) != len(blocks):
-            raise ValueError("duplicate blocks")
-        return cls(partition, tuple(caps[i] for i in order))
-
-
-def make_partition_matroid(ground: GroundSet, spec: PartitionMatroidSpec) -> Matroid:
-    """Matroid whose independents pick at most cap_i elements from block_i.
+def make_partition_matroid(
+    ground: GroundSet, p: Partition, caps: tuple[int, ...]
+) -> Matroid:
+    """Matroid whose independents pick at most caps[i] elements from the
+    i-th block of `p`, its blocks taken in canonical order.
 
     Elements outside the union of the blocks belong to no independent set
     (they behave like an extra block capped at zero), so a partition of a
     proper subset of the ground set is fine.  The bases are exactly the
     unions of one cap_i-subset per block.
     """
-    if spec.blocks.ground != ground:
+    if p.ground != ground:
         raise ValueError("blocks live on a different ground set")
+    if len(caps) != len(p):
+        raise ValueError(f"{len(caps)} caps for {len(p)} blocks")
+    for block, cap in zip(p, caps):
+        if cap < 0 or cap > len(block):
+            raise CapOutOfRange(
+                f"cap {cap} out of range for block {block} of size {len(block)}"
+            )
     masks = [0]
-    for block, cap in zip(spec.blocks, spec.caps):
+    for block, cap in zip(p, caps):
         picks = list(map(sum, combinations(_single_bits(block.mask), cap)))
-        masks = [m | p for m in masks for p in picks]
+        masks = [m | pick for m in masks for pick in picks]
     return Matroid.from_bases(ground, SetFamily.from_masks(ground, masks))
 
 

@@ -230,10 +230,6 @@ class Subset:
     def sort_key(self) -> tuple:
         return canonical_key(self.mask)
 
-    def subsets(self) -> Iterator[Subset]:
-        """All subsets of this subset (submask walk, not canonical order)."""
-        return (Subset(self.ground, sub) for sub in _submasks(self.mask))
-
     def __or__(self, other: Subset) -> Subset:
         _same_ground(self.ground, other.ground)
         return Subset(self.ground, self.mask | other.mask)

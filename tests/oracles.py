@@ -19,7 +19,7 @@ over every mask and every set of hyperplanes.
 from __future__ import annotations
 
 from itertools import combinations, repeat
-from typing import Callable, Iterable
+from typing import Iterable, Iterator
 
 from matroidlab import (
     GroundSet,
@@ -41,6 +41,7 @@ from matroidlab.errors import (
     SearchCapExceeded,
 )
 from matroidlab.matroid import first_exchange_violation
+from matroidlab.setalgebra import _submasks
 
 
 def subset_of(ground: GroundSet, indices) -> Subset:
@@ -49,6 +50,11 @@ def subset_of(ground: GroundSet, indices) -> Subset:
     for i in indices:
         mask |= 1 << i
     return Subset(ground, mask)
+
+
+def subsets(x: Subset) -> Iterator[Subset]:
+    """All subsets of `x` (submask walk, not canonical order)."""
+    return (Subset(x.ground, sub) for sub in _submasks(x.mask))
 
 
 def is_independent(m: Matroid, x: Subset) -> bool:
@@ -323,7 +329,7 @@ def lemma_e_oracle(m: Matroid) -> str | None:
 def rank_oracle(m: Matroid, x: Subset) -> int:
     """Largest independent subset of x, found by scanning all subsets of x."""
     best = 0
-    for sub in x.subsets():
+    for sub in subsets(x):
         if len(sub) > best and is_independent(m, sub):
             best = len(sub)
     return best
@@ -425,7 +431,7 @@ def thm_334_oracle(m: Matroid) -> str | None:
 
 
 def definitional_scan_oracle(
-    built: Callable[[], Matroid], support: Subset, blocks: Iterable[Subset],
+    masks: frozenset[int], support: Subset, blocks: Iterable[Subset],
     caps: Iterable[int] | None = None, complement: bool = False,
 ) -> tuple[Subset, bool] | None:
     """`harness._definitional_scan` as a walk over all 2^n masks in integer
@@ -436,7 +442,6 @@ def definitional_scan_oracle(
             f"ground set of {ground.size} elements exceeds the definitional "
             "scan bound 16"
         )
-    masks = built().bases.masks()
     outside = ~support.mask
     flip = ground.full().mask if complement else 0
     quotas = [(k.mask, cap) for k, cap in zip(blocks, caps or repeat(1))]

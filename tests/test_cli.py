@@ -440,6 +440,33 @@ class TestConstructors:
         assert out == ""
         assert err == "error: duplicate blocks\n"
 
+    def test_paired_caps_follow_blocks(self, capsys):
+        # each --cap belongs to the --block at its position, whatever order
+        # the blocks come in; caps are checked in canonical block order
+        ground = ["--ground", "1,2,3,4,5"]
+        _, canonical, _ = run(
+            capsys, "make-pm", *ground, "--block", "1,2", "--block", "3,4,5",
+            "--cap", "1", "--cap", "2",
+        )
+        code, reordered, err = run(
+            capsys, "make-pm", *ground, "--block", "3,4,5", "--block", "1,2",
+            "--cap", "2", "--cap", "1",
+        )
+        assert (code, err) == (0, "")
+        assert reordered == canonical
+        assert len(json.loads(canonical)["bases"]) == 6
+        code, out, err = run(
+            capsys, "make-pm", *ground, "--block", "3,4,5", "--block", "1,2",
+            "--cap", "9", "--cap", "7",
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: cap 7 out of range for block {1,2} of size 2\n"
+        code, out, err = run(
+            capsys, "make-pm", *ground, "--block", "3,4,5", "--block", "1,2",
+            "--block", "3,4,5", "--cap", "9", "--cap", "1", "--cap", "9",
+        )
+        assert (code, out, err) == (2, "", "error: duplicate blocks\n")
+
     def test_constructed_document_round_trips(self, capsys, tmp_path):
         _, out, _ = run(
             capsys, "make-upm", "--ground", "a,b,c", "--block", "a", "--block", "b,c"

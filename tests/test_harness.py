@@ -10,14 +10,12 @@ import weakref
 from functools import partial
 from itertools import chain, combinations, product
 from pathlib import Path
-from types import SimpleNamespace
 
 import pytest
 
 from matroidlab import (
     GroundSet,
     Matroid,
-    PartitionMatroidSpec,
     SetFamily,
     TheoremCheck,
     check_examples,
@@ -1048,10 +1046,10 @@ class TestFactsMemo:
         calls = []
         real = harness.make_partition_matroid
 
-        def counted(ground, spec):
-            if set(spec.caps) <= {1}:
+        def counted(ground, p, caps):
+            if set(caps) <= {1}:
                 calls.append(1)
-            return real(ground, spec)
+            return real(ground, p, caps)
 
         monkeypatch.setattr(harness, "make_partition_matroid", counted)
         pop = population(5)
@@ -1213,13 +1211,13 @@ class TestDefinitionalScans:
         p = harness._recovered(m)
         ones, full = (1,) * len(p), tuple(len(b) for b in p)
         return [
-            (lambda: m, m.support(), forming_family(m), None, False),
+            (m.bases.masks(), m.support(), forming_family(m), None, False),
             *(
-                (partial(make_partition_matroid, m.ground, PartitionMatroidSpec(p, caps)),
+                (make_partition_matroid(m.ground, p, caps).bases.masks(),
                  p.support(), p, caps, False)
                 for caps in (ones, full)
             ),
-            (lambda: harness._one_per_block_matroid(m).dual(), p.support(), p, None, True),
+            (harness._one_per_block_matroid(m).dual().bases.masks(), p.support(), p, None, True),
         ]
 
     @staticmethod
@@ -1241,8 +1239,7 @@ class TestDefinitionalScans:
         kinds = {"drop": 0, "add": 0, "outside": 0}
         for m in self._unique_expansion(5):
             g = m.ground
-            for built, support, blocks, caps, complement in self._call_sites(m):
-                masks = built().bases.masks()
+            for masks, support, blocks, caps, complement in self._call_sites(m):
                 flip = g.full().mask if complement else 0
                 for mask in range(1 << g.size):
                     if mask in masks:
@@ -1251,32 +1248,31 @@ class TestDefinitionalScans:
                         kinds["outside"] += 1
                     else:
                         kinds["add"] += 1
-                    family = SetFamily.from_masks(g, masks ^ {mask})
-                    perturbed = partial(SimpleNamespace, bases=family)
-                    args = (perturbed, support, blocks, caps, complement)
+                    args = (masks ^ {mask}, support, blocks, caps, complement)
                     hit = harness._definitional_scan(*args)
                     assert hit is not None
                     assert hit == definitional_scan_oracle(*args)
         assert min(kinds.values()) > 0
 
-    def test_scan_past_the_bound_builds_nothing(self):
-        def never():
-            raise AssertionError("built was called")
-
+    def test_scan_past_the_bound_raises_on_any_masks(self):
         g = GroundSet(str(i) for i in range(17))
-        with pytest.raises(SearchCapExceeded, match="17 elements exceeds"):
-            harness._definitional_scan(never, g.full(), [g.full()])
+        for masks in (frozenset(), frozenset({0}), frozenset({1, (1 << 17) - 1})):
+            with pytest.raises(SearchCapExceeded, match="17 elements exceeds"):
+                harness._definitional_scan(masks, g.full(), [g.full()])
 
     def test_scans_run_up_to_the_bound(self):
         registry = [lookup_check(check_id) for check_id in self.SCAN_CHECKS]
         at_bound = verify([rank_one_uniform(16)], registry)
         assert [(o.passed, o.capped) for o in at_bound.outcomes] == [(1, 0)] * 4
-        past_bound = verify([rank_one_uniform(17)], registry)
-        assert [(o.passed, o.capped) for o in past_bound.outcomes] == [(0, 1)] * 4
-        for o in past_bound.outcomes:
-            assert o.cap_hits[0]["detail"] == (
-                "ground set of 17 elements exceeds the definitional scan bound 16"
-            )
+        # past the bound the compared matroids are still built (the dual of
+        # U(1,64) has 64 bases), and only the scan itself is refused
+        for n in (17, 64):
+            past_bound = verify([rank_one_uniform(n)], registry)
+            assert [(o.passed, o.capped) for o in past_bound.outcomes] == [(0, 1)] * 4
+            for o in past_bound.outcomes:
+                assert o.cap_hits[0]["detail"] == (
+                    f"ground set of {n} elements exceeds the definitional scan bound 16"
+                )
 
     def test_large_grounds_are_capped_not_hung(self):
         # a scan over all 2^40 subsets would never finish; the bound makes

@@ -1,6 +1,6 @@
 import random
 from collections import Counter
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings
@@ -10,8 +10,8 @@ from matroidlab import (
     GroundSet,
     Matroid,
     Partition,
-    PartitionMatroidSpec,
     SetFamily,
+    all_partitions,
     are_isomorphic,
     complements,
     enumerate_matroids,
@@ -368,7 +368,7 @@ class TestSixtyFourLabels:
 class TestPartitionMatroids:
     def test_capped_blocks_match_enumeration_filter(self, g5):
         p = Partition(fam(g5, "12", "345"))
-        m = make_partition_matroid(g5, PartitionMatroidSpec(p, (1, 2)))
+        m = make_partition_matroid(g5, p, (1, 2))
         expected = {
             x.mask
             for x in g5.all_subsets()
@@ -379,27 +379,54 @@ class TestPartitionMatroids:
         assert m.bases.masks() == expected
         assert len(m.bases) == 6
         assert m.rank == 3
+        # every partition of every subset of the ground, with every cap
+        # vector, against the subsets of the support that meet each block
+        # in exactly its cap of elements
+        built = 0
+        for support in g5.all_subsets():
+            for p in all_partitions(support):
+                for caps in product(*(range(len(b) + 1) for b in p)):
+                    m = make_partition_matroid(g5, p, caps)
+                    expected = {
+                        x.mask
+                        for x in g5.all_subsets()
+                        if x.mask & ~support.mask == 0
+                        and all(len(x & b) == c for b, c in zip(p, caps))
+                    }
+                    assert m.bases.masks() == expected
+                    built += 1
+        assert built == 2019
 
     def test_zero_caps_give_rank_zero(self, g5):
         p = Partition(fam(g5, "12", "345"))
-        m = make_partition_matroid(g5, PartitionMatroidSpec(p, (0, 0)))
+        m = make_partition_matroid(g5, p, (0, 0))
         assert m.rank == 0
 
     def test_full_caps_give_single_base(self, g5):
         p = Partition(fam(g5, "12", "345"))
-        m = make_partition_matroid(g5, PartitionMatroidSpec(p, (2, 3)))
+        m = make_partition_matroid(g5, p, (2, 3))
         assert m.bases == SetFamily(g5, [p.support()])
 
     def test_cap_out_of_range(self, g5):
         p = Partition(fam(g5, "12", "345"))
         with pytest.raises(CapOutOfRange):
-            PartitionMatroidSpec(p, (3, 2))
+            make_partition_matroid(g5, p, (3, 2))
         with pytest.raises(CapOutOfRange):
-            PartitionMatroidSpec(p, (-1, 2))
+            make_partition_matroid(g5, p, (-1, 2))
+        # caps follow canonical block order, so the first block named is {1,2}
+        with pytest.raises(CapOutOfRange, match=r"^cap 3 out of range for block \{1,2\} of size 2$"):
+            make_partition_matroid(g5, p, (3, 4))
+
+    def test_cap_count_and_ground_are_checked(self, g5, g3):
+        p = Partition(fam(g5, "12", "345"))
+        with pytest.raises(ValueError, match="^1 caps for 2 blocks$"):
+            make_partition_matroid(g5, p, (1,))
+        with pytest.raises(ValueError, match="^blocks live on a different ground set$"):
+            make_partition_matroid(g3, p, (1, 1))
 
     def test_independents_cap_elements_per_block(self, g5):
         p = Partition(fam(g5, "12", "345"))
-        m = make_partition_matroid(g5, PartitionMatroidSpec(p, (1, 2)))
+        m = make_partition_matroid(g5, p, (1, 2))
         for x in g5.all_subsets():
             expected = (
                 x.mask & ~p.support().mask == 0
@@ -407,11 +434,6 @@ class TestPartitionMatroids:
                 and len(x & g5.subset("3", "4", "5")) <= 2
             )
             assert is_independent(m, x) == expected
-
-    def test_paired_caps_follow_blocks(self, g5):
-        blocks = [g5.subset("3", "4", "5"), g5.subset("1", "2")]
-        spec = PartitionMatroidSpec.paired(blocks, [2, 1])
-        assert spec.caps == (1, 2)  # canonical block order is {1,2}, {3,4,5}
 
     def test_one_per_block(self, g3):
         p = Partition(fam(g3, "1", "23"))
