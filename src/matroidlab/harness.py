@@ -17,9 +17,9 @@ import json
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import repeat
-from math import prod
+from math import comb, prod
 from time import perf_counter
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator
 
 from .classify import (
     ExchangeWitness,
@@ -45,8 +45,8 @@ from .setalgebra import (
     Partition,
     SetFamily,
     Subset,
+    _disjoint_union,
     _partition_masks,
-    _submasks,
     _transversal_masks,
     combination_number,
     is_covering,
@@ -116,14 +116,6 @@ def _capped_matroid(m: Matroid) -> Matroid:
     return m._fact("capped_matroid", build)
 
 
-# the definitional scans list every subset of the support: at 16 elements the
-# four take a fraction of a second, and each further element doubles that, so
-# past this many elements they are tallied as capped rather than run.  The
-# bound is on the ground size, not the support's, so that which matroids a
-# report lists as capped does not depend on how the scan is done
-_SCAN_BOUND = 16
-
-
 def _definitional_scan(
     masks: frozenset[int], support: Subset, blocks: Iterable[Subset],
     caps: Iterable[int] | None = None, complement: bool = False,
@@ -131,34 +123,42 @@ def _definitional_scan(
     """The least subset X, with its membership in the base masks `masks`,
     where that membership differs from the description: X (its complement,
     with `complement`) lies in `support` and meets each block in its cap of
-    elements, one by default.  Past `_SCAN_BOUND` elements it raises
-    `SearchCapExceeded`.
-
-    The described family is computed, not tested mask by mask.  No set
-    outside `support` is described, so the described sets (before the
-    complement) are exactly the submasks of `support` that survive one
-    filter per block quota.  The masks where membership and description
-    disagree are then the symmetric difference of the bases and the
-    described family.  Its least mask in integer order is the first mismatch
-    a walk over every mask 0..2^n - 1 would meet, and there membership is the
-    negation of the description.
-    """
-    ground = support.ground
-    if ground.size > _SCAN_BOUND:
-        raise SearchCapExceeded(
-            f"ground set of {ground.size} elements exceeds the definitional "
-            f"scan bound {_SCAN_BOUND}"
-        )
-    subs = _submasks(support.mask)
-    for k, c in zip(blocks, caps or repeat(1)):
-        k = k.mask
-        subs = [x for x in subs if (x & k).bit_count() == c]
+    elements, one by default.  With no base rejected and disjoint blocks, the
+    bases are the described family exactly when they number prod C(|k|, c),
+    times 2 per support bit in no block; else the described sets are walked
+    upward until one is not a base or they pass the least rejected base."""
+    ground, s = support.ground, support.mask
     flip = ground.full().mask if complement else 0
-    differ = masks.symmetric_difference([x ^ flip for x in subs])
-    if not differ:
-        return None
-    mask = min(differ)
-    return Subset(ground, mask), mask in masks
+    quotas = [(k.mask & s, c) for k, c in zip(blocks, caps or repeat(1))]
+    rejected = [b for b in masks if (b ^ flip) & ~s
+                or any(((b ^ flip) & k).bit_count() != c for k, c in quotas)]
+    union = _disjoint_union(k for k, _ in quotas)
+    if not rejected and union is not None:
+        count = prod(comb(k.bit_count(), c) for k, c in quotas)
+        if len(masks) == count << (s & ~union).bit_count():
+            return None
+    least = min(rejected, default=1 << ground.size)
+    if complement:  # X then holds every bit outside the support, and |k| - c of k
+        quotas = [(k, k.bit_count() - c) for k, c in quotas]
+    for x in _described(s, quotas, flip & ~s):
+        if x > least:
+            break
+        if x not in masks:
+            return Subset(ground, x), False
+    return (Subset(ground, least), True) if rejected else None
+
+
+def _described(support: int, quotas: list[tuple[int, int]], chosen: int) -> Iterator[int]:
+    """`chosen` plus each submask of `support` meeting each block k of `quotas` in c
+    bits, ascending: bits are decided from the top, dropping a prefix no count fits."""
+    if any(not 0 <= c - (chosen & k).bit_count() <= (support & k).bit_count() for k, c in quotas):
+        return
+    if not support:
+        yield chosen
+        return
+    top = 1 << support.bit_length() - 1
+    yield from _described(support ^ top, quotas, chosen)
+    yield from _described(support ^ top, quotas, chosen | top)
 
 
 def _check_prop_100(m: Matroid) -> str | None:
@@ -753,9 +753,8 @@ def verify(
     `applies` predicate is evaluated once per matroid.  The population is drawn
     once and no matroid is kept after its checks, so it may be a lazy
     stream; `duration_ms` then includes the time spent drawing it.  A check
-    that exceeds an exhaustive search cap, or one of the four definitional
-    scans on a ground set past 16 elements, is tallied as capped on
-    that matroid; a check missing a fact its hypothesis implies, or raising
+    that exceeds the exhaustive minimality search cap is tallied as capped
+    on that matroid; a check missing a fact its hypothesis implies, or raising
     `AxiomError` (say, on the dual of a family that is not a matroid), is
     tallied as failed with the error as its detail; either way the sweep goes
     on.  Witnesses and cap hits are tied to their matroid's document, so the

@@ -38,7 +38,6 @@ from matroidlab.errors import (
     AxiomError,
     MissingEmptySet,
     NotDownwardClosed,
-    SearchCapExceeded,
 )
 from matroidlab.matroid import first_exchange_violation
 from matroidlab.setalgebra import _submasks
@@ -437,11 +436,6 @@ def definitional_scan_oracle(
     """`harness._definitional_scan` as a walk over all 2^n masks in integer
     order, testing each against the description one block quota at a time."""
     ground = support.ground
-    if ground.size > 16:
-        raise SearchCapExceeded(
-            f"ground set of {ground.size} elements exceeds the definitional "
-            "scan bound 16"
-        )
     outside = ~support.mask
     flip = ground.full().mask if complement else 0
     quotas = [(k.mask, cap) for k, cap in zip(blocks, caps or repeat(1))]

@@ -12,11 +12,14 @@ from itertools import chain, combinations, product
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from matroidlab import (
     GroundSet,
     Matroid,
     SetFamily,
+    Subset,
     TheoremCheck,
     check_examples,
     enumerate_matroids,
@@ -1254,29 +1257,72 @@ class TestDefinitionalScans:
                     assert hit == definitional_scan_oracle(*args)
         assert min(kinds.values()) > 0
 
-    def test_scan_past_the_bound_raises_on_any_masks(self):
-        g = GroundSet(str(i) for i in range(17))
-        for masks in (frozenset(), frozenset({0}), frozenset({1, (1 << 17) - 1})):
-            with pytest.raises(SearchCapExceeded, match="17 elements exceeds"):
-                harness._definitional_scan(masks, g.full(), [g.full()])
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_scan_matches_the_oracle_on_any_shape(self, data):
+        # shapes no call site makes: blocks that overlap, are empty or reach
+        # outside the support, caps from 0 to |k| + 1, and base masks that
+        # are random or the described family with up to two masks flipped
+        n = data.draw(st.integers(1, 8), label="n")
+        g = GroundSet(str(i) for i in range(n))
+        mask = st.integers(0, (1 << n) - 1)
+        support = data.draw(mask, label="support")
+        blocks = data.draw(st.lists(mask, max_size=4), label="blocks")
+        caps = [data.draw(st.integers(0, k.bit_count() + 1), label="cap") for k in blocks]
+        complement = data.draw(st.booleans(), label="complement")
+        if data.draw(st.booleans(), label="near the description"):
+            flip = (1 << n) - 1 if complement else 0
+            described = frozenset(
+                x ^ flip for x in range(1 << n)
+                if not x & ~support and all((x & k).bit_count() == c for k, c in zip(blocks, caps))
+            )
+            masks = described ^ data.draw(st.frozensets(mask, max_size=2), label="flips")
+        else:
+            masks = data.draw(st.frozensets(mask, max_size=24), label="masks")
+        args = (masks, Subset(g, support), [Subset(g, k) for k in blocks], caps, complement)
+        assert harness._definitional_scan(*args) == definitional_scan_oracle(*args)
 
-    def test_scans_run_up_to_the_bound(self):
+    def test_scan_names_the_least_mismatch_on_forty_elements(self):
+        # U(1,40): the bases are the 40 singletons and the one block is the
+        # whole ground.  By hand: with {39} dropped, every smaller singleton
+        # is a base, so {39} is the least mismatch; with {3,5} (mask 40)
+        # added, the singletons up to {5} are bases and {3,5} comes before
+        # {6}; with {2} dropped as well, {2} comes first
+        u = rank_one_uniform(40)
+        g, masks = u.ground, u.bases.masks()
+        scope = (g.full(), [g.full()])
+        assert harness._definitional_scan(masks, *scope) is None
+        assert harness._definitional_scan(masks - {1 << 39}, *scope) == (g.subset("39"), False)
+        added = masks | {1 << 3 | 1 << 5}
+        assert harness._definitional_scan(added, *scope) == (g.subset("3", "5"), True)
+        assert harness._definitional_scan(added - {1 << 2}, *scope) == (g.subset("2"), False)
+        # the dual's bases are the complements of the singletons, the least
+        # being the complement of {39}; the complement of {3,5} lies between
+        # those of {6} and {5}, and with it added the complements of {39}
+        # down to {6} are bases, while with the complement of {0}, the
+        # greatest, dropped it is the only mismatch
+        full = g.full().mask
+        dual = u.dual().bases.masks()
+        assert harness._definitional_scan(dual, *scope, complement=True) is None
+        assert harness._definitional_scan(dual - {full ^ 1}, *scope, complement=True) == (
+            g.from_mask(full ^ 1), False
+        )
+        assert harness._definitional_scan(dual | {full ^ 40}, *scope, complement=True) == (
+            g.from_mask(full ^ 40), True
+        )
+
+    def test_scans_pass_rank_one_uniform_at_any_size(self):
+        # the scans never list the subsets of the support, so U(1,n) passes
+        # all four at any n, with none capped; the dual of U(1,64) has 64 bases
         registry = [lookup_check(check_id) for check_id in self.SCAN_CHECKS]
-        at_bound = verify([rank_one_uniform(16)], registry)
-        assert [(o.passed, o.capped) for o in at_bound.outcomes] == [(1, 0)] * 4
-        # past the bound the compared matroids are still built (the dual of
-        # U(1,64) has 64 bases), and only the scan itself is refused
-        for n in (17, 64):
-            past_bound = verify([rank_one_uniform(n)], registry)
-            assert [(o.passed, o.capped) for o in past_bound.outcomes] == [(0, 1)] * 4
-            for o in past_bound.outcomes:
-                assert o.cap_hits[0]["detail"] == (
-                    f"ground set of {n} elements exceeds the definitional scan bound 16"
-                )
+        for n in (16, 17, 64):
+            report = verify([rank_one_uniform(n)], registry)
+            assert [(o.passed, o.failed, o.capped) for o in report.outcomes] == [(1, 0, 0)] * 4
 
     def test_large_grounds_are_capped_not_hung(self):
-        # a scan over all 2^40 subsets would never finish; the bound makes
-        # the whole registry return in well under a second
+        # a scan over all 2^40 subsets would never finish; only the two
+        # exhaustive minimality searches are capped, on the matroids with
+        # more than 20 bases
         src = Path(harness.__file__).resolve().parents[1]
         run = subprocess.run(
             [sys.executable, str(Path(__file__).with_name("large_grounds.py"))],
@@ -1287,20 +1333,18 @@ class TestDefinitionalScans:
         assert run.stderr.split() == [LARGE_GROUNDS_DIGEST]
         rows = {row["id"]: row for row in json.loads(run.stdout)["checks"]}
         assert len(rows) == 28
-        two_bases, uniform = (m.to_doc() for m in large_ground_matroids())
+        matroids = large_ground_matroids()
+        many = [m for m in matroids if len(m.bases) > 20]
+        assert [len(m.bases) for m in many] == [40, 4096]
         for check_id, row in rows.items():
-            if check_id in self.SCAN_CHECKS:
-                capped = [two_bases, uniform]
-                detail = "ground set of 40 elements exceeds the definitional scan bound 16"
-            elif check_id in ("thm_334", "thm_552"):
-                # U(1,40) has 40 bases, past the minimality search cap of 20
-                capped = [uniform]
-                detail = "40 bases exceed the exhaustive search cap 20"
+            if check_id in ("thm_334", "thm_552"):
+                capped = [m.to_doc() for m in many]
+                details = [f"{len(m.bases)} bases exceed the exhaustive search cap 20" for m in many]
             else:
-                capped, detail = [], None
+                capped, details = [], []
             assert [hit["matroid"] for hit in row["cap_hits"]] == capped
-            assert all(hit["detail"] == detail for hit in row["cap_hits"])
+            assert [hit["detail"] for hit in row["cap_hits"]] == details
             assert row["failed"] == 0
             assert row["passed"] == row["applicable"] - len(capped)
         for check_id in self.SCAN_CHECKS:
-            assert rows[check_id]["applicable"] == 2
+            assert rows[check_id]["applicable"] == 3

@@ -193,3 +193,37 @@ def test_setalgebra_owns_the_bit_and_submask_walks():
     for name, figure in INLINE_BIT_WALKS.items():
         assert figure in walks[name], name
     assert steps == []
+
+
+def _raise_sites(tree: ast.Module, name: str) -> list[str]:
+    """The enclosing function ("" at module level) of each `raise name(...)`
+    or `raise name` in the tree, named by its exception name or attribute."""
+    found = []
+
+    def visit(node: ast.AST, func: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.Raise) and child.exc is not None:
+                exc = child.exc.func if isinstance(child.exc, ast.Call) else child.exc
+                if getattr(exc, "id", getattr(exc, "attr", None)) == name:
+                    found.append(func)
+            visit(child, func)
+
+    visit(tree, "")
+    return found
+
+
+def test_only_the_minimality_search_raises_its_cap():
+    # a report's capped rows are the exhaustive minimality search refusing a
+    # matroid with too many bases, and nothing else; a second bound raising
+    # `SearchCapExceeded` elsewhere must change this list
+    modules = sorted(PACKAGE.rglob("*.py"))
+    assert modules
+    found = [
+        f"{path.relative_to(PACKAGE)}:{func}"
+        for path in modules
+        for func in _raise_sites(ast.parse(path.read_text(encoding="utf-8")), "SearchCapExceeded")
+    ]
+    assert found == ["classify.py:_minimality_search"]
