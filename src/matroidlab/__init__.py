@@ -1,7 +1,7 @@
 """matroidlab: finite matroids from explicit base families.
 
 Construction and validation, duality, partition-matroid constructors, forming
-families, class membership tests with canonical counterexamples, exhaustive
+families, class membership tests with deterministic counterexamples, exhaustive
 enumeration of all matroids on small ground sets, and a registry-driven
 verification harness.
 """

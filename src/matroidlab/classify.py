@@ -1,20 +1,17 @@
 """Decision procedures for the matroid classes studied by this workbench.
 
-Every classifier returns a ClassificationResult; a false verdict always
-carries the canonically least counterexample, so failure output is identical
-across runs.  Every verdict is decided first, with no witness, and only a
-false one is searched for its witness, sequentially in canonical order; a
-false verdict whose search finds no witness raises RuntimeError.
-
-The unique-expansion and unique-exchange verdicts come from one pass over
-the distinct expansion masks (`matroid._fork_verdicts`), kept per matroid
-(`_verdicts`).  A minimality verdict comes from the flag-of-flats
-certificate at any size (`union_minimal`, `intersection_minimal`): union
-minimal means rank zero or unique expansion, and intersection minimal means
-the same of the dual, so both read that pass.  Only a false verdict's
-canonical witness needs the exhaustive search over subfamilies of the base
-family, pruned by prefix, and that search alone is guarded by a fixed cap of
-20 bases (`DEFAULT_SEARCH_CAP`).
+Every classifier returns a ClassificationResult, its verdict decided first
+with no witness; a false verdict always carries a witness, identical across
+runs.  The unique-expansion and unique-exchange verdicts come from one pass
+over the distinct expansion masks (`matroid._fork_verdicts`), kept per
+matroid (`_verdicts`); a false one is scanned for its canonically least
+witness.  A minimality verdict comes from the flag-of-flats certificate at
+any size (`union_minimal`, `intersection_minimal`), which reads that pass
+too; a false one's witness is the reduction its proof builds
+(`_flag_witness`), with no search.  The exhaustive search over subfamilies
+of the bases (`_minimality_search`), pruned by prefix, serves the theorem
+registry alone, and it alone is guarded by a fixed cap of 20 bases
+(`DEFAULT_SEARCH_CAP`).
 """
 
 from __future__ import annotations
@@ -32,6 +29,7 @@ from .setalgebra import (
     _single_bits,
     is_partition,
     mask_order_key,
+    one_per_block,
 )
 
 DEFAULT_SEARCH_CAP = 20
@@ -154,7 +152,8 @@ def is_unique_exchange(m: Matroid) -> ClassificationResult:
 def _minimality_search(m: Matroid, kind: str) -> ClassificationResult:
     """The capped, memoized exhaustive search of `kind` "union" or
     "intersection", whose boundary is the base support or the common
-    intersection of the bases."""
+    intersection of the bases; the registry's second route to the verdicts
+    that the classifiers read off the certificate."""
     n = len(m.bases.sets)
     if n > DEFAULT_SEARCH_CAP:
         raise SearchCapExceeded(
@@ -359,41 +358,39 @@ def intersection_minimal(m: Matroid) -> bool:
     return union_minimal(m.dual())
 
 
-def _witness(m: Matroid, kind: str) -> ClassificationResult:
-    """The search's canonical witness, for a matroid the certificate says is
-    not `kind` minimal; RuntimeError if the search finds none."""
-    res = _minimality_search(m, kind)
-    if res.verdict:
-        raise RuntimeError(
-            f"{m} is not {kind} minimal by its certificate, but the search finds no witness"
-        )
-    return res
+def _flag_witness(m: Matroid, kind: str) -> ClassificationResult:
+    """The reduction that `union_minimal`'s proof builds, kept per matroid:
+    the bases that are transversals of `_flag_blocks(m)` for "union", the
+    complements of the dual's for "intersection".  A one-per-block family, it
+    is inclusion-minimal; the registry's search finds a largest one."""
+    def compute() -> ClassificationResult:
+        x = m if kind == "union" else m.dual()
+        blocks = _flag_blocks(x)
+        kept = [b.mask for b in x.bases if one_per_block((b.mask,), blocks)]
+        if kind == "intersection":
+            full = (1 << m.ground.size) - 1
+            kept = [full ^ b for b in kept]
+        witness = SubfamilyWitness(SetFamily.from_masks(m.ground, kept))
+        return ClassificationResult(False, witness)
+
+    return m._fact(f"{kind}_witness", compute)
 
 
 def is_union_minimal(m: Matroid) -> ClassificationResult:
-    """`union_minimal` with the canonical witness of a false verdict.
-
-    A true verdict returns with no search, at any size.  A false one runs the
-    exhaustive search over the proper nonempty subfamilies, pruned by prefix,
-    whose result is kept in the matroid's facts memo; past 20 bases it raises
-    `SearchCapExceeded` instead, and the search must find a witness, or
-    RuntimeError.
-    """
+    """`union_minimal` with the flag transversals (`_flag_witness`) as a
+    false verdict's witness: no search, at any size."""
     if union_minimal(m):
-        return ClassificationResult(True, None)
-    return _witness(m, "union")
+        return _TRUE
+    return _flag_witness(m, "union")
 
 
 def is_intersection_minimal(m: Matroid) -> ClassificationResult:
-    """`intersection_minimal` with the canonical witness of a false verdict.
-
-    Answered like `is_union_minimal`: no search for a true verdict, the
-    capped, memoized search for a false one's witness, RuntimeError if it
-    finds none.
-    """
+    """`intersection_minimal` with the complements of the dual's flag
+    transversals (`_flag_witness`) as a false verdict's witness: no search,
+    at any size."""
     if intersection_minimal(m):
-        return ClassificationResult(True, None)
-    return _witness(m, "intersection")
+        return _TRUE
+    return _flag_witness(m, "intersection")
 
 
 def recover_partition(m: Matroid) -> Partition | None:

@@ -181,11 +181,11 @@ def _check_thm_123(m: Matroid) -> str | None:
     return None
 
 
-# one mask per element of B, so this fails exactly where prop_100 does
 def _check_prop_341(m: Matroid) -> str | None:
     for b, blocks in _forming_blocks(m):
-        if len(blocks) != m.rank:
-            return f"|forming family wrt {b}| = {len(blocks)} != rank {m.rank}"
+        count = len(set(blocks))
+        if count != m.rank:
+            return f"|forming family wrt {b}| = {count} != rank {m.rank}"
     return None
 
 
@@ -416,9 +416,11 @@ def _check_prop_103(m: Matroid) -> str | None:
 # once from the transversals of the lowest flag of flats (`_flag_blocks`):
 # they must all be bases, and a proper family of them is a witness that M is
 # not union minimal, whose complements are one that M* is not intersection
-# minimal; each part of both witnesses is validated here.  Only when the
-# transversals are all of B(M) (unique expansion, or rank zero) do the two
-# exhaustive searches run.  `thm_552` and the worked examples always search.
+# minimal; these are the witnesses of `is_union_minimal(M)` and
+# `is_intersection_minimal(M*)`, and each part of both is validated here.
+# Only when the transversals are all of B(M) (unique expansion, or rank
+# zero) do the two exhaustive searches run.  `thm_552` and the worked
+# examples always search.
 def _check_thm_334(m: Matroid) -> str | None:
     dual = m.dual()
     blocks = _flag_blocks(m)

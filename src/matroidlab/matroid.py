@@ -32,7 +32,7 @@ member.  Only a false verdict is scanned for its canonical witness.
 Facts derived from the bases (the independent sets, the expansion map, the
 base support and base intersection, the forming family, the two uniqueness
 verdicts, the witness of a false unique-expansion verdict, the recovered
-partition, the union and intersection minimality search results, the dual)
+partition, the minimality search results and flag witnesses, the dual)
 are computed at most once per matroid value and kept in its memo slot; since
 a matroid is immutable they can never go stale.  A fact read looks in the
 memo before it computes any prerequisite (the forming family's map, the

@@ -11,7 +11,8 @@ checks on `SetFamily` values, the exchange validator by probing base
 membership one repair at a time, the independence validator over every pair
 of members, bit indices (and the labels read through them) one bit
 position at a time, the `thm_334` check by both exhaustive minimality
-searches on every matroid, the definitional scans by a walk over every
+searches on every matroid, the classifiers' minimality witnesses by a flag
+of flats closed under `rank_oracle`, the definitional scans by a walk over every
 mask of the ground set, and the enumerator's linear subclasses by rank scans
 over every mask and every set of hyperplanes.
 """
@@ -530,3 +531,45 @@ def minimality_witness_oracle(m: Matroid, kind: str) -> SetFamily | None:
             ):
                 return SetFamily(m.ground, combo)
     return None
+
+
+def flag_witness_oracle(m: Matroid, kind: str) -> SetFamily | None:
+    """The flag reduction of `union_minimal`'s proof from rank scans: every
+    transversal of the blocks Fi - Fi-1 of the lowest maximal chain of flats,
+    F0 the closure of {} and each next flat the closure of the one before
+    plus its lowest element outside, a closure holding each element that
+    leaves the `rank_oracle` rank unchanged.  For `kind="intersection"` the
+    chain is the dual's, ranked |X| + r(E - X) - r(E), and the family is the
+    complements of its transversals.  None when the family is all the bases."""
+    ground = m.ground
+    full = ground.full().mask
+    top = rank_oracle(m, ground.full())
+    ranks: dict[int, int] = {}
+
+    def rank(x: int) -> int:
+        if x not in ranks:
+            if kind == "union":
+                ranks[x] = rank_oracle(m, Subset(ground, x))
+            else:
+                ranks[x] = x.bit_count() + rank_oracle(m, Subset(ground, full ^ x)) - top
+        return ranks[x]
+
+    def closure(x: int) -> int:
+        if rank(x) == rank(full):  # no element raises a full rank
+            return full
+        return x | sum(
+            1 << i for i in range(ground.size)
+            if not x >> i & 1 and rank(x | 1 << i) == rank(x)
+        )
+
+    flat = closure(0)
+    picks = [0]
+    while flat != full:
+        lowest = min(i for i in range(ground.size) if not flat >> i & 1)
+        step = closure(flat | 1 << lowest)
+        picks = [p | 1 << i for p in picks for i in bit_indices_oracle(step ^ flat)]
+        flat = step
+    if kind == "intersection":
+        picks = [full ^ p for p in picks]
+    family = SetFamily(ground, [Subset(ground, p) for p in picks])
+    return None if family == m.bases else family

@@ -23,10 +23,11 @@ from matroidlab import (
     union_minimal,
 )
 from matroidlab import classify as classify_module
-from matroidlab.classify import _minimality_search
+from matroidlab.classify import _flag_blocks, _minimality_search
 from matroidlab.errors import RankZero, SearchCapExceeded
+from matroidlab.setalgebra import one_per_block
 
-from oracles import subset_of
+from oracles import flag_witness_oracle, subset_of
 
 
 def fam(ground, *label_sets):
@@ -165,13 +166,13 @@ class TestUnionMinimal:
 
     def test_cap_guard(self):
         # past the cap of 20 bases the verdicts still come from the
-        # certificate; only a false verdict's witness search refuses
+        # certificate and a false one's witness from the flag; only the
+        # registry's exhaustive search refuses
         u27 = uniform(2, 7)
         assert len(u27.bases) == 21
         for kind, verdict, classify in _MINIMALITY:
             assert verdict(u27) is False
-            with pytest.raises(SearchCapExceeded, match="21 bases exceed"):
-                classify(u27)
+            _assert_flag_witness(u27, kind, classify(u27))
             # the cap refuses before the memo is read, on every call, and
             # keeps no result and no boundary
             before = dict(u27._facts)
@@ -187,12 +188,13 @@ class TestUnionMinimal:
         assert len(opb.bases) == len(opb.dual().bases) == 27
         for m, want in ((opb, (True, False)), (opb.dual(), (False, True))):
             assert tuple(verdict(m) for _, verdict, _ in _MINIMALITY) == want
-            for (_, _, classify), minimal in zip(_MINIMALITY, want):
+            for (kind, _, classify), minimal in zip(_MINIMALITY, want):
                 if minimal:
                     assert classify(m) == ClassificationResult(True, None)
                 else:
-                    with pytest.raises(SearchCapExceeded, match="27 bases exceed"):
-                        classify(m)
+                    _assert_flag_witness(m, kind, classify(m))
+                with pytest.raises(SearchCapExceeded, match="27 bases exceed"):
+                    _minimality_search(m, kind)
 
     def test_result_is_memoized_behind_the_cap(self, uniform3):
         first = is_union_minimal(uniform3)
@@ -215,8 +217,13 @@ class TestIntersectionMinimal:
     def test_dual_of_uniform_is_reducible(self, uniform3):
         res = is_intersection_minimal(uniform3.dual())
         assert not res.verdict
-        # direct subfamily search confirms: {{1},{2}} keeps the empty intersection
-        assert res.witness.subfamily == fam(uniform3.ground, "1", "2")
+        # the complements of U(2,3)'s flag transversals {1,2} and {1,3}
+        # keep the empty intersection; the search finds {{1},{2}} instead
+        assert res.witness.subfamily == fam(uniform3.ground, "2", "3")
+        _assert_flag_witness(uniform3.dual(), "intersection", res)
+        assert _search(uniform3.dual(), "intersection").witness.subfamily == fam(
+            uniform3.ground, "1", "2"
+        )
 
 
 class TestDeterminism:
@@ -408,27 +415,48 @@ class TestClassImplicationsOverPopulation:
                 assert is_unique_exchange(m.dual()).verdict
 
     def test_union_minimal_gives_the_search_verdict_and_witness(self):
-        # the certificate, alone and with its witness, against the search, for
-        # both kinds on every matroid with n <= 6 and its dual; the bare
-        # certificate and each search run on a fresh object
+        # the certificate against the search, and the classifier's witness
+        # against the flag oracle, for both kinds on every matroid with
+        # n <= 6 and its dual; the bare certificate and each search run on a
+        # fresh object
         for m in _population(6):
             for x in (m, m.dual()):
                 for kind, verdict, classify in _MINIMALITY:
                     want = _search(x, kind)
                     assert verdict(_fresh(x)) == want.verdict, (x, kind)
-                    assert classify(x) == want, (x, kind)
+                    res = classify(x)
+                    assert res.verdict == want.verdict, (x, kind)
+                    _assert_flag_witness(x, kind, res)
+
+    def test_union_witness_is_the_thm_334_family(self):
+        # the registry validates exactly the family the classifier returns
+        reducible = 0
+        for m in _population(6):
+            if union_minimal(m):
+                continue
+            blocks = _flag_blocks(m)
+            kept = [b for b in m.bases if one_per_block((b.mask,), blocks)]
+            assert is_union_minimal(m).witness.subfamily == SetFamily(m.ground, kept), m
+            reducible += 1
+        assert reducible == 3150
 
     @pytest.mark.parametrize("classify, bases", [
         (is_union_minimal, ("12", "13", "23")),
         (is_intersection_minimal, ("1", "2", "3")),
     ])
-    def test_a_false_verdict_without_witness_raises(self, monkeypatch, classify, bases):
-        # U(2,3) is not union minimal and U(1,3) not intersection minimal; a
-        # search that then finds no witness is a fault, raised without an assert
-        monkeypatch.setattr(classify_module, "_least_reduction",
-                            lambda m, kind, boundary: ClassificationResult(True, None))
-        with pytest.raises(RuntimeError, match="finds no witness"):
-            classify(mk("123", *bases))
+    def test_a_false_verdict_runs_no_search(self, monkeypatch, classify, bases):
+        # U(2,3) is not union minimal and U(1,3) not intersection minimal,
+        # nor are U(2,7), U(5,7) (21 bases each, past the cap) and U(2,21)
+        # (210 bases) either; no classifier searches for their witnesses
+        def no_search(*args):
+            pytest.fail("a classifier ran the exhaustive search")
+
+        for name in ("_minimality_search", "_least_reduction"):
+            monkeypatch.setattr(classify_module, name, no_search)
+        for m in (mk("123", *bases), uniform(2, 7), uniform(5, 7), uniform(2, 21)):
+            res = classify(m)
+            assert not res.verdict
+            assert res.witness.subfamily.masks() < m.bases.masks()
 
     def test_minimality_duality(self):
         for m in _population(4):
@@ -499,19 +527,37 @@ _MINIMALITY = (
 
 
 def _assert_minimality_witnesses(m):
-    """Both classifiers on m and its dual, and both searches run on fresh
-    copies (so neither reads a kept result nor takes the certificate), give
-    the plain scan's canonical witness; the bare certificate, on a fresh
-    copy, gives its verdict."""
+    """On m and its dual: both searches, run on fresh copies (so neither
+    reads a kept result nor takes the certificate), give the plain scan's
+    canonical witness; the bare certificate, on a fresh copy, gives its
+    verdict; and both classifiers give the flag oracle's witness."""
     from oracles import minimality_witness_oracle
 
     for x in (m, m.dual()):
         for kind, verdict, classify in _MINIMALITY:
             want = minimality_witness_oracle(x, kind)
             assert verdict(_fresh(x)) == (want is None), (x, kind)
-            for res in (classify(x), _search(x, kind)):
-                got = None if res.verdict else res.witness.subfamily
-                assert got == want, (x, kind)
+            res = _search(x, kind)
+            assert (None if res.verdict else res.witness.subfamily) == want, (x, kind)
+            res = classify(x)
+            assert res.verdict == (want is None), (x, kind)
+            _assert_flag_witness(x, kind, res)
+
+
+def _assert_flag_witness(m, kind, res):
+    """`res` is the flag oracle's answer for `kind` on m, and a false one's
+    witness is a proper subfamily of the bases that validates as a base
+    family with their union or intersection."""
+    want = flag_witness_oracle(m, kind)
+    got = None if res.verdict else res.witness.subfamily
+    assert got == want, (m, kind)
+    if got is not None:
+        assert got.masks() < m.bases.masks(), (m, kind)
+        Matroid.from_bases(m.ground, got)  # must validate
+        if kind == "union":
+            assert got.union() == m.support(), m
+        else:
+            assert got.intersection() == m.base_intersection(), m
 
 
 def _fresh(m):

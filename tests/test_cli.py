@@ -187,7 +187,8 @@ class TestAnalyze:
 
     def test_verdicts_past_the_search_cap(self, capsys, tmp_path):
         # U(2,7) has 21 bases, one past the search cap of 20: both verdicts
-        # are answered, and only the text report's witness search is skipped
+        # are answered, and the text report prints both flag witnesses, the
+        # flag transversals and the complements of the dual's
         path = tmp_path / "u27.json"
         path.write_text(json.dumps(_uniform_doc(2, 7)))
         code, out, _ = run(capsys, "analyze", str(path), "--json")
@@ -198,17 +199,19 @@ class TestAnalyze:
         assert "minimality_skipped" not in doc
         code, out, _ = run(capsys, "analyze", str(path))
         assert code == 0
-        skipped = "no (witness search skipped: 21 bases exceed the exhaustive search cap 20)"
         assert out.splitlines()[-2:] == [
-            f"union minimal: {skipped}",
-            f"intersection minimal: {skipped}",
+            "union minimal: no (witness: SubfamilyWitness(subfamily="
+            "{{1,2},{1,3},{1,4},{1,5},{1,6},{1,7}}))",
+            "intersection minimal: no (witness: SubfamilyWitness(subfamily="
+            "{{5,6},{5,7},{6,7}}))",
         ]
 
     def test_json_verdicts_run_no_search(self, capsys, tmp_path, monkeypatch):
         # every matroid with n <= 4: `analyze --json` answers both minimality
         # questions by the certificate alone, with the search's verdicts, and
         # both uniqueness questions by the one pass alone, with the oracles'
-        # verdicts; then known answers past the search cap of 20 bases
+        # verdicts, and builds no witness; then known answers past the search
+        # cap of 20 bases
         from oracles import unique_exchange_oracle, unique_expansion_oracle
 
         pop = [m for n in range(1, 5) for m in enumerate_matroids(n)]
@@ -242,9 +245,11 @@ class TestAnalyze:
         ]
 
         def no_search(*args, **kwargs):
-            pytest.fail("analyze --json ran a witness search")
+            pytest.fail("analyze --json built a witness")
 
-        for scan in ("_least_reduction", "_expansion_witness", "_least_triple"):
+        for scan in (
+            "_least_reduction", "_flag_witness", "_expansion_witness", "_least_triple",
+        ):
             monkeypatch.setattr(classify_module, scan, no_search)
         path = tmp_path / "m.json"
         for m, (union, intersection), (expansion, exchange) in zip(pop, want, unique):
@@ -258,20 +263,22 @@ class TestAnalyze:
             assert got == (0, union, intersection, expansion, exchange), m
 
     def test_output_is_pinned_on_every_small_matroid(self, capsys, tmp_path):
-        # sha256 of the text report then the JSON report of each of the 497
-        # matroids with n <= 5, in enumeration order, witnesses included
-        digest = hashlib.sha256()
+        # sha256 of the text reports, witnesses included, and of the JSON
+        # reports of the 497 matroids with n <= 5, in enumeration order; the
+        # JSON digest is unchanged since before the flag witnesses
+        digests = {extra: hashlib.sha256() for extra in ((), ("--json",))}
         path = tmp_path / "m.json"
         for n in range(1, 6):
             for m in enumerate_matroids(n):
                 path.write_text(json.dumps(m.to_doc()))
-                for extra in ((), ("--json",)):
+                for extra, digest in digests.items():
                     code, out, _ = run(capsys, "analyze", str(path), *extra)
                     assert code == 0
                     digest.update(out.encode())
-        assert digest.hexdigest() == (
-            "77047b6b639e9ad0147d40c4bcc7102443363f65e60429dcd98f2fca2f711f9c"
-        )
+        assert [d.hexdigest() for d in digests.values()] == [
+            "eb7ab38ff974f1b115e88738058f0d82ec75baafb30f549607a0308c0c5926ea",
+            "16daaf77e7221d11096b648b47aad7a8b1970b80604398460cdd03b55762ef9f",
+        ]
 
     def test_invalid_matroid_exit_1(self, capsys, tmp_path):
         path = tmp_path / "m.json"

@@ -124,6 +124,17 @@ def _forming_blocks_repeating_the_first(monkeypatch):
     monkeypatch.setattr(harness, "_forming_blocks", repeated)
 
 
+def _forming_blocks_first_for_last(monkeypatch):
+    # list the block of each base's first element in place of its last: as
+    # many blocks as before, one of them twice (rank one is unchanged)
+    real = harness._forming_blocks
+
+    def swapped(m):
+        return ((b, blocks[:-1] + blocks[:1]) for b, blocks in real(m))
+
+    monkeypatch.setattr(harness, "_forming_blocks", swapped)
+
+
 def _flag_missing_an_element(monkeypatch):
     # drop the lowest element of the first block with several elements
     real = classify_module._flag_blocks
@@ -914,6 +925,18 @@ class TestFormingChecksAgainstOracles:
     def test_mixed_size_families(self, check_id, oracle):
         failed = self._failures(check_id, oracle, mixed_size_families())
         assert failed == self.MIXED_FAILURES[check_id]
+
+    def test_prop_341_counts_distinct_blocks(self, monkeypatch):
+        # a repeated block leaves the list rank-many entries long, so only a
+        # count of the distinct blocks, as the oracle's `SetFamily` counts
+        # them, fails every matroid of rank two or more
+        _forming_blocks_first_for_last(monkeypatch)
+        pop = population(4)
+        outcome = verify(pop, [lookup_check("prop_341")]).outcomes[0]
+        ranked = [m.to_doc() for m in pop if m.rank > 1]
+        assert (outcome.applicable, outcome.failed, len(ranked)) == (87, 61, 61)
+        assert [w["matroid"] for w in outcome.witnesses] == ranked
+        assert outcome.witnesses[0]["detail"] == "|forming family wrt {1,2}| = 1 != rank 2"
 
     @pytest.mark.parametrize("check_id,detail,digest,applicable,mutant", MUTANTS)
     def test_mutant_failure_detail_is_pinned(

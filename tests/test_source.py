@@ -4,6 +4,7 @@ import ast
 from pathlib import Path
 
 import matroidlab
+from matroidlab.errors import SearchCapExceeded
 
 PACKAGE = Path(matroidlab.__file__).parent
 
@@ -195,9 +196,9 @@ def test_setalgebra_owns_the_bit_and_submask_walks():
     assert steps == []
 
 
-def _raise_sites(tree: ast.Module, name: str) -> list[str]:
-    """The enclosing function ("" at module level) of each `raise name(...)`
-    or `raise name` in the tree, named by its exception name or attribute."""
+def _sites(tree: ast.Module, hit) -> list[str]:
+    """The enclosing function ("" at module level) of each node of the tree
+    for which `hit(node)` holds."""
     found = []
 
     def visit(node: ast.AST, func: str) -> None:
@@ -205,25 +206,63 @@ def _raise_sites(tree: ast.Module, name: str) -> list[str]:
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 visit(child, child.name)
                 continue
-            if isinstance(child, ast.Raise) and child.exc is not None:
-                exc = child.exc.func if isinstance(child.exc, ast.Call) else child.exc
-                if getattr(exc, "id", getattr(exc, "attr", None)) == name:
-                    found.append(func)
+            if hit(child):
+                found.append(func)
             visit(child, func)
 
     visit(tree, "")
     return found
 
 
+def _named(expr: ast.expr) -> str | None:
+    """The name of an exception given by name or by attribute."""
+    return getattr(expr, "id", getattr(expr, "attr", None))
+
+
+def _raises(name: str):
+    """Is a node a `raise name(...)` or a `raise name`?"""
+    def hit(node: ast.AST) -> bool:
+        if not isinstance(node, ast.Raise) or node.exc is None:
+            return False
+        exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+        return _named(exc) == name
+
+    return hit
+
+
+def _catches(names: set[str]):
+    """Is a node an except clause naming one of `names`, or a bare one?"""
+    def hit(node: ast.AST) -> bool:
+        if not isinstance(node, ast.ExceptHandler):
+            return False
+        if node.type is None:
+            return True
+        types = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+        return any(_named(t) in names for t in types)
+
+    return hit
+
+
+def _library_sites(hit) -> list[str]:
+    modules = sorted(PACKAGE.rglob("*.py"))
+    assert modules
+    return [
+        f"{path.relative_to(PACKAGE)}:{func}"
+        for path in modules
+        for func in _sites(ast.parse(path.read_text(encoding="utf-8")), hit)
+    ]
+
+
 def test_only_the_minimality_search_raises_its_cap():
     # a report's capped rows are the exhaustive minimality search refusing a
     # matroid with too many bases, and nothing else; a second bound raising
     # `SearchCapExceeded` elsewhere must change this list
-    modules = sorted(PACKAGE.rglob("*.py"))
-    assert modules
-    found = [
-        f"{path.relative_to(PACKAGE)}:{func}"
-        for path in modules
-        for func in _raise_sites(ast.parse(path.read_text(encoding="utf-8")), "SearchCapExceeded")
-    ]
-    assert found == ["classify.py:_minimality_search"]
+    assert _library_sites(_raises("SearchCapExceeded")) == ["classify.py:_minimality_search"]
+
+
+def test_only_the_registry_sweep_catches_the_cap():
+    # no classifier and no CLI path meets the cap, so only `verify` tallies
+    # a cap hit; a handler of `SearchCapExceeded`, of a class it derives
+    # from, or of everything, anywhere else must change this list
+    names = {cls.__name__ for cls in SearchCapExceeded.__mro__}
+    assert _library_sites(_catches(names)) == ["harness.py:verify"]
