@@ -362,11 +362,16 @@ def _flag_witness(m: Matroid, kind: str) -> ClassificationResult:
     """The reduction that `union_minimal`'s proof builds, kept per matroid:
     the bases that are transversals of `_flag_blocks(m)` for "union", the
     complements of the dual's for "intersection".  A one-per-block family, it
-    is inclusion-minimal; the registry's search finds a largest one."""
+    is inclusion-minimal; the registry's search finds a largest one.
+    RuntimeError if the transversals are not a proper nonempty subfamily."""
     def compute() -> ClassificationResult:
         x = m if kind == "union" else m.dual()
         blocks = _flag_blocks(x)
         kept = [b.mask for b in x.bases if one_per_block((b.mask,), blocks)]
+        if not 0 < len(kept) < len(x.bases.sets):
+            raise RuntimeError(
+                f"{m} is not {kind} minimal, but the flag of flats finds no witness"
+            )
         if kind == "intersection":
             full = (1 << m.ground.size) - 1
             kept = [full ^ b for b in kept]

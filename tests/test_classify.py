@@ -444,6 +444,20 @@ class TestClassImplicationsOverPopulation:
         (is_union_minimal, ("12", "13", "23")),
         (is_intersection_minimal, ("1", "2", "3")),
     ])
+    def test_a_false_verdict_without_witness_raises(self, monkeypatch, classify, bases):
+        # U(2,3) is not union minimal and U(1,3) not intersection minimal; a
+        # flag whose transversals are all the bases, or none, gives no
+        # witness, a fault raised without an assert
+        for keeps in (True, False):
+            monkeypatch.setattr(classify_module, "one_per_block",
+                                lambda masks, blocks: keeps)
+            with pytest.raises(RuntimeError, match="finds no witness"):
+                classify(mk("123", *bases))
+
+    @pytest.mark.parametrize("classify, bases", [
+        (is_union_minimal, ("12", "13", "23")),
+        (is_intersection_minimal, ("1", "2", "3")),
+    ])
     def test_a_false_verdict_runs_no_search(self, monkeypatch, classify, bases):
         # U(2,3) is not union minimal and U(1,3) not intersection minimal,
         # nor are U(2,7), U(5,7) (21 bases each, past the cap) and U(2,21)
