@@ -8,9 +8,11 @@ matroid (`_verdicts`); a false one is scanned for its canonically least
 witness.  A minimality verdict comes from the flag-of-flats certificate at
 any size (`union_minimal`, `intersection_minimal`), which reads that pass
 too; a false one's witness is the reduction its proof builds
-(`_flag_witness`), with no search.  The exhaustive search over subfamilies
-of the bases (`_minimality_search`), pruned by prefix, serves the theorem
-registry alone, and it alone is guarded by a fixed cap of 20 bases
+(`_flag_witness`), with no search, read from the one memo fact
+(`_flag_transversals`) that the registry's `thm_334` validates.  The
+exhaustive search over subfamilies of the bases (`_minimality_search`), one
+recursive depth-first walk pruned by prefix, serves the theorem registry
+alone, and it alone is guarded by a fixed cap of 20 bases
 (`DEFAULT_SEARCH_CAP`).
 """
 
@@ -192,9 +194,9 @@ def _least_reduction(m: Matroid, kind: str, boundary: int) -> ClassificationResu
 
     Subfamilies are visited in decreasing size, then in `combinations` order
     of base positions within a size, so the first one found is the canonical
-    witness.  The visit is a depth-first walk over positions that drops a
-    prefix (its chosen bases, and the skipped ones below its last position)
-    once no completion can succeed:
+    witness.  The visit is one recursive depth-first walk over positions
+    (`extend`), which drops a prefix (its chosen bases, and the skipped ones
+    below its last position) once no completion can succeed:
 
     - boundary: the chosen bases and every later one together miss part of
       the boundary (a support element for `union`; for `intersection`, an
@@ -229,84 +231,74 @@ def _least_reduction(m: Matroid, kind: str, boundary: int) -> ClassificationResu
     where = exp = None  # base mask -> position bit, and the map; on first need
     # t * n + j (j < t) -> the pair's requirements, on its first visit
     repairs: list[Sequence[int] | None] = [None] * (n * n)
-    picks: list[int] = []  # chosen positions, ascending
-    stack = []  # (covered, pending, chosen) below each pick
-    for size in range(n - 1, fewest - 1, -1):
-        depth, t, covered, pending, chosen = 0, 0, 0, (), 0
-        while True:
-            last = n - size + depth  # highest position this depth may take
-            leaf = depth + 1 == size
+
+    def extend(picks: list[int], covered: int, chosen: int, pending: Sequence[int]) -> bool:
+        """Complete the ascending positions `picks` (covering `covered`, with
+        position bits `chosen`, owing the repair masks `pending`) to `size`
+        positions, next positions ascending; True when `picks` is complete."""
+        nonlocal where, exp
+        depth = len(picks)
+        leaf = depth + 1 == size
+        if leaf:
+            # the last pick must meet every waiting requirement at once
+            need = -1
+            for r in pending:
+                need &= r
+        for t in range(picks[-1] + 1 if picks else 0, n - size + depth + 1):
+            if covered | reach[t] != target:
+                return False  # later positions reach even less
+            bit = 1 << t
             if leaf:
-                # the last pick must meet every waiting requirement at once
-                need = -1
-                for r in pending:
-                    need &= r
-            found = False
-            while t <= last:
-                if covered | reach[t] != target:
-                    break  # later positions reach even less
-                bit = 1 << t
-                if leaf:
-                    if not need & bit or covered | covers[t] != target:
-                        t += 1
-                        continue
-                    still = None
-                else:
-                    # a waiting requirement is met by t, or dies for good
-                    # once no repair lies past t
-                    above = bit << 1
-                    still = []
-                    dead = False
-                    for r in pending:
-                        if r & bit:
-                            continue
-                        if r < above:
-                            dead = True
-                            break
-                        still.append(r)
-                    if dead:
-                        break
-                now = chosen | bit
-                ok = True
-                for j in picks:
-                    reqs = repairs[t * n + j]
-                    if reqs is None:
-                        if where is None:
-                            where = {b: 1 << i for i, b in enumerate(masks)}
-                            exp = m._expansion_map()
-                        reqs = repairs[t * n + j] = _requirements(masks[t], masks[j], exp, where)
-                    for r in reqs:
-                        if r & now:
-                            continue
-                        if leaf or r < above:
-                            ok = False
-                            break
-                        still.append(r)
-                    if not ok:
-                        break
-                if ok:
-                    found = True
-                    break
-                t += 1
-            if found:
-                picks.append(t)
-                if leaf:
-                    return ClassificationResult(False, SubfamilyWitness(
-                        SetFamily._from_canonical(m.ground, [masks[i] for i in picks])
-                    ))
-                stack.append((covered, pending, chosen))
-                covered |= covers[t]
-                pending = still
-                chosen = now
-                depth += 1
-                t += 1
-            elif depth:
-                depth -= 1
-                covered, pending, chosen = stack.pop()
-                t = picks.pop() + 1
+                if not need & bit or covered | covers[t] != target:
+                    continue
             else:
-                break
-    return ClassificationResult(True, None)
+                # a waiting requirement is met by t, or dies for good once no
+                # repair lies past t
+                above = bit << 1
+                still = []
+                for r in pending:
+                    if r & bit:
+                        continue
+                    if r < above:
+                        return False
+                    still.append(r)
+            now = chosen | bit
+            ok = True
+            for j in picks:
+                reqs = repairs[t * n + j]
+                if reqs is None:
+                    if where is None:
+                        where = {b: 1 << i for i, b in enumerate(masks)}
+                        exp = m._expansion_map()
+                    reqs = repairs[t * n + j] = _requirements(masks[t], masks[j], exp, where)
+                for r in reqs:
+                    if r & now:
+                        continue
+                    if leaf or r < above:
+                        ok = False
+                        break
+                    still.append(r)
+                if not ok:
+                    break
+            if ok:
+                picks.append(t)
+                if leaf or extend(picks, covered | covers[t], now, still):
+                    return True
+                picks.pop()
+        return False
+
+    picks: list[int] = []  # a failed walk leaves it empty
+    for size in range(n - 1, fewest - 1, -1):
+        if extend(picks, 0, 0, ()):
+            break
+    # `extend` calls itself through its closure, a reference cycle that holds
+    # `m`: break it, so reference counts alone free a streamed matroid
+    del extend
+    if not picks:
+        return ClassificationResult(True, None)
+    return ClassificationResult(False, SubfamilyWitness(
+        SetFamily._from_canonical(m.ground, [masks[i] for i in picks])
+    ))
 
 
 def union_minimal(m: Matroid) -> bool:
@@ -347,6 +339,18 @@ def _flag_blocks(m: Matroid) -> list[int]:
     return blocks
 
 
+def _flag_transversals(m: Matroid) -> tuple[list[int], list[int]]:
+    """The blocks of `_flag_blocks(m)` and the masks of the bases that are
+    transversals of them, in canonical order, kept per matroid: the reduction
+    of `union_minimal`'s proof, which `thm_334` validates and `_flag_witness`
+    returns.  Read it, never mutate it."""
+    def compute() -> tuple[list[int], list[int]]:
+        blocks = _flag_blocks(m)
+        return blocks, [b.mask for b in m.bases if one_per_block((b.mask,), blocks)]
+
+    return m._fact("flag", compute)
+
+
 def intersection_minimal(m: Matroid) -> bool:
     """Is no proper subfamily of the bases a base family with the same intersection?
 
@@ -359,15 +363,14 @@ def intersection_minimal(m: Matroid) -> bool:
 
 
 def _flag_witness(m: Matroid, kind: str) -> ClassificationResult:
-    """The reduction that `union_minimal`'s proof builds, kept per matroid:
-    the bases that are transversals of `_flag_blocks(m)` for "union", the
-    complements of the dual's for "intersection".  A one-per-block family, it
-    is inclusion-minimal; the registry's search finds a largest one.
-    RuntimeError if the transversals are not a proper nonempty subfamily."""
+    """The flag transversals (`_flag_transversals`) as a witness, kept per
+    matroid: those of `m` for "union", the complements of the dual's for
+    "intersection".  A one-per-block family, it is inclusion-minimal; the
+    registry's search finds a largest one.  RuntimeError if the transversals
+    are not a proper nonempty subfamily."""
     def compute() -> ClassificationResult:
         x = m if kind == "union" else m.dual()
-        blocks = _flag_blocks(x)
-        kept = [b.mask for b in x.bases if one_per_block((b.mask,), blocks)]
+        kept = _flag_transversals(x)[1]
         if not 0 < len(kept) < len(x.bases.sets):
             raise RuntimeError(
                 f"{m} is not {kind} minimal, but the flag of flats finds no witness"

@@ -24,7 +24,7 @@ from typing import Callable, Iterable, Iterator
 from .classify import (
     ExchangeWitness,
     ExpansionWitness,
-    _flag_blocks,
+    _flag_transversals,
     _minimality_search,
     _verdicts,
     is_unique_exchange,
@@ -413,18 +413,18 @@ def _check_prop_103(m: Matroid) -> str | None:
 # `is_union_minimal` and `is_intersection_minimal` answer by a certificate
 # that rests on `thm_552` and `thm_334`, the statements this registry tests,
 # so neither check reads a verdict from it.  `thm_334` decides both sides at
-# once from the transversals of the lowest flag of flats (`_flag_blocks`):
-# they must all be bases, and a proper family of them is a witness that M is
-# not union minimal, whose complements are one that M* is not intersection
-# minimal; these are the witnesses of `is_union_minimal(M)` and
+# once from the transversals of the lowest flag of flats, read from the
+# memo fact the classifiers read (`_flag_transversals`): they must all be
+# bases, and a proper family of them is a witness that M is not union
+# minimal, whose complements are one that M* is not intersection minimal;
+# these are the witnesses of `is_union_minimal(M)` and
 # `is_intersection_minimal(M*)`, and each part of both is validated here.
 # Only when the transversals are all of B(M) (unique expansion, or rank
 # zero) do the two exhaustive searches run.  `thm_552` and the worked
 # examples always search.
 def _check_thm_334(m: Matroid) -> str | None:
     dual = m.dual()
-    blocks = _flag_blocks(m)
-    kept = [b.mask for b in m.bases if one_per_block((b.mask,), blocks)]
+    blocks, kept = _flag_transversals(m)
     picks = prod(k.bit_count() for k in blocks)
     if len(kept) != picks:
         flag = SetFamily.from_masks(m.ground, blocks)

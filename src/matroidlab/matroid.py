@@ -32,14 +32,14 @@ member.  Only a false verdict is scanned for its canonical witness.
 Facts derived from the bases (the independent sets, the expansion map, the
 base support and base intersection, the forming family, the two uniqueness
 verdicts, the witness of a false unique-expansion verdict, the recovered
-partition, the minimality search results and flag witnesses, the dual)
+partition, the minimality search results, the flag transversals and their
+witnesses, the dual)
 are computed at most once per matroid value and kept in its memo slot; since
 a matroid is immutable they can never go stale.  A fact read looks in the
 memo before it computes any prerequisite (the forming family's map, the
 partition's support, the search's boundary are read inside the computation),
 so a warm read is one `_fact` lookup that builds nothing, and a computation
-that raises stores nothing (`dual` returns its validation error to keep
-it).  A matroid built by `from_bases` is a new
+that raises stores nothing.  A matroid built by `from_bases` is a new
 value whose memo starts with the expansion map its exchange check built, at
 every rank, and nothing else; `Matroid._expansion_map` owns it.  The dual is
 such a value too: kept in its matroid's memo, its own memo does not point back.
@@ -53,7 +53,6 @@ from typing import Callable, Iterable, Sequence, TypeVar
 
 from .errors import (
     AugmentationFailure,
-    AxiomError,
     CapOutOfRange,
     EmptyFamily,
     ExchangeFailure,
@@ -350,22 +349,12 @@ class Matroid:
         back would make each matroid and its dual a reference cycle, which
         only the cyclic collector frees, so a streamed population would stay
         alive between collections.  On a family that is not a matroid
-        (reachable only through `_trusted`) the memo keeps the `AxiomError`
-        instead, and every call raises it again without building anything.
-        That error holds the traceback of its latest raise, whose frames hold
-        the family, so such a family is freed by the cyclic collector.
+        (reachable only through `_trusted`) the build raises its `AxiomError`
+        and, like any fact, stores nothing.
         """
-        dual = self._fact("dual", self._build_dual)
-        if isinstance(dual, AxiomError):
-            # each raise starts a new traceback instead of growing the last
-            raise dual.with_traceback(None)
-        return dual
-
-    def _build_dual(self) -> Matroid | AxiomError:
-        try:
-            return Matroid.from_bases(self.ground, complements(self.bases))
-        except AxiomError as exc:
-            return exc.with_traceback(None)
+        return self._fact(
+            "dual", lambda: Matroid.from_bases(self.ground, complements(self.bases))
+        )
 
     def to_doc(self) -> dict:
         """Canonical JSON-ready document: ground set labels and base label lists."""

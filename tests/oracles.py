@@ -327,11 +327,16 @@ def lemma_e_oracle(m: Matroid) -> str | None:
 
 
 def rank_oracle(m: Matroid, x: Subset) -> int:
-    """Largest independent subset of x, found by scanning all subsets of x."""
+    """Largest independent subset of x (one inside some base), found by
+    scanning all subsets of x as masks."""
+    if x.ground != m.ground:
+        raise ValueError("subset lives on a different ground set")
+    bases = tuple(m.bases.masks())
     best = 0
-    for sub in subsets(x):
-        if len(sub) > best and is_independent(m, sub):
-            best = len(sub)
+    for sub in _submasks(x.mask):
+        size = sub.bit_count()
+        if size > best and any(sub & ~b == 0 for b in bases):
+            best = size
     return best
 
 

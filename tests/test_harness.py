@@ -24,6 +24,7 @@ from matroidlab import (
     check_examples,
     enumerate_matroids,
     enumeration_ground,
+    is_union_minimal,
     is_unique_expansion,
     lookup_check,
     make_partition_matroid,
@@ -147,7 +148,7 @@ def _flag_missing_an_element(monkeypatch):
                 break
         return blocks
 
-    monkeypatch.setattr(harness, "_flag_blocks", dropped)
+    monkeypatch.setattr(classify_module, "_flag_blocks", dropped)
 
 
 def _expansion_of_missing_its_lowest_bit(monkeypatch):
@@ -647,38 +648,36 @@ class TestThm123ReadsTheDual:
         assert (len(pop), len(unique)) == (497, 272)
         assert counts == {"complements": 497 + 272, "expansion_masks": 2460}
 
-    def test_a_failed_dual_is_built_once(self, monkeypatch):
-        # a family that is not a matroid keeps the error its dual raised:
-        # one complement family per family, plus prop_339's dual of the
-        # one-per-block matroid of each of the 859 whose forming family
-        # partitions the support; every tally and detail is unchanged
-        calls = []
-        real = matroid_module.complements
-
-        def complements(family):
-            calls.append(family)
-            return real(family)
-
+    def test_a_failed_dual_is_kept_nowhere(self):
+        # a family that is not a matroid keeps no dual and no error: every
+        # tally and detail is unchanged, and the dual's build raises again
         families = [Matroid._trusted(m.ground, m.bases) for m in mixed_size_families()]
-        monkeypatch.setattr(matroid_module, "complements", complements)
         report = verify(families).to_dict()
         del report["duration_ms"]
-        assert (len(families), len(calls)) == (2242, 2242 + 859)
+        assert len(families) == 2242
         assert hashlib.sha256(json.dumps(report).encode()).hexdigest() == (
             "03ce96f1d11a96be59f7e961ac2003aab8b254b25290f3d50371baf9d4d47ee1"
         )
+        failed = 0
+        for m in families:
+            try:
+                m.dual()
+            except AxiomError:
+                assert "dual" not in m._facts
+                failed += 1
+        assert failed == 2036
 
-    def test_a_kept_error_raises_with_a_fresh_traceback(self):
-        # the kept error is raised each time, and its traceback does not grow
-        # with each raise
+    def test_a_failed_dual_raises_afresh_on_every_call(self):
+        # each call builds again and raises a new error with the same message,
+        # whose traceback does not grow with each raise
         m = _trusted_family(["1", "12"])
         raised = []
         for _ in range(3):
             with pytest.raises(UnequalCardinality) as info:
                 m.dual()
-            raised.append((info.value, len(traceback.extract_tb(info.value.__traceback__))))
-        assert raised[0][0] is raised[1][0] is raised[2][0]
-        assert raised[0][1] == raised[1][1] == raised[2][1]
+            raised.append((str(info.value), len(traceback.extract_tb(info.value.__traceback__))))
+        assert raised[0] == raised[1] == raised[2]
+        assert "dual" not in m._facts
 
     def test_fails_exactly_where_the_dual_raises(self):
         # members of different sizes fail the dual's size check first, and
@@ -766,6 +765,21 @@ class TestThm334:
         assert {w["detail"] for w in outcome.witnesses} == {
             "union minimal True but dual intersection minimal False"
         }
+
+    def test_classifier_reads_the_flag_thm_334_built(self, monkeypatch):
+        # the check and the classifier read one memo fact: once thm_334 has
+        # run, the union witness needs no flag of flats of its own
+        reducible = [m for m in population(5) if not is_union_minimal(m).verdict]
+        fresh = [Matroid._trusted(m.ground, m.bases) for m in reducible]
+        assert len(fresh) == 220
+        assert verify(fresh, [lookup_check("thm_334")]).failures == 0
+
+        def no_flag(m):
+            pytest.fail("the classifier built its own flag of flats")
+
+        monkeypatch.setattr(classify_module, "_flag_blocks", no_flag)
+        for m, was in zip(fresh, reducible):
+            assert is_union_minimal(m) == is_union_minimal(was)
 
 
 class TestSharedClosurePass:

@@ -266,3 +266,21 @@ def test_only_the_registry_sweep_catches_the_cap():
     # from, or of everything, anywhere else must change this list
     names = {cls.__name__ for cls in SearchCapExceeded.__mro__}
     assert _library_sites(_catches(names)) == ["harness.py:verify"]
+
+
+def _names(name: str):
+    """Is a node a read, an attribute or an import of `name`?"""
+    def hit(node: ast.AST) -> bool:
+        if isinstance(node, ast.alias):
+            return node.name == name
+        return isinstance(node, (ast.Name, ast.Attribute)) and _named(node) == name
+
+    return hit
+
+
+def test_only_classify_reads_the_flag_of_flats():
+    # the classifiers' witnesses and `thm_334` read one memo fact, built in
+    # the `compute` of `classify._flag_transversals`; a second reader of the
+    # flag blocks is a second copy of the flag reduction and must change this
+    # list
+    assert _library_sites(_names("_flag_blocks")) == ["classify.py:compute"]
