@@ -5,9 +5,9 @@ a base.  One pass that deletes each element e from each base B therefore
 yields every secondary base B - e with its expansion set
 (`matroid.expansion_masks`, the map that also validates bases), with no rank
 computation.  The map is the matroid's own (`Matroid._expansion_map`): both
-unique classifiers read it, the forming family is memoized beside it, and the
-base-relative checks and `matroidlab forming` walk every base's blocks once
-(`_forming_blocks`).
+unique classifiers read it, and the forming family and every base's blocks
+(`_forming_blocks`, which the base-relative checks and `matroidlab forming`
+read) are built once per matroid and memoized beside it.
 
 `expansion` is the general operator for any subset X: the complement of the
 closure of X, in one pass over the bases (`matroid._expansion_of`, which the
@@ -15,8 +15,6 @@ flag of flats in `classify` reads too).
 """
 
 from __future__ import annotations
-
-from typing import Iterator
 
 from .errors import NotABase, RankZero
 from .matroid import Matroid, _expansion_of
@@ -68,14 +66,18 @@ def _blocks_wrt(exp: dict[int, int], b: Subset) -> list[int]:
     return [exp[mask ^ bit] for bit in _single_bits(mask)]
 
 
-def _forming_blocks(m: Matroid) -> Iterator[tuple[Subset, list[int]]]:
+def _forming_blocks(m: Matroid) -> zip[tuple[Subset, list[int]]]:
     """Each base B of `m`, in canonical order, with its forming block masks.
 
-    One mask per e in B, by ascending index: the expansion of B - e, read off
-    the map once.  No base is probed; `forming_family_wrt` alone does that.
+    One mask per e in B, by ascending index: the expansion of B - e, in one
+    memo fact built once per matroid (never mutate it).  No base is probed;
+    `forming_family_wrt` alone does that.
     """
-    exp = _expansions(m)
-    return ((b, _blocks_wrt(exp, b)) for b in m.bases)
+    def build() -> list[list[int]]:
+        exp = _expansions(m)
+        return [_blocks_wrt(exp, b) for b in m.bases.sets]
+
+    return zip(m.bases.sets, m._fact("forming_blocks", build))
 
 
 def forming_family_wrt(m: Matroid, b: Subset) -> SetFamily:

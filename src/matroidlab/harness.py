@@ -150,15 +150,20 @@ def _definitional_scan(
 
 def _described(support: int, quotas: list[tuple[int, int]], chosen: int) -> Iterator[int]:
     """`chosen` plus each submask of `support` meeting each block k of `quotas` in c
-    bits, ascending: bits are decided from the top, dropping a prefix no count fits."""
-    if any(not 0 <= c - (chosen & k).bit_count() <= (support & k).bit_count() for k, c in quotas):
-        return
-    if not support:
-        yield chosen
-        return
-    top = 1 << support.bit_length() - 1
-    yield from _described(support ^ top, quotas, chosen)
-    yield from _described(support ^ top, quotas, chosen | top)
+    bits, ascending: bits are decided from the top on one explicit stack, the
+    prefix without the top bit popped first, dropping a prefix no count fits."""
+    stack = [(support, chosen)]
+    while stack:
+        rest, x = stack.pop()
+        for k, c in quotas:  # a loop, not any(): the generator doubled the walk's cost
+            if not 0 <= c - (x & k).bit_count() <= (rest & k).bit_count():
+                break
+        else:
+            if rest:
+                top = 1 << rest.bit_length() - 1
+                stack += (rest ^ top, x | top), (rest ^ top, x)
+            else:
+                yield x
 
 
 def _check_prop_100(m: Matroid) -> str | None:
@@ -359,15 +364,19 @@ def _check_thm_52(m: Matroid) -> str | None:
 
 def _one_per_block_partitions(m: Matroid) -> list[list[int]]:
     """The support partitions every base meets once per block, as block-mask
-    lists in `_partition_masks` order.
+    lists in `_partition_masks` order, walked once per matroid and kept in
+    its memo, since `thm_33` and `prop_103` both read them: never mutate them.
 
     Such a partition has one block per base element and no block holding two
     elements of one base, so the walk is bounded by both; each leaf is still
     confirmed, since an unvalidated family's members may differ in size.
     """
-    base_masks = m.bases.masks()
-    walk = _partition_masks(m.support().mask, base_masks, m.rank)
-    return [blocks for blocks in walk if one_per_block(base_masks, blocks)]
+    def walk() -> list[list[int]]:
+        base_masks = m.bases.masks()
+        leaves = _partition_masks(m.support().mask, base_masks, m.rank)
+        return [blocks for blocks in leaves if one_per_block(base_masks, blocks)]
+
+    return m._fact("one_per_block_partitions", walk)
 
 
 def _check_thm_33(m: Matroid) -> str | None:

@@ -30,19 +30,20 @@ elements, and exchange exactly when such a mask also reaches outside that
 member.  Only a false verdict is scanned for its canonical witness.
 
 Facts derived from the bases (the independent sets, the expansion map, the
-base support and base intersection, the forming family, the two uniqueness
-verdicts, the witness of a false unique-expansion verdict, the recovered
-partition, the minimality search results, the flag transversals and their
-witnesses, the dual)
-are computed at most once per matroid value and kept in its memo slot; since
-a matroid is immutable they can never go stale.  A fact read looks in the
-memo before it computes any prerequisite (the forming family's map, the
-partition's support, the search's boundary are read inside the computation),
-so a warm read is one `_fact` lookup that builds nothing, and a computation
-that raises stores nothing.  A matroid built by `from_bases` is a new
-value whose memo starts with the expansion map its exchange check built, at
-every rank, and nothing else; `Matroid._expansion_map` owns it.  The dual is
-such a value too: kept in its matroid's memo, its own memo does not point back.
+base support and base intersection, the forming family and every base's
+forming blocks, the two uniqueness verdicts, the witness of a false
+unique-expansion verdict, the recovered partition, the one-per-block support
+partitions, the minimality search results, the flag transversals and their
+witnesses, the dual) are computed at most once per matroid value and kept in
+its memo slot; since a matroid is immutable they can never go stale.  A fact
+read looks in the memo before it computes any prerequisite (the forming
+family's map, the partition's support, the search's boundary are read inside
+the computation), so a warm read is one `_fact` lookup that builds nothing,
+and a computation that raises stores nothing.  A matroid built by
+`from_bases` is a new value whose memo starts with the expansion map its
+exchange check built, at every rank, and nothing else; the dual is such a
+value too, kept in its matroid's memo, and its own memo does not point back.
+`Matroid._expansion_map` owns the map.
 """
 
 from __future__ import annotations

@@ -555,7 +555,7 @@ def all_partitions(support: Subset) -> Iterator[Partition]:
     The number of results is the Bell number of len(support), so keep the
     support small.  The verification harness does not call this: it walks
     `_partition_masks` with the bounds a one-per-block partition must meet,
-    once per check, and builds a family only for a failure message.
+    once per matroid, and builds a family only for a failure message.
     """
     ground = support.ground
     for blocks in _partition_masks(support.mask):

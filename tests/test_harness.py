@@ -998,20 +998,6 @@ class TestPartitionChecksAgainstOracles:
                 if one_per_block(bases, blocks)
             ]
 
-    def test_partitions_are_not_memoized(self, monkeypatch):
-        # thm_33 and prop_103 each walk on their own; no memo fact holds them
-        names = []
-        real = Matroid._fact
-
-        def spy(self, name, compute):
-            names.append(name)
-            return real(self, name, compute)
-
-        monkeypatch.setattr(Matroid, "_fact", spy)
-        registry = [lookup_check("thm_33"), lookup_check("prop_103")]
-        assert verify(population(4), registry).failures == 0
-        assert "one_per_block_partitions" not in names
-
     def test_two_hits_are_listed(self):
         detail = lookup_check("prop_103").run(_trusted_family(["13", "24"]))
         assert detail == (
@@ -1061,6 +1047,53 @@ class TestFactsMemo:
         duals = [m for m in pop if thm_120.applies(m) and m.rank < m.ground.size]
         assert (len(pop), len(duals)) == (67, 50)
         assert len(calls) == len(pop)
+
+    def test_support_partitions_are_walked_once_per_matroid(self, monkeypatch):
+        # thm_33 (on every matroid) and prop_103 (at positive rank) read one
+        # walk; the walk recurses through `setalgebra`, so only its top-level
+        # calls are counted here
+        calls = []
+        real = harness._partition_masks
+
+        def counted(*args):
+            calls.append(1)
+            return real(*args)
+
+        monkeypatch.setattr(harness, "_partition_masks", counted)
+        pop = population(4)
+        assert verify(pop).failures == 0
+        assert len(calls) == len(pop) == 91
+
+    def test_forming_blocks_are_built_once_per_matroid(self, monkeypatch):
+        # prop_341, prop_124, lemma_e and lemma_66 read one block list per
+        # base: one `_blocks_wrt` call per base of each rank>0 matroid
+        calls = []
+        real = forming_module._blocks_wrt
+
+        def counted(exp, b):
+            calls.append(1)
+            return real(exp, b)
+
+        monkeypatch.setattr(forming_module, "_blocks_wrt", counted)
+        pop = population(4)
+        assert verify(pop).failures == 0
+        assert len(calls) == sum(len(m.bases) for m in pop if m.rank > 0) == 198
+
+    @pytest.mark.parametrize("source", ["matroids_up_to_four", "mixed_size_families"])
+    def test_shared_walks_are_left_as_built(self, source):
+        # every check reads the kept lists and none changes them in place: after
+        # the whole registry they equal the lists a fresh, equal value builds
+        pop = population(4) if source == "matroids_up_to_four" else mixed_size_families()
+        verify(pop)
+        for m in pop:
+            fresh = Matroid._trusted(m.ground, m.bases)
+            kept = m._facts["one_per_block_partitions"]
+            assert kept == harness._one_per_block_partitions(fresh)
+            if m.rank > 0:
+                built = [blocks for _, blocks in forming_module._forming_blocks(fresh)]
+                assert m._facts["forming_blocks"] == built
+            else:
+                assert "forming_blocks" not in m._facts
 
     def test_one_per_block_matroid_is_built_once_per_matroid(self, monkeypatch):
         calls = []
@@ -1125,6 +1158,7 @@ class TestFactsMemo:
             Matroid.support,
             Matroid.base_intersection,
             lambda m: classify_module._minimality_search(m, "union"),
+            harness._one_per_block_partitions,
         )
         pop = [m for m in population(4) if m.rank > 0]
         for m in pop:
