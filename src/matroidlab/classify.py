@@ -11,9 +11,9 @@ too; a false one's witness is the reduction its proof builds
 (`_flag_witness`), with no search, read from the one memo fact
 (`_flag_transversals`) that the registry's `thm_334` validates.  The
 exhaustive search over subfamilies of the bases (`_minimality_search`), one
-recursive depth-first walk pruned by prefix, serves the theorem registry
-alone, and it alone is guarded by a fixed cap of 20 bases
-(`DEFAULT_SEARCH_CAP`).
+depth-first walk pruned by prefix and bounded by the largest reduction found
+so far, serves the theorem registry alone, and it alone is guarded by a
+fixed cap of 20 bases (`DEFAULT_SEARCH_CAP`).
 """
 
 from __future__ import annotations
@@ -190,24 +190,27 @@ def _requirements(
 
 
 def _least_reduction(m: Matroid, kind: str, boundary: int) -> ClassificationResult:
-    """The first proper subfamily that is a base family with the same boundary.
+    """A largest proper subfamily that is a base family with the same boundary.
 
-    Subfamilies are visited in decreasing size, then in `combinations` order
-    of base positions within a size, so the first one found is the canonical
-    witness.  The visit is one recursive depth-first walk over positions
-    (`extend`), which drops a prefix (its chosen bases, and the skipped ones
-    below its last position) once no completion can succeed:
+    One recursive depth-first walk (`extend`) visits the ascending tuples of
+    base positions in lexicographic order, which within a size is
+    `combinations` order, and keeps a complete subfamily only when it is
+    larger than the best so far: the result is the first of the largest size,
+    the canonical witness.  The walk drops a prefix (its chosen bases, and the
+    skipped ones below its last position) once no completion can succeed:
 
+    - size: fewer positions are left than beat the best so far (`floor`),
+      which starts below the fewest bases that can cover the boundary;
     - boundary: the chosen bases and every later one together miss part of
       the boundary (a support element for `union`; for `intersection`, an
       element outside the common intersection that no such base omits);
     - exchange: for chosen B1, B2 and x in B1 - B2, every repair
       B1 - x + y (y in B2 - B1) that is a base has been skipped.
 
-    A complete subfamily whose every requirement has a chosen repair is
-    exchange-closed by definition, so it needs no separate validation.  Sizes
-    too small to cover the boundary are skipped by counting alone.  Nothing
-    here relies on a theorem about the classes being decided.
+    A subfamily that covers the boundary and has a chosen repair for every
+    requirement is exchange-closed by definition, so it needs no separate
+    validation.  Nothing here relies on a theorem about the classes being
+    decided.
     """
     masks = [s.mask for s in m.bases.sets]
     n = len(masks)
@@ -222,59 +225,49 @@ def _least_reduction(m: Matroid, kind: str, boundary: int) -> ClassificationResu
     # family (in a matroid every cover has the same size); when every cover
     # is empty the target is empty too, and w = 1 keeps the bound at 1
     widest = max(c.bit_count() for c in covers) or 1
-    fewest = max(1, -(-target.bit_count() // widest))
-    if fewest >= n:
+    floor = max(1, -(-target.bit_count() // widest)) - 1
+    if floor >= n - 1:
         return ClassificationResult(True, None)
     reach = covers + [0]  # reach[t]: what the bases from position t on cover
     for t in range(n - 2, -1, -1):
         reach[t] |= reach[t + 1]
-    where = exp = None  # base mask -> position bit, and the map; on first need
+    where = {b: 1 << i for i, b in enumerate(masks)}  # base mask -> position bit
+    exp = m._expansion_map()
     # t * n + j (j < t) -> the pair's requirements, on its first visit
     repairs: list[Sequence[int] | None] = [None] * (n * n)
+    best: list[int] = []
 
-    def extend(picks: list[int], covered: int, chosen: int, pending: Sequence[int]) -> bool:
-        """Complete the ascending positions `picks` (covering `covered`, with
-        position bits `chosen`, owing the repair masks `pending`) to `size`
-        positions, next positions ascending; True when `picks` is complete."""
-        nonlocal where, exp
-        depth = len(picks)
-        leaf = depth + 1 == size
-        if leaf:
-            # the last pick must meet every waiting requirement at once
-            need = -1
-            for r in pending:
-                need &= r
-        for t in range(picks[-1] + 1 if picks else 0, n - size + depth + 1):
-            if covered | reach[t] != target:
-                return False  # later positions reach even less
+    def extend(picks: list[int], covered: int, chosen: int, pending: Sequence[int]) -> None:
+        """Extend the ascending positions `picks` (covering `covered`, with
+        position bits `chosen`, owing the repair masks `pending`) by each
+        later position in turn, keeping each complete proper extension larger
+        than `floor` in `best`."""
+        nonlocal floor, best
+        size = len(picks) + 1  # the size once a next position is picked
+        for t in range(picks[-1] + 1 if picks else 0, n):
+            if size + n - t <= floor + 1 or covered | reach[t] != target:
+                return  # later positions reach even less
+            # a waiting requirement is met by t, or dies for good once no
+            # repair lies past t
             bit = 1 << t
-            if leaf:
-                if not need & bit or covered | covers[t] != target:
+            above = bit << 1
+            still = []
+            for r in pending:
+                if r & bit:
                     continue
-            else:
-                # a waiting requirement is met by t, or dies for good once no
-                # repair lies past t
-                above = bit << 1
-                still = []
-                for r in pending:
-                    if r & bit:
-                        continue
-                    if r < above:
-                        return False
-                    still.append(r)
+                if r < above:
+                    return
+                still.append(r)
             now = chosen | bit
             ok = True
             for j in picks:
                 reqs = repairs[t * n + j]
                 if reqs is None:
-                    if where is None:
-                        where = {b: 1 << i for i, b in enumerate(masks)}
-                        exp = m._expansion_map()
                     reqs = repairs[t * n + j] = _requirements(masks[t], masks[j], exp, where)
                 for r in reqs:
                     if r & now:
                         continue
-                    if leaf or r < above:
+                    if r < above:
                         ok = False
                         break
                     still.append(r)
@@ -282,22 +275,19 @@ def _least_reduction(m: Matroid, kind: str, boundary: int) -> ClassificationResu
                     break
             if ok:
                 picks.append(t)
-                if leaf or extend(picks, covered | covers[t], now, still):
-                    return True
+                if floor < size < n and not still and covered | covers[t] == target:
+                    floor, best = size, picks[:]
+                extend(picks, covered | covers[t], now, still)
                 picks.pop()
-        return False
 
-    picks: list[int] = []  # a failed walk leaves it empty
-    for size in range(n - 1, fewest - 1, -1):
-        if extend(picks, 0, 0, ()):
-            break
+    extend([], 0, 0, ())
     # `extend` calls itself through its closure, a reference cycle that holds
     # `m`: break it, so reference counts alone free a streamed matroid
     del extend
-    if not picks:
+    if not best:
         return ClassificationResult(True, None)
     return ClassificationResult(False, SubfamilyWitness(
-        SetFamily._from_canonical(m.ground, [masks[i] for i in picks])
+        SetFamily._from_canonical(m.ground, [masks[i] for i in best])
     ))
 
 

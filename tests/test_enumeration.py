@@ -6,6 +6,7 @@ from matroidlab import (
     count_matroids,
     enumerate_matroids,
     enumeration_ground,
+    is_unique_expansion,
 )
 from matroidlab import enumeration
 from matroidlab.enumeration import (
@@ -17,6 +18,7 @@ from matroidlab.enumeration import (
 from matroidlab.errors import GroundSetTooLarge
 from matroidlab.setalgebra import _BYTE_RANK, _BYTE_UNRANK, mask_order_key
 
+from one_per_block import one_per_block_matroids
 from oracles import (
     all_antichain_matroids,
     exchange_scan_families,
@@ -38,6 +40,10 @@ KNOWN_BY_RANK = {
     6: [1, 63, 813, 2053, 813, 63, 1],
     7: [1, 127, 4012, 33442, 33442, 4012, 127, 1],
 }
+
+# rank>0 unique expansion matroids on n elements, Bell(n+1) - 1: one per
+# nonempty support and set partition of it
+UNIQUE_EXPANSION_COUNTS = {1: 1, 2: 4, 3: 14, 4: 51, 5: 202, 6: 876}
 
 
 class TestCounts:
@@ -89,6 +95,23 @@ class TestAgainstOracle:
         for r in range(n + 1):
             ours = [tuple(s.mask for s in m.bases) for m in enumerate_matroids(n, r)]
             assert ours == exchange_scan_families(n, r)
+
+
+class TestOnePerBlockPopulation:
+    @pytest.mark.parametrize("n,count", sorted(UNIQUE_EXPANSION_COUNTS.items()))
+    def test_generator_yields_the_unique_expansion_matroids(self, n, count):
+        # tests/one_per_block.py runs the registry on this generator's n=8
+        # population; here it must give, once each, exactly the base families
+        # that the enumerator and the classifier call rank>0 unique expansion,
+        # so that population does not rest on thm_52 alone
+        made = [m.bases.masks() for m in one_per_block_matroids(n)]
+        enumerated = {
+            m.bases.masks()
+            for m in enumerate_matroids(n)
+            if m.rank > 0 and is_unique_expansion(m)
+        }
+        assert len(made) == len(set(made)) == count
+        assert set(made) == enumerated
 
 
 class TestStreamProperties:
