@@ -5,10 +5,12 @@ with no witness; a false verdict always carries a witness, identical across
 runs.  The unique-expansion and unique-exchange verdicts come from one pass
 over the distinct expansion masks (`matroid._fork_verdicts`), kept per
 matroid (`_verdicts`); a false one is scanned for its canonically least
-witness.  A minimality verdict comes from the flag-of-flats certificate at
-any size (`union_minimal`, `intersection_minimal`), which reads that pass
-too; a false one's witness is the reduction its proof builds
-(`_flag_witness`), with no search, read from the one memo fact
+witness.  The minimality verdicts come from certificates at any size: union
+minimality from the flag of flats (`union_minimal`), which reads that pass
+too, and intersection minimality from the matroid's own cocircuits, the
+distinct expansion masks, with no dual built (`intersection_minimal`).  A
+false one's witness is the reduction the flag builds (`_flag_witness`, on
+the dual for intersection), with no search, read from the one memo fact
 (`_flag_transversals`) that the registry's `thm_334` validates.  The
 exhaustive search over subfamilies of the bases (`_minimality_search`), one
 depth-first walk pruned by prefix and bounded by the largest reduction found
@@ -344,12 +346,32 @@ def _flag_transversals(m: Matroid) -> tuple[list[int], list[int]]:
 def intersection_minimal(m: Matroid) -> bool:
     """Is no proper subfamily of the bases a base family with the same intersection?
 
-    The verdict alone, with no search: by the paper's duality (`thm_334`) M
-    is intersection minimal exactly when its dual is union minimal, that is
-    when M* has rank zero or is unique expansion (see `union_minimal`), at
-    any number of bases.
+    The verdict alone, with no search and no dual: M is intersection minimal
+    exactly when every distinct expansion mask of M has at most two
+    elements, at any number of bases.  On a family that is not a matroid
+    (built by `Matroid._trusted`) it still returns a bool, as
+    `union_minimal` does.
+
+    Proof (not from the paper).  By the paper's duality (`thm_334`) M is
+    intersection minimal exactly when M* is union minimal.
+    - A matroid N is union minimal exactly when every circuit of N has at
+      most two elements.  By `union_minimal`'s proof and `thm_52`, N is union
+      minimal exactly when it has rank zero or is one-per-block, and the
+      circuits of such a matroid are its loops and the pairs inside one
+      block.  Conversely, if every circuit has at most two elements, the
+      non-loops fall into parallel classes, a set is independent exactly
+      when it holds no loop and at most one element of each class, and the
+      bases are the transversals of the classes.
+    - The circuits of M* are the cocircuits of M.
+    - The cocircuits of M are exactly the distinct expansion masks.  Every
+      key A is a secondary base, whose closure is a hyperplane, and
+      exp[A] = E - cl(A); every hyperplane H is cl(A) for a secondary base
+      A inside H.  At rank zero the map is empty, and M* is free.
     """
-    return union_minimal(m.dual())
+    for g in m._expansion_map().values():
+        if g.bit_count() > 2:
+            return False
+    return True
 
 
 def _flag_witness(m: Matroid, kind: str) -> ClassificationResult:
@@ -385,7 +407,7 @@ def is_union_minimal(m: Matroid) -> ClassificationResult:
 def is_intersection_minimal(m: Matroid) -> ClassificationResult:
     """`intersection_minimal` with the complements of the dual's flag
     transversals (`_flag_witness`) as a false verdict's witness: no search,
-    at any size."""
+    at any size, and only a false verdict builds the dual."""
     if intersection_minimal(m):
         return _TRUE
     return _flag_witness(m, "intersection")

@@ -84,10 +84,9 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         "intersection_minimal": intersection_minimal(m),
     }
 
+    # a recovered partition's family is the forming family itself
     out["forming_family"] = _family_doc(fam) if fam is not None else None
-    out["recovered_partition"] = (
-        _family_doc(recovered.family) if recovered is not None else None
-    )
+    out["recovered_partition"] = out["forming_family"] if recovered is not None else None
     out.update(verdicts)
 
     if args.json:

@@ -5,7 +5,8 @@ a base.  One pass that deletes each element e from each base B therefore
 yields every secondary base B - e with its expansion set
 (`matroid.expansion_masks`, the map that also validates bases), with no rank
 computation.  The map is the matroid's own (`Matroid._expansion_map`): both
-unique classifiers read it, and the forming family and every base's blocks
+unique classifiers and the intersection-minimality verdict read it, and the
+forming family and every base's blocks
 (`_forming_blocks`, which the base-relative checks and `matroidlab forming`
 read) are built once per matroid and memoized beside it.
 

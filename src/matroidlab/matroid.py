@@ -9,6 +9,7 @@ exist.
 The expansion map (`expansion_masks`) is the one place that decides whether
 a secondary base plus an element is a base: the exchange validator here, the
 forming families, both unique-expansion and unique-exchange classifiers, the
+intersection-minimality verdict (its distinct masks are the cocircuits), the
 requirements of the minimality search and the enumerator's hyperplanes all
 read it.  For any subset, `_expansion_of` is the one closure pass: the
 expansion operator and the flag of flats read it.

@@ -13,8 +13,9 @@ of members, bit indices (and the labels read through them) one bit
 position at a time, the `thm_334` check by both exhaustive minimality
 searches on every matroid, the classifiers' minimality witnesses by a flag
 of flats closed under `rank_oracle`, the definitional scans by a walk over every
-mask of the ground set, and the enumerator's linear subclasses by rank scans
-over every mask and every set of hyperplanes.
+mask of the ground set, the enumerator's linear subclasses by rank scans
+over every mask and every set of hyperplanes, and the cocircuits as the
+complements of the hyperplanes that `rank_oracle` finds.
 """
 
 from __future__ import annotations
@@ -351,6 +352,20 @@ def expansion_oracle(m: Matroid, x: Subset) -> Subset:
         if rank_oracle(m, Subset(m.ground, x.mask | bit)) == base_rank + 1:
             out |= bit
     return Subset(m.ground, out)
+
+
+def cocircuits_oracle(m: Matroid) -> SetFamily:
+    """The complements of the hyperplanes, found by `rank_oracle` alone: a
+    hyperplane is a mask of rank r - 1 that every element outside raises to
+    rank r.  Empty at rank zero, where no mask has rank -1."""
+    ground = m.ground
+    ranks = [rank_oracle(m, Subset(ground, x)) for x in range(1 << ground.size)]
+    full = (1 << ground.size) - 1
+    return SetFamily(ground, [
+        Subset(ground, full ^ h) for h in range(1 << ground.size)
+        if ranks[h] == m.rank - 1
+        and all(ranks[h | 1 << i] == m.rank for i in range(ground.size) if not h >> i & 1)
+    ])
 
 
 def unique_expansion_oracle(m: Matroid) -> tuple[Subset, Subset, str, str] | None:

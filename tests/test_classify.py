@@ -18,6 +18,7 @@ from matroidlab import (
     is_union_minimal,
     is_unique_exchange,
     is_unique_expansion,
+    make_partition_matroid,
     make_unique_partition_matroid,
     recover_partition,
     union_minimal,
@@ -225,6 +226,24 @@ class TestIntersectionMinimal:
             uniform3.ground, "1", "2"
         )
 
+    def test_a_true_verdict_builds_no_dual(self, monkeypatch):
+        # U(1,3)'s dual U(2,3), U(6,7), and the partition matroid with cap 2
+        # on {1,2,3} and cap 1 on {4,5}: every cocircuit has two elements, and
+        # the verdict is read off the expansion masks alone
+        g = GroundSet("12345")
+        p = Partition(fam(g, "123", "45"))
+        pm = make_partition_matroid(g, p, tuple(len(b) - 1 for b in p))
+        pop = [mk("123", "1", "2", "3").dual(), uniform(6, 7), pm]
+
+        def no_dual(self):
+            pytest.fail("a true intersection minimal verdict built a dual")
+
+        monkeypatch.setattr(Matroid, "dual", no_dual)
+        for m in pop:
+            assert intersection_minimal(m) is True, m
+            assert is_intersection_minimal(m) == ClassificationResult(True, None), m
+            assert "dual" not in m._facts, m
+
 
 class TestDeterminism:
     def _witnesses(self):
@@ -290,11 +309,37 @@ class TestRecoverPartition:
 
 class TestAgainstDefinitionOracles:
     def test_minimality_matches_literal_quantification(self):
+        # both classifiers on every matroid with n <= 4, and the bare
+        # intersection verdict, read off the expansion masks, on n <= 5
         from oracles import intersection_minimal_oracle, union_minimal_oracle
 
         for m in _population(4):
             assert is_union_minimal(m).verdict == union_minimal_oracle(m)
             assert is_intersection_minimal(m).verdict == intersection_minimal_oracle(m)
+        for m in _population(5):
+            assert intersection_minimal(m) == intersection_minimal_oracle(m), m
+
+    def test_distinct_expansion_masks_are_the_cocircuits(self):
+        # the cocircuits from rank scans alone, on every matroid with n <= 5
+        from oracles import cocircuits_oracle
+
+        for m in _population(5):
+            assert frozenset(m._expansion_map().values()) == cocircuits_oracle(m).masks(), m
+
+    def test_intersection_minimal_count_is_bell(self):
+        # Bell(n + 1) intersection minimal matroids on n elements, and each
+        # verdict is the route through the dual's union minimality
+        # (`thm_334`), on every matroid with n <= 6
+        from intersection_route import bell_numbers
+
+        bell = bell_numbers(8)
+        counts = dict.fromkeys(range(1, 7), 0)
+        for m in _population(6):
+            verdict = intersection_minimal(m)
+            assert verdict == union_minimal(m.dual()), m
+            counts[m.ground.size] += verdict
+        assert counts == {n: bell[n + 1] for n in range(1, 7)}
+        assert list(counts.values()) == [2, 5, 15, 52, 203, 877]
 
     def test_minimality_witness_matches_plain_scan(self):
         for m in _population(5):

@@ -210,8 +210,8 @@ class TestAnalyze:
         # every matroid with n <= 4: `analyze --json` answers both minimality
         # questions by the certificate alone, with the search's verdicts, and
         # both uniqueness questions by the one pass alone, with the oracles'
-        # verdicts, and builds no witness; then known answers past the search
-        # cap of 20 bases
+        # verdicts, and builds no witness and no dual; then known answers
+        # past the search cap of 20 bases
         from oracles import unique_exchange_oracle, unique_expansion_oracle
 
         pop = [m for n in range(1, 5) for m in enumerate_matroids(n)]
@@ -247,10 +247,14 @@ class TestAnalyze:
         def no_search(*args, **kwargs):
             pytest.fail("analyze --json built a witness")
 
+        def no_dual(self):
+            pytest.fail("analyze --json built a dual")
+
         for scan in (
             "_least_reduction", "_flag_witness", "_expansion_witness", "_least_triple",
         ):
             monkeypatch.setattr(classify_module, scan, no_search)
+        monkeypatch.setattr(Matroid, "dual", no_dual)
         path = tmp_path / "m.json"
         for m, (union, intersection), (expansion, exchange) in zip(pop, want, unique):
             path.write_text(json.dumps(m.to_doc()))
