@@ -21,16 +21,18 @@ fixed cap of 20 bases (`DEFAULT_SEARCH_CAP`).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import prod
 from typing import Sequence
 
 from .errors import RankZero, SearchCapExceeded
 from .forming import forming_family
-from .matroid import Matroid, _expansion_of, _fork_verdicts, _least_triple
+from .matroid import Matroid, _expansion_of, _fork_verdicts, _least_triple, memo_fact
 from .setalgebra import (
     Partition,
     SetFamily,
     Subset,
     _single_bits,
+    _transversal_masks,
     is_partition,
     mask_order_key,
     one_per_block,
@@ -85,14 +87,12 @@ class ClassificationResult:
 _TRUE = ClassificationResult(True, None)
 
 
+@memo_fact("unique_verdicts")
 def _verdicts(m: Matroid) -> tuple[bool, bool]:
     """(unique expansion, unique exchange) of `m`, from one pass over its
     distinct expansion masks (`matroid._fork_verdicts`), computed once per
     matroid; the memo holds the two verdicts and no witness."""
-    return m._fact(
-        "unique_verdicts",
-        lambda: _fork_verdicts(m.bases.masks(), m._expansion_map()),
-    )
+    return _fork_verdicts(m.bases.masks(), m._expansion_map())
 
 
 def is_unique_expansion(m: Matroid) -> ClassificationResult:
@@ -106,9 +106,10 @@ def is_unique_expansion(m: Matroid) -> ClassificationResult:
         raise RankZero("unique expansion is undefined at rank zero")
     if _verdicts(m)[0]:
         return _TRUE
-    return m._fact("expansion_witness", lambda: _expansion_witness(m))
+    return _expansion_witness(m)
 
 
+@memo_fact("expansion_witness")
 def _expansion_witness(m: Matroid) -> ClassificationResult:
     """The canonical witness of a false unique-expansion verdict: secondary
     bases in canonical order, then bases; RuntimeError if there is none."""
@@ -163,8 +164,14 @@ def _minimality_search(m: Matroid, kind: str) -> ClassificationResult:
         raise SearchCapExceeded(
             f"{n} bases exceed the exhaustive search cap {DEFAULT_SEARCH_CAP}"
         )
-    boundary = m.support if kind == "union" else m.base_intersection
-    return m._fact(f"{kind}_minimal", lambda: _least_reduction(m, kind, boundary().mask))
+    return _searched(m, kind)
+
+
+@memo_fact("{kind}_minimal")
+def _searched(m: Matroid, kind: str) -> ClassificationResult:
+    """`_least_reduction` of `kind` against its boundary, kept per matroid."""
+    boundary = m.support() if kind == "union" else m.base_intersection()
+    return _least_reduction(m, kind, boundary.mask)
 
 
 def _requirements(
@@ -331,16 +338,22 @@ def _flag_blocks(m: Matroid) -> list[int]:
     return blocks
 
 
+@memo_fact("flag")
 def _flag_transversals(m: Matroid) -> tuple[list[int], list[int]]:
     """The blocks of `_flag_blocks(m)` and the masks of the bases that are
     transversals of them, in canonical order, kept per matroid: the reduction
     of `union_minimal`'s proof, which `thm_334` validates and `_flag_witness`
-    returns.  Read it, never mutate it."""
-    def compute() -> tuple[list[int], list[int]]:
-        blocks = _flag_blocks(m)
-        return blocks, [b.mask for b in m.bases if one_per_block((b.mask,), blocks)]
+    returns.  Read it, never mutate it.
 
-    return m._fact("flag", compute)
+    The blocks are disjoint, so a base meets each once exactly when its part
+    inside them is a pick of their product.  On a matroid every pick is a
+    base; past the member count, each member is tested block by block."""
+    blocks = _flag_blocks(m)
+    sets = m.bases.sets
+    if prod(k.bit_count() for k in blocks) > len(sets):
+        return blocks, [b.mask for b in sets if one_per_block((b.mask,), blocks)]
+    picks, union = set(_transversal_masks(blocks)), sum(blocks)
+    return blocks, [b.mask for b in sets if b.mask & union in picks]
 
 
 def intersection_minimal(m: Matroid) -> bool:
@@ -374,26 +387,24 @@ def intersection_minimal(m: Matroid) -> bool:
     return True
 
 
+@memo_fact("{kind}_witness")
 def _flag_witness(m: Matroid, kind: str) -> ClassificationResult:
     """The flag transversals (`_flag_transversals`) as a witness, kept per
     matroid: those of `m` for "union", the complements of the dual's for
     "intersection".  A one-per-block family, it is inclusion-minimal; the
     registry's search finds a largest one.  RuntimeError if the transversals
     are not a proper nonempty subfamily."""
-    def compute() -> ClassificationResult:
-        x = m if kind == "union" else m.dual()
-        kept = _flag_transversals(x)[1]
-        if not 0 < len(kept) < len(x.bases.sets):
-            raise RuntimeError(
-                f"{m} is not {kind} minimal, but the flag of flats finds no witness"
-            )
-        if kind == "intersection":
-            full = (1 << m.ground.size) - 1
-            kept = [full ^ b for b in kept]
-        witness = SubfamilyWitness(SetFamily.from_masks(m.ground, kept))
-        return ClassificationResult(False, witness)
-
-    return m._fact(f"{kind}_witness", compute)
+    x = m if kind == "union" else m.dual()
+    kept = _flag_transversals(x)[1]
+    if not 0 < len(kept) < len(x.bases.sets):
+        raise RuntimeError(
+            f"{m} is not {kind} minimal, but the flag of flats finds no witness"
+        )
+    if kind == "intersection":
+        full = (1 << m.ground.size) - 1
+        kept = [full ^ b for b in kept]
+    witness = SubfamilyWitness(SetFamily.from_masks(m.ground, kept))
+    return ClassificationResult(False, witness)
 
 
 def is_union_minimal(m: Matroid) -> ClassificationResult:
@@ -413,14 +424,12 @@ def is_intersection_minimal(m: Matroid) -> ClassificationResult:
     return _flag_witness(m, "intersection")
 
 
+@memo_fact("partition")
 def recover_partition(m: Matroid) -> Partition | None:
     """The forming family as a partition of the base support, when it is one.
 
     When present this is the unique partition of the support that every base
     meets exactly once per block.  Computed once per matroid, `None` included.
     """
-    def compute() -> Partition | None:
-        fam = forming_family(m)
-        return Partition(fam) if is_partition(fam, m.support()) else None
-
-    return m._fact("partition", compute)
+    fam = forming_family(m)
+    return Partition(fam) if is_partition(fam, m.support()) else None

@@ -18,7 +18,7 @@ flag of flats in `classify` reads too).
 from __future__ import annotations
 
 from .errors import NotABase, RankZero
-from .matroid import Matroid, _expansion_of
+from .matroid import Matroid, _expansion_of, memo_fact
 from .setalgebra import SetFamily, Subset, _single_bits
 
 
@@ -50,16 +50,14 @@ def expansion(m: Matroid, x: Subset) -> Subset:
     return Subset(m.ground, _expansion_of(m.bases.masks(), x.mask))
 
 
+@memo_fact("forming_family")
 def forming_family(m: Matroid) -> SetFamily:
     """The forming family: expansion sets of all secondary bases, deduplicated.
 
     Returned as a plain canonically ordered `SetFamily`; `recover_partition`
     turns it into a `Partition` when its blocks partition the base support.
     """
-    return m._fact(
-        "forming_family",
-        lambda: SetFamily.from_masks(m.ground, _expansions(m).values()),
-    )
+    return SetFamily.from_masks(m.ground, _expansions(m).values())
 
 
 def _blocks_wrt(exp: dict[int, int], b: Subset) -> list[int]:
@@ -71,14 +69,16 @@ def _forming_blocks(m: Matroid) -> zip[tuple[Subset, list[int]]]:
     """Each base B of `m`, in canonical order, with its forming block masks.
 
     One mask per e in B, by ascending index: the expansion of B - e, in one
-    memo fact built once per matroid (never mutate it).  No base is probed;
-    `forming_family_wrt` alone does that.
+    memo fact built once per matroid (`_block_lists`, never mutate it).  No
+    base is probed; `forming_family_wrt` alone does that.
     """
-    def build() -> list[list[int]]:
-        exp = _expansions(m)
-        return [_blocks_wrt(exp, b) for b in m.bases.sets]
+    return zip(m.bases.sets, _block_lists(m))
 
-    return zip(m.bases.sets, m._fact("forming_blocks", build))
+
+@memo_fact("forming_blocks")
+def _block_lists(m: Matroid) -> list[list[int]]:
+    exp = _expansions(m)
+    return [_blocks_wrt(exp, b) for b in m.bases.sets]
 
 
 def forming_family_wrt(m: Matroid, b: Subset) -> SetFamily:

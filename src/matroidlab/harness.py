@@ -39,6 +39,7 @@ from .matroid import (
     first_exchange_violation,
     make_partition_matroid,
     make_unique_partition_matroid,
+    memo_fact,
 )
 from .setalgebra import (
     GroundSet,
@@ -95,25 +96,20 @@ def _recovered(m: Matroid) -> Partition:
     return p
 
 
+@memo_fact("one_per_block_matroid")
 def _one_per_block_matroid(m: Matroid) -> Matroid:
     """The one-per-block matroid of the recovered partition, built once per
     matroid and kept in its memo, since six checks compare against it."""
-    return m._fact(
-        "one_per_block_matroid",
-        lambda: make_unique_partition_matroid(m.ground, _recovered(m)),
-    )
+    return make_unique_partition_matroid(m.ground, _recovered(m))
 
 
+@memo_fact("capped_matroid")
 def _capped_matroid(m: Matroid) -> Matroid:
     """The cap-1 partition matroid of the recovered partition, built once per
     matroid and kept in its memo, since `prop_302_304` and `prop_303` both
     read it."""
-
-    def build() -> Matroid:
-        p = _recovered(m)
-        return make_partition_matroid(m.ground, p, (1,) * len(p))
-
-    return m._fact("capped_matroid", build)
+    p = _recovered(m)
+    return make_partition_matroid(m.ground, p, (1,) * len(p))
 
 
 def _definitional_scan(
@@ -130,8 +126,13 @@ def _definitional_scan(
     ground, s = support.ground, support.mask
     flip = ground.full().mask if complement else 0
     quotas = [(k.mask & s, c) for k, c in zip(blocks, caps or repeat(1))]
-    rejected = [b for b in masks if (b ^ flip) & ~s
-                or any(((b ^ flip) & k).bit_count() != c for k, c in quotas)]
+    rejected, tests = [], [(~s, 0), *quotas]  # no bit outside the support
+    for b in masks:
+        x = b ^ flip
+        for k, c in tests:  # a loop, not any(): see `_described`
+            if (x & k).bit_count() != c:
+                rejected.append(b)
+                break
     union = _disjoint_union(k for k, _ in quotas)
     if not rejected and union is not None:
         count = prod(comb(k.bit_count(), c) for k, c in quotas)
@@ -362,6 +363,7 @@ def _check_thm_52(m: Matroid) -> str | None:
     return None
 
 
+@memo_fact("one_per_block_partitions")
 def _one_per_block_partitions(m: Matroid) -> list[list[int]]:
     """The support partitions every base meets once per block, as block-mask
     lists in `_partition_masks` order, walked once per matroid and kept in
@@ -371,12 +373,9 @@ def _one_per_block_partitions(m: Matroid) -> list[list[int]]:
     elements of one base, so the walk is bounded by both; each leaf is still
     confirmed, since an unvalidated family's members may differ in size.
     """
-    def walk() -> list[list[int]]:
-        base_masks = m.bases.masks()
-        leaves = _partition_masks(m.support().mask, base_masks, m.rank)
-        return [blocks for blocks in leaves if one_per_block(base_masks, blocks)]
-
-    return m._fact("one_per_block_partitions", walk)
+    base_masks = m.bases.masks()
+    leaves = _partition_masks(m.support().mask, base_masks, m.rank)
+    return [blocks for blocks in leaves if one_per_block(base_masks, blocks)]
 
 
 def _check_thm_33(m: Matroid) -> str | None:

@@ -30,28 +30,25 @@ members: expansion fails exactly when some mask meets some member in two
 elements, and exchange exactly when such a mask also reaches outside that
 member.  Only a false verdict is scanned for its canonical witness.
 
-Facts derived from the bases (the independent sets, the expansion map, the
-base support and base intersection, the forming family and every base's
-forming blocks, the two uniqueness verdicts, the witness of a false
-unique-expansion verdict, the recovered partition, the one-per-block support
-partitions, the minimality search results, the flag transversals and their
-witnesses, the dual) are computed at most once per matroid value and kept in
-its memo slot; since a matroid is immutable they can never go stale.  A fact
-read looks in the memo before it computes any prerequisite (the forming
-family's map, the partition's support, the search's boundary are read inside
-the computation), so a warm read is one `_fact` lookup that builds nothing,
-and a computation that raises stores nothing.  A matroid built by
-`from_bases` is a new value whose memo starts with the expansion map its
-exchange check built, at every rank, and nothing else; the dual is such a
-value too, kept in its matroid's memo, and its own memo does not point back.
-`Matroid._expansion_map` owns the map.
+Every fact derived from the bases (the expansion map, the forming family,
+the verdicts and their witnesses, the recovered partition, the dual, and
+the rest) is a plain `build(m)` under one decorator, `memo_fact`, and is
+built at most once per matroid value and kept in its memo; since a matroid
+is immutable it can never go stale.  A warm read is one dict lookup that
+calls nothing.  Only a miss runs the build, which reads every prerequisite
+itself, and stores what it returned, so a build that raises stores nothing.
+A matroid built by `from_bases` is a new value whose memo starts with the
+expansion map its exchange check built, at every rank, and nothing else;
+the dual is such a value too, kept in its matroid's memo, and its own memo
+does not point back.  `Matroid._expansion_map` owns the map.
 """
 
 from __future__ import annotations
 
 import json
+from functools import update_wrapper
 from itertools import combinations, groupby, permutations, product
-from typing import Callable, Iterable, Sequence, TypeVar
+from typing import Callable, Iterable, Sequence
 
 from .errors import (
     AugmentationFailure,
@@ -75,7 +72,35 @@ from .setalgebra import (
     transversals,
 )
 
-T = TypeVar("T")
+_UNBUILT = object()  # what a memo read gets for a fact not built yet
+
+
+def memo_fact(key: str) -> Callable[[Callable], Callable]:
+    """Keep what the decorated `build(m)` returns in the memo of the matroid
+    `m` under `key`; a key "{kind}..." decorates `build(m, kind)`, one fact
+    per kind.  A warm read is one dict lookup; a miss builds through `_miss`.
+    Kept values, `None` included, live as long as the matroid: never mutate
+    them."""
+    def decorate(build: Callable) -> Callable:
+        suffix = key.removeprefix("{kind}")
+        if suffix == key:
+            def read(m):
+                value = m._facts.get(key, _UNBUILT)
+                return _miss(m, key, build) if value is _UNBUILT else value
+        else:
+            def read(m, kind):
+                name = kind + suffix
+                value = m._facts.get(name, _UNBUILT)
+                return _miss(m, name, build, kind) if value is _UNBUILT else value
+        return update_wrapper(read, build)
+
+    return decorate
+
+
+def _miss(m: Matroid, name: str, build: Callable, *args):
+    """Build the fact `name` of `m` and keep it; a build that raises keeps nothing."""
+    m._facts[name] = value = build(m, *args)
+    return value
 
 
 def expansion_masks(base_masks: Iterable[int]) -> dict[int, int]:
@@ -214,25 +239,13 @@ class Matroid:
         self.ground = ground
         self.bases = bases
         self.rank = len(bases.sets[0])
-        self._facts = None
+        self._facts = {}
         return self
 
-    def _fact(self, name: str, compute: Callable[[], T]) -> T:
-        """The fact `name` of this matroid, computed by `compute` on first use.
-
-        Values are kept for the life of the matroid, so they must not be
-        mutated; `None` is kept like any other value.
-        """
-        facts = self._facts
-        if facts is None:
-            facts = self._facts = {}
-        if name not in facts:
-            facts[name] = compute()
-        return facts[name]
-
+    @memo_fact("expansions")
     def _expansion_map(self) -> dict[int, int]:
         """The memoized `expansion_masks` of the bases: read it, never mutate it."""
-        return self._fact("expansions", lambda: expansion_masks(self.bases.masks()))
+        return expansion_masks(self.bases.masks())
 
     @classmethod
     def from_bases(cls, ground: GroundSet, candidate: SetFamily) -> Matroid:
@@ -263,7 +276,7 @@ class Matroid:
                 Subset(ground, b1), Subset(ground, b2), ground.label(x)
             )
         m = cls._trusted(ground, candidate)
-        m._facts = {"expansions": exp}
+        m._facts["expansions"] = exp
         return m
 
     @classmethod
@@ -319,9 +332,10 @@ class Matroid:
                         raise AugmentationFailure(*map(ground.from_mask, (small, big)))
         return cls.from_bases(ground, SetFamily._from_canonical(ground, layers[-1]))
 
+    @memo_fact("independents")
     def independents(self) -> SetFamily:
         """The full independence family (downward closure of the bases), cached."""
-        return self._fact("independents", lambda: low(self.bases))
+        return low(self.bases)
 
     def rank_of(self, x: Subset) -> int:
         """Rank of `x`: the size of a largest independent subset of `x`.
@@ -333,14 +347,17 @@ class Matroid:
             raise ValueError("subset lives on a different ground set")
         return max((m & x.mask).bit_count() for m in self.bases.masks())
 
+    @memo_fact("support")
     def support(self) -> Subset:
         """Union of all bases, a memo fact: the bases are ORed once per matroid."""
-        return self._fact("support", self.bases.union)
+        return self.bases.union()
 
+    @memo_fact("base_intersection")
     def base_intersection(self) -> Subset:
         """Common intersection of all bases, a memo fact like `support`."""
-        return self._fact("base_intersection", self.bases.intersection)
+        return self.bases.intersection()
 
+    @memo_fact("dual")
     def dual(self) -> Matroid:
         """The matroid whose bases are the complements of this one's bases.
 
@@ -354,9 +371,7 @@ class Matroid:
         (reachable only through `_trusted`) the build raises its `AxiomError`
         and, like any fact, stores nothing.
         """
-        return self._fact(
-            "dual", lambda: Matroid.from_bases(self.ground, complements(self.bases))
-        )
+        return Matroid.from_bases(self.ground, complements(self.bases))
 
     def to_doc(self) -> dict:
         """Canonical JSON-ready document: ground set labels and base label lists."""

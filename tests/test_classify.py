@@ -24,6 +24,7 @@ from matroidlab import (
     union_minimal,
 )
 from matroidlab import classify as classify_module
+from matroidlab import matroid as matroid_module
 from matroidlab.classify import _flag_blocks, _minimality_search
 from matroidlab.errors import RankZero, SearchCapExceeded
 from matroidlab.setalgebra import one_per_block
@@ -492,10 +493,12 @@ class TestClassImplicationsOverPopulation:
     def test_a_false_verdict_without_witness_raises(self, monkeypatch, classify, bases):
         # U(2,3) is not union minimal and U(1,3) not intersection minimal; a
         # flag whose transversals are all the bases, or none, gives no
-        # witness, a fault raised without an assert
+        # witness, a fault raised without an assert; each base is looked up
+        # among the picks of the flag blocks, so every mask on 123 as a pick
+        # keeps them all
         for keeps in (True, False):
-            monkeypatch.setattr(classify_module, "one_per_block",
-                                lambda masks, blocks: keeps)
+            monkeypatch.setattr(classify_module, "_transversal_masks",
+                                lambda blocks: range(1 << 3) if keeps else ())
             with pytest.raises(RuntimeError, match="finds no witness"):
                 classify(mk("123", *bases))
 
@@ -545,15 +548,16 @@ class TestRankZeroExpansionMap:
     def test_map_is_built_at_most_once_and_matches_the_oracles(self, monkeypatch):
         from oracles import minimality_witness_oracle, unique_exchange_oracle
 
+        # a build is a miss of the memo decorator, whoever reads the map
         builds = []
-        real = Matroid._fact
+        real = matroid_module._miss
 
-        def counted(self, name, compute):
-            if name == "expansions" and name not in (self._facts or {}):
-                builds.append(self)
-            return real(self, name, compute)
+        def counted(m, name, build, *args):
+            if name == "expansions":
+                builds.append(m)
+            return real(m, name, build, *args)
 
-        monkeypatch.setattr(Matroid, "_fact", counted)
+        monkeypatch.setattr(matroid_module, "_miss", counted)
         families = self._rank_zero_families()
         for m in families:
             assert m.rank == 0

@@ -1024,17 +1024,17 @@ class TestFactsMemo:
         assert cold == warm == rebuilt
 
     def test_expansion_map_is_built_once_per_matroid(self, monkeypatch):
-        # a build is a request for the map's memo key that the memo does not
-        # hold yet, whoever asks for it
+        # a build is a miss of the memo decorator on the map's key, whoever
+        # reads it
         calls = []
-        real = Matroid._fact
+        real = matroid_module._miss
 
-        def counted(self, name, compute):
-            if name == "expansions" and name not in (self._facts or {}):
+        def counted(m, name, build, *args):
+            if name == "expansions":
                 calls.append(1)
-            return real(self, name, compute)
+            return real(m, name, build, *args)
 
-        monkeypatch.setattr(Matroid, "_fact", counted)
+        monkeypatch.setattr(matroid_module, "_miss", counted)
         pop = [m for m in enumerate_matroids(4) if m.rank > 0]
         # thm_321 takes the forming family of a matroid it builds itself
         registry = [c for c in theorem_registry() if c.check_id != "thm_321"]
@@ -1150,29 +1150,28 @@ class TestFactsMemo:
 
     def test_a_warm_read_is_one_memo_lookup(self, monkeypatch):
         # each read looks in the memo before it computes any prerequisite,
-        # and the base support and intersection are facts: a warm read asks
-        # the memo once and builds no family
-        reads = (
-            recover_partition,
-            forming_family,
-            Matroid.support,
-            Matroid.base_intersection,
-            lambda m: classify_module._minimality_search(m, "union"),
-            harness._one_per_block_partitions,
-        )
+        # and the base support and intersection are facts: a warm read
+        # misses nothing, builds no family and returns the kept object
+        reads = {
+            "partition": recover_partition,
+            "forming_family": forming_family,
+            "support": Matroid.support,
+            "base_intersection": Matroid.base_intersection,
+            "union_minimal": lambda m: classify_module._minimality_search(m, "union"),
+            "one_per_block_partitions": harness._one_per_block_partitions,
+        }
         pop = [m for m in population(4) if m.rank > 0]
         for m in pop:
             verify([m])
-            for read in reads:
+            for read in reads.values():
                 read(m)  # warms what verify does not read, such as the base intersection
-        lookups, families = [], []
-        real_fact = Matroid._fact
+        misses, families = [], []
 
-        def fact(self, name, compute):
-            lookups.append(name)
-            return real_fact(self, name, compute)
+        def miss(m, name, build, *args):
+            misses.append(name)
+            return build(m, *args)
 
-        monkeypatch.setattr(Matroid, "_fact", fact)
+        monkeypatch.setattr(matroid_module, "_miss", miss)
         for name in ("union", "intersection"):
             real = getattr(SetFamily, name)
             monkeypatch.setattr(
@@ -1180,12 +1179,25 @@ class TestFactsMemo:
                 lambda self, _real=real, _name=name: families.append(_name) or _real(self),
             )
         for m in pop:
-            for read in reads:
+            for key, read in reads.items():
                 before = dict(m._facts)
                 value = read(m)
-                assert len(lookups) == 1 and families == [], (m, read, lookups, families)
-                assert m._facts == before and value is before[lookups[0]]
-                lookups.clear()
+                assert misses == [] and families == [], (m, key, misses, families)
+                assert m._facts == before and value is before[key]
+
+    def test_a_build_that_raises_stores_no_key(self):
+        # U(2,4)'s forming family is no partition, so its one-per-block
+        # matroid raises on every read and the memo keeps only what the
+        # build read before it raised
+        m = Matroid.from_doc({
+            "ground_set": list("1234"),
+            "bases": [list(pair) for pair in combinations("1234", 2)],
+        })
+        for _ in range(2):
+            with pytest.raises(harness._MissingFact):
+                harness._one_per_block_matroid(m)
+            assert "one_per_block_matroid" not in m._facts
+            assert m._facts["partition"] is None
 
     def test_dual_never_shares_cached_facts(self):
         for i, m in enumerate(population(4)):

@@ -279,8 +279,35 @@ def _names(name: str):
 
 
 def test_only_classify_reads_the_flag_of_flats():
-    # the classifiers' witnesses and `thm_334` read one memo fact, built in
-    # the `compute` of `classify._flag_transversals`; a second reader of the
-    # flag blocks is a second copy of the flag reduction and must change this
-    # list
-    assert _library_sites(_names("_flag_blocks")) == ["classify.py:compute"]
+    # the classifiers' witnesses and `thm_334` read one memo fact, built by
+    # `classify._flag_transversals`; a second reader of the flag blocks is a
+    # second copy of the flag reduction and must change this list
+    assert _library_sites(_names("_flag_blocks")) == ["classify.py:_flag_transversals"]
+
+
+def _writes_memo(node: ast.AST) -> bool:
+    """Does a node assign to `<x>._facts` or into `<x>._facts[...]`, or call
+    a method of `<x>._facts` other than `get`?"""
+    if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+        owner = node.func.value
+        return _named(owner) == "_facts" and node.func.attr != "get"
+    if not isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
+        return False
+    targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+    for target in targets:
+        if isinstance(target, ast.Subscript):
+            target = target.value
+        if isinstance(target, ast.Attribute) and target.attr == "_facts":
+            return True
+    return False
+
+
+def test_the_memo_decorator_is_the_one_memo():
+    # every fact is a `build(m)` under `matroid.memo_fact`, whose misses
+    # alone store into a matroid's memo; besides them only the constructors
+    # set the slot (`from_bases` seeds it with the expansion map its
+    # validation built), and no `_fact` method is left to call
+    assert sorted(set(_library_sites(_writes_memo))) == [
+        "matroid.py:_miss", "matroid.py:_trusted", "matroid.py:from_bases",
+    ]
+    assert _library_sites(_names("_fact")) == []
