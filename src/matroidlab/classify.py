@@ -21,7 +21,6 @@ fixed cap of 20 bases (`DEFAULT_SEARCH_CAP`).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import prod
 from typing import Sequence
 
 from .errors import RankZero, SearchCapExceeded
@@ -32,7 +31,6 @@ from .setalgebra import (
     SetFamily,
     Subset,
     _single_bits,
-    _transversal_masks,
     is_partition,
     mask_order_key,
     one_per_block,
@@ -343,17 +341,9 @@ def _flag_transversals(m: Matroid) -> tuple[list[int], list[int]]:
     """The blocks of `_flag_blocks(m)` and the masks of the bases that are
     transversals of them, in canonical order, kept per matroid: the reduction
     of `union_minimal`'s proof, which `thm_334` validates and `_flag_witness`
-    returns.  Read it, never mutate it.
-
-    The blocks are disjoint, so a base meets each once exactly when its part
-    inside them is a pick of their product.  On a matroid every pick is a
-    base; past the member count, each member is tested block by block."""
+    returns.  Read it, never mutate it."""
     blocks = _flag_blocks(m)
-    sets = m.bases.sets
-    if prod(k.bit_count() for k in blocks) > len(sets):
-        return blocks, [b.mask for b in sets if one_per_block((b.mask,), blocks)]
-    picks, union = set(_transversal_masks(blocks)), sum(blocks)
-    return blocks, [b.mask for b in sets if b.mask & union in picks]
+    return blocks, [b.mask for b in m.bases.sets if one_per_block((b.mask,), blocks)]
 
 
 def intersection_minimal(m: Matroid) -> bool:

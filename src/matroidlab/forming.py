@@ -6,9 +6,8 @@ yields every secondary base B - e with its expansion set
 (`matroid.expansion_masks`, the map that also validates bases), with no rank
 computation.  The map is the matroid's own (`Matroid._expansion_map`): both
 unique classifiers and the intersection-minimality verdict read it, and the
-forming family and every base's blocks
-(`_forming_blocks`, which the base-relative checks and `matroidlab forming`
-read) are built once per matroid and memoized beside it.
+forming family and every base's blocks (`_forming_blocks`, which the
+base-relative checks and `matroidlab forming` read) are memo facts beside it.
 
 `expansion` is the general operator for any subset X: the complement of the
 closure of X, in one pass over the bases (`matroid._expansion_of`, which the
@@ -65,20 +64,16 @@ def _blocks_wrt(exp: dict[int, int], b: Subset) -> list[int]:
     return [exp[mask ^ bit] for bit in _single_bits(mask)]
 
 
-def _forming_blocks(m: Matroid) -> zip[tuple[Subset, list[int]]]:
+@memo_fact("forming_blocks")
+def _forming_blocks(m: Matroid) -> list[tuple[Subset, list[int]]]:
     """Each base B of `m`, in canonical order, with its forming block masks.
 
-    One mask per e in B, by ascending index: the expansion of B - e, in one
-    memo fact built once per matroid (`_block_lists`, never mutate it).  No
-    base is probed; `forming_family_wrt` alone does that.
+    One mask per e in B, by ascending index: the expansion of B - e, kept per
+    matroid (never mutate it).  No base is probed; `forming_family_wrt` alone
+    does that.
     """
-    return zip(m.bases.sets, _block_lists(m))
-
-
-@memo_fact("forming_blocks")
-def _block_lists(m: Matroid) -> list[list[int]]:
     exp = _expansions(m)
-    return [_blocks_wrt(exp, b) for b in m.bases.sets]
+    return [(b, _blocks_wrt(exp, b)) for b in m.bases.sets]
 
 
 def forming_family_wrt(m: Matroid, b: Subset) -> SetFamily:

@@ -98,16 +98,14 @@ def _recovered(m: Matroid) -> Partition:
 
 @memo_fact("one_per_block_matroid")
 def _one_per_block_matroid(m: Matroid) -> Matroid:
-    """The one-per-block matroid of the recovered partition, built once per
-    matroid and kept in its memo, since six checks compare against it."""
+    """The recovered partition's one-per-block matroid: six checks compare against it."""
     return make_unique_partition_matroid(m.ground, _recovered(m))
 
 
 @memo_fact("capped_matroid")
 def _capped_matroid(m: Matroid) -> Matroid:
-    """The cap-1 partition matroid of the recovered partition, built once per
-    matroid and kept in its memo, since `prop_302_304` and `prop_303` both
-    read it."""
+    """The cap-1 partition matroid of the recovered partition, which
+    `prop_302_304` and `prop_303` both read."""
     p = _recovered(m)
     return make_partition_matroid(m.ground, p, (1,) * len(p))
 
@@ -366,8 +364,7 @@ def _check_thm_52(m: Matroid) -> str | None:
 @memo_fact("one_per_block_partitions")
 def _one_per_block_partitions(m: Matroid) -> list[list[int]]:
     """The support partitions every base meets once per block, as block-mask
-    lists in `_partition_masks` order, walked once per matroid and kept in
-    its memo, since `thm_33` and `prop_103` both read them: never mutate them.
+    lists in `_partition_masks` order, which `thm_33` and `prop_103` both read.
 
     Such a partition has one block per base element and no block holding two
     elements of one base, so the walk is bounded by both; each leaf is still

@@ -31,16 +31,13 @@ elements, and exchange exactly when such a mask also reaches outside that
 member.  Only a false verdict is scanned for its canonical witness.
 
 Every fact derived from the bases (the expansion map, the forming family,
-the verdicts and their witnesses, the recovered partition, the dual, and
-the rest) is a plain `build(m)` under one decorator, `memo_fact`, and is
-built at most once per matroid value and kept in its memo; since a matroid
-is immutable it can never go stale.  A warm read is one dict lookup that
-calls nothing.  Only a miss runs the build, which reads every prerequisite
-itself, and stores what it returned, so a build that raises stores nothing.
-A matroid built by `from_bases` is a new value whose memo starts with the
-expansion map its exchange check built, at every rank, and nothing else;
-the dual is such a value too, kept in its matroid's memo, and its own memo
-does not point back.  `Matroid._expansion_map` owns the map.
+the verdicts and their witnesses, the dual, and the rest) is a plain
+`build(m)` under one decorator, `memo_fact`, built at most once per matroid
+value and kept in its memo, where it never goes stale.  A warm read is one
+dict lookup; only a miss runs the build, which reads its own prerequisites,
+and stores what it returned, so a build that raises stores nothing.  The
+memo of a `from_bases` matroid, the dual included, starts with the expansion
+map its exchange check built and nothing else, so no dual points back.
 """
 
 from __future__ import annotations
@@ -76,11 +73,9 @@ _UNBUILT = object()  # what a memo read gets for a fact not built yet
 
 
 def memo_fact(key: str) -> Callable[[Callable], Callable]:
-    """Keep what the decorated `build(m)` returns in the memo of the matroid
-    `m` under `key`; a key "{kind}..." decorates `build(m, kind)`, one fact
-    per kind.  A warm read is one dict lookup; a miss builds through `_miss`.
-    Kept values, `None` included, live as long as the matroid: never mutate
-    them."""
+    """Keep what `build(m)` returns in the memo of `m` under `key`, `None`
+    included (never mutate it); a key "{kind}..." keeps one `build(m, kind)`
+    per kind.  A warm read is one dict lookup; a miss goes through `_miss`."""
     def decorate(build: Callable) -> Callable:
         suffix = key.removeprefix("{kind}")
         if suffix == key:

@@ -493,12 +493,10 @@ class TestClassImplicationsOverPopulation:
     def test_a_false_verdict_without_witness_raises(self, monkeypatch, classify, bases):
         # U(2,3) is not union minimal and U(1,3) not intersection minimal; a
         # flag whose transversals are all the bases, or none, gives no
-        # witness, a fault raised without an assert; each base is looked up
-        # among the picks of the flag blocks, so every mask on 123 as a pick
-        # keeps them all
+        # witness, a fault raised without an assert
         for keeps in (True, False):
-            monkeypatch.setattr(classify_module, "_transversal_masks",
-                                lambda blocks: range(1 << 3) if keeps else ())
+            monkeypatch.setattr(classify_module, "one_per_block",
+                                lambda masks, blocks: keeps)
             with pytest.raises(RuntimeError, match="finds no witness"):
                 classify(mk("123", *bases))
 

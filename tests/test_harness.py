@@ -1090,7 +1090,7 @@ class TestFactsMemo:
             kept = m._facts["one_per_block_partitions"]
             assert kept == harness._one_per_block_partitions(fresh)
             if m.rank > 0:
-                built = [blocks for _, blocks in forming_module._forming_blocks(fresh)]
+                built = forming_module._forming_blocks(fresh)
                 assert m._facts["forming_blocks"] == built
             else:
                 assert "forming_blocks" not in m._facts
@@ -1150,8 +1150,9 @@ class TestFactsMemo:
 
     def test_a_warm_read_is_one_memo_lookup(self, monkeypatch):
         # each read looks in the memo before it computes any prerequisite,
-        # and the base support and intersection are facts: a warm read
-        # misses nothing, builds no family and returns the kept object
+        # and the base support and intersection are facts: a warm read asks
+        # the memo once, under its own key, misses nothing, builds no family
+        # and returns the kept object
         reads = {
             "partition": recover_partition,
             "forming_family": forming_family,
@@ -1165,12 +1166,19 @@ class TestFactsMemo:
             verify([m])
             for read in reads.values():
                 read(m)  # warms what verify does not read, such as the base intersection
-        misses, families = [], []
+        lookups, misses, families = [], [], []
+
+        class CountedMemo(dict):
+            def get(self, key, default=None):
+                lookups.append(key)
+                return super().get(key, default)
 
         def miss(m, name, build, *args):
             misses.append(name)
             return build(m, *args)
 
+        for m in pop:
+            monkeypatch.setattr(m, "_facts", CountedMemo(m._facts))
         monkeypatch.setattr(matroid_module, "_miss", miss)
         for name in ("union", "intersection"):
             real = getattr(SetFamily, name)
@@ -1182,8 +1190,10 @@ class TestFactsMemo:
             for key, read in reads.items():
                 before = dict(m._facts)
                 value = read(m)
+                assert lookups == [key], (m, key, lookups)
                 assert misses == [] and families == [], (m, key, misses, families)
                 assert m._facts == before and value is before[key]
+                lookups.clear()
 
     def test_a_build_that_raises_stores_no_key(self):
         # U(2,4)'s forming family is no partition, so its one-per-block
