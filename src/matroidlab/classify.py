@@ -420,6 +420,8 @@ def recover_partition(m: Matroid) -> Partition | None:
 
     When present this is the unique partition of the support that every base
     meets exactly once per block.  Computed once per matroid, `None` included.
+    At rank zero there is no forming family: every call raises `RankZero`
+    with the forming family's message, and nothing is stored.
     """
     fam = forming_family(m)
     return Partition(fam) if is_partition(fam, m.support()) else None

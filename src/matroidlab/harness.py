@@ -1,10 +1,13 @@
 """Registry-driven verification of the theorem catalog over matroid populations.
 
-The registry holds one check per cataloged statement.  A check declares the
-matroids it applies to (statements with hypotheses skip the rest rather than
-vacuously passing them) and a checker that returns None on success or a
-human-readable failure detail.  `verify` runs a registry over a population and
-produces a deterministic report; failures are report content, never errors.
+The registry holds one check per cataloged statement.  A check is one
+checker function, which returns None on success or a human-readable failure
+detail, under the `_theorem` decorator, which names its id, its statement and
+the matroids it applies to (statements with hypotheses skip the rest rather
+than vacuously passing them).  The checkers register in definition order, so
+a check's place in this file is its place in the report.  `verify` runs a
+registry over a population and produces a deterministic report; failures are
+report content, never errors.
 
 The worked examples bundled here are small matroids with machine-checkable
 expected facts, including the negative ones (non-membership in a class, with
@@ -83,6 +86,25 @@ def _rank_positive(m: Matroid) -> bool:
 
 def _expansion_unique(m: Matroid) -> bool:
     return m.rank > 0 and _verdicts(m)[0]
+
+
+# the checks in definition order, which is catalog and report order; a list
+# while the checkers below register, then frozen after the last of them
+_REGISTRY: list[TheoremCheck] = []
+
+
+def _theorem(
+    check_id: str, statement: str, applies: Callable[[Matroid], bool] = _always
+) -> Callable[[Callable[[Matroid], str | None]], Callable[[Matroid], str | None]]:
+    """Register the decorated checker as the check `check_id`, after every
+    check registered above it, and return it unchanged.  The statement is an
+    argument, not a docstring, since `python -OO` strips docstrings and the
+    statement is report output."""
+    def register(run: Callable[[Matroid], str | None]) -> Callable[[Matroid], str | None]:
+        _REGISTRY.append(TheoremCheck(check_id, statement, applies, run))
+        return run
+
+    return register
 
 
 class _MissingFact(Exception):
@@ -165,6 +187,7 @@ def _described(support: int, quotas: list[tuple[int, int]], chosen: int) -> Iter
                 yield x
 
 
+@_theorem("prop_100", "any two bases have the same size")
 def _check_prop_100(m: Matroid) -> str | None:
     sizes = {len(b) for b in m.bases}
     if len(sizes) > 1:
@@ -172,6 +195,7 @@ def _check_prop_100(m: Matroid) -> str | None:
     return None
 
 
+@_theorem("thm_123", "for bases B1, B2 and x in B1-B2 some y in B2-B1 makes (B2-{y})+{x} a base")
 def _check_thm_123(m: Matroid) -> str | None:
     # (B2-{y})+{x} is a base exactly when (C2-{x})+{y} is a complement of one,
     # for Ci the complement of Bi: base exchange on the complement family,
@@ -185,6 +209,7 @@ def _check_thm_123(m: Matroid) -> str | None:
     return None
 
 
+@_theorem("prop_341", "the forming family relative to any base has exactly rank-many blocks", _rank_positive)
 def _check_prop_341(m: Matroid) -> str | None:
     for b, blocks in _forming_blocks(m):
         count = len(set(blocks))
@@ -194,6 +219,7 @@ def _check_prop_341(m: Matroid) -> str | None:
 
 
 # cannot fail: the first base alone gives r distinct blocks, exp[B - e] per e
+@_theorem("cor_423", "the forming family has at least rank-many blocks", _rank_positive)
 def _check_cor_423(m: Matroid) -> str | None:
     fam = forming_family(m)
     if len(fam) < m.rank:
@@ -202,6 +228,7 @@ def _check_cor_423(m: Matroid) -> str | None:
 
 
 # cannot fail: each e of a base B lies in exp[B - e], and blocks hold only such e
+@_theorem("prop_46", "the union of the forming family equals the union of the bases", _rank_positive)
 def _check_prop_46(m: Matroid) -> str | None:
     u = forming_family(m).union()
     if u != m.support():
@@ -209,6 +236,8 @@ def _check_prop_46(m: Matroid) -> str | None:
     return None
 
 
+@_theorem("prop_124", "the union of every base-relative forming family equals the union of the bases",
+          _rank_positive)
 def _check_prop_124(m: Matroid) -> str | None:
     support = m.support()
     for b, blocks in _forming_blocks(m):
@@ -225,6 +254,8 @@ def _check_prop_124(m: Matroid) -> str | None:
 # Every element of B lies in exactly one block exactly when the traces k & B
 # of the blocks are pairwise disjoint and cover B, one mask pass per base;
 # only a failing base is counted element by element, to name the element
+@_theorem("lemma_e", "each element of a base lies in exactly one block of that base's forming family",
+          _rank_positive)
 def _check_lemma_e(m: Matroid) -> str | None:
     for b, blocks in _forming_blocks(m):
         bm = b.mask
@@ -246,6 +277,8 @@ def _check_lemma_e(m: Matroid) -> str | None:
     return None
 
 
+@_theorem("lemma_66", "at rank one every base-relative forming family is the single block of all base"
+          " elements", lambda m: m.rank == 1)
 def _check_lemma_66(m: Matroid) -> str | None:
     support = m.support()
     for b, blocks in _forming_blocks(m):
@@ -256,6 +289,8 @@ def _check_lemma_66(m: Matroid) -> str | None:
     return None
 
 
+@_theorem("thm_50", "unique expansion holds exactly when the forming family partitions the base support",
+          _rank_positive)
 def _check_thm_50(m: Matroid) -> str | None:
     ue = _verdicts(m)[0]
     part = recover_partition(m) is not None
@@ -264,6 +299,8 @@ def _check_thm_50(m: Matroid) -> str | None:
     return None
 
 
+@_theorem("prop_h", "in a unique expansion matroid every base meets every forming block exactly once",
+          _expansion_unique)
 def _check_prop_h(m: Matroid) -> str | None:
     fam = forming_family(m)
     if not one_per_block(m.bases.masks(), fam.masks()):
@@ -271,6 +308,8 @@ def _check_prop_h(m: Matroid) -> str | None:
     return None
 
 
+@_theorem("thm_126", "unique expansion holds exactly when the forming family has rank-many blocks",
+          _rank_positive)
 def _check_thm_126(m: Matroid) -> str | None:
     ue = _verdicts(m)[0]
     count = len(forming_family(m))
@@ -279,6 +318,8 @@ def _check_thm_126(m: Matroid) -> str | None:
     return None
 
 
+@_theorem("prop_51_j", "in a unique expansion matroid the bases are exactly the support subsets meeting every"
+          " forming block once", _expansion_unique)
 def _check_prop_51_j(m: Matroid) -> str | None:
     hit = _definitional_scan(m.bases.masks(), m.support(), forming_family(m))
     if hit:
@@ -287,6 +328,8 @@ def _check_prop_51_j(m: Matroid) -> str | None:
     return None
 
 
+@_theorem("prop_125", "the base family of a unique expansion matroid is the transversal product of its"
+          " forming family", _expansion_unique)
 def _check_prop_125(m: Matroid) -> str | None:
     product = transversals(_recovered(m))
     if m.bases != product:
@@ -294,12 +337,16 @@ def _check_prop_125(m: Matroid) -> str | None:
     return None
 
 
+@_theorem("prop_302_304", "capped-block and one-per-block constructions validate and agree",
+          _expansion_unique)
 def _check_prop_302_304(m: Matroid) -> str | None:
     if _one_per_block_matroid(m).bases != _capped_matroid(m).bases:
         return "one-per-block and cap-1 constructions disagree"
     return None
 
 
+@_theorem("prop_303", "bases of a capped-block matroid are exactly the partition subsets hitting each block"
+          " at its cap", _expansion_unique)
 def _check_prop_303(m: Matroid) -> str | None:
     # the cap-1 matroid is shared with prop_302_304; a partition of single
     # elements has the same caps at full size, and is scanned once
@@ -312,6 +359,8 @@ def _check_prop_303(m: Matroid) -> str | None:
     return None
 
 
+@_theorem("prop_305_306", "bases of a one-per-block matroid are exactly the transversals of the partition",
+          _expansion_unique)
 def _check_prop_305_306(m: Matroid) -> str | None:
     p = _recovered(m)
     hit = _definitional_scan(_one_per_block_matroid(m).bases.masks(), p.support(), p)
@@ -321,6 +370,8 @@ def _check_prop_305_306(m: Matroid) -> str | None:
     return None
 
 
+@_theorem("prop_339", "dual bases of a one-per-block matroid contain the off-partition rest and miss one"
+          " element per block", _expansion_unique)
 def _check_prop_339(m: Matroid) -> str | None:
     # X holds the off-partition rest and misses one element per block exactly
     # when its complement is a transversal of the partition
@@ -334,6 +385,8 @@ def _check_prop_339(m: Matroid) -> str | None:
     return None
 
 
+@_theorem("cor_336", "the base support of a one-per-block matroid is the partition support",
+          _expansion_unique)
 def _check_cor_336(m: Matroid) -> str | None:
     p = _recovered(m)
     upm = _one_per_block_matroid(m)
@@ -342,6 +395,8 @@ def _check_cor_336(m: Matroid) -> str | None:
     return None
 
 
+@_theorem("thm_321", "the forming family of a one-per-block matroid is its defining partition",
+          _expansion_unique)
 def _check_thm_321(m: Matroid) -> str | None:
     p = _recovered(m)
     back = forming_family(_one_per_block_matroid(m))
@@ -350,6 +405,8 @@ def _check_thm_321(m: Matroid) -> str | None:
     return None
 
 
+@_theorem("thm_52", "unique expansion matroids are exactly the one-per-block partition matroids",
+          _rank_positive)
 def _check_thm_52(m: Matroid) -> str | None:
     ue = _verdicts(m)[0]
     upm_equal = (
@@ -375,6 +432,8 @@ def _one_per_block_partitions(m: Matroid) -> list[list[int]]:
     return [blocks for blocks in leaves if one_per_block(base_masks, blocks)]
 
 
+@_theorem("thm_33", "bases meet every block of a support partition once exactly when they are its transversal"
+          " product")
 def _check_thm_33(m: Matroid) -> str | None:
     base_masks = m.bases.masks()
     # every product pick meets each disjoint block once, so a partition the
@@ -392,16 +451,18 @@ def _applies_cor_109(m: Matroid) -> bool:
     return m.rank == 0 or recover_partition(m) is not None
 
 
+@_theorem("cor_109", "when bases meet every block once, the base count is the product of the block sizes",
+          _applies_cor_109)
 def _check_cor_109(m: Matroid) -> str | None:
-    if m.rank == 0:
-        p = Partition(SetFamily(m.ground, ()))
-    else:
-        p = _recovered(m)
-    if len(m.bases) != combination_number(p):
-        return f"|bases| = {len(m.bases)} != block size product {combination_number(p)}"
+    # at rank zero the one base, the empty set, is the empty product of block sizes
+    product = 1 if m.rank == 0 else combination_number(_recovered(m))
+    if len(m.bases) != product:
+        return f"|bases| = {len(m.bases)} != block size product {product}"
     return None
 
 
+@_theorem("prop_103", "at most one support partition has every base meeting every block exactly once",
+          _rank_positive)
 def _check_prop_103(m: Matroid) -> str | None:
     hits = _one_per_block_partitions(m)
     recovered = recover_partition(m)
@@ -427,6 +488,7 @@ def _check_prop_103(m: Matroid) -> str | None:
 # Only when the transversals are all of B(M) (unique expansion, or rank
 # zero) do the two exhaustive searches run.  `thm_552` and the worked
 # examples always search.
+@_theorem("thm_334", "union minimality coincides with intersection minimality of the dual")
 def _check_thm_334(m: Matroid) -> str | None:
     dual = m.dual()
     blocks, kept = _flag_transversals(m)
@@ -472,6 +534,7 @@ def _check_thm_334(m: Matroid) -> str | None:
     return None
 
 
+@_theorem("thm_552", "unique expansion implies union minimality", _expansion_unique)
 def _check_thm_552(m: Matroid) -> str | None:
     res = _minimality_search(m, "union")
     if not res.verdict:
@@ -480,6 +543,7 @@ def _check_thm_552(m: Matroid) -> str | None:
 
 
 # cannot fail: unique expansion already bounds every exp[B1 - x] & B2 by one bit
+@_theorem("prop_118", "unique expansion implies unique exchange", _expansion_unique)
 def _check_prop_118(m: Matroid) -> str | None:
     res = is_unique_exchange(m)
     if not res.verdict:
@@ -487,6 +551,7 @@ def _check_prop_118(m: Matroid) -> str | None:
     return None
 
 
+@_theorem("thm_120", "the dual of a unique expansion matroid is a unique exchange matroid", _expansion_unique)
 def _check_thm_120(m: Matroid) -> str | None:
     res = is_unique_exchange(m.dual())
     if not res.verdict:
@@ -494,6 +559,7 @@ def _check_thm_120(m: Matroid) -> str | None:
     return None
 
 
+@_theorem("dual_involution", "dualizing twice returns the original and dual ranks sum to the ground size")
 def _check_dual_involution(m: Matroid) -> str | None:
     # the complements of the dual's bases are the double dual's bases, by
     # definition; comparing masks builds no second matroid
@@ -506,150 +572,18 @@ def _check_dual_involution(m: Matroid) -> str | None:
     return None
 
 
-# built once per process: the checks are frozen, so every call can share them
-_REGISTRY: tuple[TheoremCheck, ...] = (
-    TheoremCheck(
-        "prop_100", "any two bases have the same size",
-        _always, _check_prop_100,
-    ),
-    TheoremCheck(
-        "thm_123",
-        "for bases B1, B2 and x in B1-B2 some y in B2-B1 makes (B2-{y})+{x} a base",
-        _always, _check_thm_123,
-    ),
-    TheoremCheck(
-        "prop_341",
-        "the forming family relative to any base has exactly rank-many blocks",
-        _rank_positive, _check_prop_341,
-    ),
-    TheoremCheck(
-        "cor_423", "the forming family has at least rank-many blocks",
-        _rank_positive, _check_cor_423,
-    ),
-    TheoremCheck(
-        "prop_46",
-        "the union of the forming family equals the union of the bases",
-        _rank_positive, _check_prop_46,
-    ),
-    TheoremCheck(
-        "prop_124",
-        "the union of every base-relative forming family equals the union of the bases",
-        _rank_positive, _check_prop_124,
-    ),
-    TheoremCheck(
-        "lemma_e",
-        "each element of a base lies in exactly one block of that base's forming family",
-        _rank_positive, _check_lemma_e,
-    ),
-    TheoremCheck(
-        "lemma_66",
-        "at rank one every base-relative forming family is the single block of all base elements",
-        lambda m: m.rank == 1, _check_lemma_66,
-    ),
-    TheoremCheck(
-        "thm_50",
-        "unique expansion holds exactly when the forming family partitions the base support",
-        _rank_positive, _check_thm_50,
-    ),
-    TheoremCheck(
-        "prop_h",
-        "in a unique expansion matroid every base meets every forming block exactly once",
-        _expansion_unique, _check_prop_h,
-    ),
-    TheoremCheck(
-        "thm_126",
-        "unique expansion holds exactly when the forming family has rank-many blocks",
-        _rank_positive, _check_thm_126,
-    ),
-    TheoremCheck(
-        "prop_51_j",
-        "in a unique expansion matroid the bases are exactly the support subsets meeting every forming block once",
-        _expansion_unique, _check_prop_51_j,
-    ),
-    TheoremCheck(
-        "prop_125",
-        "the base family of a unique expansion matroid is the transversal product of its forming family",
-        _expansion_unique, _check_prop_125,
-    ),
-    TheoremCheck(
-        "prop_302_304",
-        "capped-block and one-per-block constructions validate and agree",
-        _expansion_unique, _check_prop_302_304,
-    ),
-    TheoremCheck(
-        "prop_303",
-        "bases of a capped-block matroid are exactly the partition subsets hitting each block at its cap",
-        _expansion_unique, _check_prop_303,
-    ),
-    TheoremCheck(
-        "prop_305_306",
-        "bases of a one-per-block matroid are exactly the transversals of the partition",
-        _expansion_unique, _check_prop_305_306,
-    ),
-    TheoremCheck(
-        "prop_339",
-        "dual bases of a one-per-block matroid contain the off-partition rest and miss one element per block",
-        _expansion_unique, _check_prop_339,
-    ),
-    TheoremCheck(
-        "cor_336",
-        "the base support of a one-per-block matroid is the partition support",
-        _expansion_unique, _check_cor_336,
-    ),
-    TheoremCheck(
-        "thm_321",
-        "the forming family of a one-per-block matroid is its defining partition",
-        _expansion_unique, _check_thm_321,
-    ),
-    TheoremCheck(
-        "thm_52",
-        "unique expansion matroids are exactly the one-per-block partition matroids",
-        _rank_positive, _check_thm_52,
-    ),
-    TheoremCheck(
-        "thm_33",
-        "bases meet every block of a support partition once exactly when they are its transversal product",
-        _always, _check_thm_33,
-    ),
-    TheoremCheck(
-        "cor_109",
-        "when bases meet every block once, the base count is the product of the block sizes",
-        _applies_cor_109, _check_cor_109,
-    ),
-    TheoremCheck(
-        "prop_103",
-        "at most one support partition has every base meeting every block exactly once",
-        _rank_positive, _check_prop_103,
-    ),
-    TheoremCheck(
-        "thm_334",
-        "union minimality coincides with intersection minimality of the dual",
-        _always, _check_thm_334,
-    ),
-    TheoremCheck(
-        "thm_552", "unique expansion implies union minimality",
-        _expansion_unique, _check_thm_552,
-    ),
-    TheoremCheck(
-        "prop_118", "unique expansion implies unique exchange",
-        _expansion_unique, _check_prop_118,
-    ),
-    TheoremCheck(
-        "thm_120",
-        "the dual of a unique expansion matroid is a unique exchange matroid",
-        _expansion_unique, _check_thm_120,
-    ),
-    TheoremCheck(
-        "dual_involution",
-        "dualizing twice returns the original and dual ranks sum to the ground size",
-        _always, _check_dual_involution,
-    ),
-)
+# frozen after the last checker, once per process: the checks are frozen
+# too, so every call can share them
+_REGISTRY = tuple(_REGISTRY)
 
 
 def theorem_registry() -> list[TheoremCheck]:
     """The fixed 28-check registry, in catalog order, as a new list on
-    every call, so a caller may change it without touching the registry."""
+    every call, so a caller may change it without touching the registry.
+
+    Each check is one checker function under `_theorem`, which gives its id,
+    statement and hypothesis; its place in `harness.py` is its place here
+    and in every report."""
     return list(_REGISTRY)
 
 

@@ -284,7 +284,7 @@ class TestRecoverPartition:
         for _ in range(2):
             with pytest.raises(RankZero, match="^secondary bases are undefined at rank zero$"):
                 recover_partition(m)
-        assert not {"forming_family", "partition"} & set(m._facts or {})
+        assert not {"forming_family", "partition"} & set(m._facts)
 
     def test_agrees_with_forming_family_partition_test(self):
         for m in _rank_positive(4):

@@ -311,3 +311,80 @@ def test_the_memo_decorator_is_the_one_memo():
         "matroid.py:_miss", "matroid.py:_trusted", "matroid.py:from_bases",
     ]
     assert _library_sites(_names("_fact")) == []
+
+
+HARNESS = PACKAGE / "harness.py"
+
+
+def _is_call_of(node: ast.AST, name: str) -> bool:
+    return isinstance(node, ast.Call) and _named(node.func) == name
+
+
+def _top_level_sites(hit) -> list[str]:
+    """The module-level definition ("" for a module-level statement) of each
+    node of each library module for which `hit(node)` holds."""
+    modules = sorted(PACKAGE.rglob("*.py"))
+    assert modules
+    return [
+        f"{path.relative_to(PACKAGE)}:{getattr(top, 'name', '')}"
+        for path in modules
+        for top in ast.parse(path.read_text(encoding="utf-8")).body
+        for node in ast.walk(top)
+        if hit(node)
+    ]
+
+
+def test_every_checker_registers_once_at_its_definition():
+    # a check is one `_check_*` function under `@_theorem(id, statement, ...)`,
+    # and its place in harness.py is its place in the report; a checker with
+    # no decorator would never run, and one with two would run twice
+    tree = ast.parse(HARNESS.read_text(encoding="utf-8"))
+    checkers = [
+        node for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name.startswith("_check_")
+    ]
+    assert checkers
+    found = {
+        node.name: sum(_is_call_of(d, "_theorem") for d in node.decorator_list)
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef)
+    }
+    assert {name: n for name, n in found.items() if n} == {
+        node.name: 1 for node in checkers
+    }
+
+
+def test_only_the_registration_decorator_builds_a_check():
+    # `TheoremCheck(` written anywhere else is a check declared away from its
+    # checker, which the report order no longer follows
+    assert _top_level_sites(lambda node: _is_call_of(node, "TheoremCheck")) == [
+        "harness.py:_theorem"
+    ]
+
+
+def test_the_registry_is_assigned_where_declared_and_where_frozen():
+    # declared as an empty list above the first checker, appended to only by
+    # `_theorem`, and frozen into a tuple below the last checker
+    def writes(node: ast.AST) -> bool:
+        if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            return any(_named(t) == "_REGISTRY" for t in targets)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            return _named(node.func.value) == "_REGISTRY"
+        return False
+
+    assert _top_level_sites(writes) == ["harness.py:", "harness.py:_theorem", "harness.py:"]
+    tree = ast.parse(HARNESS.read_text(encoding="utf-8"))
+    declared, frozen = (
+        node for node in tree.body
+        if isinstance(node, (ast.Assign, ast.AnnAssign)) and writes(node)
+    )
+    assert isinstance(declared, ast.AnnAssign)
+    assert isinstance(declared.value, ast.List) and declared.value.elts == []
+    assert _is_call_of(frozen.value, "tuple")
+    assert [_named(arg) for arg in frozen.value.args] == ["_REGISTRY"]
+    lines = [
+        node.lineno for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name.startswith("_check_")
+    ]
+    assert declared.lineno < min(lines) and max(lines) < frozen.lineno
