@@ -30,6 +30,7 @@ from .setalgebra import (
     Partition,
     SetFamily,
     Subset,
+    _bit_indices,
     _single_bits,
     is_partition,
     mask_order_key,
@@ -114,13 +115,13 @@ def _expansion_witness(m: Matroid) -> ClassificationResult:
     exp = m._expansion_map()
     ground = m.ground
     for a in sorted(exp, key=mask_order_key(ground.size)):
-        for b in m.bases:
+        for b in m.bases._order:
             # the elements e of b with a + e a base
-            both = exp[a] & b.mask
+            both = exp[a] & b
             if both & (both - 1):
-                e1, e2 = Subset(ground, both).indices()[:2]
+                e1, e2 = _bit_indices(both)[:2]
                 return ClassificationResult(False, ExpansionWitness(
-                    Subset(ground, a), b, ground.label(e1), ground.label(e2)
+                    Subset(ground, a), Subset(ground, b), ground.label(e1), ground.label(e2)
                 ))
     raise RuntimeError(f"{m} is not unique expansion, but the scan finds no witness")
 
@@ -138,14 +139,13 @@ def is_unique_exchange(m: Matroid) -> ClassificationResult:
     """
     if _verdicts(m)[1]:
         return _TRUE
-    masks = [b.mask for b in m.bases.sets]
     exp = m._expansion_map()
-    triple = _least_triple(masks, exp, forked=True)
+    triple = _least_triple(m.bases._order, exp, forked=True)
     if triple is None:
         raise RuntimeError(f"{m} is not unique exchange, but the scan finds no witness")
     b1, b2, x = triple
     ground = m.ground
-    y1, y2 = Subset(ground, exp[b1 ^ (1 << x)] & b2).indices()[:2]
+    y1, y2 = _bit_indices(exp[b1 ^ (1 << x)] & b2)[:2]
     return ClassificationResult(False, ExchangeWitness(
         Subset(ground, b1), Subset(ground, b2), ground.label(x),
         ground.label(y1), ground.label(y2),
@@ -157,7 +157,7 @@ def _minimality_search(m: Matroid, kind: str) -> ClassificationResult:
     "intersection", whose boundary is the base support or the common
     intersection of the bases; the registry's second route to the verdicts
     that the classifiers read off the certificate."""
-    n = len(m.bases.sets)
+    n = len(m.bases)
     if n > DEFAULT_SEARCH_CAP:
         raise SearchCapExceeded(
             f"{n} bases exceed the exhaustive search cap {DEFAULT_SEARCH_CAP}"
@@ -219,7 +219,7 @@ def _least_reduction(m: Matroid, kind: str, boundary: int) -> ClassificationResu
     validation.  Nothing here relies on a theorem about the classes being
     decided.
     """
-    masks = [s.mask for s in m.bases.sets]
+    masks = m.bases._order
     n = len(masks)
     if kind == "union":
         covers, target = masks, boundary
@@ -235,7 +235,7 @@ def _least_reduction(m: Matroid, kind: str, boundary: int) -> ClassificationResu
     floor = max(1, -(-target.bit_count() // widest)) - 1
     if floor >= n - 1:
         return ClassificationResult(True, None)
-    reach = covers + [0]  # reach[t]: what the bases from position t on cover
+    reach = [*covers, 0]  # reach[t]: what the bases from position t on cover
     for t in range(n - 2, -1, -1):
         reach[t] |= reach[t + 1]
     where = {b: 1 << i for i, b in enumerate(masks)}  # base mask -> position bit
@@ -343,7 +343,7 @@ def _flag_transversals(m: Matroid) -> tuple[list[int], list[int]]:
     of `union_minimal`'s proof, which `thm_334` validates and `_flag_witness`
     returns.  Read it, never mutate it."""
     blocks = _flag_blocks(m)
-    return blocks, [b.mask for b in m.bases.sets if one_per_block((b.mask,), blocks)]
+    return blocks, [b for b in m.bases._order if one_per_block((b,), blocks)]
 
 
 def intersection_minimal(m: Matroid) -> bool:
@@ -386,7 +386,7 @@ def _flag_witness(m: Matroid, kind: str) -> ClassificationResult:
     are not a proper nonempty subfamily."""
     x = m if kind == "union" else m.dual()
     kept = _flag_transversals(x)[1]
-    if not 0 < len(kept) < len(x.bases.sets):
+    if not 0 < len(kept) < len(x.bases):
         raise RuntimeError(
             f"{m} is not {kind} minimal, but the flag of flats finds no witness"
         )

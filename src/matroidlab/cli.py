@@ -59,7 +59,8 @@ def _emit_doc(doc: dict, compact: bool) -> None:
 
 
 def _family_doc(family: SetFamily) -> list[list[str]]:
-    return [list(s.labels()) for s in family]
+    render = family.ground._render
+    return [list(render(mask)) for mask in family._order]
 
 
 def _fmt_family(family: SetFamily) -> str:
@@ -129,7 +130,9 @@ def cmd_forming(args: argparse.Namespace) -> int:
         secondaries = secondary_bases(m)
         global_family = forming_family(m)
         walk = _forming_blocks(m)  # every base's blocks, no membership probe
-        per_base = [(b, SetFamily.from_masks(m.ground, k)) for b, k in walk]
+        per_base = [
+            (m.ground.from_mask(b), SetFamily.from_masks(m.ground, k)) for b, k in walk
+        ]
     except RankZero as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

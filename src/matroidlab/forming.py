@@ -59,21 +59,20 @@ def forming_family(m: Matroid) -> SetFamily:
     return SetFamily.from_masks(m.ground, _expansions(m).values())
 
 
-def _blocks_wrt(exp: dict[int, int], b: Subset) -> list[int]:
-    mask = b.mask
-    return [exp[mask ^ bit] for bit in _single_bits(mask)]
+def _blocks_wrt(exp: dict[int, int], base: int) -> list[int]:
+    return [exp[base ^ bit] for bit in _single_bits(base)]
 
 
 @memo_fact("forming_blocks")
-def _forming_blocks(m: Matroid) -> list[tuple[Subset, list[int]]]:
-    """Each base B of `m`, in canonical order, with its forming block masks.
+def _forming_blocks(m: Matroid) -> list[tuple[int, list[int]]]:
+    """Each base mask B of `m`, in canonical order, with its forming block masks.
 
     One mask per e in B, by ascending index: the expansion of B - e, kept per
     matroid (never mutate it).  No base is probed; `forming_family_wrt` alone
     does that.
     """
     exp = _expansions(m)
-    return [(b, _blocks_wrt(exp, b)) for b in m.bases.sets]
+    return [(b, _blocks_wrt(exp, b)) for b in m.bases._order]
 
 
 def forming_family_wrt(m: Matroid, b: Subset) -> SetFamily:
@@ -85,4 +84,4 @@ def forming_family_wrt(m: Matroid, b: Subset) -> SetFamily:
     exp = _expansions(m)
     if b not in m.bases:
         raise NotABase(f"{b} is not a base")
-    return SetFamily.from_masks(m.ground, _blocks_wrt(exp, b))
+    return SetFamily.from_masks(m.ground, _blocks_wrt(exp, b.mask))

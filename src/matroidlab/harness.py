@@ -49,6 +49,7 @@ from .setalgebra import (
     Partition,
     SetFamily,
     Subset,
+    _bit_indices,
     _disjoint_union,
     _partition_masks,
     _transversal_masks,
@@ -133,19 +134,19 @@ def _capped_matroid(m: Matroid) -> Matroid:
 
 
 def _definitional_scan(
-    masks: frozenset[int], support: Subset, blocks: Iterable[Subset],
+    masks: frozenset[int], support: Subset, blocks: Iterable[int],
     caps: Iterable[int] | None = None, complement: bool = False,
 ) -> tuple[Subset, bool] | None:
     """The least subset X, with its membership in the base masks `masks`,
     where that membership differs from the description: X (its complement,
-    with `complement`) lies in `support` and meets each block in its cap of
+    with `complement`) lies in `support` and meets each block mask in its cap of
     elements, one by default.  With no base rejected and disjoint blocks, the
     bases are the described family exactly when they number prod C(|k|, c),
     times 2 per support bit in no block; else the described sets are walked
     upward until one is not a base or they pass the least rejected base."""
     ground, s = support.ground, support.mask
     flip = ground.full().mask if complement else 0
-    quotas = [(k.mask & s, c) for k, c in zip(blocks, caps or repeat(1))]
+    quotas = [(k & s, c) for k, c in zip(blocks, caps or repeat(1))]
     rejected, tests = [], [(~s, 0), *quotas]  # no bit outside the support
     for b in masks:
         x = b ^ flip
@@ -189,7 +190,7 @@ def _described(support: int, quotas: list[tuple[int, int]], chosen: int) -> Iter
 
 @_theorem("prop_100", "any two bases have the same size")
 def _check_prop_100(m: Matroid) -> str | None:
-    sizes = {len(b) for b in m.bases}
+    sizes = {b.bit_count() for b in m.bases.masks()}
     if len(sizes) > 1:
         return f"bases of different sizes {sorted(sizes)}"
     return None
@@ -214,7 +215,7 @@ def _check_prop_341(m: Matroid) -> str | None:
     for b, blocks in _forming_blocks(m):
         count = len(set(blocks))
         if count != m.rank:
-            return f"|forming family wrt {b}| = {count} != rank {m.rank}"
+            return f"|forming family wrt {m.ground.from_mask(b)}| = {count} != rank {m.rank}"
     return None
 
 
@@ -246,7 +247,7 @@ def _check_prop_124(m: Matroid) -> str | None:
             u |= k
         if u != support.mask:
             got = m.ground.from_mask(u)
-            return f"union of forming family wrt {b} is {got} != {support}"
+            return f"union of forming family wrt {m.ground.from_mask(b)} is {got} != {support}"
     return None
 
 
@@ -258,22 +259,21 @@ def _check_prop_124(m: Matroid) -> str | None:
           _rank_positive)
 def _check_lemma_e(m: Matroid) -> str | None:
     for b, blocks in _forming_blocks(m):
-        bm = b.mask
         seen = 0
         # inline: through `_disjoint_union` this pass read 9-33% slower warm over the sweep
         for k in blocks:
-            trace = k & bm
+            trace = k & b
             if trace & seen:
                 break
             seen |= trace
         else:
-            if seen == bm:
+            if seen == b:
                 continue
-        for i in b.indices():
+        for i in _bit_indices(b):
             hits = sum(k >> i & 1 for k in blocks)
             if hits != 1:
                 e, fam = m.ground.label(i), SetFamily.from_masks(m.ground, blocks)
-                return f"element {e} of base {b} lies in {hits} blocks of {fam}"
+                return f"element {e} of base {m.ground.from_mask(b)} lies in {hits} blocks of {fam}"
     return None
 
 
@@ -285,7 +285,7 @@ def _check_lemma_66(m: Matroid) -> str | None:
         if blocks != [support.mask]:
             fam = SetFamily.from_masks(m.ground, blocks)
             target = SetFamily(m.ground, [support])
-            return f"rank-one forming family wrt {b} is {fam}, not {target}"
+            return f"rank-one forming family wrt {m.ground.from_mask(b)} is {fam}, not {target}"
     return None
 
 
@@ -321,7 +321,7 @@ def _check_thm_126(m: Matroid) -> str | None:
 @_theorem("prop_51_j", "in a unique expansion matroid the bases are exactly the support subsets meeting every"
           " forming block once", _expansion_unique)
 def _check_prop_51_j(m: Matroid) -> str | None:
-    hit = _definitional_scan(m.bases.masks(), m.support(), forming_family(m))
+    hit = _definitional_scan(m.bases.masks(), m.support(), forming_family(m)._order)
     if hit:
         x, member = hit
         return f"{x}: base membership {member} but one-per-block description {not member}"
@@ -351,10 +351,11 @@ def _check_prop_303(m: Matroid) -> str | None:
     # the cap-1 matroid is shared with prop_302_304; a partition of single
     # elements has the same caps at full size, and is scanned once
     p = _recovered(m)
+    blocks = p.family._order
     unit = (1,) * len(p)
-    for caps in dict.fromkeys((unit, tuple(len(b) for b in p))):
+    for caps in dict.fromkeys((unit, tuple(k.bit_count() for k in blocks))):
         built = _capped_matroid(m) if caps == unit else make_partition_matroid(m.ground, p, caps)
-        if _definitional_scan(built.bases.masks(), p.support(), p, caps):
+        if _definitional_scan(built.bases.masks(), p.support(), blocks, caps):
             return f"cap vector {caps}: built bases differ from the definitional filter"
     return None
 
@@ -363,7 +364,7 @@ def _check_prop_303(m: Matroid) -> str | None:
           _expansion_unique)
 def _check_prop_305_306(m: Matroid) -> str | None:
     p = _recovered(m)
-    hit = _definitional_scan(_one_per_block_matroid(m).bases.masks(), p.support(), p)
+    hit = _definitional_scan(_one_per_block_matroid(m).bases.masks(), p.support(), p.family._order)
     if hit:
         x, member = hit
         return f"{x}: membership {member} vs description {not member}"
@@ -377,7 +378,8 @@ def _check_prop_339(m: Matroid) -> str | None:
     # when its complement is a transversal of the partition
     p = _recovered(m)
     hit = _definitional_scan(
-        _one_per_block_matroid(m).dual().bases.masks(), p.support(), p, complement=True
+        _one_per_block_matroid(m).dual().bases.masks(), p.support(), p.family._order,
+        complement=True,
     )
     if hit:
         x, member = hit

@@ -233,7 +233,7 @@ class Matroid:
         self = object.__new__(cls)
         self.ground = ground
         self.bases = bases
-        self.rank = len(bases.sets[0])
+        self.rank = bases._order[0].bit_count()
         self._facts = {}
         return self
 
@@ -257,12 +257,11 @@ class Matroid:
             raise ValueError("candidate family lives on a different ground set")
         if not candidate:
             raise EmptyFamily("a base family must be nonempty")
-        sets = candidate.sets
-        masks = [s.mask for s in sets]
+        masks = candidate._order
         size = masks[0].bit_count()
-        for i, mask in enumerate(masks):
+        for mask in masks:
             if mask.bit_count() != size:
-                raise UnequalCardinality(sets[0], sets[i])
+                raise UnequalCardinality(*map(ground.from_mask, (masks[0], mask)))
         exp = expansion_masks(masks)
         violation = first_exchange_violation(masks, exp)
         if violation is not None:
@@ -300,8 +299,8 @@ class Matroid:
         masks = indep.masks()
         if 0 not in masks:
             raise MissingEmptySet("the empty set must be independent")
-        for member in indep:
-            whole = member.mask
+        ordered = indep._order
+        for whole in ordered:
             bits = _single_bits(whole)
             for bit in bits:
                 if whole ^ bit not in masks:
@@ -312,10 +311,9 @@ class Matroid:
                         sub for k in range(1, len(bits))
                         for sub in map(sum, combinations(bits, k)) if sub not in masks
                     )
-                    raise NotDownwardClosed(member, ground.from_mask(missing))
+                    raise NotDownwardClosed(*map(ground.from_mask, (whole, missing)))
         # canonical order is by size first, and a downward-closed family has
         # members of every size up to the largest: layers[k] holds size k
-        ordered = [s.mask for s in indep.sets]
         layers = [list(run) for _, run in groupby(ordered, int.bit_count)]
         for smaller, larger in zip(layers, layers[1:]):
             for small in smaller:
@@ -370,9 +368,10 @@ class Matroid:
 
     def to_doc(self) -> dict:
         """Canonical JSON-ready document: ground set labels and base label lists."""
+        render = self.ground._render
         return {
             "ground_set": list(self.ground.labels),
-            "bases": [list(b.labels()) for b in self.bases],
+            "bases": [list(render(b)) for b in self.bases._order],
         }
 
     @classmethod
@@ -463,14 +462,16 @@ def make_partition_matroid(
         raise ValueError("blocks live on a different ground set")
     if len(caps) != len(p):
         raise ValueError(f"{len(caps)} caps for {len(p)} blocks")
-    for block, cap in zip(p, caps):
-        if cap < 0 or cap > len(block):
+    blocks = p.family._order
+    for block, cap in zip(blocks, caps):
+        if cap < 0 or cap > block.bit_count():
             raise CapOutOfRange(
-                f"cap {cap} out of range for block {block} of size {len(block)}"
+                f"cap {cap} out of range for block {ground.from_mask(block)}"
+                f" of size {block.bit_count()}"
             )
     masks = [0]
-    for block, cap in zip(p, caps):
-        picks = list(map(sum, combinations(_single_bits(block.mask), cap)))
+    for block, cap in zip(blocks, caps):
+        picks = list(map(sum, combinations(_single_bits(block), cap)))
         masks = [m | pick for m in masks for pick in picks]
     return Matroid.from_bases(ground, SetFamily.from_masks(ground, masks))
 
@@ -515,7 +516,7 @@ def are_isomorphic(a: Matroid, b: Matroid) -> bool:
         groups_b.setdefault(d, []).append(i)
 
     target = b.bases.masks()
-    base_masks = [s.mask for s in a.bases]
+    base_masks = a.bases._order
     degrees_sorted = sorted(groups_a)
     for assignment in product(
         *(permutations(groups_b[d]) for d in degrees_sorted)

@@ -3,9 +3,12 @@
 Everything here is an immutable value.  A ground set fixes an ordered universe
 of at most 64 opaque string labels; subsets are single machine words over the
 element indices, so membership, union, intersection and complement are O(1).
-Each ground set keeps one private memo, the label tuple of every mask below
-256 it has rendered (at most 256 entries, filled on first use); it never
-changes what a value equals, hashes or prints.  The walks over a mask, its
+A family holds its canonically ordered mask tuple and its mask set, and
+builds its `Subset` members only on the first read of `sets` or the first
+iteration; its length, truth, equality, hash, union, intersection and
+membership read the masks alone.  Each ground set keeps one private memo, the
+label tuple of every mask below 256 it has rendered (at most 256 entries,
+filled on first use); it never changes what a value equals, hashes or prints.  The walks over a mask, its
 bits (`_bit_indices`, `_single_bits`), its submasks (`_submasks`) and the one
 pass that tests blocks as a partition (`_disjoint_union`), are written here.
 
@@ -147,10 +150,17 @@ class GroundSet:
         self._rendered: dict[int, tuple[str, ...]] = {}
 
     def _render(self, mask: int) -> tuple[str, ...]:
-        """The labels of a mask's elements, kept in the memo if it is below 256."""
-        labels = tuple(map(self.labels.__getitem__, _bit_indices(mask)))
-        if mask < 256:
-            self._rendered[mask] = labels
+        """The labels of a mask's elements, in ground-set order.
+
+        A mask below 256 is rendered once per ground set and then read from
+        its memo; the tuple is shared, which is safe since tuples and labels
+        are immutable.
+        """
+        labels = self._rendered.get(mask)
+        if labels is None:
+            labels = tuple(map(self.labels.__getitem__, _bit_indices(mask)))
+            if mask < 256:
+                self._rendered[mask] = labels
         return labels
 
     def index(self, label: str) -> int:
@@ -215,16 +225,8 @@ class Subset:
         return _bit_indices(self.mask)
 
     def labels(self) -> tuple[str, ...]:
-        """The labels of the elements, in ground-set order.
-
-        A mask below 256 is rendered once per ground set and then read from
-        its memo; the tuple is shared, which is safe since tuples and labels
-        are immutable.
-        """
-        labels = self.ground._rendered.get(self.mask)
-        if labels is None:
-            labels = self.ground._render(self.mask)
-        return labels
+        """The labels of the elements, in ground-set order (`GroundSet._render`)."""
+        return self.ground._render(self.mask)
 
     @property
     def sort_key(self) -> tuple:
@@ -273,9 +275,17 @@ class Subset:
 
 
 class SetFamily:
-    """A duplicate-free collection of subsets, kept in canonical order."""
+    """A duplicate-free collection of subsets, kept in canonical order.
 
-    __slots__ = ("ground", "sets", "_masks")
+    The family holds its masks twice: as the canonically ordered tuple
+    `_order`, which every library read that needs only masks walks, and as
+    the frozenset `masks()`.  Its `Subset` members are built on the first
+    read of `sets` (or the first iteration) and then kept; `len`, truth,
+    `==`, `hash`, `masks()`, `union()`, `intersection()` and `in` never
+    build them.
+    """
+
+    __slots__ = ("ground", "_order", "_masks", "_sets")
 
     def __init__(self, ground: GroundSet, subsets: Iterable[Subset] = ()):
         masks = set()
@@ -292,8 +302,8 @@ class SetFamily:
         constructor; a mask with a bit outside the ground set raises
         ValueError.  Every family the library computes as masks is built here,
         or by `_from_canonical` when it is already in canonical order.
-        The masks are range-checked once, together, and the members are built
-        from them without the per-member check of the `Subset` constructor.
+        The masks are range-checked once, together, so the members built
+        from them later skip the per-member check of the `Subset` constructor.
         """
         family = cls.__new__(cls)
         family._fill(ground, set(masks))
@@ -317,25 +327,36 @@ class SetFamily:
         self.ground = ground
         if ordered is None:
             ordered = sorted(masks, key=mask_order_key(ground.size))
-        # every mask is in range, so the members skip the constructor's check
-        members = []
-        append, new = members.append, object.__new__
-        for m in ordered:
-            member = new(Subset)
-            member.ground = ground
-            member.mask = m
-            append(member)
-        self.sets = tuple(members)
+        self._order = tuple(ordered)
         # copied from a set: a frozenset grown from any other iterable can
         # keep a hash table twice the size
         self._masks = frozenset(masks)
+        self._sets = None
+
+    @property
+    def sets(self) -> tuple[Subset, ...]:
+        """The members as `Subset` values, in canonical order, built on the
+        first read and then kept."""
+        sets = self._sets
+        if sets is None:
+            # every mask is in range, so the members skip the constructor's check
+            ground, new = self.ground, object.__new__
+            members = []
+            append = members.append
+            for m in self._order:
+                member = new(Subset)
+                member.ground = ground
+                member.mask = m
+                append(member)
+            sets = self._sets = tuple(members)
+        return sets
 
     def masks(self) -> frozenset[int]:
         return self._masks
 
     @property
     def sort_key(self) -> tuple:
-        return tuple(s.sort_key for s in self.sets)
+        return tuple(map(canonical_key, self._order))
 
     def union(self) -> Subset:
         mask = 0
@@ -345,7 +366,7 @@ class SetFamily:
 
     def intersection(self) -> Subset:
         """Common intersection of all members; the family must be nonempty."""
-        if not self.sets:
+        if not self._order:
             raise ValueError("intersection of an empty family is undefined")
         mask = (1 << self.ground.size) - 1
         for m in self._masks:
@@ -359,10 +380,10 @@ class SetFamily:
         return iter(self.sets)
 
     def __len__(self) -> int:
-        return len(self.sets)
+        return len(self._order)
 
     def __bool__(self) -> bool:
-        return bool(self.sets)
+        return bool(self._order)
 
     def __eq__(self, other) -> bool:
         return (
@@ -409,7 +430,7 @@ def complements(family: SetFamily) -> SetFamily:
     """
     full = (1 << family.ground.size) - 1
     return SetFamily._from_canonical(
-        family.ground, [full ^ s.mask for s in reversed(family.sets)]
+        family.ground, [full ^ m for m in reversed(family._order)]
     )
 
 
@@ -484,7 +505,7 @@ class Partition:
 
 def combination_number(p: Partition) -> int:
     """Product of the block sizes; counts the one-per-block transversals."""
-    return prod(len(b) for b in p)
+    return prod(k.bit_count() for k in p.family._order)
 
 
 def _transversal_masks(blocks: Sequence[int]) -> list[int]:
@@ -505,7 +526,7 @@ def transversals(p: Partition) -> SetFamily:
 
     For the empty partition this is the single empty set.
     """
-    picks = _transversal_masks([b.mask for b in p])
+    picks = _transversal_masks(p.family._order)
     return SetFamily.from_masks(p.ground, picks)
 
 

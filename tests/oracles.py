@@ -451,15 +451,16 @@ def thm_334_oracle(m: Matroid) -> str | None:
 
 
 def definitional_scan_oracle(
-    masks: frozenset[int], support: Subset, blocks: Iterable[Subset],
+    masks: frozenset[int], support: Subset, blocks: Iterable[int],
     caps: Iterable[int] | None = None, complement: bool = False,
 ) -> tuple[Subset, bool] | None:
     """`harness._definitional_scan` as a walk over all 2^n masks in integer
-    order, testing each against the description one block quota at a time."""
+    order, testing each against the description one block mask quota at a
+    time."""
     ground = support.ground
     outside = ~support.mask
     flip = ground.full().mask if complement else 0
-    quotas = [(k.mask, cap) for k, cap in zip(blocks, caps or repeat(1))]
+    quotas = list(zip(blocks, caps or repeat(1)))
     for mask in range(1 << ground.size):
         x = mask ^ flip
         described = not x & outside and all((x & k).bit_count() == c for k, c in quotas)

@@ -350,6 +350,31 @@ class TestDual:
         original = parse_matroid_file(doc121)
         assert json.loads(out2) == original.to_doc()
 
+    @staticmethod
+    def _digest(capsys, tmp_path, *flags):
+        # sha256 of the dual document of each of the 91 matroids with n <= 4,
+        # in enumeration order
+        digest = hashlib.sha256()
+        path = tmp_path / "m.json"
+        pop = [m for n in range(1, 5) for m in enumerate_matroids(n)]
+        assert len(pop) == 91
+        for m in pop:
+            path.write_text(json.dumps(m.to_doc()))
+            code, out, _ = run(capsys, "dual", str(path), *flags)
+            assert code == 0
+            digest.update(out.encode())
+        return digest.hexdigest()
+
+    def test_json_is_pinned_on_every_small_matroid(self, capsys, tmp_path):
+        assert self._digest(capsys, tmp_path, "--json") == (
+            "0686af241feb0c916b529a6fc3d5e9aa981e813a7aa4309a3646112cf1e41df0"
+        )
+
+    def test_text_is_pinned_on_every_small_matroid(self, capsys, tmp_path):
+        assert self._digest(capsys, tmp_path) == (
+            "da28ea513ca16c50e710568c9ceceb555f7c1b463c34fa87ae47a65358c32b5c"
+        )
+
 
 class TestForming:
     def test_text(self, capsys, doc73):

@@ -161,8 +161,8 @@ class TestFormingFamilyWrt:
             forming_family_wrt(m, g3.full())
 
     def test_the_walk_gives_every_base_its_family(self, monkeypatch):
-        # `_forming_blocks` yields the bases in canonical order, each with one
-        # block per element by ascending index, and probes no membership
+        # `_forming_blocks` yields the base masks in canonical order, each with
+        # one block per element by ascending index, and probes no membership
         def probe(family, s):
             raise AssertionError("the walk probed base membership")
 
@@ -171,8 +171,9 @@ class TestFormingFamilyWrt:
         walks = [list(_forming_blocks(m)) for m in pop]
         monkeypatch.undo()
         for m, walked in zip(pop, walks):
-            assert [b for b, _ in walked] == list(m.bases)
-            for b, blocks in walked:
+            assert [m.ground.from_mask(b) for b, _ in walked] == list(m.bases)
+            for mask, blocks in walked:
+                b = m.ground.from_mask(mask)
                 assert blocks == [
                     expansion(m, b - m.ground.subset(e)).mask for e in b
                 ]

@@ -1307,15 +1307,16 @@ class TestDefinitionalScans:
     def _call_sites(m):
         # the arguments each scanning check passes, on a unique expansion m
         p = harness._recovered(m)
+        blocks = [b.mask for b in p]
         ones, full = (1,) * len(p), tuple(len(b) for b in p)
         return [
-            (m.bases.masks(), m.support(), forming_family(m), None, False),
+            (m.bases.masks(), m.support(), [k.mask for k in forming_family(m)], None, False),
             *(
                 (make_partition_matroid(m.ground, p, caps).bases.masks(),
-                 p.support(), p, caps, False)
+                 p.support(), blocks, caps, False)
                 for caps in (ones, full)
             ),
-            (harness._one_per_block_matroid(m).dual().bases.masks(), p.support(), p, None, True),
+            (harness._one_per_block_matroid(m).dual().bases.masks(), p.support(), blocks, None, True),
         ]
 
     @staticmethod
@@ -1374,7 +1375,7 @@ class TestDefinitionalScans:
             masks = described ^ data.draw(st.frozensets(mask, max_size=2), label="flips")
         else:
             masks = data.draw(st.frozensets(mask, max_size=24), label="masks")
-        args = (masks, Subset(g, support), [Subset(g, k) for k in blocks], caps, complement)
+        args = (masks, Subset(g, support), blocks, caps, complement)
         assert harness._definitional_scan(*args) == definitional_scan_oracle(*args)
 
     def test_scan_names_the_least_mismatch_on_forty_elements(self):
@@ -1385,7 +1386,7 @@ class TestDefinitionalScans:
         # {6}; with {2} dropped as well, {2} comes first
         u = rank_one_uniform(40)
         g, masks = u.ground, u.bases.masks()
-        scope = (g.full(), [g.full()])
+        scope = (g.full(), [g.full().mask])
         assert harness._definitional_scan(masks, *scope) is None
         assert harness._definitional_scan(masks - {1 << 39}, *scope) == (g.subset("39"), False)
         added = masks | {1 << 3 | 1 << 5}
