@@ -10,12 +10,13 @@ minimality from the flag of flats (`union_minimal`), which reads that pass
 too, and intersection minimality from the matroid's own cocircuits, the
 distinct expansion masks, with no dual built (`intersection_minimal`).  A
 false one's witness is the reduction the flag builds (`_flag_witness`, on
-the dual for intersection), with no search, read from the one memo fact
-(`_flag_transversals`) that the registry's `thm_334` validates.  The
+the dual for intersection), with no search, built by the one function
+(`_flag_transversals`) whose result the registry's `thm_334` validates.  The
 exhaustive search over subfamilies of the bases (`_minimality_search`), one
 depth-first walk pruned by prefix and bounded by the largest reduction found
 so far, serves the theorem registry alone, and it alone is guarded by a
-fixed cap of 20 bases (`DEFAULT_SEARCH_CAP`).
+fixed cap of 20 bases (`DEFAULT_SEARCH_CAP`).  Only the union search is kept
+per matroid (`_union_search`), since `thm_334` and `thm_552` both read it.
 """
 
 from __future__ import annotations
@@ -99,7 +100,7 @@ def is_unique_expansion(m: Matroid) -> ClassificationResult:
 
     The verdict comes from the one-pass `_verdicts`.  Only a false one is
     scanned for its witness, the least (A, B, e1, e2) in canonical order such
-    that A + e1 and A + e2 are bases, computed once per matroid.
+    that A + e1 and A + e2 are bases.
     """
     if m.rank == 0:
         raise RankZero("unique expansion is undefined at rank zero")
@@ -108,7 +109,6 @@ def is_unique_expansion(m: Matroid) -> ClassificationResult:
     return _expansion_witness(m)
 
 
-@memo_fact("expansion_witness")
 def _expansion_witness(m: Matroid) -> ClassificationResult:
     """The canonical witness of a false unique-expansion verdict: secondary
     bases in canonical order, then bases; RuntimeError if there is none."""
@@ -153,23 +153,24 @@ def is_unique_exchange(m: Matroid) -> ClassificationResult:
 
 
 def _minimality_search(m: Matroid, kind: str) -> ClassificationResult:
-    """The capped, memoized exhaustive search of `kind` "union" or
-    "intersection", whose boundary is the base support or the common
-    intersection of the bases; the registry's second route to the verdicts
-    that the classifiers read off the certificate."""
+    """The capped exhaustive search of `kind` "union" or "intersection",
+    whose boundary is the base support or the common intersection of the
+    bases; the registry's second route to the verdicts that the classifiers
+    read off the certificate."""
     n = len(m.bases)
     if n > DEFAULT_SEARCH_CAP:
         raise SearchCapExceeded(
             f"{n} bases exceed the exhaustive search cap {DEFAULT_SEARCH_CAP}"
         )
-    return _searched(m, kind)
+    if kind == "union":
+        return _union_search(m)
+    return _least_reduction(m, kind, m.base_intersection().mask)
 
 
-@memo_fact("{kind}_minimal")
-def _searched(m: Matroid, kind: str) -> ClassificationResult:
-    """`_least_reduction` of `kind` against its boundary, kept per matroid."""
-    boundary = m.support() if kind == "union" else m.base_intersection()
-    return _least_reduction(m, kind, boundary.mask)
+@memo_fact("union_minimal")
+def _union_search(m: Matroid) -> ClassificationResult:
+    """The union search, kept per matroid: `thm_334` and `thm_552` both read it."""
+    return _least_reduction(m, "union", m.support().mask)
 
 
 def _requirements(
@@ -336,12 +337,11 @@ def _flag_blocks(m: Matroid) -> list[int]:
     return blocks
 
 
-@memo_fact("flag")
 def _flag_transversals(m: Matroid) -> tuple[list[int], list[int]]:
     """The blocks of `_flag_blocks(m)` and the masks of the bases that are
-    transversals of them, in canonical order, kept per matroid: the reduction
-    of `union_minimal`'s proof, which `thm_334` validates and `_flag_witness`
-    returns.  Read it, never mutate it."""
+    transversals of them, in canonical order: the reduction of
+    `union_minimal`'s proof, which `thm_334` validates and `_flag_witness`
+    returns."""
     blocks = _flag_blocks(m)
     return blocks, [b for b in m.bases._order if one_per_block((b,), blocks)]
 
@@ -377,13 +377,12 @@ def intersection_minimal(m: Matroid) -> bool:
     return True
 
 
-@memo_fact("{kind}_witness")
 def _flag_witness(m: Matroid, kind: str) -> ClassificationResult:
-    """The flag transversals (`_flag_transversals`) as a witness, kept per
-    matroid: those of `m` for "union", the complements of the dual's for
-    "intersection".  A one-per-block family, it is inclusion-minimal; the
-    registry's search finds a largest one.  RuntimeError if the transversals
-    are not a proper nonempty subfamily."""
+    """The flag transversals (`_flag_transversals`) as a witness: those of
+    `m` for "union", the complements of the dual's for "intersection".  A
+    one-per-block family, it is inclusion-minimal; the registry's search
+    finds a largest one.  RuntimeError if the transversals are not a proper
+    nonempty subfamily."""
     x = m if kind == "union" else m.dual()
     kept = _flag_transversals(x)[1]
     if not 0 < len(kept) < len(x.bases):

@@ -481,8 +481,8 @@ def _check_prop_103(m: Matroid) -> str | None:
 # `is_union_minimal` and `is_intersection_minimal` answer by a certificate
 # that rests on `thm_552` and `thm_334`, the statements this registry tests,
 # so neither check reads a verdict from it.  `thm_334` decides both sides at
-# once from the transversals of the lowest flag of flats, read from the
-# memo fact the classifiers read (`_flag_transversals`): they must all be
+# once from the transversals of the lowest flag of flats, built by the
+# function the classifiers read (`_flag_transversals`): they must all be
 # bases, and a proper family of them is a witness that M is not union
 # minimal, whose complements are one that M* is not intersection minimal;
 # these are the witnesses of `is_union_minimal(M)` and

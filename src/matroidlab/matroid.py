@@ -30,12 +30,14 @@ members: expansion fails exactly when some mask meets some member in two
 elements, and exchange exactly when such a mask also reaches outside that
 member.  Only a false verdict is scanned for its canonical witness.
 
-Every fact derived from the bases (the expansion map, the forming family,
-the verdicts and their witnesses, the dual, and the rest) is a plain
-`build(m)` under one decorator, `memo_fact`, built at most once per matroid
-value and kept in its memo, where it never goes stale.  A warm read is one
-dict lookup; only a miss runs the build, which reads its own prerequisites,
-and stores what it returned, so a build that raises stores nothing.  The
+Every fact derived from the bases that a second reader shares (the
+expansion map, the forming family, the uniqueness verdicts, the dual, and
+the rest) is a plain `build(m)` under one decorator, `memo_fact`, built at
+most once per matroid value and kept in its memo, where it never goes stale.
+A warm read is one dict lookup; only a miss runs the build, which reads its
+own prerequisites, and stores what it returned, so a build that raises
+stores nothing.  A fact with one reader, such as a false verdict's witness
+or the base intersection, is a plain function, built on each call.  The
 memo of a `from_bases` matroid, the dual included, starts with the expansion
 map its exchange check built and nothing else, so no dual points back.
 """
@@ -74,27 +76,20 @@ _UNBUILT = object()  # what a memo read gets for a fact not built yet
 
 def memo_fact(key: str) -> Callable[[Callable], Callable]:
     """Keep what `build(m)` returns in the memo of `m` under `key`, `None`
-    included (never mutate it); a key "{kind}..." keeps one `build(m, kind)`
-    per kind.  A warm read is one dict lookup; a miss goes through `_miss`."""
+    included (never mutate it).  A warm read is one dict lookup; a miss goes
+    through `_miss`."""
     def decorate(build: Callable) -> Callable:
-        suffix = key.removeprefix("{kind}")
-        if suffix == key:
-            def read(m):
-                value = m._facts.get(key, _UNBUILT)
-                return _miss(m, key, build) if value is _UNBUILT else value
-        else:
-            def read(m, kind):
-                name = kind + suffix
-                value = m._facts.get(name, _UNBUILT)
-                return _miss(m, name, build, kind) if value is _UNBUILT else value
+        def read(m):
+            value = m._facts.get(key, _UNBUILT)
+            return _miss(m, key, build) if value is _UNBUILT else value
         return update_wrapper(read, build)
 
     return decorate
 
 
-def _miss(m: Matroid, name: str, build: Callable, *args):
+def _miss(m: Matroid, name: str, build: Callable):
     """Build the fact `name` of `m` and keep it; a build that raises keeps nothing."""
-    m._facts[name] = value = build(m, *args)
+    m._facts[name] = value = build(m)
     return value
 
 
@@ -325,9 +320,8 @@ class Matroid:
                         raise AugmentationFailure(*map(ground.from_mask, (small, big)))
         return cls.from_bases(ground, SetFamily._from_canonical(ground, layers[-1]))
 
-    @memo_fact("independents")
     def independents(self) -> SetFamily:
-        """The full independence family (downward closure of the bases), cached."""
+        """The full independence family: the downward closure of the bases."""
         return low(self.bases)
 
     def rank_of(self, x: Subset) -> int:
@@ -345,9 +339,8 @@ class Matroid:
         """Union of all bases, a memo fact: the bases are ORed once per matroid."""
         return self.bases.union()
 
-    @memo_fact("base_intersection")
     def base_intersection(self) -> Subset:
-        """Common intersection of all bases, a memo fact like `support`."""
+        """Common intersection of all bases."""
         return self.bases.intersection()
 
     @memo_fact("dual")

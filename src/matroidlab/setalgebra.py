@@ -60,16 +60,9 @@ def _bit_indices(mask: int) -> tuple[int, ...]:
 def _single_bits(mask: int) -> tuple[int, ...]:
     """The single-bit masks of `mask`, lowest first: `1 << i` for each `i`
     of `_bit_indices(mask)`, read from a table up to 8 elements."""
-    if mask < 256:
-        if mask < 0:
-            raise ValueError(f"negative mask {mask} has no bit indices")
+    if 0 <= mask < 256:
         return _BYTE_SINGLE_BITS[mask]
-    out = []
-    while mask:
-        bit = mask & -mask
-        out.append(bit)
-        mask ^= bit
-    return tuple(out)
+    return tuple(1 << i for i in _bit_indices(mask))
 
 
 def _submasks(mask: int) -> Iterator[int]:

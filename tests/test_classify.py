@@ -200,7 +200,7 @@ class TestUnionMinimal:
 
     def test_result_is_memoized_behind_the_cap(self, uniform3):
         first = is_union_minimal(uniform3)
-        assert is_union_minimal(uniform3) is first
+        assert is_union_minimal(uniform3) == first
 
     def test_witness_replays_against_the_definition(self, uniform3):
         sub = is_union_minimal(uniform3).witness.subfamily
@@ -341,6 +341,22 @@ class TestAgainstDefinitionOracles:
             counts[m.ground.size] += verdict
         assert counts == {n: bell[n + 1] for n in range(1, 7)}
         assert list(counts.values()) == [2, 5, 15, 52, 203, 877]
+
+    def test_class_counts_match_their_closed_forms(self):
+        # per n <= 6: Bell(n + 1) union minimal matroids, Bell(n + 1) - 1
+        # unique expansion ones of positive rank, and the unique exchange
+        # series, each computed by its own recurrence
+        from intersection_route import bell_numbers, unique_exchange_numbers
+
+        bell, series = bell_numbers(8), unique_exchange_numbers(7)
+        counts = {n: [0, 0, 0] for n in range(1, 7)}
+        for m in _population(6):
+            row = counts[m.ground.size]
+            row[0] += union_minimal(m)
+            row[1] += m.rank > 0 and is_unique_expansion(m).verdict
+            row[2] += is_unique_exchange(m).verdict
+        assert counts == {n: [bell[n + 1], bell[n + 1] - 1, series[n]] for n in range(1, 7)}
+        assert [row[2] for row in counts.values()] == [2, 5, 16, 61, 264, 1275]
 
     def test_minimality_witness_matches_plain_scan(self):
         for m in _population(5):

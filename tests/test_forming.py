@@ -72,6 +72,10 @@ class TestExpansion:
     def test_base_expands_to_nothing(self, nested, g3):
         assert expansion(nested, g3.subset("1", "2")) == g3.empty()
 
+    def test_subset_from_another_ground_set_rejected(self, nested):
+        with pytest.raises(ValueError, match="^subset lives on a different ground set$"):
+            expansion(nested, GroundSet("1234").subset("1"))
+
     def test_disjoint_from_argument(self):
         for m in _population(3):
             for x in m.ground.all_subsets():

@@ -768,21 +768,6 @@ class TestThm334:
             "union minimal True but dual intersection minimal False"
         }
 
-    def test_classifier_reads_the_flag_thm_334_built(self, monkeypatch):
-        # the check and the classifier read one memo fact: once thm_334 has
-        # run, the union witness needs no flag of flats of its own
-        reducible = [m for m in population(5) if not is_union_minimal(m).verdict]
-        fresh = [Matroid._trusted(m.ground, m.bases) for m in reducible]
-        assert len(fresh) == 220
-        assert verify(fresh, [lookup_check("thm_334")]).failures == 0
-
-        def no_flag(m):
-            pytest.fail("the classifier built its own flag of flats")
-
-        monkeypatch.setattr(classify_module, "_flag_blocks", no_flag)
-        for m, was in zip(fresh, reducible):
-            assert is_union_minimal(m) == is_union_minimal(was)
-
 
 class TestSharedClosurePass:
     """`forming.expansion` and the flag of flats behind `thm_334` read one
@@ -862,6 +847,120 @@ class TestDualInvolution:
         assert hashlib.sha256(witnesses).hexdigest() == (
             "6466118f9bf0e24a781e065c04bafb8c01744c51ba1372d82e56cd01461d8856"
         )
+
+
+def _matroid(labels, *bases):
+    g = GroundSet(labels)
+    return Matroid.from_bases(g, SetFamily(g, [g.subset(*b) for b in bases]))
+
+
+U24 = [a + b for a, b in combinations("1234", 2)]
+
+
+def _seeded(key, *bases):
+    """The nested pair {1,2},{1,3}, unique expansion with the partition
+    {1},{2,3}, with its memo fact `key` seeded: a forming family, or a
+    matroid on {1,2,3}, from the label strings `bases`."""
+    def craft(monkeypatch):
+        m = _matroid("123", "12", "13")
+        family = SetFamily(m.ground, [m.ground.subset(*b) for b in bases])
+        m._facts[key] = family if key == "forming_family" else Matroid.from_bases(m.ground, family)
+        return m
+
+    craft.__name__ = f"_seeded_{key}"
+    return craft
+
+
+def _u24_said_unique_expansion(monkeypatch):
+    # the verdicts fact says unique expansion, so prop_118 applies, and the
+    # witness scan finds U(2,4)'s fork
+    m = _matroid("1234", *U24)
+    m._facts["unique_verdicts"] = (True, False)
+    return m
+
+
+def _grid_with_u24_dual(monkeypatch):
+    m = _matroid("1234", "13", "14", "23", "24")
+    m._facts["dual"] = _matroid("1234", *U24)
+    return m
+
+
+def _dual_of_higher_rank(monkeypatch):
+    # the double dual holds, so only the rank slot can break the sum
+    m = _matroid("123", "12", "13")
+    dual = Matroid._trusted(m.ground, m.dual().bases)
+    dual.rank += 1
+    m._facts["dual"] = dual
+    return m
+
+
+def _flag_transversals_not_exchange_closed(monkeypatch):
+    # four picks of two blocks of two, {1,2},{1,3},{1,4},{3,4}: B1 = {1,2},
+    # B2 = {3,4} and x = 1 have no repair
+    bases = [0b0011, 0b0101, 0b1001, 0b1100]
+    monkeypatch.setattr(harness, "_flag_transversals", lambda m: ([0b0011, 0b1100], bases))
+    return _matroid("1234", *U24)
+
+
+def _second_exchange_pass_fails(monkeypatch):
+    # an equal-size family passes the exchange pass exactly when its
+    # complements do, so only a mutant fails the second of the two passes
+    real = harness.first_exchange_violation
+    calls = []
+
+    def second_fails(masks):
+        calls.append(masks)
+        return (0, 0, 0) if len(calls) == 2 else real(masks)
+
+    monkeypatch.setattr(harness, "first_exchange_violation", second_fails)
+    return _matroid("123", "12", "13", "23")
+
+
+def _dual_without_the_loop(monkeypatch):
+    # U(2,3) plus the loop 4: the complements {2,4},{3,4} of its flag
+    # transversals are a proper part of the crafted dual, which drops 4
+    m = _matroid("1234", "12", "13", "23")
+    g = m.ground
+    m._facts["dual"] = Matroid._trusted(g, SetFamily(g, [g.subset(*b) for b in ("24", "34", "23")]))
+    return m
+
+
+class TestUnreachedFailureDetails:
+    """Failure details that no matroid produces, each reached once by a
+    crafted memo fact or a patched function that its check reads."""
+
+    CASES = [
+        ("cor_423", _seeded("forming_family", "123"), "|forming family| = 1 < rank 2"),
+        ("prop_46", _seeded("forming_family", "1", "2"),
+         "union of forming family {1,2} != base support {1,2,3}"),
+        ("cor_336", _seeded("one_per_block_matroid", "12"),
+         "base support {1,2} != partition support {1,2,3}"),
+        ("thm_321", _seeded("one_per_block_matroid", "12", "13", "23"),
+         "forming family {{1,2},{1,3},{2,3}} != defining partition {{1},{2,3}}"),
+        ("thm_334", _flag_transversals_not_exchange_closed,
+         "flag transversals {{1,2},{1,3},{1,4},{3,4}} are not a base family"),
+        ("thm_334", _second_exchange_pass_fails,
+         "complements {{2},{3}} of the flag transversals are not a base family"),
+        ("thm_334", _dual_without_the_loop,
+         "complements {{2,4},{3,4}} of the flag transversals meet in {4}, not the "
+         "dual base intersection"),
+        ("prop_118", _u24_said_unique_expansion,
+         "unique expansion matroid is not unique exchange: ExchangeWitness(base1={1,2}, "
+         "base2={3,4}, removed='1', y1='3', y2='4')"),
+        ("thm_120", _grid_with_u24_dual,
+         "dual of unique expansion matroid is not unique exchange: ExchangeWitness("
+         "base1={1,2}, base2={3,4}, removed='1', y1='3', y2='4')"),
+        ("dual_involution", _dual_of_higher_rank, "ranks 2 + 2 != ground size 3"),
+    ]
+
+    @pytest.mark.parametrize(
+        "check_id,craft,detail", CASES, ids=[f"{c}{f.__name__}" for c, f, _ in CASES]
+    )
+    def test_detail_is_pinned(self, monkeypatch, check_id, craft, detail):
+        m = craft(monkeypatch)
+        outcome = verify([m], [lookup_check(check_id)]).outcomes[0]
+        assert (outcome.applicable, outcome.failed) == (1, 1)
+        assert outcome.witnesses == [{"matroid": m.to_doc(), "detail": detail}]
 
 
 class TestFormingChecksAgainstOracles:
@@ -1152,14 +1251,13 @@ class TestFactsMemo:
 
     def test_a_warm_read_is_one_memo_lookup(self, monkeypatch):
         # each read looks in the memo before it computes any prerequisite,
-        # and the base support and intersection are facts: a warm read asks
-        # the memo once, under its own key, misses nothing, builds no family
-        # and returns the kept object
+        # and the base support is a fact: a warm read asks the memo once,
+        # under its own key, misses nothing, builds no family and returns the
+        # kept object
         reads = {
             "partition": recover_partition,
             "forming_family": forming_family,
             "support": Matroid.support,
-            "base_intersection": Matroid.base_intersection,
             "union_minimal": lambda m: classify_module._minimality_search(m, "union"),
             "one_per_block_partitions": harness._one_per_block_partitions,
         }
@@ -1167,7 +1265,7 @@ class TestFactsMemo:
         for m in pop:
             verify([m])
             for read in reads.values():
-                read(m)  # warms what verify does not read, such as the base intersection
+                read(m)  # warms what verify does not read, such as a union search
         lookups, misses, families = [], [], []
 
         class CountedMemo(dict):
@@ -1175,9 +1273,9 @@ class TestFactsMemo:
                 lookups.append(key)
                 return super().get(key, default)
 
-        def miss(m, name, build, *args):
+        def miss(m, name, build):
             misses.append(name)
-            return build(m, *args)
+            return build(m)
 
         for m in pop:
             monkeypatch.setattr(m, "_facts", CountedMemo(m._facts))
@@ -1210,6 +1308,24 @@ class TestFactsMemo:
                 harness._one_per_block_matroid(m)
             assert "one_per_block_matroid" not in m._facts
             assert m._facts["partition"] is None
+
+    # every fact a full-registry sweep keeps; each one has a second reader.
+    # A fact added here states its measured warm hits in CHANGES.md
+    KEPT = {
+        "expansions", "support", "dual", "unique_verdicts", "union_minimal",
+        "partition", "forming_family", "forming_blocks", "one_per_block_matroid",
+        "capped_matroid", "one_per_block_partitions",
+    }
+
+    def test_a_sweep_keeps_only_the_shared_facts(self):
+        # a witness, a flag, the base intersection or an intersection search
+        # is read once, so no memo keeps it; a dual keeps only the map its
+        # validation built and the verdicts thm_120 reads
+        pop = [Matroid.from_bases(m.ground, m.bases) for m in population(5)]
+        assert verify(pop).failures == 0
+        assert set().union(*(m._facts for m in pop)) == self.KEPT
+        duals = [m._facts["dual"] for m in pop]
+        assert set().union(*(d._facts for d in duals)) == {"expansions", "unique_verdicts"}
 
     def test_dual_never_shares_cached_facts(self):
         for i, m in enumerate(population(4)):

@@ -95,6 +95,27 @@ def wide_families(draw):
     return [s.mask for s in family.sets]
 
 
+class TestForeignInputs:
+    """No bare constructor, and no family or subset from another ground set."""
+
+    def test_bare_constructor_rejected(self):
+        with pytest.raises(TypeError, match="^use Matroid.from_bases or Matroid.from_independents$"):
+            Matroid()
+
+    def test_family_from_another_ground_set_rejected(self, g3):
+        other = GroundSet("1234")
+        message = "^candidate family lives on a different ground set$"
+        with pytest.raises(ValueError, match=message):
+            Matroid.from_bases(g3, fam(other, "12", "13"))
+        with pytest.raises(ValueError, match=message):
+            Matroid.from_independents(g3, low(fam(other, "12", "13")))
+
+    def test_subset_from_another_ground_set_rejected(self, g3):
+        m = Matroid.from_bases(g3, fam(g3, "12", "13"))
+        with pytest.raises(ValueError, match="^subset lives on a different ground set$"):
+            m.rank_of(GroundSet("1234").subset("1"))
+
+
 class TestFromBases:
     def test_valid_rank_two(self, g3):
         m = Matroid.from_bases(g3, fam(g3, "12", "13"))
@@ -472,6 +493,31 @@ class TestIsomorphism:
         a = Matroid.from_bases(g3, fam(g3, "12", "13"))
         b = Matroid.from_bases(g3, fam(g3, "12", "13", "23"))
         assert not are_isomorphic(a, b)
+
+    def test_equal_counts_with_unequal_degrees(self):
+        # rank 2 and three bases on four elements each, but element degrees
+        # 3,1,1,1 against 2,2,2,0
+        from oracles import isomorphic_oracle
+
+        g = GroundSet("1234")
+        a = Matroid.from_bases(g, fam(g, "12", "13", "14"))
+        b = Matroid.from_bases(g, fam(g, "12", "13", "23"))
+        assert not are_isomorphic(a, b)
+        assert not isomorphic_oracle(a, b)
+
+    def test_equal_degrees_with_no_bijection(self):
+        # on n <= 7 rank, base count and degrees already tell every two
+        # non-isomorphic matroids apart, so only families that are not
+        # matroids reach the end of the bijection walk: the hexagon's edges
+        # against two triangles', every element of degree 2
+        from oracles import isomorphic_oracle
+
+        g = GroundSet("123456")
+        hexagon = Matroid._trusted(g, fam(g, "12", "23", "34", "45", "56", "16"))
+        triangles = Matroid._trusted(g, fam(g, "12", "13", "23", "45", "46", "56"))
+        assert not are_isomorphic(hexagon, triangles)
+        assert not isomorphic_oracle(hexagon, triangles)
+        assert are_isomorphic(hexagon, hexagon) and are_isomorphic(triangles, triangles)
 
     def test_isomorphism_is_invariant_under_relabeling(self):
         # relabel each n=3 matroid by a fixed permutation; must stay isomorphic

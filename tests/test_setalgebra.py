@@ -76,6 +76,9 @@ class TestGroundSet:
         g = GroundSet(str(i) for i in range(64))
         assert g.full().mask == (1 << 64) - 1
 
+    def test_repr_lists_the_labels(self):
+        assert repr(GroundSet(["pear", "1", "b"])) == "GroundSet(pear,1,b)"
+
 
 class TestSubset:
     def test_membership_and_labels(self, g3):
@@ -102,6 +105,11 @@ class TestSubset:
         other = GroundSet("12")
         with pytest.raises(ValueError):
             g3.subset("1") | other.subset("1")
+
+    def test_truth_is_nonemptiness(self, g3):
+        assert not g3.empty()
+        assert g3.subset("2")
+        assert [bool(x) for x in g3.all_subsets()] == [False] + [True] * 7
 
 
 def _random_masks(seed, count):
@@ -145,8 +153,8 @@ class TestBitIndices:
 
 
 class TestSingleBits:
-    """`_single_bits` reads masks below 256 from a table and peels the lowest
-    bit off larger ones; both must give `1 << i` for each bit index."""
+    """`_single_bits` reads masks below 256 from a table and shifts the bit
+    indices of larger ones; both must give `1 << i` for each bit index."""
 
     @pytest.mark.parametrize(
         "masks",
@@ -162,8 +170,8 @@ class TestSingleBits:
 
     @pytest.mark.parametrize("mask", [-1, -5, -300])
     def test_negative_mask_rejected(self, mask):
-        # as in _bit_indices: the table would be read from its end, and
-        # peeling bits off a negative int never ends
+        # the text of _bit_indices: the table would be read from its end,
+        # and a negative int has infinitely many set bits
         with pytest.raises(ValueError, match="negative mask"):
             _single_bits(mask)
 
@@ -363,6 +371,11 @@ class TestFamily:
             assert built == expected
             assert repr(built) == repr(expected)
 
+    def test_intersection_of_an_empty_family_is_undefined(self, g3):
+        assert fam(g3, "12", "13").intersection() == g3.subset("1")
+        with pytest.raises(ValueError, match="^intersection of an empty family is undefined$"):
+            fam(g3).intersection()
+
     @pytest.mark.parametrize("mask", [0b1000, 1 << 40, -1, -(1 << 12)])
     def test_from_masks_rejects_bits_outside_the_ground_set(self, g3, mask):
         with pytest.raises(ValueError, match="mask has bits outside the ground set"):
@@ -444,6 +457,9 @@ class TestCoveringPartition:
     def test_partition_of_subset_of_ground(self, g3):
         p = Partition(fam(g3, "2", "3"))
         assert p.support() == g3.subset("2", "3")
+
+    def test_partition_repr_names_its_blocks(self, g3):
+        assert repr(Partition(fam(g3, "23", "1"))) == "Partition({{1},{2,3}})"
 
 
 class TestCombinationNumber:

@@ -279,7 +279,7 @@ def _names(name: str):
 
 
 def test_only_classify_reads_the_flag_of_flats():
-    # the classifiers' witnesses and `thm_334` read one memo fact, built by
+    # the classifiers' witnesses and `thm_334` read one function,
     # `classify._flag_transversals`; a second reader of the flag blocks is a
     # second copy of the flag reduction and must change this list
     assert _library_sites(_names("_flag_blocks")) == ["classify.py:_flag_transversals"]
