@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from functools import partial
 from itertools import repeat
 from math import comb, prod
 from time import perf_counter
@@ -39,7 +38,6 @@ from .forming import _forming_blocks, forming_family
 from .matroid import (
     Matroid,
     are_isomorphic,
-    first_exchange_violation,
     make_partition_matroid,
     make_unique_partition_matroid,
     memo_fact,
@@ -479,17 +477,22 @@ def _check_prop_103(m: Matroid) -> str | None:
 
 
 # `is_union_minimal` and `is_intersection_minimal` answer by a certificate
-# that rests on `thm_552` and `thm_334`, the statements this registry tests,
-# so neither check reads a verdict from it.  `thm_334` decides both sides at
-# once from the transversals of the lowest flag of flats, built by the
-# function the classifiers read (`_flag_transversals`): they must all be
-# bases, and a proper family of them is a witness that M is not union
-# minimal, whose complements are one that M* is not intersection minimal;
-# these are the witnesses of `is_union_minimal(M)` and
-# `is_intersection_minimal(M*)`, and each part of both is validated here.
-# Only when the transversals are all of B(M) (unique expansion, or rank
-# zero) do the two exhaustive searches run.  `thm_552` and the worked
-# examples always search.
+# that rests on `thm_552` and `thm_334`, so neither check reads a verdict
+# from it.  `thm_334` checks the flag transversals that the classifiers return
+# as witnesses (`_flag_transversals`), on M and on M*, and runs the two
+# exhaustive searches only when they are all of B(M): unique expansion, or
+# rank zero.  `thm_552` and the worked examples always search.
+#
+# Why a passing count needs no exchange pass (not from the paper).  For any
+# family, matroid or not, `_expansion_of(masks, x)` holds no bit of x, so the
+# flats of `_flag_blocks` strictly grow from F0 = E - support: the blocks are
+# nonempty, pairwise disjoint, and partition the support.  Every kept base
+# lies in the support and meets each block once, so a passing count means
+# that `kept` is the whole transversal product.  That product is exchange
+# closed (B1 - x + y, for y the pick of B2 in the block of x), so are its
+# complements, and they meet in E - support, the base intersection of M*.
+# The cover and dual branches follow from the same facts, and stay because a
+# mutant of `_flag_blocks`, `_expansion_of` or `Matroid.dual` fails there.
 @_theorem("thm_334", "union minimality coincides with intersection minimality of the dual")
 def _check_thm_334(m: Matroid) -> str | None:
     dual = m.dual()
@@ -504,34 +507,21 @@ def _check_thm_334(m: Matroid) -> str | None:
         if um != im:
             return f"union minimal {um} but dual intersection minimal {im}"
         return None
-    # the witnesses are checked as masks, and built as families only to name
-    # a failure; an exchange pass read only for None needs no canonical order
     ground = m.ground
-    full = ground.full().mask
-    comasks = [full ^ b for b in kept]
     union = 0
     for b in kept:
         union |= b
-    family = partial(SetFamily.from_masks, ground)
-    if first_exchange_violation(kept) is not None:
-        return f"flag transversals {family(kept)} are not a base family"
     if union != m.support().mask:
         return (
-            f"flag transversals {family(kept)} cover {ground.from_mask(union)}, "
-            "not the base support"
+            f"flag transversals {SetFamily.from_masks(ground, kept)} cover "
+            f"{ground.from_mask(union)}, not the base support"
         )
+    full = ground.full().mask
+    comasks = [full ^ b for b in kept]
     if not set(comasks) < dual.bases.masks():
         return (
-            f"complements {family(comasks)} of the flag transversals are not a "
-            "proper part of the dual bases"
-        )
-    if first_exchange_violation(comasks) is not None:
-        return f"complements {family(comasks)} of the flag transversals are not a base family"
-    # the complements of the transversals meet in what their union misses
-    if full ^ union != dual.base_intersection().mask:
-        return (
-            f"complements {family(comasks)} of the flag transversals meet in "
-            f"{ground.from_mask(full ^ union)}, not the dual base intersection"
+            f"complements {SetFamily.from_masks(ground, comasks)} of the flag "
+            "transversals are not a proper part of the dual bases"
         )
     return None
 

@@ -9,6 +9,7 @@ import traceback
 import weakref
 from functools import partial
 from itertools import chain, combinations, product
+from math import prod
 from pathlib import Path
 
 import pytest
@@ -38,7 +39,12 @@ from matroidlab import expansion, forming_family, harness, recover_partition
 from matroidlab import matroid as matroid_module
 from matroidlab.enumeration import _families
 from matroidlab.errors import AxiomError, SearchCapExceeded, UnequalCardinality
-from matroidlab.setalgebra import _partition_masks, one_per_block
+from matroidlab.setalgebra import (
+    _disjoint_union,
+    _partition_masks,
+    _transversal_masks,
+    one_per_block,
+)
 
 from large_grounds import (
     PINNED as LARGE_GROUNDS_DIGEST,
@@ -645,10 +651,12 @@ class TestThm123ReadsTheDual:
         monkeypatch.setattr(matroid_module, "expansion_masks", expansion_masks)
         assert verify(pop).failures == 0
         # one dual per matroid, plus prop_339's dual of the one-per-block
-        # matroid of each of the 272 unique expansion matroids
+        # matroid of each of the 272 unique expansion matroids; thm_334 runs
+        # no exchange pass (its two passes built 440 maps: two on each of the
+        # 497 - 272 - 5 = 220 matroids of positive rank, not unique expansion)
         unique = [m for m in pop if m.rank > 0 and is_unique_expansion(m).verdict]
         assert (len(pop), len(unique)) == (497, 272)
-        assert counts == {"complements": 497 + 272, "expansion_masks": 2460}
+        assert counts == {"complements": 497 + 272, "expansion_masks": 2020}
 
     def test_a_failed_dual_is_kept_nowhere(self):
         # a family that is not a matroid keeps no dual and no error: every
@@ -724,6 +732,40 @@ class TestThm334:
         for m in families:
             fresh = Matroid._trusted(m.ground, m.bases)
             assert outcome(check.run, m) == outcome(thm_334_oracle, fresh)
+
+    @staticmethod
+    def _flag_breaches(families):
+        """The families whose flag blocks do not partition the support, and
+        the count of those whose transversal count passes."""
+        breaches, passing = [], 0
+        for m in families:
+            blocks, kept = classify_module._flag_transversals(m)
+            if _disjoint_union(blocks) != m.support().mask:
+                breaches.append(m)
+            elif len(kept) == prod(k.bit_count() for k in blocks):
+                passing += 1
+                assert sorted(kept) == sorted(_transversal_masks(blocks)), m
+        return breaches, passing
+
+    def test_a_passing_count_keeps_the_whole_transversal_product(self):
+        # the proof behind the check's missing exchange passes: the blocks
+        # partition the support of any family, so a passing count keeps every
+        # transversal, whose family and complements are exchange closed
+        families = [
+            *population(6), *mixed_size_families(), *_equal_size_families(4, range(1, 4))
+        ]
+        assert len(families) == 4304 + 2242 + 93
+        assert self._flag_breaches(families) == ([], 5239)
+
+    def test_flag_mutant_breaks_the_partition(self, monkeypatch):
+        # the 61 matroids whose blocks lose an element are the 61 that the
+        # mutant fails in the check, at its cover branch
+        _flag_missing_an_element(monkeypatch)
+        pop = population(4)
+        breaches, _ = self._flag_breaches(pop)
+        outcome = verify(pop, [lookup_check("thm_334")]).outcomes[0]
+        assert len(breaches) == 61
+        assert [m.to_doc() for m in breaches] == [w["matroid"] for w in outcome.witnesses]
 
     MUTANTS = [
         (
@@ -894,37 +936,6 @@ def _dual_of_higher_rank(monkeypatch):
     return m
 
 
-def _flag_transversals_not_exchange_closed(monkeypatch):
-    # four picks of two blocks of two, {1,2},{1,3},{1,4},{3,4}: B1 = {1,2},
-    # B2 = {3,4} and x = 1 have no repair
-    bases = [0b0011, 0b0101, 0b1001, 0b1100]
-    monkeypatch.setattr(harness, "_flag_transversals", lambda m: ([0b0011, 0b1100], bases))
-    return _matroid("1234", *U24)
-
-
-def _second_exchange_pass_fails(monkeypatch):
-    # an equal-size family passes the exchange pass exactly when its
-    # complements do, so only a mutant fails the second of the two passes
-    real = harness.first_exchange_violation
-    calls = []
-
-    def second_fails(masks):
-        calls.append(masks)
-        return (0, 0, 0) if len(calls) == 2 else real(masks)
-
-    monkeypatch.setattr(harness, "first_exchange_violation", second_fails)
-    return _matroid("123", "12", "13", "23")
-
-
-def _dual_without_the_loop(monkeypatch):
-    # U(2,3) plus the loop 4: the complements {2,4},{3,4} of its flag
-    # transversals are a proper part of the crafted dual, which drops 4
-    m = _matroid("1234", "12", "13", "23")
-    g = m.ground
-    m._facts["dual"] = Matroid._trusted(g, SetFamily(g, [g.subset(*b) for b in ("24", "34", "23")]))
-    return m
-
-
 class TestUnreachedFailureDetails:
     """Failure details that no matroid produces, each reached once by a
     crafted memo fact or a patched function that its check reads."""
@@ -937,13 +948,6 @@ class TestUnreachedFailureDetails:
          "base support {1,2} != partition support {1,2,3}"),
         ("thm_321", _seeded("one_per_block_matroid", "12", "13", "23"),
          "forming family {{1,2},{1,3},{2,3}} != defining partition {{1},{2,3}}"),
-        ("thm_334", _flag_transversals_not_exchange_closed,
-         "flag transversals {{1,2},{1,3},{1,4},{3,4}} are not a base family"),
-        ("thm_334", _second_exchange_pass_fails,
-         "complements {{2},{3}} of the flag transversals are not a base family"),
-        ("thm_334", _dual_without_the_loop,
-         "complements {{2,4},{3,4}} of the flag transversals meet in {4}, not the "
-         "dual base intersection"),
         ("prop_118", _u24_said_unique_expansion,
          "unique expansion matroid is not unique exchange: ExchangeWitness(base1={1,2}, "
          "base2={3,4}, removed='1', y1='3', y2='4')"),
