@@ -35,13 +35,10 @@ from .forming import (
 )
 from .harness import (
     CheckOutcome,
-    ExampleFact,
     TheoremCheck,
     VerificationReport,
-    WorkedExample,
     check_examples,
     lookup_check,
-    worked_examples,
     theorem_registry,
     verify,
 )
@@ -116,9 +113,6 @@ __all__ = [
     "theorem_registry",
     "lookup_check",
     "verify",
-    "WorkedExample",
-    "ExampleFact",
-    "worked_examples",
     "check_examples",
     "__version__",
 ]

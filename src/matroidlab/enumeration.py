@@ -31,7 +31,7 @@ capped at 7.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import cache
 from typing import Iterator
 
 from .errors import GroundSetTooLarge
@@ -40,14 +40,11 @@ from .setalgebra import _BYTE_RANK, _BYTE_UNRANK, GroundSet, SetFamily
 
 MAX_ENUMERATION_SIZE = 7
 
-_GROUNDS: dict[int, GroundSet] = {}
 
-
+@cache
 def enumeration_ground(n: int) -> GroundSet:
     """The shared ground set {1..n} used by the enumerated population."""
-    if n not in _GROUNDS:
-        _GROUNDS[n] = GroundSet(str(i) for i in range(1, n + 1))
-    return _GROUNDS[n]
+    return GroundSet(str(i) for i in range(1, n + 1))
 
 
 def _linear_subclasses(hyperplanes: list[int], r: int, bases: tuple[int, ...]) -> list[int]:
@@ -123,7 +120,7 @@ def _extensions(bases: tuple[int, ...], r: int, n: int) -> Iterator[tuple[int, .
         yield tuple(members)
 
 
-@lru_cache(maxsize=None)
+@cache
 def _families(n: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
     """Per rank 0..n, the canonically sorted base-mask families on n elements.
 

@@ -9,9 +9,9 @@ a check's place in this file is its place in the report.  `verify` runs a
 registry over a population and produces a deterministic report; failures are
 report content, never errors.
 
-The worked examples bundled here are small matroids with machine-checkable
-expected facts, including the negative ones (non-membership in a class, with
-the exact canonical witness).
+`check_examples` holds the paper's worked examples: small matroids with
+machine-checkable expected facts, including the negative ones (non-membership
+in a class, with the exact canonical witness).
 """
 
 from __future__ import annotations
@@ -735,24 +735,6 @@ def verify(
     )
 
 
-@dataclass(frozen=True)
-class ExampleFact:
-    """A single machine-checkable expectation about a worked example."""
-
-    fact_id: str
-    description: str
-    holds: Callable[[], bool]
-
-
-@dataclass(frozen=True)
-class WorkedExample:
-    """A worked example: one or two matroids plus their expected facts."""
-
-    name: str
-    matroids: tuple[Matroid, ...]
-    facts: tuple[ExampleFact, ...]
-
-
 def _from_low(labels: Iterable[str], bases: Iterable[Iterable[str]]) -> Matroid:
     # examples are stated as the downward closure of a base family; build them
     # through the independence-axiom route so both validators get exercised
@@ -761,8 +743,8 @@ def _from_low(labels: Iterable[str], bases: Iterable[Iterable[str]]) -> Matroid:
     return Matroid.from_independents(ground, low(family))
 
 
-def worked_examples() -> list[WorkedExample]:
-    """The worked-example catalog with expected facts, negatives included."""
+def check_examples() -> list[tuple[str, str, bool]]:
+    """The paper's worked examples, negatives included; rows are (example, fact, ok)."""
     g3 = GroundSet("123")
     m_nested = _from_low("123", ["12", "13"])
     m_uniform = _from_low("123", ["12", "13", "23"])
@@ -773,185 +755,53 @@ def worked_examples() -> list[WorkedExample]:
     m_grid5 = _from_low("12345", ["13", "14", "23", "24"])
     m_tri5 = _from_low("12345", ["23", "24", "34"])
     g5 = m_star5.ground
-
-    examples = [
-        WorkedExample(
-            "example_300",
-            (m_nested, m_uniform),
-            (
-                ExampleFact(
-                    "forming_family_nested",
-                    "forming family is {{1},{2,3}} with as many blocks as the rank",
-                    lambda: forming_family(m_nested)
-                    == SetFamily(g3, [g3.subset("1"), g3.subset("2", "3")])
-                    and len(forming_family(m_nested)) == 2 == m_nested.rank,
-                ),
-                ExampleFact(
-                    "forming_family_uniform",
-                    "forming family is all 2-subsets, one block more than the rank",
-                    lambda: forming_family(m_uniform) == m_uniform.bases
-                    and len(forming_family(m_uniform)) == 3 > 2 == m_uniform.rank,
-                ),
-            ),
-        ),
-        WorkedExample(
-            "example_47",
-            (m_uniform,),
-            (
-                ExampleFact(
-                    "covering_not_partition",
-                    "forming family covers the base support but is not a partition",
-                    lambda: is_covering(
-                        forming_family(m_uniform), m_uniform.support()
-                    )
-                    and not is_partition(
-                        forming_family(m_uniform), m_uniform.support()
-                    ),
-                ),
-            ),
-        ),
-        WorkedExample(
-            "example_48",
-            (m_uniform,),
-            (
-                ExampleFact(
-                    "two_expansions",
-                    "secondary base {1} extends into base {2,3} by 2 and by 3",
-                    lambda: is_unique_expansion(m_uniform).witness
-                    == ExpansionWitness(
-                        g3.subset("1"), g3.subset("2", "3"), "2", "3"
-                    ),
-                ),
-            ),
-        ),
-        WorkedExample(
-            "example_73",
-            (m_nested,),
-            (
-                ExampleFact(
-                    "unique_expansion",
-                    "the nested base pair forms a unique expansion matroid",
-                    lambda: is_unique_expansion(m_nested).verdict,
-                ),
-            ),
-        ),
-        WorkedExample(
-            "example_119",
-            (m_ex119,),
-            (
-                ExampleFact(
-                    "unique_exchange_only",
-                    "unique exchange holds but unique expansion does not",
-                    lambda: is_unique_exchange(m_ex119).verdict
-                    and not is_unique_expansion(m_ex119).verdict,
-                ),
-            ),
-        ),
-        WorkedExample(
-            "example_121",
-            (m_ex121,),
-            (
-                ExampleFact(
-                    "exchange_but_dual_not_expansion",
-                    "unique exchange holds but the dual is not unique expansion",
-                    lambda: is_unique_exchange(m_ex121).verdict
-                    and not is_unique_expansion(m_ex121.dual()).verdict,
-                ),
-            ),
-        ),
-        WorkedExample(
-            "example_333",
-            (m_uniform, m_nested),
-            (
-                ExampleFact(
-                    "reducible",
-                    "dropping {2,3} leaves a base family with the same union",
-                    lambda: _minimality_search(m_uniform, "union").witness.subfamily
-                    == m_nested.bases,
-                ),
-                ExampleFact(
-                    "irreducible",
-                    "the nested base pair is union minimal",
-                    lambda: _minimality_search(m_nested, "union").verdict,
-                ),
-            ),
-        ),
-        WorkedExample(
-            "example_338",
-            (m_ex338,),
-            (
-                ExampleFact(
-                    "two_repairs",
-                    "removing 3 from {1,2,3} is repaired by both 4 and 5 of {1,4,5}",
-                    lambda: is_unique_exchange(m_ex338).witness
-                    == ExchangeWitness(
-                        m_ex338.ground.subset("1", "2", "3"),
-                        m_ex338.ground.subset("1", "4", "5"),
-                        "3", "4", "5",
-                    ),
-                ),
-            ),
-        ),
-        WorkedExample(
-            "prop_42_union",
-            (m_star5, m_grid5),
-            (
-                ExampleFact(
-                    "both_union_minimal",
-                    "both matroids are union minimal",
-                    lambda: _minimality_search(m_star5, "union").verdict
-                    and _minimality_search(m_grid5, "union").verdict,
-                ),
-                ExampleFact(
-                    "same_support_and_rank",
-                    "equal base support and equal rank",
-                    lambda: m_star5.support() == m_grid5.support()
-                    and m_star5.rank == m_grid5.rank == 2,
-                ),
-                ExampleFact(
-                    "not_isomorphic",
-                    "not isomorphic: base intersections are {1} and {}",
-                    lambda: not are_isomorphic(m_star5, m_grid5)
-                    and m_star5.base_intersection() == g5.subset("1")
-                    and m_grid5.base_intersection() == g5.empty(),
-                ),
-            ),
-        ),
-        WorkedExample(
-            "prop_42_intersection",
-            (m_tri5, m_grid5),
-            (
-                ExampleFact(
-                    "both_intersection_minimal",
-                    "both matroids are intersection minimal",
-                    lambda: _minimality_search(m_tri5, "intersection").verdict
-                    and _minimality_search(m_grid5, "intersection").verdict,
-                ),
-                ExampleFact(
-                    "same_intersection_and_rank",
-                    "both base intersections empty, equal rank",
-                    lambda: m_tri5.base_intersection()
-                    == m_grid5.base_intersection()
-                    == g5.empty()
-                    and m_tri5.rank == m_grid5.rank == 2,
-                ),
-                ExampleFact(
-                    "not_isomorphic",
-                    "not isomorphic: base supports are {2,3,4} and {1,2,3,4}",
-                    lambda: not are_isomorphic(m_tri5, m_grid5)
-                    and m_tri5.support() == g5.subset("2", "3", "4")
-                    and m_grid5.support() == g5.subset("1", "2", "3", "4"),
-                ),
-            ),
-        ),
+    return [
+        ("example_300", "forming_family_nested",
+         forming_family(m_nested) == SetFamily(g3, [g3.subset("1"), g3.subset("2", "3")])
+         and len(forming_family(m_nested)) == 2 == m_nested.rank),
+        ("example_300", "forming_family_uniform",
+         forming_family(m_uniform) == m_uniform.bases
+         and len(forming_family(m_uniform)) == 3 > 2 == m_uniform.rank),
+        ("example_47", "covering_not_partition",
+         is_covering(forming_family(m_uniform), m_uniform.support())
+         and not is_partition(forming_family(m_uniform), m_uniform.support())),
+        # secondary base {1} extends into base {2,3} by 2 and by 3
+        ("example_48", "two_expansions",
+         is_unique_expansion(m_uniform).witness
+         == ExpansionWitness(g3.subset("1"), g3.subset("2", "3"), "2", "3")),
+        ("example_73", "unique_expansion", is_unique_expansion(m_nested).verdict),
+        ("example_119", "unique_exchange_only",
+         is_unique_exchange(m_ex119).verdict and not is_unique_expansion(m_ex119).verdict),
+        ("example_121", "exchange_but_dual_not_expansion",
+         is_unique_exchange(m_ex121).verdict
+         and not is_unique_expansion(m_ex121.dual()).verdict),
+        # dropping {2,3} leaves a base family with the same union
+        ("example_333", "reducible",
+         _minimality_search(m_uniform, "union").witness.subfamily == m_nested.bases),
+        ("example_333", "irreducible", _minimality_search(m_nested, "union").verdict),
+        # removing 3 from {1,2,3} is repaired by both 4 and 5 of {1,4,5}
+        ("example_338", "two_repairs",
+         is_unique_exchange(m_ex338).witness
+         == ExchangeWitness(
+             m_ex338.ground.subset("1", "2", "3"), m_ex338.ground.subset("1", "4", "5"), "3", "4", "5"
+         )),
+        ("prop_42_union", "both_union_minimal",
+         _minimality_search(m_star5, "union").verdict
+         and _minimality_search(m_grid5, "union").verdict),
+        ("prop_42_union", "same_support_and_rank",
+         m_star5.support() == m_grid5.support() and m_star5.rank == m_grid5.rank == 2),
+        ("prop_42_union", "not_isomorphic",
+         not are_isomorphic(m_star5, m_grid5)
+         and m_star5.base_intersection() == g5.subset("1")
+         and m_grid5.base_intersection() == g5.empty()),
+        ("prop_42_intersection", "both_intersection_minimal",
+         _minimality_search(m_tri5, "intersection").verdict
+         and _minimality_search(m_grid5, "intersection").verdict),
+        ("prop_42_intersection", "same_intersection_and_rank",
+         m_tri5.base_intersection() == m_grid5.base_intersection() == g5.empty()
+         and m_tri5.rank == m_grid5.rank == 2),
+        ("prop_42_intersection", "not_isomorphic",
+         not are_isomorphic(m_tri5, m_grid5)
+         and m_tri5.support() == g5.subset("2", "3", "4")
+         and m_grid5.support() == g5.subset("1", "2", "3", "4")),
     ]
-    return examples
-
-
-def check_examples() -> list[tuple[str, str, bool]]:
-    """Evaluate every fact of every worked example; rows are (example, fact, ok)."""
-    rows = []
-    for example in worked_examples():
-        for fact in example.facts:
-            rows.append((example.name, fact.fact_id, bool(fact.holds())))
-    return rows

@@ -1,6 +1,8 @@
 """Source-level guards over the library modules."""
 
 import ast
+import importlib
+import importlib.util
 from pathlib import Path
 
 import matroidlab
@@ -388,3 +390,45 @@ def test_the_registry_is_assigned_where_declared_and_where_frozen():
         if isinstance(node, ast.FunctionDef) and node.name.startswith("_check_")
     ]
     assert declared.lineno < min(lines) and max(lines) < frozen.lineno
+
+
+PERFBENCH = Path(__file__).parent.parent / "perfbench"
+
+
+def _resolves(module, name: str) -> bool:
+    """Is `name` an attribute of `module`, or a submodule of it when it is a
+    package (`from matroidlab import cli` imports the module on demand)?"""
+    if hasattr(module, name):
+        return True
+    return hasattr(module, "__path__") and (
+        importlib.util.find_spec(f"{module.__name__}.{name}") is not None
+    )
+
+
+def test_every_name_the_benchmark_imports_resolves():
+    # every benchmark child imports these names at start; one removed from
+    # the library fails every child, which only the slow benchmark gates
+    # would show otherwise
+    sources = sorted(PERFBENCH.glob("*.py"))
+    assert sources
+    imported = [
+        (node.module, alias.name)
+        for path in sources
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.ImportFrom)
+        and node.module in ("matroidlab", "matroidlab.errors")
+        for alias in node.names
+    ]
+    assert imported
+    missing = [
+        f"{module}.{name}"
+        for module, name in imported
+        if not _resolves(importlib.import_module(module), name)
+    ]
+    assert missing == []
+
+
+def test_every_exported_name_resolves_once():
+    exported = matroidlab.__all__
+    assert len(set(exported)) == len(exported)
+    assert [name for name in exported if not _resolves(matroidlab, name)] == []
