@@ -133,11 +133,11 @@ def _expansion_of(base_masks: Iterable[int], x: int) -> int:
 
 
 def first_exchange_violation(
-    masks: Sequence[int], exp: dict[int, int] | None = None
+    masks: Sequence[int], exp: dict[int, int]
 ) -> tuple[int, int, int] | None:
     """First (base1, base2, x) violating the base exchange requirement.
 
-    `exp` is `expansion_masks(masks)` when the caller has built it already.
+    `exp` is `expansion_masks(masks)`, which the caller builds and keeps.
     Returns None exactly when the family satisfies the exchange requirement,
     in any order of `masks`; otherwise the least triple in their order.
 
@@ -154,8 +154,6 @@ def first_exchange_violation(
     Only a failing family is scanned (`_least_triple`) for its canonically
     least triple.
     """
-    if exp is None:
-        exp = expansion_masks(masks)
     for grows in set(exp.values()):
         for b in masks:
             if not b & grows:

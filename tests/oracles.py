@@ -41,7 +41,7 @@ from matroidlab.errors import (
     MissingEmptySet,
     NotDownwardClosed,
 )
-from matroidlab.matroid import first_exchange_violation
+from matroidlab.matroid import expansion_masks, first_exchange_violation
 from matroidlab.setalgebra import _submasks
 
 
@@ -548,7 +548,7 @@ def minimality_witness_oracle(m: Matroid, kind: str) -> SetFamily | None:
         for combo in combinations(bases, k):
             masks = [s.mask for s in combo]
             if same_boundary(masks) and (
-                first_exchange_violation(masks) is None
+                first_exchange_violation(masks, expansion_masks(masks)) is None
             ):
                 return SetFamily(m.ground, combo)
     return None

@@ -13,7 +13,7 @@ from math import prod
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from matroidlab import (
@@ -1056,6 +1056,44 @@ class TestFormingChecksAgainstOracles:
         assert [w["matroid"] for w in outcome.witnesses] == ranked
         assert outcome.witnesses[0]["detail"] == "|forming family wrt {1,2}| = 1 != rank 2"
 
+    @staticmethod
+    @st.composite
+    def _block_lists(draw):
+        # a family of nonempty masks, so of positive rank, and per base a
+        # block list of any shape: masks of the ground, which may miss the
+        # base's elements or overlap, and repeated singletons, which put one
+        # element in two, three or more blocks
+        n = draw(st.integers(1, 6))
+        mask = st.integers(0, (1 << n) - 1)
+        single = st.sampled_from([1 << i for i in range(n)])
+        bases = draw(st.frozensets(st.integers(1, (1 << n) - 1), min_size=1, max_size=6))
+        blocks = st.lists(st.one_of(mask, single), max_size=6)
+        return n, {b: draw(blocks) for b in sorted(bases)}
+
+    # element 0 of {0,1,2} is in one block, 1 in three and 2 in none: the
+    # least of the two bad elements is named, with its three hits
+    @settings(max_examples=300, deadline=None)
+    @given(_block_lists())
+    @example((4, {0b0111: [0b0011, 0b0010, 0b1010]}))
+    def test_lemma_e_names_the_least_bad_element_on_any_block_lists(self, case):
+        # lemma_e's one mask pass against a recount of every element's hits,
+        # base by base in canonical order, on block lists no matroid builds
+        n, lists = case
+        g = GroundSet(str(i) for i in range(n))
+        m = Matroid._trusted(g, SetFamily.from_masks(g, lists))
+        m._facts["forming_blocks"] = walk = [(b, lists[b]) for b in m.bases._order]
+
+        def recount():
+            for b, blocks in walk:
+                for i in range(n):
+                    hits = sum(k >> i & 1 for k in blocks)
+                    if b >> i & 1 and hits != 1:
+                        fam = SetFamily.from_masks(g, blocks)
+                        return f"element {i} of base {g.from_mask(b)} lies in {hits} blocks of {fam}"
+            return None
+
+        assert lookup_check("lemma_e").run(m) == recount()
+
     @pytest.mark.parametrize("check_id,detail,digest,applicable,mutant", MUTANTS)
     def test_mutant_failure_detail_is_pinned(
         self, monkeypatch, check_id, detail, digest, applicable, mutant
@@ -1454,20 +1492,33 @@ class TestDefinitionalScans:
         assert hashlib.sha256(witnesses).hexdigest() == digest
 
     @staticmethod
-    def _call_sites(m):
-        # the arguments each scanning check passes, on a unique expansion m
+    def _as_complement(g, support, quotas):
+        # the oracle's complement shape as the scan states it: X's complement
+        # lies in the support S and meets each k in c elements exactly when X,
+        # over the whole ground, holds |k & S| - c elements of k & S and the
+        # rest E - S whole, the rest left out when empty as prop_339 does
+        rest = g.full().mask & ~support
+        kept = [(k & support, (k & support).bit_count() - c) for k, c in quotas]
+        return g.full(), kept + ([(rest, rest.bit_count())] if rest else [])
+
+    @classmethod
+    def _call_sites(cls, m):
+        # each scanning check's call on a unique expansion m, with the
+        # oracle's arguments for the same description
         p = harness._recovered(m)
         blocks = [b.mask for b in p]
+        forming = [k.mask for k in forming_family(m)]
         ones, full = (1,) * len(p), tuple(len(b) for b in p)
-        return [
-            (m.bases.masks(), m.support(), [k.mask for k in forming_family(m)], None, False),
-            *(
-                (make_partition_matroid(m.ground, p, caps).bases.masks(),
-                 p.support(), blocks, caps, False)
-                for caps in (ones, full)
-            ),
-            (harness._one_per_block_matroid(m).dual().bases.masks(), p.support(), blocks, None, True),
-        ]
+        dual = harness._one_per_block_matroid(m).dual().bases.masks()
+        sites = [((m.bases.masks(), m.support(), [(k, 1) for k in forming]),
+                  (m.bases.masks(), m.support(), forming, None, False))]
+        for caps in (ones, full):
+            masks = make_partition_matroid(m.ground, p, caps).bases.masks()
+            sites.append(((masks, p.support(), list(zip(blocks, caps))),
+                          (masks, p.support(), blocks, caps, False)))
+        scope = cls._as_complement(m.ground, p.support().mask, [(k, 1) for k in blocks])
+        sites.append(((dual, *scope), (dual, p.support(), blocks, None, True)))
+        return sites
 
     @staticmethod
     def _unique_expansion(max_n):
@@ -1476,8 +1527,8 @@ class TestDefinitionalScans:
     def test_scan_matches_the_oracle_at_every_call_site(self):
         sites = 0
         for m in self._unique_expansion(5):
-            for args in self._call_sites(m):
-                assert harness._definitional_scan(*args) == definitional_scan_oracle(*args)
+            for args, reference in self._call_sites(m):
+                assert harness._definitional_scan(*args) == definitional_scan_oracle(*reference)
                 sites += 1
         assert sites == 4 * 272
 
@@ -1488,7 +1539,7 @@ class TestDefinitionalScans:
         kinds = {"drop": 0, "add": 0, "outside": 0}
         for m in self._unique_expansion(5):
             g = m.ground
-            for masks, support, blocks, caps, complement in self._call_sites(m):
+            for (masks, *scope), (_, support, blocks, caps, complement) in self._call_sites(m):
                 flip = g.full().mask if complement else 0
                 for mask in range(1 << g.size):
                     if mask in masks:
@@ -1497,25 +1548,30 @@ class TestDefinitionalScans:
                         kinds["outside"] += 1
                     else:
                         kinds["add"] += 1
-                    args = (masks ^ {mask}, support, blocks, caps, complement)
-                    hit = harness._definitional_scan(*args)
+                    hit = harness._definitional_scan(masks ^ {mask}, *scope)
                     assert hit is not None
-                    assert hit == definitional_scan_oracle(*args)
+                    assert hit == definitional_scan_oracle(
+                        masks ^ {mask}, support, blocks, caps, complement
+                    )
         assert min(kinds.values()) > 0
 
     @settings(max_examples=300, deadline=None)
     @given(st.data())
     def test_scan_matches_the_oracle_on_any_shape(self, data):
         # shapes no call site makes: blocks that overlap, are empty or reach
-        # outside the support, caps from 0 to |k| + 1, and base masks that
-        # are random or the described family with up to two masks flipped
+        # outside the support, and base masks that are random or the
+        # described family with up to two masks flipped.  A complement shape
+        # is scanned as prop_339 states its dual bases, with its caps drawn
+        # from 0 to |k & S|, as a quota is a count and none is below zero;
+        # other shapes draw caps from 0 to |k| + 1
         n = data.draw(st.integers(1, 8), label="n")
         g = GroundSet(str(i) for i in range(n))
         mask = st.integers(0, (1 << n) - 1)
         support = data.draw(mask, label="support")
         blocks = data.draw(st.lists(mask, max_size=4), label="blocks")
-        caps = [data.draw(st.integers(0, k.bit_count() + 1), label="cap") for k in blocks]
         complement = data.draw(st.booleans(), label="complement")
+        tops = [(k & support).bit_count() if complement else k.bit_count() + 1 for k in blocks]
+        caps = [data.draw(st.integers(0, top), label="cap") for top in tops]
         if data.draw(st.booleans(), label="near the description"):
             flip = (1 << n) - 1 if complement else 0
             described = frozenset(
@@ -1525,8 +1581,10 @@ class TestDefinitionalScans:
             masks = described ^ data.draw(st.frozensets(mask, max_size=2), label="flips")
         else:
             masks = data.draw(st.frozensets(mask, max_size=24), label="masks")
-        args = (masks, Subset(g, support), blocks, caps, complement)
-        assert harness._definitional_scan(*args) == definitional_scan_oracle(*args)
+        quotas = list(zip(blocks, caps))
+        scope = self._as_complement(g, support, quotas) if complement else (Subset(g, support), quotas)
+        reference = (masks, Subset(g, support), blocks, caps, complement)
+        assert harness._definitional_scan(masks, *scope) == definitional_scan_oracle(*reference)
 
     def test_scan_names_the_least_mismatch_on_forty_elements(self):
         # U(1,40): the bases are the 40 singletons and the one block is the
@@ -1536,26 +1594,23 @@ class TestDefinitionalScans:
         # {6}; with {2} dropped as well, {2} comes first
         u = rank_one_uniform(40)
         g, masks = u.ground, u.bases.masks()
-        scope = (g.full(), [g.full().mask])
+        full = g.full().mask
+        scope = (g.full(), [(full, 1)])
         assert harness._definitional_scan(masks, *scope) is None
         assert harness._definitional_scan(masks - {1 << 39}, *scope) == (g.subset("39"), False)
         added = masks | {1 << 3 | 1 << 5}
         assert harness._definitional_scan(added, *scope) == (g.subset("3", "5"), True)
         assert harness._definitional_scan(added - {1 << 2}, *scope) == (g.subset("2"), False)
-        # the dual's bases are the complements of the singletons, the least
-        # being the complement of {39}; the complement of {3,5} lies between
-        # those of {6} and {5}, and with it added the complements of {39}
-        # down to {6} are bases, while with the complement of {0}, the
-        # greatest, dropped it is the only mismatch
-        full = g.full().mask
+        # the dual's bases are the 39-element sets, the least being the
+        # complement of {39}; the complement of {3,5} lies between those of
+        # {6} and {5}, and with it added the complements of {39} down to {6}
+        # are bases, while with the complement of {0}, the greatest, dropped
+        # it is the only mismatch
         dual = u.dual().bases.masks()
-        assert harness._definitional_scan(dual, *scope, complement=True) is None
-        assert harness._definitional_scan(dual - {full ^ 1}, *scope, complement=True) == (
-            g.from_mask(full ^ 1), False
-        )
-        assert harness._definitional_scan(dual | {full ^ 40}, *scope, complement=True) == (
-            g.from_mask(full ^ 40), True
-        )
+        scope = (g.full(), [(full, 39)])
+        assert harness._definitional_scan(dual, *scope) is None
+        assert harness._definitional_scan(dual - {full ^ 1}, *scope) == (g.from_mask(full ^ 1), False)
+        assert harness._definitional_scan(dual | {full ^ 40}, *scope) == (g.from_mask(full ^ 40), True)
 
     def test_scans_pass_rank_one_uniform_at_any_size(self):
         # the scans never list the subsets of the support, so U(1,n) passes

@@ -36,7 +36,7 @@ from matroidlab.errors import (
     UnequalCardinality,
 )
 from matroidlab import matroid as matroid_module
-from matroidlab.matroid import first_exchange_violation
+from matroidlab.matroid import expansion_masks, first_exchange_violation
 
 from oracles import (
     exchange_scan_oracle,
@@ -196,7 +196,7 @@ class TestFromBases:
         # the expansion map must name the probe's triple
         for m in mixed_size_families():
             masks = [b.mask for b in m.bases.sets]
-            assert first_exchange_violation(masks) == exchange_scan_oracle(
+            assert first_exchange_violation(masks, expansion_masks(masks)) == exchange_scan_oracle(
                 masks, frozenset(masks)
             ), m
 
@@ -209,7 +209,8 @@ class TestFromBases:
         monkeypatch.setattr(matroid_module, "_least_triple", scan)
         for m in enumerate_matroids(5):
             for family in (m.bases, complements(m.bases)):
-                assert first_exchange_violation([b.mask for b in family.sets]) is None
+                masks = [b.mask for b in family.sets]
+                assert first_exchange_violation(masks, expansion_masks(masks)) is None
 
     @settings(max_examples=300, deadline=None)
     @given(wide_families())
@@ -217,7 +218,7 @@ class TestFromBases:
         # passing and failing families on 9-10 elements, past the byte table;
         # the unique exchange scan walks the same triples on the same family
         assert max(masks) >= 256
-        assert first_exchange_violation(masks) == exchange_scan_oracle(
+        assert first_exchange_violation(masks, expansion_masks(masks)) == exchange_scan_oracle(
             masks, frozenset(masks)
         )
         ground = GroundSet(str(i) for i in range(1, max(masks).bit_length() + 1))
