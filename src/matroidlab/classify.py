@@ -21,8 +21,7 @@ per matroid (`_union_search`), since `thm_334` and `thm_552` both read it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import RankZero, SearchCapExceeded
 from .forming import forming_family
@@ -41,8 +40,7 @@ from .setalgebra import (
 DEFAULT_SEARCH_CAP = 20
 
 
-@dataclass(frozen=True)
-class ExpansionWitness:
+class ExpansionWitness(NamedTuple):
     """Secondary base extended to a base by two distinct elements of one base."""
 
     secondary: Subset
@@ -51,8 +49,7 @@ class ExpansionWitness:
     e2: str
 
 
-@dataclass(frozen=True)
-class ExchangeWitness:
+class ExchangeWitness(NamedTuple):
     """Two distinct replacements restoring a base after one removal."""
 
     base1: Subset
@@ -62,23 +59,28 @@ class ExchangeWitness:
     y2: str
 
 
-@dataclass(frozen=True)
-class SubfamilyWitness:
+class SubfamilyWitness(NamedTuple):
     """A proper subfamily that is itself a base family with the same union/intersection."""
 
     subfamily: SetFamily
 
 
-@dataclass(frozen=True)
-class ClassificationResult:
+class _Result(NamedTuple):
     verdict: bool
     witness: ExpansionWitness | ExchangeWitness | SubfamilyWitness | None = None
 
-    def __post_init__(self):
-        if self.verdict != (self.witness is None):
-            raise ValueError(
-                f"verdict {self.verdict} is inconsistent with witness {self.witness!r}"
-            )
+
+class ClassificationResult(_Result):
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        verdict: bool,
+        witness: ExpansionWitness | ExchangeWitness | SubfamilyWitness | None = None,
+    ) -> ClassificationResult:
+        if verdict != (witness is None):
+            raise ValueError(f"verdict {verdict} is inconsistent with witness {witness!r}")
+        return super().__new__(cls, verdict, witness)
 
     def __bool__(self) -> bool:
         return self.verdict

@@ -17,10 +17,9 @@ in a class, with the exact canonical witness).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from math import comb, prod
 from time import perf_counter
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .classify import (
     ExchangeWitness,
@@ -58,8 +57,7 @@ from .setalgebra import (
 )
 
 
-@dataclass(frozen=True)
-class TheoremCheck:
+class TheoremCheck(NamedTuple):
     """One verifiable statement: applicability predicate plus checker.
 
     `applies` must be a pure function of the matroid: `verify` evaluates
@@ -578,18 +576,25 @@ def lookup_check(check_id: str) -> TheoremCheck:
     raise KeyError(f"no check named {check_id!r}")
 
 
-@dataclass
 class CheckOutcome:
-    check_id: str
-    statement: str
-    applicable: int = 0
-    passed: int = 0
-    failed: int = 0
-    witnesses: list[dict] = field(default_factory=list)
-    # matroids whose check hit an exhaustive search cap: applicable, but
-    # neither passed nor failed
-    capped: int = 0
-    cap_hits: list[dict] = field(default_factory=list)
+    __slots__ = ("check_id", "statement", "applicable", "passed", "failed",
+                 "witnesses", "capped", "cap_hits")
+
+    def __init__(
+        self, check_id: str, statement: str, applicable: int = 0, passed: int = 0,
+        failed: int = 0, witnesses: list[dict] | None = None, capped: int = 0,
+        cap_hits: list[dict] | None = None,
+    ) -> None:
+        self.check_id = check_id
+        self.statement = statement
+        self.applicable = applicable
+        self.passed = passed
+        self.failed = failed
+        self.witnesses = [] if witnesses is None else witnesses
+        # matroids whose check hit an exhaustive search cap: applicable, but
+        # neither passed nor failed
+        self.capped = capped
+        self.cap_hits = [] if cap_hits is None else cap_hits
 
     def to_dict(self) -> dict:
         return {
@@ -604,14 +609,19 @@ class CheckOutcome:
         }
 
 
-@dataclass
 class VerificationReport:
     """Outcome of running a check registry over a matroid population."""
 
-    by_size: dict[int, int]
-    by_rank: dict[int, int]
-    outcomes: list[CheckOutcome]
-    duration_ms: int
+    __slots__ = ("by_size", "by_rank", "outcomes", "duration_ms")
+
+    def __init__(
+        self, by_size: dict[int, int], by_rank: dict[int, int],
+        outcomes: list[CheckOutcome], duration_ms: int,
+    ) -> None:
+        self.by_size = by_size
+        self.by_rank = by_rank
+        self.outcomes = outcomes
+        self.duration_ms = duration_ms
 
     @property
     def total(self) -> int:
@@ -689,6 +699,8 @@ def verify(
 
     start = perf_counter()
     outcomes = [CheckOutcome(c.check_id, c.statement) for c in checks]
+    # unpacked once per call: a field read on a check costs more per matroid
+    plan = [(c.applies, c.run, o) for c, o in zip(checks, outcomes)]
     by_size: dict[int, int] = {}
     by_rank: dict[int, int] = {}
     for m in population:
@@ -696,15 +708,15 @@ def verify(
         by_rank[m.rank] = by_rank.get(m.rank, 0) + 1
         # each distinct predicate is asked once per matroid
         verdicts: dict[Callable[[Matroid], bool], bool] = {}
-        for check, outcome in zip(checks, outcomes):
-            applies = verdicts.get(check.applies)
+        for predicate, run, outcome in plan:
+            applies = verdicts.get(predicate)
             if applies is None:
-                applies = verdicts[check.applies] = bool(check.applies(m))
+                applies = verdicts[predicate] = bool(predicate(m))
             if not applies:
                 continue
             outcome.applicable += 1
             try:
-                result = check.run(m)
+                result = run(m)
             except SearchCapExceeded as exc:
                 outcome.capped += 1
                 outcome.cap_hits.append({"matroid": m.to_doc(), "detail": str(exc)})

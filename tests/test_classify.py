@@ -10,6 +10,7 @@ from matroidlab import (
     Matroid,
     Partition,
     SetFamily,
+    SubfamilyWitness,
     enumerate_matroids,
     forming_family,
     intersection_minimal,
@@ -62,6 +63,60 @@ class TestClassificationResult:
             ClassificationResult(True, witness)
         with pytest.raises(ValueError):
             ClassificationResult(False, None)
+        with pytest.raises(ValueError):
+            ClassificationResult(verdict=False)
+
+    def test_equal_witnesses_are_equal_and_hash_alike(self):
+        # two builds of each witness are equal values, so a set keeps one
+        g = GroundSet("12345")
+
+        def build():
+            return [
+                ExpansionWitness(g.subset("1"), g.subset("2", "3"), "2", "3"),
+                ExchangeWitness(g.subset("1", "2", "3"), g.subset("1", "4", "5"), "3", "4", "5"),
+                SubfamilyWitness(fam(g, "12", "13")),
+                ClassificationResult(False, SubfamilyWitness(fam(g, "12", "13"))),
+                ClassificationResult(True, None),
+            ]
+
+        first, second = build(), build()
+        assert first == second
+        assert [hash(w) for w in first] == [hash(w) for w in second]
+        assert len(set(first + second)) == len(first)
+
+    def test_reprs_name_every_field(self):
+        g = GroundSet("12345")
+        assert repr(ClassificationResult(True, None)) == (
+            "ClassificationResult(verdict=True, witness=None)"
+        )
+        assert repr(ExpansionWitness(g.subset("1"), g.subset("2", "3"), "2", "3")) == (
+            "ExpansionWitness(secondary={1}, base={2,3}, e1='2', e2='3')"
+        )
+        exchange = ExchangeWitness(g.subset("1", "2", "3"), g.subset("1", "4", "5"), "3", "4", "5")
+        assert repr(exchange) == (
+            "ExchangeWitness(base1={1,2,3}, base2={1,4,5}, removed='3', y1='4', y2='5')"
+        )
+        assert repr(ClassificationResult(False, SubfamilyWitness(fam(g, "12", "13")))) == (
+            "ClassificationResult(verdict=False, "
+            "witness=SubfamilyWitness(subfamily={{1,2},{1,3}}))"
+        )
+
+    def test_keyword_construction(self):
+        g = GroundSet("123")
+        witness = ExpansionWitness(
+            secondary=g.subset("1"), base=g.subset("2", "3"), e1="2", e2="3"
+        )
+        assert witness == ExpansionWitness(g.subset("1"), g.subset("2", "3"), "2", "3")
+        assert (witness.secondary, witness.e2) == (g.subset("1"), "3")
+        result = ClassificationResult(verdict=False, witness=witness)
+        assert (result.verdict, result.witness) == (False, witness)
+        assert not result
+        assert ClassificationResult(verdict=True)
+        assert ClassificationResult(True) == ClassificationResult(True, None)
+        assert SubfamilyWitness(subfamily=fam(g, "12")).subfamily == fam(g, "12")
+        assert ExchangeWitness(
+            base1=g.subset("1"), base2=g.subset("2"), removed="1", y1="2", y2="3"
+        ).removed == "1"
 
 
 class TestUniqueExpansion:

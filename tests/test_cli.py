@@ -159,6 +159,28 @@ class TestAnalyze:
             "intersection minimal: yes",
         ]
 
+    def test_exchange_witness_line(self, capsys, tmp_path):
+        # Example 3.38: removing 3 from {1,2,3} is repaired by both 4 and 5
+        # of {1,4,5}; every verdict is false, so all three witness reprs show
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(
+            {"ground_set": ["1", "2", "3", "4", "5"],
+             "bases": [["1", "2", "3"], ["1", "2", "4"], ["1", "3", "4"],
+                       ["1", "2", "5"], ["1", "4", "5"]]}
+        ))
+        code, out, _ = run(capsys, "analyze", str(path))
+        assert code == 0
+        assert out.splitlines()[-4:] == [
+            "unique expansion: no (witness: ExpansionWitness(secondary={1,2}, "
+            "base={1,3,4}, e1='3', e2='4'))",
+            "unique exchange: no (witness: ExchangeWitness(base1={1,2,3}, "
+            "base2={1,4,5}, removed='3', y1='4', y2='5'))",
+            "union minimal: no (witness: SubfamilyWitness(subfamily="
+            "{{1,2,3},{1,2,4},{1,2,5}}))",
+            "intersection minimal: no (witness: SubfamilyWitness(subfamily="
+            "{{1,2,3},{1,2,5},{1,3,4},{1,4,5}}))",
+        ]
+
     def test_wide_member_missing_its_subsets_fails_fast(self, tmp_path):
         # the least missing subset is sought by size, {0} first, so the
         # witness costs no walk over the 2^64 subsets of the member

@@ -215,6 +215,24 @@ class TestRegistry:
         assert len(before["checks"]) == 28
         assert theorem_registry() == second[::-1]
 
+    def test_checks_are_immutable(self):
+        # every call shares the registry's checks, so no caller may change one
+        check = lookup_check("thm_334")
+        for name in ("check_id", "statement", "applies", "run"):
+            with pytest.raises(AttributeError):
+                setattr(check, name, None)
+        assert lookup_check("thm_334") is check
+        assert check.check_id == "thm_334"
+
+    def test_outcomes_start_empty_and_apart(self):
+        first, second = harness.CheckOutcome("a", "s"), harness.CheckOutcome("b", "t")
+        first.witnesses.append({})
+        first.cap_hits.append({})
+        assert second.to_dict() == {
+            "id": "b", "paper_ref": "t", "applicable": 0, "passed": 0,
+            "failed": 0, "witnesses": [], "capped": 0, "cap_hits": [],
+        }
+
     def test_expected_ids_present(self):
         # the checkers register in definition order, so this list is also the
         # order of harness.py and of every report: moving a checker fails here

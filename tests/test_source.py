@@ -3,6 +3,10 @@
 import ast
 import importlib
 import importlib.util
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import matroidlab
@@ -432,3 +436,25 @@ def test_every_exported_name_resolves_once():
     exported = matroidlab.__all__
     assert len(set(exported)) == len(exported)
     assert [name for name in exported if not _resolves(matroidlab, name)] == []
+
+
+def test_importing_the_cli_loads_no_dataclasses_or_inspect():
+    # `dataclasses` imports `inspect`, with `ast`, `dis` and `tokenize`,
+    # about a third of the command-line start-up; a fresh interpreter shows
+    # what `import matroidlab.cli` adds over what `site` already loaded
+    src = PACKAGE.parent
+    script = (
+        "import json, sys\n"
+        "before = set(sys.modules)\n"
+        "import matroidlab.cli\n"
+        "print(json.dumps(sorted(set(sys.modules) - before)))\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert done.returncode == 0, done.stderr
+    added = set(json.loads(done.stdout))
+    assert "matroidlab.cli" in added
+    assert added & {"dataclasses", "inspect"} == set()
