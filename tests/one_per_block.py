@@ -17,18 +17,16 @@ pinned one:
 
 from __future__ import annotations
 
-import json
 import sys
 from itertools import combinations, product
 from typing import Iterator
 
 from matroidlab import GroundSet, Matroid, SetFamily, verify
 
-from report_digest import report_digest
+from report_digest import PINNED, report_digest
 
 N = 8
 POPULATION = 21146  # Bell(9) - 1
-PINNED = "bc295a6dea9f2d419acdd0b3168d579f64f7e9e004f512f5c2fe5ede03b88442"
 
 
 def set_partitions(elements: list[str]) -> Iterator[list[list[str]]]:
@@ -57,14 +55,13 @@ def one_per_block_matroids(n: int) -> Iterator[Matroid]:
 
 def main() -> int:
     report = verify(one_per_block_matroids(N))
-    text = report.to_json()
-    print(text)
-    digest = report_digest(json.loads(text))
+    print(report.to_json())
+    digest = report_digest(report.to_dict())
     print(digest, file=sys.stderr)
     if report.failures:
         return 3
     whole = report.total == POPULATION and not report.capped
-    return 0 if whole and digest == PINNED else 1
+    return 0 if whole and digest == PINNED[POPULATION] else 1
 
 
 if __name__ == "__main__":

@@ -45,11 +45,7 @@ from matroidlab.setalgebra import (
     one_per_block,
 )
 
-from large_grounds import (
-    PINNED as LARGE_GROUNDS_DIGEST,
-    large_ground_matroids,
-    rank_one_uniform,
-)
+from large_grounds import large_ground_matroids, rank_one_uniform
 from oracles import (
     definitional_scan_oracle,
     expansion_oracle,
@@ -63,6 +59,7 @@ from oracles import (
     thm_334_oracle,
     thm_33_oracle,
 )
+from report_digest import PINNED, report_digest
 
 
 class _DrawnMatroid(Matroid):
@@ -182,6 +179,12 @@ def _dual_missing_its_last_base(monkeypatch):
     monkeypatch.setattr(Matroid, "dual", dropped)
 
 
+def _walk_kind(m, covers):
+    """Which search called the minimality walk: the union search walks the
+    base masks themselves, the intersection search their complements."""
+    return "union" if tuple(covers) == m.bases._order else "intersection"
+
+
 class TestRegistry:
     def test_size_is_28(self):
         assert len(theorem_registry()) == 28
@@ -232,6 +235,9 @@ class TestRegistry:
             "id": "b", "paper_ref": "t", "applicable": 0, "passed": 0,
             "failed": 0, "witnesses": [], "capped": 0, "cap_hits": [],
         }
+        # the counters and lists are the sweep's to fill, not the caller's
+        with pytest.raises(TypeError):
+            harness.CheckOutcome("a", "s", applicable=1)
 
     def test_expected_ids_present(self):
         # the checkers register in definition order, so this list is also the
@@ -277,6 +283,13 @@ class TestVerify:
             assert row_a["applicable"] == row_b["applicable"]
             assert row_a["passed"] == row_b["passed"]
             assert row_a["failed"] == row_b["failed"]
+
+    def test_report_up_to_six_hashes_to_its_pin(self):
+        # the report that `verify --n 6 --json` prints, in process: tier-1
+        # checks the digest that the CI step checks after it
+        report = verify(chain.from_iterable(enumerate_matroids(n) for n in range(1, 7)))
+        assert report.total == 4304
+        assert report_digest(report.to_dict()) == PINNED[4304]
 
     def test_deterministic_across_runs_and_inputs(self):
         # a list, a repeat run on it and a one-shot generator agree
@@ -460,7 +473,7 @@ class TestVerify:
         # U(3,7) (35 bases) and U(2,7) (21 bases) are not unique expansion:
         # their flag transversals are a proper witness on both sides, so the
         # check passes with no search and no cap hit
-        def refused(m, kind, boundary):
+        def refused(m, covers):
             raise AssertionError("the exhaustive search ran")
 
         monkeypatch.setattr(classify_module, "_least_reduction", refused)
@@ -510,9 +523,9 @@ class TestVerify:
         calls = []
         search = classify_module._least_reduction
 
-        def counted(m, kind, boundary):
-            calls.append(kind)
-            return search(m, kind, boundary)
+        def counted(m, covers):
+            calls.append(_walk_kind(m, covers))
+            return search(m, covers)
 
         monkeypatch.setattr(classify_module, "_least_reduction", counted)
         check = lookup_check("thm_552")
@@ -810,12 +823,12 @@ class TestThm334:
         # bases: on rank zero and on the unique expansion matroids
         real = classify_module._least_reduction
 
-        def reducible(m, kind, boundary):
-            if kind == "intersection":
+        def reducible(m, covers):
+            if _walk_kind(m, covers) == "intersection":
                 return classify_module.ClassificationResult(
                     False, classify_module.SubfamilyWitness(m.bases)
                 )
-            return real(m, kind, boundary)
+            return real(m, covers)
 
         monkeypatch.setattr(classify_module, "_least_reduction", reducible)
         pop = population(4)
@@ -1649,7 +1662,7 @@ class TestDefinitionalScans:
             env={**os.environ, "PYTHONPATH": str(src)},
         )
         assert run.returncode == 0, run.stderr
-        assert run.stderr.split() == [LARGE_GROUNDS_DIGEST]
+        assert run.stderr.split() == [PINNED[3]]
         rows = {row["id"]: row for row in json.loads(run.stdout)["checks"]}
         assert len(rows) == 28
         matroids = large_ground_matroids()
